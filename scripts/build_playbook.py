@@ -23,7 +23,7 @@ from sqlgov import equivalence as eq_mod
 from sqlgov import rewriter as rewriter_mod
 from sqlgov.fragmenter import decompose_lenient
 from sqlgov.knowledge_base import KnowledgeStore
-from sqlgov.providers import HashingEmbedding, save_playbook
+from sqlgov.providers import HashingEmbedding, save_playbook, write_jsonl
 from sqlgov.seeds import seed_snapshot
 from sqlgov.sqltext import templatize
 
@@ -238,24 +238,20 @@ def run_flows(llm: AuthoringLLM) -> None:
     embedder = HashingEmbedding(768)
     store = KnowledgeStore(seed_snapshot(embedder), embedder)
 
-    # rewrite flows
-    for source in (NESTED_QUERY, UNION_QUERY):
-        suggestions = rewriter_mod.evaluate(source, store, llm)
-        rewriter_mod.rewrite(source, suggestions, store, llm, k=5)
+    # rewrite flows; the nested one also verifies the rewrite-output
+    # (stripped) form of its golden
+    report = rewriter_mod.optimize(NESTED_QUERY, store, llm, k=5, verify=True)
+    assert report.output["verified"] == "EQUIVALENT", report
+    rewriter_mod.optimize(UNION_QUERY, store, llm, k=5)
 
-    # verify flows: the golden file form and the rewrite-output (stripped) form
-    for right in (NESTED_REWRITE, NESTED_REWRITE.strip("\n")):
-        verdict = eq_mod.check_equivalence(NESTED_QUERY, right, llm)
-        assert verdict.verdict == "EQUIVALENT", verdict
+    # verify flow on the golden file form
+    verdict = eq_mod.check_equivalence(NESTED_QUERY, NESTED_REWRITE, llm)
+    assert verdict.verdict == "EQUIVALENT", verdict
 
     # fix-syntax flow (localized splice)
-    tree, _ = decompose_lenient(BROKEN_SQL)
-    error = corrector_mod.parse_error_log(BROKEN_LOG)
-    plan = corrector_mod.clarify(error, store, tree)
-    assert plan.scope == "LOCAL", plan
-    inputs = corrector_mod.prepare_data(plan, error, BROKEN_SQL, tree, {})
-    corrected = corrector_mod.correct(BROKEN_SQL, inputs, llm)
-    assert "SELECT a, b FROM t2" in corrected, corrected
+    report = corrector_mod.repair(BROKEN_SQL, BROKEN_LOG, store, llm)
+    assert report.output["scope"] == "LOCAL", report
+    assert "SELECT a, b FROM t2" in report.output["corrected"], report
 
 
 def write_bench_fixtures() -> None:
@@ -265,14 +261,9 @@ def write_bench_fixtures() -> None:
         {"template": templatize(NESTED_REWRITE), "status": "OK", "elapsed": 60.0,
          "rows": 42},
     ]
-    with open(FIXTURES / "executor_fixtures.jsonl", "w") as fh:
-        for record in fixtures:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    pairs = [{"id": "nested-rewrite", "original": NESTED_QUERY,
-              "rewritten": NESTED_REWRITE}]
-    with open(FIXTURES / "bench_pairs.jsonl", "w") as fh:
-        for record in pairs:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(fixtures, FIXTURES / "executor_fixtures.jsonl")
+    write_jsonl([{"id": "nested-rewrite", "original": NESTED_QUERY,
+                  "rewritten": NESTED_REWRITE}], FIXTURES / "bench_pairs.jsonl")
 
 
 def write_corrector_fixtures() -> None:

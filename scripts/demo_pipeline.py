@@ -9,7 +9,6 @@ access or a live DBMS.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -18,10 +17,15 @@ FIXTURES = ROOT / "tests" / "fixtures"
 sys.path.insert(0, str(ROOT / "src"))
 
 from sqlgov import bench as bench_mod
-from sqlgov import corrector, equivalence, rewriter
-from sqlgov.fragmenter import decompose, decompose_lenient
+from sqlgov import corrector, rewriter
+from sqlgov.fragmenter import decompose
 from sqlgov.knowledge_base import KnowledgeStore
-from sqlgov.providers import HashingEmbedding, ScriptedLLM, SimulatedExecutor
+from sqlgov.providers import (
+    HashingEmbedding,
+    ScriptedLLM,
+    SimulatedExecutor,
+    read_jsonl,
+)
 from sqlgov.seeds import seed_snapshot
 
 
@@ -42,39 +46,32 @@ def main() -> None:
         print(f"{indent}#{frag.id} {frag.kind} at {frag.clause_site} "
               f"(depth {frag.depth})")
 
+    report = rewriter.optimize(original, store, llm, k=5, verify=True)
     banner("evaluation")
-    suggestions = rewriter.evaluate(original, store, llm)
-    for s in suggestions:
-        label = s.rule_index or s.scenario
-        summary = s.action.splitlines()[0][:70] if s.action else "efficient"
-        print(f"fragment {s.fragment_id}: {label}: {summary}")
+    for s in report.output["suggestions"]:
+        label = s["rule_index"] or s["scenario"]
+        summary = s["action"].splitlines()[0][:70] if s["action"] \
+            else "efficient"
+        print(f"fragment {s['fragment_id']}: {label}: {summary}")
 
     banner("rewriting")
-    result = rewriter.rewrite(original, suggestions, store, llm, k=5)
-    print(result.rewritten)
-    print(f"\ncases consulted: {', '.join(result.cases_consulted)}")
+    print(report.output["rewritten"])
+    print(f"\ncases consulted: {', '.join(report.cases_used)}")
 
     banner("equivalence verification")
-    verdict = equivalence.check_equivalence(original, result.rewritten, llm)
-    print(f"{verdict.verdict} (confidence {verdict.confidence:.2f})")
+    print(report.output["verified"])
 
     banner("syntax correction")
-    broken = (FIXTURES / "broken.sql").read_text()
-    log = (FIXTURES / "broken.log").read_text()
-    broken_tree, _ = decompose_lenient(broken)
-    error = corrector.parse_error_log(log)
-    plan = corrector.clarify(error, store, broken_tree)
-    inputs = corrector.prepare_data(plan, error, broken, broken_tree, {})
-    print(f"plan: {plan.scope} scope, strategy="
-          f"{plan.strategy.index if plan.strategy else 'fallback'}")
-    print("corrected:", corrector.correct(broken, inputs, llm).strip())
+    fix = corrector.repair((FIXTURES / "broken.sql").read_text(),
+                           (FIXTURES / "broken.log").read_text(), store, llm)
+    print(f"plan: {fix.output['scope']} scope, strategy="
+          f"{fix.output['strategy'] or 'fallback'}")
+    print("corrected:", fix.output["corrected"].strip())
 
     banner("benchmark")
     executor = SimulatedExecutor.from_path(FIXTURES / "executor_fixtures.jsonl")
-    pairs = [json.loads(line)
-             for line in (FIXTURES / "bench_pairs.jsonl").read_text().splitlines()
-             if line.strip()]
-    report = bench_mod.bench(pairs, executor, trials=3)
+    report = bench_mod.bench(read_jsonl(FIXTURES / "bench_pairs.jsonl"),
+                             executor, trials=3)
     for r in report.results:
         print(f"{r.query_id}: ET_pre={r.et_pre:.1f}s ET_post={r.et_post:.1f}s "
               f"ETS={r.ets:.1f}s ETOG={r.etog:.1f}%")

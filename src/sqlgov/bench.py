@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .knowledge_base import CORRECTOR, MODIFIER, REWRITER
@@ -110,21 +109,15 @@ def _normalize_pairs(pairs) -> list[dict]:
     return normalized
 
 
-def bench(pairs, executor, trials: int = 3, parallel: bool = False) -> BenchReport:
+def bench(pairs, executor, trials: int = 3) -> BenchReport:
     """Benchmark (original, rewritten) pairs: ETS = pre - post, ETOG =
     ETS/pre * 100. Erroring pairs are excluded from aggregates and reported.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    records = _normalize_pairs(pairs)
     report = BenchReport()
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            outcomes = list(pool.map(
-                lambda r: _bench_pair(r, executor, trials), records))
-    else:
-        outcomes = [_bench_pair(r, executor, trials) for r in records]
-    for outcome in outcomes:
+    for record in _normalize_pairs(pairs):
+        outcome = _bench_pair(record, executor, trials)
         if isinstance(outcome, BenchResult):
             report.results.append(outcome)
         else:

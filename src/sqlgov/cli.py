@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -21,23 +21,23 @@ from . import equivalence as eq_mod
 from . import modifier as modifier_mod
 from . import rewriter as rewriter_mod
 from . import self_learning as learn_mod
-from .bench import ToolReport, input_digest
 from .config import PROVIDER_PERMISSIVE, RuntimeConfig, load_config
 from .errors import SqlGovError, StillInvalidError
 from .fragmenter import decompose_lenient
 from .knowledge_base import (
-    CORRECTOR,
-    MODIFIER,
     REWRITER,
     TOOLS,
-    KnowledgeSnapshot,
     KnowledgeStore,
     check_integrity,
-    load_snapshot,
     save_snapshot,
 )
-from .providers import HashingEmbedding, ScriptedLLM, SimulatedExecutor
-from .seeds import seed_snapshot
+from .providers import (
+    HashingEmbedding,
+    ScriptedLLM,
+    SimulatedExecutor,
+    read_jsonl,
+)
+from .seeds import add_entry, load_or_seed, seed_snapshot
 
 
 def _read_text(path: str) -> str:
@@ -48,15 +48,6 @@ def _read_text(path: str) -> str:
 
 def _read_json(path: str):
     return json.loads(_read_text(path))
-
-
-def _read_jsonl(path: str) -> list[dict]:
-    records = []
-    for line in _read_text(path).splitlines():
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
-    return records
 
 
 def _embedder(config: RuntimeConfig) -> HashingEmbedding:
@@ -72,13 +63,14 @@ def _llm(config: RuntimeConfig, args) -> ScriptedLLM:
     return ScriptedLLM([], strict=strict)
 
 
-def _store(config: RuntimeConfig, args, embedder=None) -> KnowledgeStore:
-    embedder = embedder or _embedder(config)
-    kb_dir = getattr(args, "kb", None) or config.kb_dir
-    if kb_dir and Path(kb_dir).exists():
-        snapshot = load_snapshot(kb_dir)
-    else:
-        snapshot = seed_snapshot(embedder)
+def _kb_dir(config: RuntimeConfig, args) -> str | None:
+    return getattr(args, "kb", None) or config.kb_dir
+
+
+def _store(config: RuntimeConfig, args, embedder) -> KnowledgeStore:
+    kb_dir = _kb_dir(config, args)
+    snapshot = load_or_seed(kb_dir, embedder) if kb_dir \
+        else seed_snapshot(embedder)
     return KnowledgeStore(snapshot, embedder,
                           strategy_threshold=config.strategy_threshold,
                           default_k=config.retrieval_k)
@@ -115,42 +107,17 @@ def cmd_fragment(args, config) -> int:
 
 
 def cmd_rewrite(args, config) -> int:
-    sql = _read_text(args.source)
     embedder = _embedder(config)
-    store = _store(config, args, embedder)
-    llm = _llm(config, args)
-    t0 = time.perf_counter()
-    suggestions = rewriter_mod.evaluate(sql, store, llm)
-    t1 = time.perf_counter()
-    result = rewriter_mod.rewrite(sql, suggestions, store, llm,
-                                  k=config.retrieval_k)
-    t2 = time.perf_counter()
-    exit_code = 0
-    if args.verify:
-        verdict = eq_mod.check_equivalence(result.original, result.rewritten,
-                                           llm, config.confidence_floor)
-        result = replace(result, verified=verdict.verdict)
-        if verdict.verdict != eq_mod.EQUIVALENT:
-            exit_code = 1
+    report = rewriter_mod.optimize(
+        _read_text(args.source), _store(config, args, embedder),
+        _llm(config, args), k=config.retrieval_k, verify=args.verify,
+        confidence_floor=config.confidence_floor)
     if args.json:
-        report = ToolReport(
-            tool=REWRITER,
-            input_digest=input_digest(sql),
-            output={
-                "original": result.original,
-                "rewritten": result.rewritten,
-                "suggestions": [asdict(s) for s in suggestions],
-                "verified": result.verified,
-            },
-            rules_used=sorted({s.rule_index for s in result.suggestions_applied
-                               if s.rule_index}),
-            cases_used=list(result.cases_consulted),
-            timings={"evaluate": t1 - t0, "rewrite": t2 - t1},
-        )
         _print_json(asdict(report))
     else:
-        print(result.rewritten)
-    return exit_code
+        print(report.output["rewritten"])
+    return 1 if args.verify and \
+        report.output["verified"] != eq_mod.EQUIVALENT else 0
 
 
 def _verdict_payload(verdict) -> dict:
@@ -166,21 +133,18 @@ def _verdict_payload(verdict) -> dict:
 
 def cmd_verify(args, config) -> int:
     llm = _llm(config, args)
-    pairs = []
     if args.batch:
-        for i, record in enumerate(_read_jsonl(args.batch)):
-            pairs.append((record.get("id", f"pair{i + 1}"),
-                          record["left"], record["right"]))
+        pairs = [(record.get("id", f"pair{i + 1}"), record["left"],
+                  record["right"])
+                 for i, record in enumerate(read_jsonl(args.batch))]
+    elif args.left and args.right:
+        pairs = [("pair1", _read_text(args.left), _read_text(args.right))]
     else:
-        if not (args.left and args.right):
-            print("verify needs --left/--right or --batch", file=sys.stderr)
-            return 2
-        pairs.append(("pair1", _read_text(args.left), _read_text(args.right)))
-    verdicts = []
-    for pair_id, left, right in pairs:
-        verdict = eq_mod.check_equivalence(left, right, llm,
-                                           config.confidence_floor)
-        verdicts.append((pair_id, verdict))
+        print("verify needs --left/--right or --batch", file=sys.stderr)
+        return 2
+    verdicts = [(pair_id, eq_mod.check_equivalence(left, right, llm,
+                                                    config.confidence_floor))
+                for pair_id, left, right in pairs]
     if args.json:
         _print_json([{"id": pid, **_verdict_payload(v)} for pid, v in verdicts])
     else:
@@ -191,140 +155,68 @@ def cmd_verify(args, config) -> int:
     return 0 if all(v.verdict == eq_mod.EQUIVALENT for _, v in verdicts) else 1
 
 
-def _load_categories(args, config, embedder):
-    cfg = modifier_mod.ModifierConfig()
-    path = getattr(args, "categories", None)
-    if not path:
-        kb_dir = getattr(args, "kb", None) or config.kb_dir
-        if kb_dir and (Path(kb_dir) / "categories.json").exists():
-            path = str(Path(kb_dir) / "categories.json")
-    if path:
-        raw = _read_json(path)
-        categories = [
-            modifier_mod.IntentCategory(
-                id=entry["id"],
-                keywords=[(k, float(w)) for k, w in entry["keywords"]],
-                centroid=tuple(entry["centroid"]) if entry.get("centroid")
-                else None)
-            for entry in raw
-        ]
-    else:
-        categories = modifier_mod.default_categories()
-    if any(c.centroid is None for c in categories) and cfg.beta_sim > 0:
-        categories = modifier_mod.bootstrap_centroids(categories, embedder, cfg)
-    return categories, cfg
-
-
 def cmd_modify(args, config) -> int:
-    sql = _read_text(args.source)
-    embedder = _embedder(config)
-    llm = _llm(config, args)
-    catalog = _read_json(args.catalog) if args.catalog else {}
-    history: list[str] = []
-    if args.history:
-        for record in _read_jsonl(args.history):
-            if isinstance(record, str):
-                history.append(record)
-            elif "table" in record:
-                history.extend([record["table"]] * int(record.get("count", 1)))
-    categories, mod_cfg = _load_categories(args, config, embedder)
-    decision = modifier_mod.classify_intent(args.request, categories,
-                                            embedder, mod_cfg)
-    if decision is None:
+    categories = args.categories
+    kb_dir = _kb_dir(config, args)
+    if not categories and kb_dir and (Path(kb_dir) / "categories.json").exists():
+        categories = str(Path(kb_dir) / "categories.json")
+    now = os.environ.get("SQLGOV_NOW")
+    report = modifier_mod.modify_query(
+        _read_text(args.source), args.request, _llm(config, args),
+        _embedder(config),
+        catalog=_read_json(args.catalog) if args.catalog else {},
+        history=read_jsonl(args.history) if args.history else [],
+        context=args.context or "", categories_path=categories,
+        now=float(now) if now else None)
+    if report is None:
         message = "request rejected: no intent category reached the threshold"
         if args.json:
             _print_json({"rejected": True, "reason": message})
         else:
             print(message, file=sys.stderr)
         return 1
-    category_id, score = decision
-    now = float(os.environ["SQLGOV_NOW"]) if os.environ.get("SQLGOV_NOW") \
-        else None
-    context = modifier_mod.prepare_metadata(
-        sql, args.context or "", catalog, history, mod_cfg, now=now)
-    outcome = modifier_mod.modify(args.request, context, category_id, llm)
     if args.json:
-        report = ToolReport(
-            tool=MODIFIER,
-            input_digest=input_digest(sql, args.request),
-            output={"sql": outcome.sql, "explanation": outcome.explanation,
-                    "category": category_id, "score": score},
-        )
         _print_json(asdict(report))
     else:
-        print(outcome.sql)
-        if outcome.explanation:
-            print(f"-- {outcome.explanation}", file=sys.stderr)
+        print(report.output["sql"])
+        if report.output["explanation"]:
+            print(f"-- {report.output['explanation']}", file=sys.stderr)
     return 0
 
 
 def cmd_fix_syntax(args, config) -> int:
     sql = _read_text(args.source)
-    log = _read_text(args.log)
-    catalog = _read_json(args.schema) if args.schema else {}
     embedder = _embedder(config)
-    store = _store(config, args, embedder)
-    llm = _llm(config, args)
-    current_sql, current_log = sql, log
-    last_error: StillInvalidError | None = None
-    for _ in range(max(1, args.max_rounds)):
-        tree, _ = decompose_lenient(current_sql)
-        error = corrector_mod.parse_error_log(current_log)
-        plan = corrector_mod.clarify(error, store, tree)
-        inputs = corrector_mod.prepare_data(plan, error, current_sql, tree,
-                                            catalog)
-        try:
-            corrected = corrector_mod.correct(current_sql, inputs, llm)
-        except StillInvalidError as exc:
-            last_error = exc
-            current_sql, current_log = exc.corrected, str(exc)
-            continue
+    try:
+        report = corrector_mod.repair(
+            sql, _read_text(args.log), _store(config, args, embedder),
+            _llm(config, args),
+            catalog=_read_json(args.schema) if args.schema else {},
+            max_rounds=args.max_rounds)
+    except StillInvalidError as exc:
         if args.json:
-            report = ToolReport(
-                tool=CORRECTOR,
-                input_digest=input_digest(sql, log),
-                output={"original": sql, "corrected": corrected,
-                        "scope": inputs.scope,
-                        "strategy": plan.strategy.index if plan.strategy
-                        else None},
-            )
-            _print_json(asdict(report))
+            _print_json({"error": "STILL_INVALID", "message": str(exc),
+                         "original": sql, "corrected": exc.corrected})
         else:
-            print(corrected)
-        return 0
-    message = str(last_error) if last_error else "correction failed"
+            print(str(exc), file=sys.stderr)
+        return 1
     if args.json:
-        _print_json({"error": "STILL_INVALID", "message": message,
-                     "original": sql,
-                     "corrected": last_error.corrected if last_error else None})
+        _print_json(asdict(report))
     else:
-        print(message, file=sys.stderr)
-    return 1
+        print(report.output["corrected"])
+    return 0
 
 
 # --- kb subcommands -----------------------------------------------------------
 
-def _require_store_dir(args) -> Path:
-    return Path(args.store)
-
-
-def _load_store_snapshot(args, embedder) -> KnowledgeSnapshot:
-    directory = _require_store_dir(args)
-    if directory.exists() and (directory / "meta.json").exists():
-        return load_snapshot(directory)
-    return seed_snapshot(embedder)
-
-
 def cmd_kb_init(args, config) -> int:
-    embedder = _embedder(config)
-    snapshot = seed_snapshot(embedder, now=time.time())
-    save_snapshot(snapshot, args.store)
+    save_snapshot(seed_snapshot(_embedder(config), now=time.time()), args.store)
     print(f"seeded knowledge store at {args.store}")
     return 0
 
 
 def cmd_kb_list(args, config) -> int:
-    snapshot = _load_store_snapshot(args, _embedder(config))
+    snapshot = load_or_seed(args.store, _embedder(config))
     payload = {
         "rules": [{"index": r.index, "tool": r.tool, "status": r.status,
                    "has_matcher": bool(r.matcher)} for r in snapshot.rules
@@ -345,7 +237,7 @@ def cmd_kb_list(args, config) -> int:
 
 
 def cmd_kb_stats(args, config) -> int:
-    snapshot = _load_store_snapshot(args, _embedder(config))
+    snapshot = load_or_seed(args.store, _embedder(config))
     payload = {
         "rules": len(snapshot.rules),
         "cases": len(snapshot.cases),
@@ -360,38 +252,8 @@ def cmd_kb_stats(args, config) -> int:
 
 def cmd_kb_add(args, config) -> int:
     embedder = _embedder(config)
-    snapshot = _load_store_snapshot(args, embedder)
-    data = _read_json(args.data)
-    if args.kind == "rule":
-        from .knowledge_base import RuleEntry
-        snapshot.rules.append(RuleEntry(
-            index=data["index"], description=data["description"],
-            matcher=data.get("matcher"), tool=data.get("tool", REWRITER),
-            status=data.get("status", "CANDIDATE"),
-            created_at=data.get("created_at", time.time())))
-    elif args.kind == "case":
-        from .knowledge_base import HistoricalCase
-        from .sqltext import templatize
-        template = templatize(data["sql"])
-        snapshot.cases.append(HistoricalCase(
-            index=data.get("index", f"case-{len(snapshot.cases) + 1}"),
-            details=data["details"], tag=list(data.get("tag", [])),
-            template=template,
-            embedding=tuple(float(x) for x in embedder.embed(template))))
-    else:
-        from .corrector import ParsedError, build_error_key
-        from .knowledge_base import ErrorStrategy
-        pattern = data["message_pattern"]
-        exc, _, message = pattern.partition(": ")
-        key = build_error_key(ParsedError(exception_type=exc, location=None,
-                                          message=message or pattern,
-                                          raw_log=pattern))
-        snapshot.strategies.append(ErrorStrategy(
-            index=data["index"], message_pattern=pattern,
-            needs_schema=bool(data.get("needs_schema", False)),
-            localized=bool(data.get("localized", False)),
-            guidance=data["guidance"],
-            embedding=tuple(float(x) for x in embedder.embed(key))))
+    snapshot = load_or_seed(args.store, embedder)
+    add_entry(snapshot, args.kind, _read_json(args.data), embedder, time.time())
     problems = check_integrity(snapshot)
     if problems:
         print("refusing to save, integrity violations:", file=sys.stderr)
@@ -403,120 +265,46 @@ def cmd_kb_add(args, config) -> int:
     return 0
 
 
-def _pending_dir(store: Path) -> Path:
-    return store / "pending"
-
-
-def _batch_to_json(batch: learn_mod.CandidateRuleBatch) -> dict:
-    return {
-        "rules": [asdict(r) for r in batch.rules],
-        "source_records": batch.source_records,
-        "generated_at": batch.generated_at,
-        "records": [asdict(r) for r in batch.records],
-    }
-
-
-def _batch_from_json(payload: dict) -> learn_mod.CandidateRuleBatch:
-    from .knowledge_base import RuleEntry
-    return learn_mod.CandidateRuleBatch(
-        rules=[RuleEntry(**r) for r in payload["rules"]],
-        source_records=payload["source_records"],
-        generated_at=payload["generated_at"],
-        records=[learn_mod.ExecutionRecord(**r) for r in payload["records"]],
-    )
-
-
 def cmd_kb_learn(args, config) -> int:
-    embedder = _embedder(config)
-    snapshot = _load_store_snapshot(args, embedder)
-    llm = _llm(config, args)
-    now = time.time()
-    records = [learn_mod.ExecutionRecord(**r) for r in _read_jsonl(args.records)]
-    cfg = learn_mod.LearningConfig()
-    filtered = learn_mod.filter_records(records, cfg)
-    if not filtered:
+    records = [learn_mod.ExecutionRecord(**r) for r in read_jsonl(args.records)]
+    report = learn_mod.learn(args.store, records, _llm(config, args),
+                             _embedder(config), args.tool, args.auto_accept,
+                             time.time())
+    out = report.output
+    if not out["kept"]:
         print("no records passed filtering; nothing to learn")
-        return 0
-    batch = learn_mod.generate_rules(filtered, llm, args.tool, now)
-    if args.auto_accept:
-        decisions = {r.index: "ACCEPT" for r in batch.rules}
-        snapshot = learn_mod.apply_verification(snapshot, batch, decisions,
-                                                embedder, now)
-        save_snapshot(snapshot, args.store)
-        print(f"accepted {len(batch.rules)} rules into {args.store}")
-        return 0
-    snapshot = learn_mod.apply_verification(snapshot, batch, {}, embedder, now)
-    save_snapshot(snapshot, args.store)
-    pending = _pending_dir(_require_store_dir(args))
-    pending.mkdir(parents=True, exist_ok=True)
-    batch_path = pending / f"batch-{int(now)}-{len(batch.rules)}.json"
-    batch_path.write_text(json.dumps(_batch_to_json(batch), indent=2),
-                          encoding="utf-8")
-    pending_count = len(snapshot.rules_for(args.tool, "CANDIDATE"))
-    stats = snapshot.stats.get(args.tool)
-    elapsed = now - stats.update_times[-1] if stats and stats.update_times else 0.0
-    trigger = learn_mod.should_trigger_verification(
-        pending_count, elapsed, stats or learn_mod.ToolStats(), cfg)
-    print(f"generated {len(batch.rules)} candidate rules "
-          f"(pending={pending_count}); verification "
-          f"{'REQUIRED' if trigger else 'not yet required'}")
+    elif out["accepted"]:
+        print(f"accepted {len(out['rules'])} rules into {args.store}")
+    else:
+        required = out["verification_required"]
+        print(f"generated {len(out['rules'])} candidate rules "
+              f"(pending={out['pending']}); verification "
+              f"{'REQUIRED' if required else 'not yet required'}")
     return 0
 
 
 def cmd_kb_verify(args, config) -> int:
-    embedder = _embedder(config)
-    snapshot = _load_store_snapshot(args, embedder)
     decisions = _read_json(args.decisions)
-    pending = _pending_dir(_require_store_dir(args))
-    batch_files = sorted(pending.glob("batch-*.json")) if pending.exists() else []
-    if not batch_files:
-        print("no pending batches", file=sys.stderr)
-        return 2
-    known = set()
-    now = time.time()
-    for batch_file in batch_files:
-        batch = _batch_from_json(json.loads(batch_file.read_text()))
-        known.update(r.index for r in batch.rules)
-        subset = {k: v for k, v in decisions.items()
-                  if k in {r.index for r in batch.rules}}
-        if subset:
-            snapshot = learn_mod.apply_verification(snapshot, batch, subset,
-                                                    embedder, now)
-        undecided = {r.index for r in batch.rules} - set(subset)
-        if not undecided:
-            batch_file.unlink()
-    unknown = set(decisions) - known
-    if unknown:
-        print(f"decisions reference unknown rules: {sorted(unknown)}",
-              file=sys.stderr)
-        return 2
-    save_snapshot(snapshot, args.store)
+    learn_mod.verify_pending(args.store, decisions, _embedder(config),
+                             time.time())
     print(f"applied {len(decisions)} decisions")
     return 0
 
 
 def cmd_kb_dedup(args, config) -> int:
-    embedder = _embedder(config)
-    snapshot = _load_store_snapshot(args, embedder)
-    tools = [args.tool] if args.tool else list(TOOLS)
-    all_merges = []
-    for tool in tools:
-        snapshot, merges = learn_mod.dedupe_snapshot(snapshot, embedder, tool)
-        all_merges.extend(merges)
-    save_snapshot(snapshot, args.store)
-    if all_merges:
-        for merge in all_merges:
-            print(f"merged {merge['absorbed']} into {merge['survivor']}")
-    else:
+    merges = learn_mod.dedupe_store(args.store, _embedder(config),
+                                    (args.tool,) if args.tool else TOOLS)
+    for merge in merges:
+        print(f"merged {merge['absorbed']} into {merge['survivor']}")
+    if not merges:
         print("no duplicates found")
     return 0
 
 
 def cmd_bench(args, config) -> int:
-    pairs = _read_jsonl(args.pairs)
     executor = SimulatedExecutor.from_path(args.fixtures, seed=config.seed)
-    report = bench_mod.bench(pairs, executor, trials=args.trials,
-                             parallel=args.parallel)
+    report = bench_mod.bench(read_jsonl(args.pairs), executor,
+                             trials=args.trials)
     if args.json:
         _print_json({
             "results": [asdict(r) for r in report.results],
@@ -634,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True, help="JSONL of query pairs")
     p.add_argument("--fixtures", required=True, help="executor fixtures JSONL")
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--parallel", action="store_true")
     _add_common(p, kb=False, playbook=False)
     p.set_defaults(func=cmd_bench)
 

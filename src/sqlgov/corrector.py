@@ -12,10 +12,11 @@ import re
 from dataclasses import dataclass
 
 from .analysis import analyze_tree
+from .bench import ToolReport, input_digest
 from .errors import StillInvalidError
 from .fragmenter import FragmentTree, decompose_lenient, fragment_at
-from .knowledge_base import ErrorStrategy, KnowledgeStore
-from .prompts import correction_prompt
+from .knowledge_base import CORRECTOR, ErrorStrategy, KnowledgeStore
+from .prompts import correction_prompt, render_columns, strip_fences
 
 SCOPE_LOCAL = "LOCAL"
 SCOPE_GLOBAL = "GLOBAL"
@@ -193,15 +194,7 @@ def _schema_lines(schema_slice, catalog: dict) -> tuple[str, ...]:
     for table in tables:
         entry = catalog[table]
         columns = entry.get("columns", entry) if isinstance(entry, dict) else entry
-        rendered = []
-        for column in columns:
-            if isinstance(column, dict):
-                name = column.get("name", "")
-                desc = column.get("description")
-                rendered.append(f"{name} ({desc})" if desc else name)
-            else:
-                rendered.append(str(column))
-        lines.append(f"{table}: {', '.join(rendered)}")
+        lines.append(f"{table}: {render_columns(columns)}")
     return tuple(lines)
 
 
@@ -234,16 +227,6 @@ def prepare_data(plan: CorrectionPlan, error: ParsedError, query: str,
         guidance=plan.guidance, target_fragment=None, splice_span=None)
 
 
-def _strip_fences(text: str) -> str:
-    cleaned = text.strip("\n")
-    if cleaned.startswith("```"):
-        lines = cleaned.splitlines()[1:]
-        if lines and lines[-1].strip().startswith("```"):
-            lines = lines[:-1]
-        cleaned = "\n".join(lines).strip("\n")
-    return cleaned
-
-
 def correct(query: str, inputs: CorrectionInputs, provider) -> str:
     """Run the correction prompt and splice the answer back.
 
@@ -251,7 +234,7 @@ def correct(query: str, inputs: CorrectionInputs, provider) -> str:
     the query untouched; the result must decompose cleanly or the call fails
     with both texts attached.
     """
-    response = _strip_fences(provider.complete(correction_prompt(inputs)))
+    response = strip_fences(provider.complete(correction_prompt(inputs)))
     if inputs.scope == SCOPE_LOCAL and inputs.splice_span is not None:
         start, end = inputs.splice_span
         corrected = query[:start] + response + query[end:]
@@ -267,3 +250,32 @@ def correct(query: str, inputs: CorrectionInputs, provider) -> str:
             f"corrected SQL still fails to parse: {diagnostic}",
             original=query, corrected=corrected)
     return corrected
+
+
+def repair(query: str, log: str, store: KnowledgeStore, provider,
+           catalog: dict | None = None, max_rounds: int = 1) -> ToolReport:
+    """The fix-syntax tool end to end: clarify, prepare and correct, up to
+    ``max_rounds`` times. A round whose fix still fails to parse feeds that
+    fix and its parse failure into the next round; after the last round the
+    StillInvalidError propagates."""
+    rounds = max(1, max_rounds)
+    current_sql, current_log = query, log
+    for round_no in range(1, rounds + 1):
+        tree, _ = decompose_lenient(current_sql)
+        error = parse_error_log(current_log)
+        plan = clarify(error, store, tree)
+        inputs = prepare_data(plan, error, current_sql, tree, catalog or {})
+        try:
+            corrected = correct(current_sql, inputs, provider)
+        except StillInvalidError as exc:
+            if round_no == rounds:
+                raise
+            current_sql, current_log = exc.corrected, str(exc)
+            continue
+        return ToolReport(
+            tool=CORRECTOR,
+            input_digest=input_digest(query, log),
+            output={"original": query, "corrected": corrected,
+                    "scope": inputs.scope,
+                    "strategy": plan.strategy.index if plan.strategy else None},
+        )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .analysis import analyze_tree
 from .errors import RejectedResponseError, UnsupportedStatementError
 from .fragmenter import FragmentTree, decompose
-from .prompts import alignment_prompt, intent_extract_prompt, parse_json_response
+from .prompts import alignment_prompt, ask_json, intent_extract_prompt
 from .sqltext import normalized_text, tokenize
 
 EQUIVALENT = "EQUIVALENT"
@@ -117,19 +117,8 @@ def extract_intent(query: str, provider) -> IntentSummary:
             f"fragment {c.id}: {json.dumps(summaries[c.id], sort_keys=True)}"
             for c in tree.children(fragment.id)
         ]
-        env = intent_extract_prompt(fragment, child_rendered)
-        response = provider.complete(env)
-        try:
-            data = parse_json_response(response)
-        except (ValueError, TypeError) as exc:
-            raise RejectedResponseError(
-                f"intent extraction for fragment {fragment.id} returned "
-                f"invalid JSON") from exc
-        if not isinstance(data, dict):
-            raise RejectedResponseError(
-                f"intent extraction for fragment {fragment.id} must return "
-                f"a JSON object")
-        summaries[fragment.id] = data
+        summaries[fragment.id] = ask_json(
+            provider, intent_extract_prompt(fragment, child_rendered))
     main = summaries[tree.root_id]
     fields = tuple(
         FieldProvenance(
@@ -200,13 +189,18 @@ def check_equivalence(a: str, b: str, provider,
 
 def _align(intent_a: IntentSummary, intent_b: IntentSummary, provider,
            confidence_floor: float) -> EquivalenceVerdict:
-    env = alignment_prompt(intent_a.render(), intent_b.render())
-    response = provider.complete(env)
-    try:
-        data = parse_json_response(response)
-    except (ValueError, TypeError) as exc:
-        raise RejectedResponseError("alignment response is not valid JSON") from exc
-    mappings = data.get("mappings", []) if isinstance(data, dict) else []
+    data = ask_json(provider,
+                    alignment_prompt(intent_a.render(), intent_b.render()))
+    mappings = data.get("mappings", [])
+    if not isinstance(mappings, list) or not all(
+            isinstance(m, dict)
+            and isinstance(m.get("confidence", 0.0), (int, float))
+            and isinstance(m.get("left"), int)
+            and isinstance(m.get("right"), int)
+            for m in mappings):
+        raise RejectedResponseError(
+            "alignment mappings must be a list of objects with integer "
+            "positions and numeric confidence")
     n = len(intent_a.fields)
     if n == 0:
         return EquivalenceVerdict(verdict=UNDECIDED, confidence=0.0,

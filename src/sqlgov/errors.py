@@ -89,10 +89,6 @@ class ContractViolationError(SqlGovError):
     code = "CONTRACT_VIOLATION"
 
 
-class MissingFragmentError(SqlGovError):
-    code = "MISSING_FRAGMENT"
-
-
 class StillInvalidError(SqlGovError):
     """Corrected SQL failed re-validation. Carries both texts for reporting."""
 
@@ -102,11 +98,3 @@ class StillInvalidError(SqlGovError):
         super().__init__(message)
         self.original = original
         self.corrected = corrected
-
-
-class ExecError(SqlGovError):
-    code = "EXEC_ERROR"
-
-
-class EmptyCategoryError(SqlGovError):
-    code = "EMPTY_CATEGORY"

@@ -92,19 +92,6 @@ class FragmentTree:
         return {f.name.lower() for f in self.fragments if f.kind == CTE and f.name}
 
 
-@dataclass(frozen=True)
-class Finding:
-    rule_index: str
-    narrative: str
-    confidence: float
-
-
-@dataclass(frozen=True)
-class AnalysisResult:
-    fragment_id: int
-    findings: tuple[Finding, ...] = ()
-
-
 @dataclass
 class _Node:
     kind: str
@@ -331,10 +318,3 @@ def fragment_at(tree: FragmentTree, offset: int) -> Fragment:
             best = frag
     return best
 
-
-def validate_results(tree: FragmentTree, results: list[AnalysisResult]) -> None:
-    known = {f.id for f in tree.fragments}
-    for result in results:
-        if result.fragment_id not in known:
-            raise KeyError(f"analysis result references unknown fragment "
-                           f"{result.fragment_id}")

@@ -23,6 +23,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .fragmenter import Fragment, FragmentTree, decompose_lenient
+from .providers import read_jsonl, write_jsonl
 from .sqltext import templatize
 
 SCHEMA_VERSION = 1
@@ -88,13 +89,6 @@ class KnowledgeSnapshot:
 
     def n_current(self, tool: str) -> int:
         return len(self.rules_for(tool, VERIFIED))
-
-    def rule_by_index(self, index: str, tool: str) -> RuleEntry | None:
-        for rule in self.rules:
-            if rule.index == index and rule.tool == tool \
-                    and rule.status != RETIRED:
-                return rule
-        return None
 
 
 def cosine_similarity(a, b) -> float:
@@ -229,27 +223,13 @@ _FILES = {
 }
 
 
-def _dump_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, ensure_ascii=False)
-
-
 def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
     directory = Path(path)
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        with open(directory / _FILES["rules"], "w", encoding="utf-8") as fh:
-            for rule in snapshot.rules:
-                fh.write(_dump_line(asdict(rule)) + "\n")
-        with open(directory / _FILES["cases"], "w", encoding="utf-8") as fh:
-            for case in snapshot.cases:
-                record = asdict(case)
-                record["embedding"] = list(case.embedding)
-                fh.write(_dump_line(record) + "\n")
-        with open(directory / _FILES["strategies"], "w", encoding="utf-8") as fh:
-            for strat in snapshot.strategies:
-                record = asdict(strat)
-                record["embedding"] = list(strat.embedding)
-                fh.write(_dump_line(record) + "\n")
+        for kind, name in _FILES.items():
+            write_jsonl((asdict(entry) for entry in getattr(snapshot, kind)),
+                        directory / name)
         meta = {
             "schema_version": SCHEMA_VERSION,
             "stats": {tool: asdict(ts) for tool, ts in snapshot.stats.items()},
@@ -259,18 +239,6 @@ def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
             fh.write("\n")
     except OSError as exc:
         raise IoFailure(f"cannot write snapshot to {directory}: {exc}") from exc
-
-
-def _read_lines(path: Path) -> list[dict]:
-    if not path.exists():
-        return []
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 def load_snapshot(path: str | Path) -> KnowledgeSnapshot:
@@ -286,15 +254,15 @@ def load_snapshot(path: str | Path) -> KnowledgeSnapshot:
             raise SchemaVersionMismatchError(
                 f"snapshot schema_version {meta.get('schema_version')!r}; "
                 f"this build reads version {SCHEMA_VERSION}")
-        rules = [RuleEntry(**r) for r in _read_lines(directory / _FILES["rules"])]
-        cases = []
-        for record in _read_lines(directory / _FILES["cases"]):
+        rows = {kind: read_jsonl(directory / name)
+                if (directory / name).exists() else []
+                for kind, name in _FILES.items()}
+        for record in rows["cases"] + rows["strategies"]:
+            # in place, so each parsed list is freed as its tuple is made
             record["embedding"] = tuple(record["embedding"])
-            cases.append(HistoricalCase(**record))
-        strategies = []
-        for record in _read_lines(directory / _FILES["strategies"]):
-            record["embedding"] = tuple(record["embedding"])
-            strategies.append(ErrorStrategy(**record))
+        rules = [RuleEntry(**r) for r in rows["rules"]]
+        cases = [HistoricalCase(**r) for r in rows["cases"]]
+        strategies = [ErrorStrategy(**r) for r in rows["strategies"]]
         stats = {tool: ToolStats(**ts) for tool, ts in meta.get("stats", {}).items()}
         return KnowledgeSnapshot(rules=rules, cases=cases,
                                  strategies=strategies, stats=stats)

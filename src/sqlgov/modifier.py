@@ -8,17 +8,20 @@ confidence threshold are rejected as unsupported rather than guessed.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
 from .analysis import analyze_tree
+from .bench import ToolReport, input_digest
 from .errors import ContractViolationError
 from .fragmenter import decompose_lenient
-from .knowledge_base import cosine_similarity
-from .prompts import modify_prompt, parse_json_response
+from .knowledge_base import MODIFIER, cosine_similarity
+from .prompts import modify_prompt, parse_json_response, render_columns
 from .sqltext import STRING, NUMBER, templatize, tokenize
 
 REALIZE_SEMANTICS = "REALIZE_SEMANTICS"
@@ -89,6 +92,20 @@ def default_categories() -> list[IntentCategory]:
             ("polish", 0.8), ("clean up", 0.8), ("tidy", 0.7),
             ("improve readability", 0.9),
         ]),
+    ]
+
+
+def _load_categories(path: str | Path) -> list[IntentCategory]:
+    """Categories from a JSON list of ``{"id", "keywords": [[phrase,
+    weight]...], "centroid"}`` objects; the centroid is optional."""
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    return [
+        IntentCategory(
+            id=entry["id"],
+            keywords=[(k, float(w)) for k, w in entry["keywords"]],
+            centroid=tuple(entry["centroid"]) if entry.get("centroid")
+            else None)
+        for entry in raw
     ]
 
 
@@ -235,15 +252,7 @@ def _describe_table(table: str, catalog: dict) -> str:
         description = entry.get("description", "")
     else:
         columns, description = entry, ""
-    rendered = []
-    for column in columns:
-        if isinstance(column, dict):
-            name = column.get("name", "")
-            desc = column.get("description")
-            rendered.append(f"{name} ({desc})" if desc else name)
-        else:
-            rendered.append(str(column))
-    text = ", ".join(rendered)
+    text = render_columns(columns)
     return f"{description}; columns: {text}" if description else f"columns: {text}"
 
 
@@ -257,8 +266,8 @@ def modify(request: str, context: ModificationContext, category_id: str,
     try:
         data = parse_json_response(response)
     except (ValueError, TypeError):
-        data = {"sql": response.strip(), "explanation": ""}
-    if not isinstance(data, dict):
+        data = None
+    if not isinstance(data, dict):  # a bare SQL answer
         data = {"sql": response.strip(), "explanation": ""}
     out_sql = str(data.get("sql", ""))
     explanation = str(data.get("explanation", ""))
@@ -269,3 +278,39 @@ def modify(request: str, context: ModificationContext, category_id: str,
                 "(masked templates differ)")
     return ModifyOutcome(sql=out_sql, explanation=explanation,
                          category=category_id)
+
+
+def modify_query(query: str, request: str, provider, embedder,
+                 catalog: dict | None = None, history: list | None = None,
+                 context: str = "", categories_path: str | Path | None = None,
+                 now: float | None = None) -> ToolReport | None:
+    """The modify tool end to end: load the intent categories (the file at
+    ``categories_path``, else the defaults), classify the request, prepare
+    metadata and run the category prompt. None when the request is rejected.
+
+    ``history`` holds accessed table names or ``{"table", "count"}`` records.
+    """
+    cfg = ModifierConfig()
+    categories = _load_categories(categories_path) if categories_path \
+        else default_categories()
+    if any(c.centroid is None for c in categories) and cfg.beta_sim > 0:
+        categories = bootstrap_centroids(categories, embedder, cfg)
+    decision = classify_intent(request, categories, embedder, cfg)
+    if decision is None:
+        return None
+    category_id, score = decision
+    tables: list[str] = []
+    for record in history or []:
+        if isinstance(record, str):
+            tables.append(record)
+        elif "table" in record:
+            tables.extend([record["table"]] * int(record.get("count", 1)))
+    metadata = prepare_metadata(query, context, catalog or {}, tables, cfg,
+                                now=now)
+    outcome = modify(request, metadata, category_id, provider)
+    return ToolReport(
+        tool=MODIFIER,
+        input_digest=input_digest(query, request),
+        output={"sql": outcome.sql, "explanation": outcome.explanation,
+                "category": category_id, "score": score},
+    )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 
+from .errors import RejectedResponseError
 from .providers import (
     ALIGNMENT,
     CORRECT,
@@ -195,14 +196,45 @@ def correction_prompt(inputs) -> PromptEnvelope:
     return envelope(CORRECT, *sections)
 
 
-def parse_json_response(text: str) -> dict | list:
-    """Parse an LLM JSON answer, tolerating markdown code fences."""
-    cleaned = text.strip()
+def render_columns(columns) -> str:
+    """One catalog column list as text: a column is a name or a
+    ``{"name", "description"}`` object."""
+    rendered = []
+    for column in columns:
+        if isinstance(column, dict):
+            name = column.get("name", "")
+            desc = column.get("description")
+            rendered.append(f"{name} ({desc})" if desc else name)
+        else:
+            rendered.append(str(column))
+    return ", ".join(rendered)
+
+
+def strip_fences(text: str) -> str:
+    """Drop a surrounding markdown code fence from an LLM answer."""
+    cleaned = text.strip("\n")
     if cleaned.startswith("```"):
-        lines = cleaned.splitlines()
-        if lines[0].startswith("```"):
-            lines = lines[1:]
+        lines = cleaned.splitlines()[1:]
         if lines and lines[-1].strip().startswith("```"):
             lines = lines[:-1]
-        cleaned = "\n".join(lines)
-    return json.loads(cleaned)
+        cleaned = "\n".join(lines).strip("\n")
+    return cleaned
+
+
+def parse_json_response(text: str) -> dict | list:
+    """Parse an LLM JSON answer, tolerating markdown code fences."""
+    return json.loads(strip_fences(text.strip()))
+
+
+def ask_json(provider, env: PromptEnvelope) -> dict:
+    """Complete ``env`` and parse the answer, which must be a JSON object."""
+    response = provider.complete(env)
+    try:
+        data = parse_json_response(response)
+    except (ValueError, TypeError) as exc:
+        raise RejectedResponseError(
+            f"{env.template_id} response is not valid JSON") from exc
+    if not isinstance(data, dict):
+        raise RejectedResponseError(
+            f"{env.template_id} response must be a JSON object")
+    return data

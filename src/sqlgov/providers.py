@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -84,20 +87,27 @@ class QueryExecutor(Protocol):
 
 # --- scripted LLM ---------------------------------------------------------
 
+def read_jsonl(path: str | Path) -> list:
+    """Records of a JSON-Lines file, blank lines skipped; ``-`` reads stdin."""
+    source = nullcontext(sys.stdin) if str(path) == "-" \
+        else open(path, encoding="utf-8")
+    with source as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
 def load_playbook(path: str | Path) -> list[dict]:
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    return entries
+    return read_jsonl(path)
+
+
+def write_jsonl(records, path: str | Path) -> None:
+    """Write records as JSON Lines with sorted keys and non-ASCII kept."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def save_playbook(entries: list[dict], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
+    write_jsonl(entries, path)
 
 
 class ScriptedLLM:
@@ -112,7 +122,7 @@ class ScriptedLLM:
     def __init__(self, playbook: list[dict] | None = None, strict: bool = True):
         self._plays: dict[tuple[str, str], str] = {}
         self.strict = strict
-        self.calls: list[PromptEnvelope] = []
+        self.calls: Counter[str] = Counter()  # completions per template id
         for entry in playbook or []:
             self.add(entry["template_id"], entry["digest"], entry["response"])
 
@@ -123,17 +133,14 @@ class ScriptedLLM:
     def add(self, template_id: str, digest: str, response: str) -> None:
         self._plays[(template_id, digest)] = response
 
-    def add_envelope(self, env: PromptEnvelope, response: str) -> None:
-        self.add(env.template_id, env.digest, response)
-
     @property
     def call_count(self) -> int:
-        return len(self.calls)
+        return self.calls.total()
 
     def complete(self, env: PromptEnvelope) -> str:
         if not env.render().strip():
             raise ProviderFailure("refusing to complete an empty prompt")
-        self.calls.append(env)
+        self.calls[env.template_id] += 1
         key = (env.template_id, env.digest)
         if key in self._plays:
             return self._plays[key]
@@ -234,14 +241,8 @@ class SimulatedExecutor:
 
     @classmethod
     def from_path(cls, path: str | Path, seed: int = 0) -> "SimulatedExecutor":
-        fixtures = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                fixtures[record.pop("template")] = record
+        fixtures = {record.pop("template"): record
+                    for record in read_jsonl(path)}
         return cls(fixtures, seed=seed)
 
     def _draw(self, template: str, call_index: int) -> float:

@@ -9,13 +9,14 @@ retrieved historical cases to the provider and validates the result parses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass
 
 from .analysis import FragmentFacts, analyze_tree, duplicated_scan_tables
+from .bench import ToolReport, input_digest
+from .equivalence import DEFAULT_CONFIDENCE_FLOOR, check_equivalence
 from .errors import RejectedResponseError
 from .fragmenter import (
-    AnalysisResult,
-    Finding,
     FragmentTree,
     SITE_FROM,
     SUBQUERY,
@@ -24,10 +25,11 @@ from .fragmenter import (
 )
 from .knowledge_base import REWRITER, KnowledgeStore
 from .prompts import (
-    parse_json_response,
+    ask_json,
     rewrite_prompt,
     scenario1_prompt,
     scenario2_prompt,
+    strip_fences,
 )
 
 RULE_GUIDED = "RULE_GUIDED"
@@ -50,7 +52,6 @@ class RewriteResult:
     rewritten: str
     suggestions_applied: tuple[RewriteSuggestion, ...]
     cases_consulted: tuple[str, ...]
-    verified: str | None = None
 
 
 def _efficient(suggestion_id: int) -> RewriteSuggestion:
@@ -90,24 +91,6 @@ def _merge_actions(entries: list[dict]) -> tuple[str, str]:
     return "\n".join(actions), "\n".join(rationales)
 
 
-def analyze_fragments(query: str, store: KnowledgeStore,
-                      tool: str = REWRITER) -> list[AnalysisResult]:
-    """Rule-only analysis set: one result per fragment, findings from the
-    matched rules. The LLM-free half of the evaluation stage."""
-    tree = decompose(query)
-    facts = analyze_tree(tree)
-    results = []
-    for fragment in tree.fragments:
-        findings = tuple(
-            Finding(rule_index=r.index, narrative=r.description,
-                    confidence=1.0)
-            for r in store.match_rules(fragment, tool, tree, facts)
-        )
-        results.append(AnalysisResult(fragment_id=fragment.id,
-                                      findings=findings))
-    return results
-
-
 def evaluate(query: str, store: KnowledgeStore, provider) -> list[RewriteSuggestion]:
     """One suggestion per fragment, in analysis order."""
     tree = decompose(query)
@@ -116,7 +99,7 @@ def evaluate(query: str, store: KnowledgeStore, provider) -> list[RewriteSuggest
     for fragment in tree.fragments:
         rules = store.match_rules(fragment, REWRITER, tree, facts)
         if rules:
-            data = _ask_json(provider, scenario1_prompt(fragment, rules))
+            data = ask_json(provider, scenario1_prompt(fragment, rules))
             allowed = {r.index for r in rules}
             applicable = [e for e in data.get("applicable", [])
                           if e.get("rule") in allowed]
@@ -132,7 +115,7 @@ def evaluate(query: str, store: KnowledgeStore, provider) -> list[RewriteSuggest
         if passes_efficiency_screen(fragment.id, facts, tree):
             suggestions.append(_efficient(fragment.id))
             continue
-        data = _ask_json(provider, scenario2_prompt(fragment))
+        data = ask_json(provider, scenario2_prompt(fragment))
         entries = data.get("suggestions") or []
         if data.get("efficient") or not entries:
             suggestions.append(_efficient(fragment.id))
@@ -142,30 +125,6 @@ def evaluate(query: str, store: KnowledgeStore, provider) -> list[RewriteSuggest
             fragment_id=fragment.id, rule_index=None,
             action=action, rationale=rationale, scenario=EXPLORATORY))
     return suggestions
-
-
-def _ask_json(provider, env) -> dict:
-    response = provider.complete(env)
-    try:
-        data = parse_json_response(response)
-    except (ValueError, TypeError) as exc:
-        raise RejectedResponseError(
-            f"{env.template_id} response is not valid JSON") from exc
-    if not isinstance(data, dict):
-        raise RejectedResponseError(
-            f"{env.template_id} response must be a JSON object")
-    return data
-
-
-def _strip_fences(text: str) -> str:
-    cleaned = text.strip("\n")
-    if cleaned.startswith("```"):
-        lines = cleaned.splitlines()
-        lines = lines[1:]
-        if lines and lines[-1].strip().startswith("```"):
-            lines = lines[:-1]
-        cleaned = "\n".join(lines).strip("\n")
-    return cleaned
 
 
 def rewrite(query: str, suggestions: list[RewriteSuggestion],
@@ -185,7 +144,7 @@ def rewrite(query: str, suggestions: list[RewriteSuggestion],
     scored_cases = store.retrieve_cases(query, tags, k)
     cases = [case for case, _ in scored_cases]
     response = provider.complete(rewrite_prompt(query, actionable, cases))
-    rewritten = _strip_fences(response)
+    rewritten = strip_fences(response)
     _validate_sql(rewritten)
     return RewriteResult(
         original=query,
@@ -206,3 +165,33 @@ def _validate_sql(text: str) -> None:
     if not (head.startswith("SELECT") or head.startswith("WITH")):
         raise RejectedResponseError(
             "rewrite response does not start a SELECT statement")
+
+
+def optimize(query: str, store: KnowledgeStore, provider, k: int | None = None,
+             verify: bool = False,
+             confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR) -> ToolReport:
+    """The rewrite tool end to end: evaluate, rewrite and, with ``verify``,
+    check the rewrite's equivalence to the original."""
+    t0 = time.perf_counter()
+    suggestions = evaluate(query, store, provider)
+    t1 = time.perf_counter()
+    result = rewrite(query, suggestions, store, provider, k=k)
+    t2 = time.perf_counter()
+    verified = None
+    if verify:
+        verified = check_equivalence(result.original, result.rewritten,
+                                     provider, confidence_floor).verdict
+    return ToolReport(
+        tool=REWRITER,
+        input_digest=input_digest(query),
+        output={
+            "original": result.original,
+            "rewritten": result.rewritten,
+            "suggestions": [asdict(s) for s in suggestions],
+            "verified": verified,
+        },
+        rules_used=sorted({s.rule_index for s in result.suggestions_applied
+                           if s.rule_index}),
+        cases_used=list(result.cases_consulted),
+        timings={"evaluate": t1 - t0, "rewrite": t2 - t1},
+    )

@@ -3,8 +3,11 @@ strategies that a fresh store starts from."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from .corrector import ParsedError, build_error_key
 from .knowledge_base import (
+    CANDIDATE,
     REWRITER,
     VERIFIED,
     ErrorStrategy,
@@ -12,6 +15,7 @@ from .knowledge_base import (
     KnowledgeSnapshot,
     RuleEntry,
     ToolStats,
+    load_snapshot,
 )
 from .sqltext import templatize
 
@@ -100,15 +104,16 @@ _CASE_SPECS = [
 ]
 
 
+def _case(spec: dict, embedder) -> HistoricalCase:
+    template = templatize(spec["sql"])
+    return HistoricalCase(
+        index=spec["index"], details=spec["details"],
+        tag=list(spec.get("tag", [])), template=template,
+        embedding=tuple(float(x) for x in embedder.embed(template)))
+
+
 def seed_cases(embedder) -> list[HistoricalCase]:
-    cases = []
-    for spec in _CASE_SPECS:
-        template = templatize(spec["sql"])
-        embedding = tuple(float(x) for x in embedder.embed(template))
-        cases.append(HistoricalCase(
-            index=spec["index"], details=spec["details"],
-            tag=list(spec["tag"]), template=template, embedding=embedding))
-    return cases
+    return [_case(spec, embedder) for spec in _CASE_SPECS]
 
 
 _STRATEGY_SPECS = [
@@ -158,23 +163,23 @@ _STRATEGY_SPECS = [
 ]
 
 
+def _strategy(spec: dict, embedder) -> ErrorStrategy:
+    # embed through the same masking applied to extracted error keys
+    pattern = spec["message_pattern"]
+    exc, _, message = pattern.partition(": ")
+    key = build_error_key(ParsedError(
+        exception_type=exc, location=None, message=message or pattern,
+        raw_log=pattern))
+    return ErrorStrategy(
+        index=spec["index"], message_pattern=pattern,
+        needs_schema=bool(spec.get("needs_schema", False)),
+        localized=bool(spec.get("localized", False)),
+        guidance=spec["guidance"],
+        embedding=tuple(float(x) for x in embedder.embed(key)))
+
+
 def seed_strategies(embedder) -> list[ErrorStrategy]:
-    strategies = []
-    for spec in _STRATEGY_SPECS:
-        # embed through the same masking applied to extracted error keys
-        exc, _, message = spec["message_pattern"].partition(": ")
-        key = build_error_key(ParsedError(
-            exception_type=exc, location=None, message=message,
-            raw_log=spec["message_pattern"]))
-        embedding = tuple(float(x) for x in embedder.embed(key))
-        strategies.append(ErrorStrategy(
-            index=spec["index"],
-            message_pattern=spec["message_pattern"],
-            needs_schema=spec["needs_schema"],
-            localized=spec["localized"],
-            guidance=spec["guidance"],
-            embedding=embedding))
-    return strategies
+    return [_strategy(spec, embedder) for spec in _STRATEGY_SPECS]
 
 
 def seed_snapshot(embedder, now: float = 0.0) -> KnowledgeSnapshot:
@@ -187,3 +192,27 @@ def seed_snapshot(embedder, now: float = 0.0) -> KnowledgeSnapshot:
     }
     return KnowledgeSnapshot(rules=rules, cases=cases,
                              strategies=strategies, stats=stats)
+
+
+def load_or_seed(path: str | Path, embedder) -> KnowledgeSnapshot:
+    """The store saved at ``path``, or the seed knowledge if none is."""
+    if (Path(path) / "meta.json").exists():
+        return load_snapshot(path)
+    return seed_snapshot(embedder)
+
+
+def add_entry(snapshot: KnowledgeSnapshot, kind: str, data: dict, embedder,
+              now: float) -> None:
+    """Append a rule, case or strategy given in the seeds' JSON form; a case
+    carries its ``sql``, which is stored as its masked template."""
+    if kind == "rule":
+        snapshot.rules.append(RuleEntry(
+            index=data["index"], description=data["description"],
+            matcher=data.get("matcher"), tool=data.get("tool", REWRITER),
+            status=data.get("status", CANDIDATE),
+            created_at=data.get("created_at", now)))
+    elif kind == "case":
+        snapshot.cases.append(_case(
+            {"index": f"case-{len(snapshot.cases) + 1}", **data}, embedder))
+    else:
+        snapshot.strategies.append(_strategy(data, embedder))

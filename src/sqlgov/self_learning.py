@@ -7,13 +7,16 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from .bench import ToolReport, input_digest
 from .errors import NoHistoryError, RejectedResponseError, UnknownRuleError
 from .knowledge_base import (
     CANDIDATE,
@@ -23,8 +26,10 @@ from .knowledge_base import (
     KnowledgeSnapshot,
     RuleEntry,
     ToolStats,
+    save_snapshot,
 )
-from .prompts import parse_json_response, rule_generation_prompt
+from .prompts import ask_json, rule_generation_prompt
+from .seeds import load_or_seed
 from .sqltext import templatize
 
 STATUS_OK = "OK"
@@ -110,19 +115,10 @@ def generate_rules(records: list[ExecutionRecord], provider, tool: str,
     if not records:
         raise ValueError("generate_rules needs at least one record")
     env = rule_generation_prompt(records, demonstrations)
-    parsed = None
-    for _ in range(2):
-        response = provider.complete(env)
-        try:
-            candidate = parse_json_response(response)
-        except (ValueError, TypeError):
-            continue
-        if isinstance(candidate, dict):
-            parsed = candidate
-            break
-    if parsed is None:
-        raise RejectedResponseError(
-            "rule-generation response was not a JSON object after one retry")
+    try:
+        parsed = ask_json(provider, env)
+    except RejectedResponseError:
+        parsed = ask_json(provider, env)  # one retry
     rules = []
     for index, value in parsed.items():
         description = value if isinstance(value, str) else \
@@ -355,3 +351,118 @@ def apply_verification(snapshot: KnowledgeSnapshot, batch: CandidateRuleBatch,
         stats.update_times.append(now)
     _refresh_counts(new, tool)
     return new
+
+
+# --- store flows: learn, verify pending batches, dedupe -------------------------
+
+PENDING_DIR = "pending"
+
+
+def _batch_from_json(payload: dict) -> CandidateRuleBatch:
+    return CandidateRuleBatch(
+        rules=[RuleEntry(**r) for r in payload["rules"]],
+        source_records=payload["source_records"],
+        generated_at=payload["generated_at"],
+        records=[ExecutionRecord(**r) for r in payload["records"]],
+    )
+
+
+def _write_pending(store_dir: Path, batch: CandidateRuleBatch) -> Path:
+    """Save a batch under a name no earlier batch holds: names sort by
+    generation second, then by a counter within that second."""
+    pending = store_dir / PENDING_DIR
+    pending.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(asdict(batch), indent=2)
+    for n in itertools.count():
+        path = pending / f"batch-{int(batch.generated_at)}-{n:03d}.json"
+        try:
+            with open(path, "x", encoding="utf-8") as fh:
+                fh.write(text)
+            return path
+        except FileExistsError:
+            continue
+
+
+def learn(store_dir: str | Path, records: list[ExecutionRecord], provider,
+          embedder, tool: str, auto_accept: bool, now: float) -> ToolReport:
+    """Mine rules from execution records into the store at ``store_dir``.
+
+    With ``auto_accept`` every mined rule is verified at once; otherwise the
+    rules enter the store as candidates and their batch waits under
+    ``pending/`` for ``verify_pending``. A batch without rules is not kept.
+    """
+    snapshot = load_or_seed(store_dir, embedder)
+    cfg = LearningConfig()
+    filtered = filter_records(records, cfg)
+    rules: list[str] = []
+    pending, required = None, False
+    if filtered:
+        batch = generate_rules(filtered, provider, tool, now)
+        rules = [r.index for r in batch.rules]
+        decisions = {index: "ACCEPT" for index in rules} if auto_accept else {}
+        snapshot = apply_verification(snapshot, batch, decisions, embedder, now)
+        save_snapshot(snapshot, store_dir)
+        if not auto_accept:
+            if batch.rules:
+                _write_pending(Path(store_dir), batch)
+            pending = len(snapshot.rules_for(tool, CANDIDATE))
+            stats = snapshot.stats.get(tool) or ToolStats()
+            elapsed = now - stats.update_times[-1] if stats.update_times else 0.0
+            required = should_trigger_verification(pending, elapsed, stats, cfg)
+    return ToolReport(
+        tool=tool,
+        input_digest=input_digest(*(r.record_id for r in records)),
+        output={"kept": len(filtered), "rules": rules,
+                "accepted": auto_accept, "pending": pending,
+                "verification_required": required},
+    )
+
+
+def verify_pending(store_dir: str | Path, decisions: dict[str, str], embedder,
+                   now: float) -> list[Path]:
+    """Apply expert ACCEPT/REJECT decisions to the store's pending batches
+    and return the batch files consumed, those with every rule decided.
+
+    A decision naming no pending rule, or other than ACCEPT or REJECT,
+    rejects the whole call before any decision is applied or any batch
+    removed.
+    """
+    if not isinstance(decisions, dict) or not all(
+            verdict in ("ACCEPT", "REJECT") for verdict in decisions.values()):
+        raise ValueError("decisions must map rule indices to ACCEPT or REJECT")
+    snapshot = load_or_seed(store_dir, embedder)
+    paths = sorted((Path(store_dir) / PENDING_DIR).glob("batch-*.json"))
+    if not paths:
+        raise ValueError("no pending batches")
+    batches = [(path, _batch_from_json(json.loads(
+        path.read_text(encoding="utf-8")))) for path in paths]
+    unknown = set(decisions) - {r.index for _, batch in batches
+                                for r in batch.rules}
+    if unknown:
+        raise UnknownRuleError(
+            f"decisions reference unknown rules: {sorted(unknown)}")
+    consumed = []
+    for path, batch in batches:
+        indices = {r.index for r in batch.rules}
+        subset = {k: v for k, v in decisions.items() if k in indices}
+        if subset:
+            snapshot = apply_verification(snapshot, batch, subset, embedder,
+                                          now)
+        if len(subset) == len(indices):
+            consumed.append(path)
+    save_snapshot(snapshot, store_dir)
+    for path in consumed:
+        path.unlink()
+    return consumed
+
+
+def dedupe_store(store_dir: str | Path, embedder,
+                 tools: tuple[str, ...]) -> list[dict]:
+    """Run ``dedupe_snapshot`` for each tool on the store and save it."""
+    snapshot = load_or_seed(store_dir, embedder)
+    merges: list[dict] = []
+    for tool in tools:
+        snapshot, tool_merges = dedupe_snapshot(snapshot, embedder, tool)
+        merges.extend(tool_merges)
+    save_snapshot(snapshot, store_dir)
+    return merges

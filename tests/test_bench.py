@@ -99,13 +99,6 @@ def test_exec_error_pair_excluded_and_reported():
     assert report.errors[0]["side"] == "rewritten"
 
 
-def test_parallel_matches_sequential():
-    pairs = [(Q_PRE, Q_POST)] * 4
-    seq = bench(pairs, _executor(), trials=3)
-    par = bench(pairs, _executor(), trials=3, parallel=True)
-    assert [r.ets for r in seq.results] == [r.ets for r in par.results]
-
-
 def test_trials_must_be_positive():
     with pytest.raises(ValueError):
         bench([(Q_PRE, Q_POST)], _executor(), trials=0)

@@ -6,9 +6,18 @@ from pathlib import Path
 import pytest
 
 from sqlgov.cli import main
-from sqlgov.knowledge_base import VERIFIED, load_snapshot
-from sqlgov.prompts import rule_generation_prompt
-from sqlgov.providers import save_playbook
+from sqlgov.corrector import clarify, correct, parse_error_log, prepare_data
+from sqlgov.errors import StillInvalidError
+from sqlgov.fragmenter import decompose_lenient
+from sqlgov.knowledge_base import (
+    CANDIDATE,
+    VERIFIED,
+    KnowledgeStore,
+    load_snapshot,
+)
+from sqlgov.prompts import correction_prompt, rule_generation_prompt
+from sqlgov.providers import ScriptedLLM, save_playbook
+from sqlgov.seeds import seed_snapshot
 from sqlgov.self_learning import ExecutionRecord
 
 PLAYBOOK = str(Path(__file__).parent / "fixtures" / "playbook.jsonl")
@@ -130,6 +139,51 @@ def test_fix_syntax_end_to_end(capsys, fixtures_dir):
                        "--playbook", PLAYBOOK)
     assert code == 0
     assert "SELECT a, b FROM t2" in out
+
+
+def _repair_playbook(tmp_path, embedder, broken, log, answers):
+    """Playbook answering successive repair rounds with ``answers``; each
+    round's prompt follows from the previous answer's parse failure."""
+    store = KnowledgeStore(seed_snapshot(embedder), embedder)
+    entries = []
+    sql = broken
+    for answer in answers:
+        tree, _ = decompose_lenient(sql)
+        error = parse_error_log(log)
+        inputs = prepare_data(clarify(error, store, tree), error, sql, tree, {})
+        env = correction_prompt(inputs)
+        entries.append({"template_id": env.template_id, "digest": env.digest,
+                        "response": answer})
+        try:
+            correct(sql, inputs, ScriptedLLM(entries))
+        except StillInvalidError as exc:
+            sql, log = exc.corrected, str(exc)
+    playbook = tmp_path / "repair_playbook.jsonl"
+    save_playbook(entries, playbook)
+    return str(playbook)
+
+
+def test_fix_syntax_second_round_repairs_a_still_invalid_answer(
+        capsys, tmp_path, fixtures_dir, embedder):
+    broken = (fixtures_dir / "broken.sql").read_text()
+    log = (fixtures_dir / "broken.log").read_text()
+    fixed = "SELECT x, (SELECT a, b FROM t2 WHERE k = 1) FROM t1"
+    playbook = _repair_playbook(tmp_path, embedder, broken, log,
+                                ["SELECT a, b FROM (t2 WHERE k = 1", fixed])
+    argv = ["fix-syntax", str(fixtures_dir / "broken.sql"),
+            "--log", str(fixtures_dir / "broken.log"),
+            "--playbook", playbook, "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1  # one round is not enough
+    failed = json.loads(out)
+    assert failed["error"] == "STILL_INVALID"
+    assert failed["original"] == broken
+    assert "(t2 WHERE" in failed["corrected"]
+    code, out, _ = run(capsys, *argv, "--max-rounds", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["output"]["original"] == broken
+    assert report["output"]["corrected"] == fixed
 
 
 # --- kb management ---------------------------------------------------------------
@@ -342,3 +396,77 @@ def test_kb_verify_unknown_decision_is_operational_error(capsys, tmp_path):
                        "--decisions", str(decisions))
     assert code == 2
     assert "unknown rules" in err
+
+    # a known decision beside an unknown one applies nothing
+    pending = sorted((tmp_path / "kb" / "pending").iterdir())
+    assert len(pending) == 1
+    before = {(r.tool, r.index): r.status for r in load_snapshot(store).rules}
+    decisions.write_text(json.dumps({"MINED_RULE": "ACCEPT",
+                                     "NO_SUCH_RULE": "ACCEPT"}))
+    code, _, err = run(capsys, "kb", "verify", "--store", store,
+                       "--decisions", str(decisions))
+    assert code == 2
+    assert "unknown rules" in err
+    assert sorted((tmp_path / "kb" / "pending").iterdir()) == pending
+    after = {(r.tool, r.index): r.status for r in load_snapshot(store).rules}
+    assert after == before
+    assert after[("REWRITER", "MINED_RULE")] == CANDIDATE
+
+    # so does a verdict other than ACCEPT or REJECT
+    decisions.write_text(json.dumps({"MINED_RULE": "accept"}))
+    code, _, err = run(capsys, "kb", "verify", "--store", store,
+                       "--decisions", str(decisions))
+    assert code == 2
+    assert "ACCEPT or REJECT" in err
+    assert sorted((tmp_path / "kb" / "pending").iterdir()) == pending
+
+
+def test_kb_learn_twice_in_one_second_keeps_both_batches(capsys, tmp_path,
+                                                         monkeypatch):
+    store = str(tmp_path / "kb")
+    run(capsys, "kb", "init", "--store", store)
+    records = [ExecutionRecord(sql="SELECT q FROM v1, v2", status="ERROR",
+                               elapsed=3.0, error_log="boom")]
+    records_file = tmp_path / "records.jsonl"
+    records_file.write_text(json.dumps({
+        "sql": "SELECT q FROM v1, v2", "status": "ERROR", "elapsed": 3.0,
+        "error_log": "boom"}) + "\n")
+    playbook = _learn_playbook(tmp_path, records)
+    monkeypatch.setattr("time.time", lambda: 1_700_000_000.5)
+    for _ in range(2):
+        code, out, _ = run(capsys, "kb", "learn", "--store", store,
+                           "--records", str(records_file),
+                           "--playbook", playbook)
+        assert code == 0
+        assert "1 candidate rules" in out
+    pending = tmp_path / "kb" / "pending"
+    assert len(list(pending.iterdir())) == 2
+    decisions = tmp_path / "decisions.json"
+    decisions.write_text(json.dumps({"MINED_RULE": "ACCEPT"}))
+    code, _, _ = run(capsys, "kb", "verify", "--store", store,
+                     "--decisions", str(decisions))
+    assert code == 0
+    assert list(pending.iterdir()) == []
+    mined = [r for r in load_snapshot(store).rules if r.index == "MINED_RULE"]
+    assert [r.status for r in mined] == [VERIFIED]
+
+
+def test_kb_learn_without_rules_leaves_no_batch(capsys, tmp_path):
+    store = str(tmp_path / "kb")
+    run(capsys, "kb", "init", "--store", store)
+    records = [ExecutionRecord(sql="SELECT q FROM v1", status="ERROR",
+                               elapsed=3.0, error_log="boom")]
+    records_file = tmp_path / "records.jsonl"
+    records_file.write_text(json.dumps({
+        "sql": "SELECT q FROM v1", "status": "ERROR", "elapsed": 3.0,
+        "error_log": "boom"}) + "\n")
+    env = rule_generation_prompt(records)
+    playbook = tmp_path / "empty_playbook.jsonl"
+    save_playbook([{"template_id": env.template_id, "digest": env.digest,
+                    "response": "{}"}], playbook)
+    code, out, _ = run(capsys, "kb", "learn", "--store", store,
+                       "--records", str(records_file),
+                       "--playbook", str(playbook))
+    assert code == 0
+    assert "0 candidate rules" in out
+    assert not (tmp_path / "kb" / "pending").exists()

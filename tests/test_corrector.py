@@ -6,6 +6,7 @@ from sqlgov.corrector import (
     SCHEMA_FULL,
     SCOPE_GLOBAL,
     SCOPE_LOCAL,
+    CorrectionPlan,
     build_error_key,
     clarify,
     correct,
@@ -161,6 +162,30 @@ def test_no_schema_prompt_is_strictly_smaller(seeded_store):
     assert len(correction_prompt(no_schema).render()) < \
         len(correction_prompt(full_schema).render())
     assert "Schema:" not in correction_prompt(no_schema).render()
+
+
+def test_schema_lines_render_list_dict_and_described_columns():
+    catalog = {
+        "t1": ["a", "b"],
+        "t2": [{"name": "k", "description": "key"}, {"name": "v"}],
+        "t3": {"description": "facts",
+               "columns": ["x", {"name": "y", "description": "why"}]},
+        "t4": {"p": "int", "q": "text"},
+    }
+    sql = "SELECT a FROM t1"
+    tree = decompose(sql)
+    error = parse_error_log("ParseException: boom")
+
+    def schema(slice_):
+        plan = CorrectionPlan(strategy=None, scope=SCOPE_GLOBAL,
+                              schema_slice=slice_, target_fragment=None,
+                              guidance="fix it")
+        return prepare_data(plan, error, sql, tree, catalog).schema_lines
+
+    assert schema(SCHEMA_FULL) == ("t1: a, b", "t2: k (key), v",
+                                   "t3: x, y (why)", "t4: p, q")
+    assert schema(["t3", "missing", "t1"]) == ("t3: x, y (why)", "t1: a, b")
+    assert schema(None) == ()
 
 
 def test_missing_fragment_falls_back_to_global(seeded_store):

@@ -223,6 +223,49 @@ def test_incomplete_mapping_is_undecided():
     assert check_equivalence(a, b, provider).verdict == UNDECIDED
 
 
+def _malformed_alignment_playbook(tmp_path, alignment) -> str:
+    """Playbook for the pair (SELECT a FROM t, SELECT a + 0 FROM t) whose
+    alignment answer is ``alignment``."""
+    from sqlgov.fragmenter import decompose
+    from sqlgov.prompts import alignment_prompt, intent_extract_prompt
+    from sqlgov.providers import save_playbook
+
+    entries = []
+    for sql, intent in _simple_intents().items():
+        env = intent_extract_prompt(decompose(sql).root, [])
+        entries.append({"template_id": env.template_id, "digest": env.digest,
+                        "response": json.dumps(intent)})
+    llm = ScriptedLLM(entries)
+    left, right = (extract_intent(sql, llm).render()
+                   for sql in _simple_intents())
+    env = alignment_prompt(left, right)
+    entries.append({"template_id": env.template_id, "digest": env.digest,
+                    "response": json.dumps(alignment)})
+    playbook = tmp_path / "playbook.jsonl"
+    save_playbook(entries, playbook)
+    return str(playbook)
+
+
+@pytest.mark.parametrize("alignment", [
+    {"mappings": {"0": 0}},
+    {"mappings": [{"left": 0, "right": 0, "equivalent": True,
+                   "confidence": "high"}]},
+    {"mappings": [{"right": 0, "equivalent": True, "confidence": 0.9}]},
+], ids=["mappings-not-a-list", "confidence-not-numeric", "position-missing"])
+def test_malformed_alignment_is_an_operational_error(capsys, tmp_path,
+                                                     alignment):
+    from sqlgov.cli import main
+
+    left, right = tmp_path / "left.sql", tmp_path / "right.sql"
+    left.write_text("SELECT a FROM t")
+    right.write_text("SELECT a + 0 FROM t")
+    code = main(["verify", "--left", str(left), "--right", str(right),
+                 "--playbook", _malformed_alignment_playbook(tmp_path,
+                                                             alignment)])
+    assert code == 2
+    assert "error[REJECTED_RESPONSE]" in capsys.readouterr().err
+
+
 # --- pre-filter soundness against the executor oracle ------------------------------
 
 _CORPUS = {

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import io
 import json
 import math
 from pathlib import Path
@@ -17,6 +18,7 @@ from sqlgov.providers import (
     ScriptedLLM,
     SimulatedExecutor,
     envelope,
+    read_jsonl,
 )
 from sqlgov.sqltext import templatize
 
@@ -65,6 +67,14 @@ def test_prompt_rendering_goldens(fixtures_dir):
     rendered = "\n\n".join(blocks) + "\n"
     golden = (fixtures_dir / "prompt_goldens.txt").read_text()
     assert rendered == golden
+
+
+def test_read_jsonl_skips_blank_lines_and_reads_stdin(tmp_path, monkeypatch):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n\n  \n{"b": "x\u2028y"}\n', encoding="utf-8")
+    assert read_jsonl(path) == [{"a": 1}, {"b": "x\u2028y"}]
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"c": 3}\n'))
+    assert read_jsonl("-") == [{"c": 3}]
 
 
 # --- scripted LLM ---------------------------------------------------------------

@@ -4,17 +4,17 @@ import json
 
 import pytest
 
+from sqlgov.analysis import analyze_tree
 from sqlgov.errors import RejectedResponseError
-from sqlgov.knowledge_base import KnowledgeSnapshot, KnowledgeStore
+from sqlgov.knowledge_base import REWRITER, KnowledgeSnapshot, KnowledgeStore
 from sqlgov.prompts import rewrite_prompt
 from sqlgov.providers import ScriptedLLM
-from sqlgov.fragmenter import decompose, validate_results
+from sqlgov.fragmenter import decompose
 from sqlgov.rewriter import (
     ALREADY_EFFICIENT,
     EXPLORATORY,
     RULE_GUIDED,
     RewriteSuggestion,
-    analyze_fragments,
     evaluate,
     rewrite,
 )
@@ -27,17 +27,17 @@ def _empty_store(embedder):
 # --- rule-only analysis set ---------------------------------------------------
 
 def test_analysis_set_reports_rule_findings(nested_query, seeded_store):
-    results = analyze_fragments(nested_query, seeded_store)
-    assert len(results) == 7
-    by_fragment = {r.fragment_id: r for r in results}
-    assert [f.rule_index for f in by_fragment[4].findings] == \
-        ["SAME_TABLE_JOIN"]
-    assert [f.rule_index for f in by_fragment[7].findings] == \
-        ["OUTER_JOIN_NULL_FILTER"]
-    assert all(by_fragment[fid].findings == () for fid in (1, 2, 3, 5, 6))
-    assert all(0.0 <= f.confidence <= 1.0
-               for r in results for f in r.findings)
-    validate_results(decompose(nested_query), results)
+    tree = decompose(nested_query)
+    facts = analyze_tree(tree)
+    findings = {
+        f.id: [r.index for r in seeded_store.match_rules(f, REWRITER, tree,
+                                                         facts)]
+        for f in tree.fragments
+    }
+    assert sorted(findings) == list(range(1, 8))
+    assert findings[4] == ["SAME_TABLE_JOIN"]
+    assert findings[7] == ["OUTER_JOIN_NULL_FILTER"]
+    assert all(findings[fid] == [] for fid in (1, 2, 3, 5, 6))
 
 
 # --- evaluation ------------------------------------------------------------
@@ -65,7 +65,7 @@ def test_efficient_fragments_skip_the_provider(nested_query, seeded_store,
     evaluate(nested_query, seeded_store, playbook_llm)
     # only the two rule-matched fragments reached the LLM
     assert playbook_llm.call_count == 2
-    assert all(env.template_id == "SCENARIO_1" for env in playbook_llm.calls)
+    assert playbook_llm.calls == {"SCENARIO_1": 2}
 
 
 def test_select_1_with_empty_store(embedder):
