@@ -1,7 +1,10 @@
 """Structural facts about fragments: table scans, joins, projection shape.
 
-Facts are computed per fragment at two granularities. Subtree counts scan the
-fragment's full text (nested subqueries included); own-level counts subtract
+Facts are computed per fragment at two granularities from the tree's one
+token list; nothing here tokenizes text. Subtree table counts read the
+fragment's whole ``token_range``, nested subqueries included. Own tokens are
+that range minus the direct children's ranges (the parentheses around a
+child stay), with offsets into the whole query; own-level counts subtract
 the direct children, so each base-table scan is attributed to exactly one
 fragment. Rule matchers, the rewriter's efficiency screen, and the
 equivalence pre-filter all read from here, keeping every tool's view of a
@@ -14,18 +17,24 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .fragmenter import Fragment, FragmentTree, SITE_SELECT_LIST, SUBQUERY
-from .sqltext import Token, WORD, is_keyword, iter_table_context, tokenize
+from .sqltext import (
+    Token,
+    WORD,
+    iter_table_context,
+    normalize_tokens,
+    normalized_text,
+)
 
 _OUTER_JOINS = {"LEFT", "RIGHT", "FULL"}
-_CLAUSE_BREAK = {"FROM", "WHERE", "GROUP", "ORDER", "HAVING", "LIMIT",
-                 "UNION", "INTERSECT", "EXCEPT"}
+_SET_OPS = {"UNION", "INTERSECT", "EXCEPT"}
+_CLAUSE_BREAK = {"FROM", "WHERE", "GROUP", "ORDER", "HAVING", "LIMIT"} | _SET_OPS
+_WHERE_BREAK = {"GROUP", "ORDER", "HAVING", "LIMIT", "WINDOW"} | _SET_OPS
 
 
 @dataclass(frozen=True)
 class FragmentFacts:
     fragment_id: int
     own_tokens: tuple[Token, ...]
-    child_open_positions: frozenset[int]  # own-token indices of excised '(' tokens
     table_counts_own: dict[str, int]
     table_counts_subtree: dict[str, int]
     join_kinds: tuple[str, ...]
@@ -38,19 +47,14 @@ class FragmentFacts:
     in_subquery: bool
     scalar_subquery_in_select: bool
 
-    def normalized(self) -> str:
-        parts = [t.upper() if is_keyword(t) else t.text for t in self.own_tokens]
-        return " " + " ".join(parts) + " "
-
     def contains_operator(self, op: str) -> bool:
-        needle = " " + " ".join(
-            t.upper() if is_keyword(t) else t.text for t in tokenize(op)) + " "
-        return needle in self.normalized()
+        """``op`` occurs in the own tokens, token for token."""
+        return (f" {normalized_text(op)} "
+                in f" {normalize_tokens(self.own_tokens)} ")
 
 
-def _scan_tables(text: str, cte_names: set[str]) -> Counter:
+def _count_tables(tokens: tuple[Token, ...], cte_names: set[str]) -> Counter:
     counts: Counter = Counter()
-    tokens = tokenize(text)
     for _, tok in iter_table_context(tokens):
         name = tok.text.strip('`"').lower()
         if name and name not in cte_names:
@@ -58,41 +62,43 @@ def _scan_tables(text: str, cte_names: set[str]) -> Counter:
     return counts
 
 
-def _own_tokens(fragment: Fragment, children: list[Fragment]) -> tuple[list[Token], set[int]]:
-    tokens = tokenize(fragment.text)
-    base = fragment.span[0]
-    holes = [(c.span[0] - base, c.span[1] - base) for c in children]
+def _own_tokens(tokens: tuple[Token, ...], fragment: Fragment,
+                children: list[Fragment]) -> list[Token]:
+    pos, hi = fragment.token_range
     own: list[Token] = []
-    child_opens: set[int] = set()
-    for tok in tokens:
-        inside = any(lo <= tok.start and tok.end <= hi for lo, hi in holes)
-        if inside:
-            continue
-        if tok.text == "(" and any(tok.end == lo for lo, _ in holes):
-            child_opens.add(len(own))
-        own.append(tok)
-    return own, child_opens
+    for child_lo, child_hi in sorted(c.token_range for c in children):
+        own.extend(tokens[pos:child_lo])
+        pos = child_hi
+    own.extend(tokens[pos:hi])
+    return own
 
 
-def _select_list_region(tokens: list[Token]) -> list[Token] | None:
-    """Tokens of the fragment's own select list (first top-level SELECT..FROM)."""
+def _top_level(tokens):
+    """Yield (index, token) for the tokens outside every parenthesized
+    group; the parentheses themselves are left out."""
     depth = 0
-    start = None
     for idx, tok in enumerate(tokens):
         if tok.text == "(":
             depth += 1
         elif tok.text == ")":
             depth -= 1
-        elif depth == 0 and tok.kind == WORD:
-            upper = tok.upper()
-            if start is None and upper == "SELECT":
+        elif depth == 0:
+            yield idx, tok
+
+
+def _clause_region(tokens, head: str, enders) -> list[Token] | None:
+    """Tokens after the first top-level ``head`` keyword, up to the next
+    top-level keyword in ``enders`` or the end; None without ``head``."""
+    start = None
+    for idx, tok in _top_level(tokens):
+        if tok.kind != WORD:
+            continue
+        if start is None:
+            if tok.upper() == head:
                 start = idx + 1
-                continue
-            if start is not None and upper in _CLAUSE_BREAK:
-                return tokens[start:idx]
-    if start is not None:
-        return tokens[start:]
-    return None
+        elif tok.upper() in enders:
+            return tokens[start:idx]
+    return None if start is None else tokens[start:]
 
 
 def _is_projection_star(region: list[Token], idx: int) -> bool:
@@ -104,41 +110,10 @@ def _is_projection_star(region: list[Token], idx: int) -> bool:
 
 
 def _count_items(region: list[Token]) -> tuple[int, bool]:
-    depth = 0
-    commas = 0
-    star = False
-    meaningful = False
-    for idx, tok in enumerate(region):
-        if tok.text == "(":
-            depth += 1
-        elif tok.text == ")":
-            depth -= 1
-        elif depth == 0:
-            meaningful = True
-            if tok.text == ",":
-                commas += 1
-            elif _is_projection_star(region, idx):
-                star = True
-    return (commas + 1 if meaningful else 0), star
-
-
-def _where_region(tokens: list[Token]) -> list[Token]:
-    depth = 0
-    start = None
-    for idx, tok in enumerate(tokens):
-        if tok.text == "(":
-            depth += 1
-        elif tok.text == ")":
-            depth -= 1
-        elif depth == 0 and tok.kind == WORD:
-            upper = tok.upper()
-            if upper == "WHERE" and start is None:
-                start = idx + 1
-            elif start is not None and upper in ("GROUP", "ORDER", "HAVING",
-                                                 "LIMIT", "UNION", "INTERSECT",
-                                                 "EXCEPT", "WINDOW"):
-                return tokens[start:idx]
-    return tokens[start:] if start is not None else []
+    top = list(_top_level(region))
+    commas = sum(1 for _, tok in top if tok.text == ",")
+    star = any(_is_projection_star(region, idx) for idx, _ in top)
+    return (commas + 1 if top else 0), star
 
 
 def _has_is_not_null(tokens: list[Token]) -> bool:
@@ -170,56 +145,34 @@ def _join_kinds(tokens: list[Token]) -> list[str]:
 
 
 def _set_op_facts(tokens: list[Token]) -> tuple[bool, bool]:
-    depth = 0
-    has_op = False
-    arm_star = False
-    select_at = []
-    for idx, tok in enumerate(tokens):
-        if tok.text == "(":
-            depth += 1
-        elif tok.text == ")":
-            depth -= 1
-        elif depth == 0 and tok.kind == WORD:
-            upper = tok.upper()
-            if upper in ("UNION", "INTERSECT", "EXCEPT"):
-                has_op = True
-            elif upper == "SELECT":
-                select_at.append(idx)
-    if has_op:
-        for start in select_at:
-            region_depth = 0
-            region = tokens[start + 1:]
-            for idx, tok in enumerate(region):
-                if tok.text == "(":
-                    region_depth += 1
-                elif tok.text == ")":
-                    region_depth -= 1
-                elif region_depth == 0:
-                    if tok.kind == WORD and tok.upper() in _CLAUSE_BREAK:
-                        break
-                    if _is_projection_star(region, idx):
-                        arm_star = True
-                        break
+    """(has a top-level set operation, some arm projects a star)."""
+    words = [(idx, tok.upper()) for idx, tok in _top_level(tokens)
+             if tok.kind == WORD]
+    has_op = any(upper in _SET_OPS for _, upper in words)
+    arm_star = has_op and any(
+        _count_items(_clause_region(tokens[idx:], "SELECT", _CLAUSE_BREAK))[1]
+        for idx, upper in words if upper == "SELECT")
     return has_op, arm_star
 
 
-def _in_subquery(tokens: list[Token], child_opens: set[int]) -> bool:
-    for idx in child_opens:
-        j = idx - 1
-        if j >= 0 and tokens[j].upper() == "IN":
-            return True
-    return False
+def _in_subquery(tokens: tuple[Token, ...], fragment: Fragment,
+                 children: list[Fragment]) -> bool:
+    """A direct child opens right after IN: ``IN ( SELECT ... )``."""
+    lo = fragment.token_range[0]
+    return any(c.token_range[0] - 2 >= lo
+               and tokens[c.token_range[0] - 2].upper() == "IN"
+               for c in children)
 
 
 def analyze_fragment(fragment: Fragment, tree: FragmentTree,
                      subtree_counts: dict[int, Counter]) -> FragmentFacts:
     children = tree.children(fragment.id)
-    own, child_opens = _own_tokens(fragment, children)
+    own = _own_tokens(tree.tokens, fragment, children)
     own_counts = Counter(subtree_counts[fragment.id])
     for child in children:
         own_counts.subtract(subtree_counts[child.id])
     own_counts = Counter({k: v for k, v in own_counts.items() if v > 0})
-    select_region = _select_list_region(own)
+    select_region = _clause_region(own, "SELECT", _CLAUSE_BREAK)
     if select_region is None:
         items, star = None, False
     else:
@@ -229,17 +182,17 @@ def analyze_fragment(fragment: Fragment, tree: FragmentTree,
     return FragmentFacts(
         fragment_id=fragment.id,
         own_tokens=tuple(own),
-        child_open_positions=frozenset(child_opens),
         table_counts_own=dict(own_counts),
         table_counts_subtree=dict(subtree_counts[fragment.id]),
         join_kinds=tuple(joins),
         has_outer_join=any(k in _OUTER_JOINS for k in joins),
-        where_has_is_not_null=_has_is_not_null(_where_region(own)),
+        where_has_is_not_null=_has_is_not_null(
+            _clause_region(own, "WHERE", _WHERE_BREAK) or []),
         select_items=items,
         select_has_star=star,
         has_set_op=has_op,
         set_op_arm_star=arm_star,
-        in_subquery=_in_subquery(own, child_opens),
+        in_subquery=_in_subquery(tree.tokens, fragment, children),
         scalar_subquery_in_select=any(
             c.kind == SUBQUERY and c.clause_site == SITE_SELECT_LIST
             for c in children),
@@ -249,7 +202,8 @@ def analyze_fragment(fragment: Fragment, tree: FragmentTree,
 def analyze_tree(tree: FragmentTree) -> dict[int, FragmentFacts]:
     cte_names = tree.cte_names()
     subtree_counts = {
-        f.id: _scan_tables(f.text, cte_names) for f in tree.fragments
+        f.id: _count_tables(tree.tokens[slice(*f.token_range)], cte_names)
+        for f in tree.fragments
     }
     return {
         f.id: analyze_fragment(f, tree, subtree_counts)

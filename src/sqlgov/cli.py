@@ -134,9 +134,15 @@ def _verdict_payload(verdict) -> dict:
 def cmd_verify(args, config) -> int:
     llm = _llm(config, args)
     if args.batch:
+        records = read_jsonl(args.batch)
+        for i, record in enumerate(records, 1):
+            if not (isinstance(record, dict) and all(
+                    isinstance(record.get(k), str) for k in ("left", "right"))):
+                raise ValueError(f"{args.batch}: record {i} needs string "
+                                 f"'left' and 'right' fields")
         pairs = [(record.get("id", f"pair{i + 1}"), record["left"],
                   record["right"])
-                 for i, record in enumerate(read_jsonl(args.batch))]
+                 for i, record in enumerate(records)]
     elif args.left and args.right:
         pairs = [("pair1", _read_text(args.left), _read_text(args.right))]
     else:
@@ -444,6 +450,12 @@ def main(argv=None) -> int:
         return 2
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a defect; exit 1 stays a negative verdict
+        import traceback  # only here, to keep it off every cold start
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"error[INTERNAL]: {type(exc).__name__}: {exc} "
+              f"({Path(where.filename).name}:{where.lineno})", file=sys.stderr)
         return 2
 
 

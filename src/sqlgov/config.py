@@ -10,7 +10,6 @@ ENV_OVERRIDES = {
     "SQLGOV_KB_DIR": "kb_dir",
     "SQLGOV_PROVIDER": "provider",
     "SQLGOV_PLAYBOOK": "playbook",
-    "SQLGOV_FIXTURES": "executor_fixtures",
     "SQLGOV_EMBED_DIM": "embedding_dim",
 }
 
@@ -23,12 +22,10 @@ class RuntimeConfig:
     kb_dir: str | None = None
     provider: str = PROVIDER_STRICT
     playbook: str | None = None
-    executor_fixtures: str | None = None
     embedding_dim: int = 768
     strategy_threshold: float = 0.55
     retrieval_k: int = 5
     confidence_floor: float = 0.7
-    trials: int = 3
     seed: int = 0
 
 

@@ -13,11 +13,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .analysis import analyze_tree
-from .errors import RejectedResponseError, UnsupportedStatementError
-from .fragmenter import FragmentTree, decompose
+from .analysis import FragmentFacts, analyze_tree
+from .errors import (
+    EmptyQueryError,
+    RejectedResponseError,
+    UnparseableQueryError,
+    UnsupportedStatementError,
+)
+from .fragmenter import FragmentTree, decompose_lenient
 from .prompts import alignment_prompt, ask_json, intent_extract_prompt
-from .sqltext import normalized_text, tokenize
+from .sqltext import Token, normalize_tokens
 
 EQUIVALENT = "EQUIVALENT"
 NOT_EQUIVALENT = "NOT_EQUIVALENT"
@@ -72,13 +77,16 @@ class EquivalenceVerdict:
 
 @dataclass(frozen=True)
 class QuerySkeleton:
+    """One side of a pair, parsed and analyzed once for every later stage."""
+
     arity: int | None  # None when the projection contains a star
     base_tables: frozenset[str]
     tree: FragmentTree
+    facts: dict[int, FragmentFacts]
 
 
-def _require_select(query: str) -> None:
-    for tok in tokenize(query):
+def _require_select(tokens: tuple[Token, ...]) -> None:
+    for tok in tokens:
         if tok.text == "(":
             continue
         head = tok.upper()
@@ -90,9 +98,15 @@ def _require_select(query: str) -> None:
 
 
 def skeleton(query: str) -> QuerySkeleton:
-    """Structural facts needed by the pre-filter; no provider involved."""
-    _require_select(query)
-    tree = decompose(query)
+    """Parse and analyze ``query`` once: the structural facts the pre-filter
+    needs, and the tree and facts intent extraction reads. No provider."""
+    try:
+        tree, diagnostic = decompose_lenient(query)
+    except EmptyQueryError:
+        raise UnsupportedStatementError("no statement found") from None
+    _require_select(tree.tokens)
+    if diagnostic is not None:
+        raise UnparseableQueryError(diagnostic, partial_tree=tree)
     facts = analyze_tree(tree)
     root_facts = facts[tree.root_id]
     arity = None if root_facts.select_has_star else root_facts.select_items
@@ -100,17 +114,17 @@ def skeleton(query: str) -> QuerySkeleton:
         arity=arity,
         base_tables=frozenset(root_facts.table_counts_subtree),
         tree=tree,
+        facts=facts,
     )
 
 
-def extract_intent(query: str, provider) -> IntentSummary:
+def extract_intent(side: QuerySkeleton, provider) -> IntentSummary:
     """Summarize field provenance, walking fragments innermost-first.
 
     Analysis order already numbers children before parents, so feeding
     summaries forward needs no extra bookkeeping.
     """
-    _require_select(query)
-    tree = decompose(query)
+    tree = side.tree
     summaries: dict[int, dict] = {}
     for fragment in tree.fragments:
         child_rendered = [
@@ -129,8 +143,7 @@ def extract_intent(query: str, provider) -> IntentSummary:
         )
         for f in main.get("fields", [])
     )
-    facts = analyze_tree(tree)
-    root_facts = facts[tree.root_id]
+    root_facts = side.facts[tree.root_id]
     if not root_facts.select_has_star and root_facts.select_items \
             and len(fields) != root_facts.select_items:
         raise RejectedResponseError(
@@ -169,7 +182,7 @@ def check_equivalence(a: str, b: str, provider,
     provider calls on rejection), then intent extraction and field alignment."""
     ska = skeleton(a)
     skb = skeleton(b)
-    if normalized_text(a) == normalized_text(b):
+    if normalize_tokens(ska.tree.tokens) == normalize_tokens(skb.tree.tokens):
         n = ska.arity or 0
         return EquivalenceVerdict(
             verdict=EQUIVALENT, confidence=1.0,
@@ -179,8 +192,8 @@ def check_equivalence(a: str, b: str, provider,
     if mismatch is not None:
         return EquivalenceVerdict(verdict=NOT_EQUIVALENT, confidence=1.0,
                                   reason=mismatch)
-    intent_a = extract_intent(a, provider)
-    intent_b = extract_intent(b, provider)
+    intent_a = extract_intent(ska, provider)
+    intent_b = extract_intent(skb, provider)
     rejected = prefilter(intent_a, intent_b)
     if rejected is not None:
         return rejected

@@ -10,11 +10,19 @@ Parsing is structural only (parentheses, strings, comments, clause keywords),
 so syntactically invalid queries still decompose best-effort; structural
 damage (unbalanced brackets, unterminated strings) is reported as a
 diagnostic alongside the partial tree.
+
+The tree is the one parse of a query. ``FragmentTree.tokens`` are the
+source's tokens, and a fragment's ``token_range = (lo, hi)`` indexes its
+text's tokens there: ``tree.tokens[lo:hi]`` equals ``scan(fragment.text)``
+shifted by ``span[0]``. A child's range nests in its parent's, after the '('
+that opens it, and siblings' ranges are disjoint. Consumers slice these
+tokens instead of tokenizing fragment text again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import EmptyQueryError, OutOfRangeError, UnparseableQueryError
 from .sqltext import Token, WORD, scan
@@ -63,6 +71,7 @@ class Fragment:
     parent_id: int | None
     depth: int
     clause_site: str
+    token_range: tuple[int, int]  # [lo, hi) into FragmentTree.tokens
     name: str | None = None  # CTE name when kind == CTE
 
     def contains(self, offset: int) -> bool:
@@ -71,14 +80,14 @@ class Fragment:
 
 @dataclass(frozen=True)
 class FragmentTree:
-    fragments: tuple[Fragment, ...]
+    fragments: tuple[Fragment, ...]  # in id order: fragments[i].id == i + 1
     root_id: int
     source: str
+    tokens: tuple[Token, ...]
 
     def by_id(self, fragment_id: int) -> Fragment:
-        for frag in self.fragments:
-            if frag.id == fragment_id:
-                return frag
+        if 1 <= fragment_id <= len(self.fragments):
+            return self.fragments[fragment_id - 1]
         raise KeyError(fragment_id)
 
     @property
@@ -86,7 +95,14 @@ class FragmentTree:
         return self.by_id(self.root_id)
 
     def children(self, fragment_id: int) -> list[Fragment]:
-        return [f for f in self.fragments if f.parent_id == fragment_id]
+        return list(self._children.get(fragment_id, ()))
+
+    @cached_property
+    def _children(self) -> dict[int | None, list[Fragment]]:
+        index: dict[int | None, list[Fragment]] = {}
+        for frag in self.fragments:
+            index.setdefault(frag.parent_id, []).append(frag)
+        return index
 
     def cte_names(self) -> set[str]:
         return {f.name.lower() for f in self.fragments if f.kind == CTE and f.name}
@@ -97,6 +113,7 @@ class _Node:
     kind: str
     site: str
     span: tuple[int, int]
+    token_range: tuple[int, int]
     name: str | None = None
     subqueries: list["_Node"] = field(default_factory=list)
     ctes: list["_Node"] = field(default_factory=list)
@@ -217,7 +234,8 @@ def _collect_subqueries(tokens: list[Token], lo: int, hi: int,
 def _build_node(tokens: list[Token], lo: int, hi: int, pmatch: dict[int, int],
                 kind: str, site: str, span: tuple[int, int],
                 name: str | None = None) -> _Node:
-    node = _Node(kind=kind, site=site, span=span, name=name)
+    node = _Node(kind=kind, site=site, span=span, token_range=(lo, hi),
+                 name=name)
     ctes, body_lo = _split_with_prelude(tokens, lo, hi, pmatch)
     cte_opens = {open_idx for _, open_idx, _ in ctes}
     for open_idx, close_idx, child_site in _collect_subqueries(
@@ -267,7 +285,8 @@ def _number_fragments(root: _Node, source: str) -> list[Fragment]:
             id=node.fid, kind=node.kind,
             text=source[node.span[0]:node.span[1]], span=node.span,
             parent_id=node.parent.fid if node.parent else None,
-            depth=node.depth, clause_site=node.site, name=node.name,
+            depth=node.depth, clause_site=node.site,
+            token_range=node.token_range, name=node.name,
         )
         for node in nodes
     ]
@@ -291,7 +310,8 @@ def decompose_lenient(query: str) -> tuple[FragmentTree, str | None]:
                        MAIN, SITE_NONE, (0, len(query)))
     fragments = _number_fragments(root, query)
     tree = FragmentTree(fragments=tuple(fragments),
-                        root_id=fragments[-1].id, source=query)
+                        root_id=fragments[-1].id, source=query,
+                        tokens=tuple(tokens))
     return tree, diagnostic
 
 

@@ -15,14 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import FragmentFacts, analyze_tree, duplicated_scan_tables
+from .analysis import FragmentFacts, duplicated_scan_tables
 from .errors import (
     DimensionMismatchError,
     IoFailure,
     SchemaVersionMismatchError,
     ZeroVectorError,
 )
-from .fragmenter import Fragment, FragmentTree, decompose_lenient
+from .fragmenter import Fragment, FragmentTree
 from .providers import read_jsonl, write_jsonl
 from .sqltext import templatize
 
@@ -163,19 +163,13 @@ class KnowledgeStore:
         self.strategy_threshold = strategy_threshold
         self.default_k = default_k
 
-    def match_rules(self, fragment: Fragment, tool: str,
-                    tree: FragmentTree | None = None,
-                    facts: dict[int, FragmentFacts] | None = None) -> list[RuleEntry]:
+    def match_rules(self, fragment: Fragment, tool: str, tree: FragmentTree,
+                    facts: dict[int, FragmentFacts]) -> list[RuleEntry]:
         """All VERIFIED rules whose matcher holds on the fragment, by index.
 
         Rules without a matcher are retrieval-only (prompt guidance) and
         never match here.
         """
-        if tree is None:
-            tree, _ = decompose_lenient(fragment.text)
-            fragment = tree.root
-        if facts is None:
-            facts = analyze_tree(tree)
         hits = []
         for rule in self.snapshot.rules_for(tool, VERIFIED):
             if rule.matcher and matcher_holds(rule.matcher, fragment, tree, facts):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import analyze_tree
 from .bench import ToolReport, input_digest
-from .errors import ContractViolationError
+from .errors import ContractViolationError, EmptyQueryError
 from .fragmenter import decompose_lenient
 from .knowledge_base import MODIFIER, cosine_similarity
 from .prompts import modify_prompt, parse_json_response, render_columns
@@ -219,7 +219,7 @@ def prepare_metadata(target_sql: str, surrounding_context: str,
         tree, _ = decompose_lenient(target_sql)
         facts = analyze_tree(tree)
         tables = sorted(facts[tree.root_id].table_counts_subtree)
-    except Exception:
+    except EmptyQueryError:
         tables = []
     for table in tables:
         referenced[table] = _describe_table(table, catalog)

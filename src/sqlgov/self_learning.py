@@ -209,7 +209,11 @@ def cluster_rules(rules: list[RuleEntry], provider,
     distance; noise points come back as singleton clusters."""
     if not rules:
         raise ValueError("cluster_rules needs at least one rule")
-    embeddings = [provider.embed(rule.description) for rule in rules]
+    return _cluster(rules, [provider.embed(r.description) for r in rules], cfg)
+
+
+def _cluster(rules: list[RuleEntry], embeddings: list[np.ndarray],
+             cfg: LearningConfig) -> list[list[str]]:
     if len(rules) == 1:
         return [[rules[0].index]]
     labels = dbscan_labels(_distance_matrix(embeddings),
@@ -254,9 +258,10 @@ def dedupe_snapshot(snapshot: KnowledgeSnapshot, provider, tool: str,
     active = [r for r in new.rules if r.tool == tool and r.status != RETIRED]
     if len(active) < 2:
         return new, []
-    clusters = cluster_rules(active, provider, cfg)
+    vectors = [provider.embed(r.description) for r in active]
+    clusters = _cluster(active, vectors, cfg)
     by_index = {r.index: r for r in active}
-    embeddings = {r.index: provider.embed(r.description) for r in active}
+    embeddings = {r.index: v for r, v in zip(active, vectors)}
     merges = []
     for indices in clusters:
         if len(indices) < 2:

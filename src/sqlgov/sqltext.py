@@ -264,13 +264,13 @@ def templatize(sql: str) -> str:
     return " ".join(out)
 
 
-def normalized_text(sql: str) -> str:
-    """Whitespace/comment-insensitive form with keywords upper-cased.
+def normalize_tokens(tokens) -> str:
+    """Tokens joined by single spaces with keywords upper-cased: two token
+    sequences share this form only when they are token-for-token identical."""
+    return " ".join(tok.upper() if is_keyword(tok) else tok.text
+                    for tok in tokens)
 
-    Identifiers and literals survive, so two queries share a normalized text
-    only when they are token-for-token identical.
-    """
-    parts = []
-    for tok in tokenize(sql):
-        parts.append(tok.upper() if is_keyword(tok) else tok.text)
-    return " ".join(parts)
+
+def normalized_text(sql: str) -> str:
+    """Whitespace/comment-insensitive form of ``sql``: its normalized tokens."""
+    return normalize_tokens(tokenize(sql))

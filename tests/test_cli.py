@@ -109,6 +109,24 @@ def test_verify_batch(capsys, tmp_path, nested_query, nested_rewrite):
     assert json.loads(out)[0]["verdict"] == "EQUIVALENT"
 
 
+@pytest.mark.parametrize("second", [
+    {"original": "SELECT 1", "rewritten": "SELECT 1"},  # bench pair fields
+    {"left": "SELECT 1", "right": 1},
+    ["SELECT 1", "SELECT 1"],
+])
+def test_verify_batch_rejects_record_without_left_and_right(
+        capsys, tmp_path, second):
+    batch = tmp_path / "pairs.jsonl"
+    batch.write_text(json.dumps({"left": "SELECT a FROM t",
+                                 "right": "SELECT a, b FROM t"}) + "\n"
+                     + json.dumps(second) + "\n")
+    code, out, err = run(capsys, "verify", "--batch", str(batch),
+                         "--playbook", PLAYBOOK)
+    assert code == 2
+    assert out == ""  # checked before any pair is compared
+    assert "record 2" in err and "'left' and 'right'" in err
+
+
 # --- modify / fix-syntax -------------------------------------------------------
 
 def test_modify_permissive_provider(capsys, tmp_path):
@@ -318,6 +336,18 @@ def test_kb_learn_auto_accept(capsys, tmp_path):
     snapshot = load_snapshot(store)
     assert any(r.index == "MINED_RULE" and r.status == VERIFIED
                for r in snapshot.rules)
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, tmp_path):
+    store = str(tmp_path / "kb")
+    run(capsys, "kb", "init", "--store", store)
+    records_file = tmp_path / "records.jsonl"
+    records_file.write_text(json.dumps({
+        "sql": "SELECT 1", "status": "OK", "elapsed": 1, "bogus": 1}) + "\n")
+    code, _, err = run(capsys, "kb", "learn", "--store", store,
+                       "--records", str(records_file))
+    assert code == 2
+    assert err.startswith("error[INTERNAL]: TypeError")
 
 
 # --- bench / route ----------------------------------------------------------------

@@ -89,7 +89,7 @@ def test_unsupported_statement():
     with pytest.raises(UnsupportedStatementError):
         check_equivalence("INSERT INTO t VALUES (1)", "SELECT 1", llm)
     with pytest.raises(UnsupportedStatementError):
-        extract_intent("UPDATE t SET a = 1", llm)
+        extract_intent(skeleton("UPDATE t SET a = 1"), llm)
 
 
 # --- skeletons ------------------------------------------------------------------
@@ -111,7 +111,7 @@ def test_rewrite_pair_passes_skeleton_prefilter(nested_query, nested_rewrite):
 # --- full pipeline on the golden rewrite pair -------------------------------------
 
 def test_nested_query_intent_summary_structure(nested_query, playbook_llm):
-    summary = extract_intent(nested_query, playbook_llm)
+    summary = extract_intent(skeleton(nested_query), playbook_llm)
     assert len(summary.fields) == 3
     assert "tb0" in summary.fields[0].source_tables
     assert "scalar subquery" in summary.fields[1].transformation
@@ -133,7 +133,26 @@ def test_intent_summary_arity_guard():
                                         "source_tables": ["t"]}],
                             "narrative": "only one field"})}])
     with pytest.raises(RejectedResponseError):
-        extract_intent(sql, llm)
+        extract_intent(skeleton(sql), llm)
+
+
+def test_check_equivalence_scans_each_side_once(
+        nested_query, nested_rewrite, playbook_llm, monkeypatch):
+    from sqlgov import fragmenter, sqltext
+
+    scanned = []
+    real_scan = sqltext.scan
+
+    def counting_scan(sql):
+        scanned.append(sql)
+        return real_scan(sql)
+
+    monkeypatch.setattr(sqltext, "scan", counting_scan)
+    monkeypatch.setattr(fragmenter, "scan", counting_scan)
+    verdict = check_equivalence(nested_query, nested_rewrite, playbook_llm)
+    assert verdict.verdict == EQUIVALENT
+    assert playbook_llm.calls["INTENT_EXTRACT"] > 0  # the full path ran
+    assert scanned == [nested_query, nested_rewrite]
 
 
 def test_nested_pair_equivalent(nested_query, nested_rewrite, playbook_llm):
@@ -236,7 +255,7 @@ def _malformed_alignment_playbook(tmp_path, alignment) -> str:
         entries.append({"template_id": env.template_id, "digest": env.digest,
                         "response": json.dumps(intent)})
     llm = ScriptedLLM(entries)
-    left, right = (extract_intent(sql, llm).render()
+    left, right = (extract_intent(skeleton(sql), llm).render()
                    for sql in _simple_intents())
     env = alignment_prompt(left, right)
     entries.append({"template_id": env.template_id, "digest": env.digest,

@@ -15,6 +15,7 @@ from sqlgov.fragmenter import (
     decompose_lenient,
     fragment_at,
 )
+from sqlgov.sqltext import Token, scan
 
 
 # --- nested exemplar fidelity -------------------------------------------------
@@ -170,6 +171,28 @@ def _assert_invariants(tree):
         assert parent.span[0] <= frag.span[0] and frag.span[1] <= parent.span[1]
         assert (frag.span[0], frag.span[1]) != (parent.span[0], parent.span[1])
         assert frag.depth == parent.depth + 1
+    _assert_token_ranges(tree)
+
+
+def _assert_token_ranges(tree):
+    """Each fragment's token range holds its text's tokens, in source
+    offsets; a child's range nests inside its parent's, right after the '('
+    that opens it; the id and parent lookups agree with the fragment list."""
+    assert [f.id for f in tree.fragments] == \
+        list(range(1, len(tree.fragments) + 1))
+    for frag in tree.fragments:
+        assert tree.by_id(frag.id) is frag
+        assert tree.children(frag.id) == \
+            [f for f in tree.fragments if f.parent_id == frag.id]
+        lo, hi = frag.token_range
+        base = frag.span[0]
+        assert list(tree.tokens[lo:hi]) == [
+            Token(t.kind, t.text, t.start + base, t.end + base)
+            for t in scan(frag.text)[0]]
+        if frag.parent_id is not None:
+            parent_lo, parent_hi = tree.by_id(frag.parent_id).token_range
+            assert parent_lo < lo and hi <= parent_hi
+            assert tree.tokens[lo - 1].text == "("
 
 
 def test_nested_query_invariants(nested_query):
@@ -255,6 +278,18 @@ def test_numbering_matches_post_order_oracle(root):
         assert fragment_at(tree, offset).id == expected_id, \
             f"marker {marker} in\n{sql}"
     _assert_invariants(tree)
+
+
+@given(gen_trees())
+@settings(max_examples=100, deadline=None)
+def test_token_ranges_index_the_fragment_text(root):
+    _assign_markers(root, [0])
+    tree = decompose(_render(root))
+    _assert_token_ranges(tree)
+    for frag in tree.fragments:
+        if frag.parent_id is not None:  # closed groups: strictly inside
+            assert frag.token_range[1] < tree.by_id(frag.parent_id).token_range[1]
+            assert tree.tokens[frag.token_range[1]].text == ")"
 
 
 @given(st.text(min_size=1, max_size=120))
