@@ -62,6 +62,12 @@ def _count_tables(tokens: tuple[Token, ...], cte_names: set[str]) -> Counter:
     return counts
 
 
+def referenced_tables(tree: FragmentTree) -> list[str]:
+    """The base tables the whole query scans, sorted: the root fragment's
+    subtree table names, whose range is every token."""
+    return sorted(_count_tables(tree.tokens, tree.cte_names()))
+
+
 def _own_tokens(tokens: tuple[Token, ...], fragment: Fragment,
                 children: list[Fragment]) -> list[Token]:
     pos, hi = fragment.token_range

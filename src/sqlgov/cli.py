@@ -272,7 +272,12 @@ def cmd_kb_add(args, config) -> int:
 
 
 def cmd_kb_learn(args, config) -> int:
-    records = [learn_mod.ExecutionRecord(**r) for r in read_jsonl(args.records)]
+    records = []
+    for i, payload in enumerate(read_jsonl(args.records), 1):
+        try:
+            records.append(learn_mod.record_from_json(payload))
+        except ValueError as exc:
+            raise ValueError(f"{args.records}: record {i}: {exc}") from None
     report = learn_mod.learn(args.store, records, _llm(config, args),
                              _embedder(config), args.tool, args.auto_accept,
                              time.time())

@@ -11,9 +11,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .analysis import analyze_tree
+from .analysis import referenced_tables
 from .bench import ToolReport, input_digest
-from .errors import StillInvalidError
+from .errors import EmptyQueryError, StillInvalidError
 from .fragmenter import FragmentTree, decompose_lenient, fragment_at
 from .knowledge_base import CORRECTOR, ErrorStrategy, KnowledgeStore
 from .prompts import correction_prompt, render_columns, strip_fences
@@ -142,10 +142,10 @@ def _resolve_offset(error: ParsedError, source: str) -> int | None:
     return None
 
 
-def _fallback_plan(guidance: str = _FALLBACK_GUIDANCE) -> CorrectionPlan:
+def _fallback_plan() -> CorrectionPlan:
     return CorrectionPlan(strategy=None, scope=SCOPE_GLOBAL,
                           schema_slice=SCHEMA_FULL, target_fragment=None,
-                          guidance=guidance)
+                          guidance=_FALLBACK_GUIDANCE)
 
 
 def clarify(error: ParsedError, store: KnowledgeStore,
@@ -160,27 +160,16 @@ def clarify(error: ParsedError, store: KnowledgeStore,
     if hit is None:
         return _fallback_plan()
     strategy, _ = hit
-    if strategy.needs_schema:
-        facts = analyze_tree(tree)
-        slice_: list[str] | str | None = sorted(
-            facts[tree.root_id].table_counts_subtree)
-    else:
-        slice_ = None
+    slice_ = referenced_tables(tree) if strategy.needs_schema else None
+    scope, target = SCOPE_GLOBAL, None
     if strategy.localized:
         offset = _resolve_offset(error, tree.source)
         if offset is None:
-            return CorrectionPlan(strategy=strategy, scope=SCOPE_GLOBAL,
-                                  schema_slice=SCHEMA_FULL,
-                                  target_fragment=None,
-                                  guidance=strategy.guidance)
-        fragment = fragment_at(tree, offset)
-        return CorrectionPlan(strategy=strategy, scope=SCOPE_LOCAL,
-                              schema_slice=slice_,
-                              target_fragment=fragment.id,
-                              guidance=strategy.guidance)
-    return CorrectionPlan(strategy=strategy, scope=SCOPE_GLOBAL,
-                          schema_slice=slice_, target_fragment=None,
-                          guidance=strategy.guidance)
+            slice_ = SCHEMA_FULL
+        else:
+            scope, target = SCOPE_LOCAL, fragment_at(tree, offset).id
+    return CorrectionPlan(strategy=strategy, scope=scope, schema_slice=slice_,
+                          target_fragment=target, guidance=strategy.guidance)
 
 
 def _schema_lines(schema_slice, catalog: dict) -> tuple[str, ...]:
@@ -242,8 +231,8 @@ def correct(query: str, inputs: CorrectionInputs, provider) -> str:
         corrected = response
     try:
         _, diagnostic = decompose_lenient(corrected)
-    except Exception as exc:
-        raise StillInvalidError(f"corrected SQL is empty or unreadable: {exc}",
+    except EmptyQueryError as exc:
+        raise StillInvalidError(f"corrected SQL is empty: {exc}",
                                 original=query, corrected=corrected) from exc
     if diagnostic is not None:
         raise StillInvalidError(

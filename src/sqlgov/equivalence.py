@@ -22,7 +22,7 @@ from .errors import (
 )
 from .fragmenter import FragmentTree, decompose_lenient
 from .prompts import alignment_prompt, ask_json, intent_extract_prompt
-from .sqltext import Token, normalize_tokens
+from .sqltext import SELECT_HEADS, Token, normalize_tokens, statement_head
 
 EQUIVALENT = "EQUIVALENT"
 NOT_EQUIVALENT = "NOT_EQUIVALENT"
@@ -86,15 +86,12 @@ class QuerySkeleton:
 
 
 def _require_select(tokens: tuple[Token, ...]) -> None:
-    for tok in tokens:
-        if tok.text == "(":
-            continue
-        head = tok.upper()
-        if head in ("SELECT", "WITH"):
-            return
+    head = statement_head(tokens)
+    if head is None:
+        raise UnsupportedStatementError("no statement found")
+    if head not in SELECT_HEADS:
         raise UnsupportedStatementError(
             f"only SELECT-based DML is supported, got leading token {head!r}")
-    raise UnsupportedStatementError("no statement found")
 
 
 def skeleton(query: str) -> QuerySkeleton:

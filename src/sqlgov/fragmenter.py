@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import EmptyQueryError, OutOfRangeError, UnparseableQueryError
-from .sqltext import Token, WORD, scan
+from .sqltext import SELECT_HEADS, Token, WORD, scan
 
 MAIN = "MAIN"
 CTE = "CTE"
@@ -152,8 +152,7 @@ def _first_word(tokens: list[Token], lo: int, hi: int) -> str | None:
 
 
 def _is_subquery_group(tokens: list[Token], open_idx: int, close_idx: int) -> bool:
-    head = _first_word(tokens, open_idx + 1, close_idx)
-    return head in ("SELECT", "WITH")
+    return _first_word(tokens, open_idx + 1, close_idx) in SELECT_HEADS
 
 
 def _is_set_op_arm(tokens: list[Token], open_idx: int, close_idx: int) -> bool:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import analyze_tree
+from .analysis import referenced_tables
 from .bench import ToolReport, input_digest
 from .errors import ContractViolationError, EmptyQueryError
 from .fragmenter import decompose_lenient
@@ -216,9 +216,7 @@ def prepare_metadata(target_sql: str, surrounding_context: str,
     most frequent tables with schema info, and a current timestamp."""
     referenced: dict[str, str] = {}
     try:
-        tree, _ = decompose_lenient(target_sql)
-        facts = analyze_tree(tree)
-        tables = sorted(facts[tree.root_id].table_counts_subtree)
+        tables = referenced_tables(decompose_lenient(target_sql)[0])
     except EmptyQueryError:
         tables = []
     for table in tables:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from .analysis import FragmentFacts, analyze_tree, duplicated_scan_tables
 from .bench import ToolReport, input_digest
 from .equivalence import DEFAULT_CONFIDENCE_FLOOR, check_equivalence
-from .errors import RejectedResponseError
+from .errors import EmptyQueryError, RejectedResponseError
 from .fragmenter import (
     FragmentTree,
     SITE_FROM,
@@ -31,6 +31,7 @@ from .prompts import (
     scenario2_prompt,
     strip_fences,
 )
+from .sqltext import SELECT_HEADS, statement_head
 
 RULE_GUIDED = "RULE_GUIDED"
 EXPLORATORY = "EXPLORATORY"
@@ -155,14 +156,14 @@ def rewrite(query: str, suggestions: list[RewriteSuggestion],
 
 
 def _validate_sql(text: str) -> None:
-    if not text.strip():
-        raise RejectedResponseError("rewrite response is empty")
-    tree, diagnostic = decompose_lenient(text)
+    try:
+        tree, diagnostic = decompose_lenient(text)
+    except EmptyQueryError:
+        raise RejectedResponseError("rewrite response is empty") from None
     if diagnostic is not None:
         raise RejectedResponseError(
             f"rewrite response does not parse as SQL: {diagnostic}")
-    head = tree.source.lstrip()[:6].upper()
-    if not (head.startswith("SELECT") or head.startswith("WITH")):
+    if statement_head(tree.tokens) not in SELECT_HEADS:
         raise RejectedResponseError(
             "rewrite response does not start a SELECT statement")
 

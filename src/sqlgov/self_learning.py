@@ -11,7 +11,7 @@ import itertools
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +64,32 @@ class ExecutionRecord:
     def record_id(self) -> str:
         payload = f"{self.sql}|{self.status}|{self.elapsed}|{self.error_log}"
         return "rec-" + hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
+
+
+_RECORD_FIELDS = {f.name for f in fields(ExecutionRecord)}
+_STATUSES = (STATUS_OK, STATUS_ERROR, STATUS_SLOW)
+
+
+def record_from_json(payload) -> ExecutionRecord:
+    """An ExecutionRecord from its JSON form: an object with only the
+    record's fields, a string ``sql``, a known ``status``, a numeric
+    ``elapsed`` and the other fields strings or null. ValueError says what
+    is wrong."""
+    if not isinstance(payload, dict):
+        raise ValueError("not a JSON object")
+    unknown = sorted(set(payload) - _RECORD_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown fields {unknown}")
+    elapsed = payload.get("elapsed")
+    if not (isinstance(payload.get("sql"), str)
+            and payload.get("status") in _STATUSES
+            and isinstance(elapsed, (int, float))
+            and not isinstance(elapsed, bool)
+            and all(isinstance(payload.get(key), (str, type(None)))
+                    for key in _RECORD_FIELDS - {"sql", "status", "elapsed"})):
+        raise ValueError(f"needs a string 'sql', a 'status' in {_STATUSES}, "
+                         "a numeric 'elapsed', and strings or null elsewhere")
+    return ExecutionRecord(**payload)
 
 
 @dataclass
@@ -368,7 +394,7 @@ def _batch_from_json(payload: dict) -> CandidateRuleBatch:
         rules=[RuleEntry(**r) for r in payload["rules"]],
         source_records=payload["source_records"],
         generated_at=payload["generated_at"],
-        records=[ExecutionRecord(**r) for r in payload["records"]],
+        records=[record_from_json(r) for r in payload["records"]],
     )
 
 

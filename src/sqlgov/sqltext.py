@@ -1,9 +1,12 @@
 """Lenient SQL tokenizer and template masking.
 
-The tokenizer never fails: malformed input (unterminated strings or block
-comments) produces a best-effort token stream plus a diagnostic, which the
-fragmenter surfaces as an UNPARSEABLE condition. Offsets always index into
-the original text so downstream consumers can splice edits back losslessly.
+The lexical grammar is the one pattern ``_LEXICON``, a named group per
+token kind; the order of its alternatives is their precedence. The
+tokenizer never fails: an unclosed string, quoted identifier or block
+comment ends the scan with a best-effort token stream plus a diagnostic,
+which the fragmenter surfaces as an UNPARSEABLE condition. Offsets always
+index into the original text so downstream consumers can splice edits back
+losslessly.
 """
 
 from __future__ import annotations
@@ -18,9 +21,6 @@ OP = "OP"
 PUNCT = "PUNCT"
 PLACEHOLDER = "PLACEHOLDER"
 
-# Masking placeholders are atomic tokens so templatize() is idempotent.
-PLACEHOLDERS = {"[TBL]", "[COL]", "[VAL]", "[MASK]", "[ID]", "[N]"}
-
 KEYWORDS = {
     "SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT",
     "OFFSET", "WITH", "RECURSIVE", "AS", "ON", "USING", "JOIN", "INNER",
@@ -33,23 +33,28 @@ KEYWORDS = {
     "ROW", "UNBOUNDED", "CAST", "INTERVAL", "TOP", "QUALIFY",
 }
 
-BUILTIN_FUNCTIONS = {
-    "COUNT", "SUM", "AVG", "MIN", "MAX", "IFNULL", "COALESCE", "NULLIF",
-    "ABS", "ROUND", "FLOOR", "CEIL", "CEILING", "UPPER", "LOWER", "LENGTH",
-    "SUBSTR", "SUBSTRING", "TRIM", "LTRIM", "RTRIM", "CONCAT", "REPLACE",
-    "ROW_NUMBER", "RANK", "DENSE_RANK", "NTILE", "LAG", "LEAD", "FIRST_VALUE",
-    "LAST_VALUE", "NOW", "CURRENT_DATE", "CURRENT_TIMESTAMP", "DATE", "YEAR",
-    "MONTH", "DAY", "EXTRACT", "DATEDIFF", "DATE_ADD", "DATE_SUB", "IF",
-    "GREATEST", "LEAST", "MOD", "POWER", "SQRT", "EXP", "LN", "LOG",
+# Group names are the token kinds, plus SKIP (whitespace and comments) and
+# OPEN (an opener whose closer never comes). The lookahead keeps a string
+# literal from closing inside a doubled quote on backtracking. A placeholder
+# is one token, so templatize() is idempotent; operators go longest first.
+_LEXICON = re.compile(r"""
+    (?P<SKIP>\s+ | --[^\n]* | /\*.*?\*/)
+  | (?P<STRING>'(?:[^']|'')*'(?!'))
+  | (?P<WORD>[A-Za-z_][A-Za-z_0-9$]* | "[^"]*" | `[^`]*`)
+  | (?P<OPEN>/\* | ['"`])
+  | (?P<PLACEHOLDER>\[(?:TBL|COL|VAL|MASK|ID|N)\])
+  | (?P<NUMBER>(?:\d+(?:\.\d+)? | \.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<OP><=> | <> | != | >= | <= | \|\| | :: | [<>=+\-*/%!&|^~])
+  | (?P<PUNCT>.)
+""", re.VERBOSE | re.DOTALL)
+
+# An unclosed opener's token kind up to the end of input, and its name.
+_UNCLOSED = {
+    "/*": (None, "block comment"),
+    "'": (STRING, "string literal"),
+    '"': (WORD, "quoted identifier"),
+    "`": (WORD, "quoted identifier"),
 }
-
-# Multi-char operators first so the scanner takes the longest match.
-_OPERATORS = ("<=>", "<>", "!=", ">=", "<=", "||", "::", "<", ">", "=",
-              "+", "-", "*", "/", "%", "!", "&", "|", "^", "~")
-
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9$]*")
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
-_PLACEHOLDER_RE = re.compile(r"\[(?:TBL|COL|VAL|MASK|ID|N)\]")
 
 
 @dataclass(frozen=True)
@@ -66,92 +71,35 @@ class Token:
 def scan(sql: str) -> tuple[list[Token], str | None]:
     """Tokenize ``sql``; returns (tokens, diagnostic-or-None). Comments are skipped."""
     tokens: list[Token] = []
-    diagnostic: str | None = None
-    i, n = 0, len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
+    for m in _LEXICON.finditer(sql):
+        kind = m.lastgroup
+        if kind == "SKIP":
             continue
-        if ch == "-" and sql.startswith("--", i):
-            nl = sql.find("\n", i)
-            i = n if nl < 0 else nl + 1
-            continue
-        if ch == "/" and sql.startswith("/*", i):
-            close = sql.find("*/", i + 2)
-            if close < 0:
-                diagnostic = diagnostic or f"unterminated block comment at offset {i}"
-                i = n
-            else:
-                i = close + 2
-            continue
-        if ch == "'":
-            j = i + 1
-            while j < n:
-                if sql[j] == "'":
-                    if j + 1 < n and sql[j + 1] == "'":
-                        j += 2
-                        continue
-                    break
-                j += 1
-            if j >= n:
-                diagnostic = diagnostic or f"unterminated string literal at offset {i}"
-                tokens.append(Token(STRING, sql[i:n], i, n))
-                i = n
-            else:
-                tokens.append(Token(STRING, sql[i:j + 1], i, j + 1))
-                i = j + 1
-            continue
-        if ch in ('"', "`"):
-            close = sql.find(ch, i + 1)
-            if close < 0:
-                diagnostic = diagnostic or f"unterminated quoted identifier at offset {i}"
-                tokens.append(Token(WORD, sql[i:n], i, n))
-                i = n
-            else:
-                tokens.append(Token(WORD, sql[i:close + 1], i, close + 1))
-                i = close + 1
-            continue
-        if ch == "[":
-            m = _PLACEHOLDER_RE.match(sql, i)
-            if m:
-                tokens.append(Token(PLACEHOLDER, m.group(), i, m.end()))
-                i = m.end()
-                continue
-            tokens.append(Token(PUNCT, ch, i, i + 1))
-            i += 1
-            continue
-        m = _WORD_RE.match(sql, i)
-        if m:
-            tokens.append(Token(WORD, m.group(), i, m.end()))
-            i = m.end()
-            continue
-        m = _NUMBER_RE.match(sql, i)
-        if m:
-            tokens.append(Token(NUMBER, m.group(), i, m.end()))
-            i = m.end()
-            continue
-        for op in _OPERATORS:
-            if sql.startswith(op, i):
-                tokens.append(Token(OP, op, i, i + len(op)))
-                i += len(op)
-                break
-        else:
-            tokens.append(Token(PUNCT, ch, i, i + 1))
-            i += 1
-    return tokens, diagnostic
+        start = m.start()
+        if kind == "OPEN":
+            to_end, what = _UNCLOSED[m.group()]
+            if to_end:
+                tokens.append(Token(to_end, sql[start:], start, len(sql)))
+            return tokens, f"unterminated {what} at offset {start}"
+        tokens.append(Token(kind, m.group(), start, m.end()))
+    return tokens, None
 
 
 def tokenize(sql: str) -> list[Token]:
     return scan(sql)[0]
 
 
+SELECT_HEADS = ("SELECT", "WITH")
+
+
+def statement_head(tokens) -> str | None:
+    """The first token after any opening parentheses, upper-cased; a
+    SELECT-based statement's is in ``SELECT_HEADS``. None without one."""
+    return next((tok.upper() for tok in tokens if tok.text != "("), None)
+
+
 def is_keyword(token: Token) -> bool:
     return token.kind == WORD and token.upper() in KEYWORDS
-
-
-def _is_function_call(tokens: list[Token], idx: int) -> bool:
-    return idx + 1 < len(tokens) and tokens[idx + 1].text == "("
 
 
 _TABLE_INTRO = {"FROM", "JOIN", "INTO", "UPDATE", "TABLE"}
@@ -253,7 +201,7 @@ def templatize(sql: str) -> str:
                 out.append(upper)
             elif idx in table_positions:
                 out.append("[TBL]")
-            elif _is_function_call(tokens, idx):
+            elif idx + 1 < len(tokens) and tokens[idx + 1].text == "(":
                 out.append(upper)
             elif idx + 1 < len(tokens) and tokens[idx + 1].text == ".":
                 out.append("[TBL]")

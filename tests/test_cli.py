@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -338,16 +339,49 @@ def test_kb_learn_auto_accept(capsys, tmp_path):
                for r in snapshot.rules)
 
 
-def test_unexpected_exception_is_an_internal_error(capsys, tmp_path):
-    store = str(tmp_path / "kb")
-    run(capsys, "kb", "init", "--store", store)
+def test_unexpected_exception_is_an_internal_error(capsys, tmp_path,
+                                                   monkeypatch):
+    def broken_learn(*args, **kwargs):
+        raise RuntimeError("flow defect")
+
+    monkeypatch.setattr("sqlgov.self_learning.learn", broken_learn)
     records_file = tmp_path / "records.jsonl"
     records_file.write_text(json.dumps({
-        "sql": "SELECT 1", "status": "OK", "elapsed": 1, "bogus": 1}) + "\n")
-    code, _, err = run(capsys, "kb", "learn", "--store", store,
+        "sql": "SELECT 1", "status": "OK", "elapsed": 1}) + "\n")
+    code, _, err = run(capsys, "kb", "learn", "--store", str(tmp_path / "kb"),
                        "--records", str(records_file))
     assert code == 2
-    assert err.startswith("error[INTERNAL]: TypeError")
+    assert err.startswith("error[INTERNAL]: RuntimeError: flow defect")
+
+
+def _store_bytes(store: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(store)): p.read_bytes()
+            for p in sorted(store.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("bad_line", [
+    json.dumps({"sql": "SELECT 1", "status": "OK", "elapsed": 1, "bogus": 1}),
+    json.dumps({"sql": "SELECT 1", "status": "OK"}),
+    json.dumps({"sql": "SELECT 1", "status": "error", "elapsed": 1,
+                "error_log": "boom"}),
+    json.dumps([1, 2]),
+])
+def test_kb_learn_rejects_a_malformed_record_before_learning(
+        capsys, tmp_path, bad_line):
+    store = tmp_path / "kb"
+    run(capsys, "kb", "init", "--store", str(store))
+    before = _store_bytes(store)
+    good = ExecutionRecord(sql="SELECT a FROM t1, t2", status="ERROR",
+                           elapsed=9.0, error_log="cartesian blowup")
+    records_file = tmp_path / "records.jsonl"
+    records_file.write_text(json.dumps(asdict(good)) + "\n" + bad_line + "\n")
+    code, _, err = run(capsys, "kb", "learn", "--store", str(store),
+                       "--records", str(records_file),
+                       "--playbook", _learn_playbook(tmp_path, [good]),
+                       "--auto-accept")
+    assert code == 2
+    assert err.startswith(f"error: {records_file}: record 2")
+    assert _store_bytes(store) == before
 
 
 # --- bench / route ----------------------------------------------------------------

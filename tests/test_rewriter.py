@@ -182,3 +182,28 @@ def test_unparseable_rewrite_response_rejected(embedder):
                         "response": "this is not ((( sql"}])
     with pytest.raises(RejectedResponseError):
         rewrite(sql, [suggestion], store, llm)
+
+
+@pytest.mark.parametrize("text, is_select", [
+    ("-- merged scans\nSELECT a FROM t", True),
+    ("/* c */ SELECT a FROM t", True),
+    ("(SELECT a FROM t) UNION (SELECT a FROM u)", True),
+    ("SELECTX a FROM t", False),
+    ("WITHIN a", False),
+    ("-- no statement", False),
+])
+def test_statement_check_reads_tokens(text, is_select):
+    """The rewrite answer's statement check and the verifier's agree: after
+    comments and opening parentheses the first token is SELECT or WITH, and
+    an answer without tokens is a rejected answer."""
+    from sqlgov.equivalence import skeleton
+    from sqlgov.errors import UnsupportedStatementError
+    from sqlgov.rewriter import _validate_sql
+    if is_select:
+        _validate_sql(text)
+        skeleton(text)
+    else:
+        with pytest.raises(RejectedResponseError):
+            _validate_sql(text)
+        with pytest.raises(UnsupportedStatementError):
+            skeleton(text)

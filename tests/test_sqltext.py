@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,3 +94,82 @@ def test_normalized_text_ignores_whitespace_and_comments():
 
 def test_normalized_text_distinguishes_identifiers():
     assert normalized_text("SELECT a FROM t") != normalized_text("SELECT b FROM t")
+
+
+W, S, N, O, P = "WORD", "STRING", "NUMBER", "OP", "PUNCT"
+
+
+@pytest.mark.parametrize("sql, tokens, diagnostic", [
+    # a doubled quote never closes a literal
+    ("'ab''", [(S, "'ab''")], "unterminated string literal at offset 0"),
+    ("'ab'''", [(S, "'ab'''")], None),
+    ("'it''s' x", [(S, "'it''s'"), (W, "x")], None),
+    # the '*' of an opener does not close it
+    ("/*/", [], "unterminated block comment at offset 0"),
+    # each unclosed form, with what it leaves
+    ("SELECT 'a", [(W, "SELECT"), (S, "'a")],
+     "unterminated string literal at offset 7"),
+    ('SELECT "a', [(W, "SELECT"), (W, '"a')],
+     "unterminated quoted identifier at offset 7"),
+    ("SELECT `a", [(W, "SELECT"), (W, "`a")],
+     "unterminated quoted identifier at offset 7"),
+    ("SELECT a /* x", [(W, "SELECT"), (W, "a")],
+     "unterminated block comment at offset 9"),
+    # the first unclosed form ends the scan
+    ("'a /* b", [(S, "'a /* b")], "unterminated string literal at offset 0"),
+    ("/* a */ 'b", [(S, "'b")], "unterminated string literal at offset 8"),
+    # line comments, also at the end of input
+    ("SELECT a --", [(W, "SELECT"), (W, "a")], None),
+    ("a--b\nc", [(W, "a"), (W, "c")], None),
+    # placeholders are atomic; other brackets are punctuation
+    ("[TBL]", [("PLACEHOLDER", "[TBL]")], None),
+    ("[X]", [(P, "["), (W, "X"), (P, "]")], None),
+    # operators take the longest match
+    ("a<=>b", [(W, "a"), (O, "<=>"), (W, "b")], None),
+    ("x::int", [(W, "x"), (O, "::"), (W, "int")], None),
+    ("-5", [(O, "-"), (N, "5")], None),
+    # numbers
+    (".5", [(N, ".5")], None),
+    ("1.5e-3", [(N, "1.5e-3")], None),
+    ("1.e5", [(N, "1"), (P, "."), (W, "e5")], None),
+    # words: ASCII letters and '_', then also digits and '$'
+    ("a$b", [(W, "a$b")], None),
+    # Unicode whitespace separates; other non-ASCII letters are punctuation
+    ("a\xa0b\x1cc", [(W, "a"), (W, "b"), (W, "c")], None),
+    ("naïve é", [(W, "na"), (P, "ï"), (W, "ve"), (P, "é")],
+     None),
+])
+def test_scan_edge_cases(sql, tokens, diagnostic):
+    got, diag = scan(sql)
+    assert [(tok.kind, tok.text) for tok in got] == tokens
+    assert diag == diagnostic
+
+
+_GAP = re.compile(r"(?:\s|--[^\n]*|/\*.*?\*/)*", re.DOTALL)
+_lexemes = st.sampled_from([
+    "'", "''", '"', "`", "/*", "*/", "--", "\n", " ", "\t", "\xa0",
+    " ", "\x1c", "/", "*", "-", "[TBL]", "[VAL]", "[X]", "[", "]",
+    "<=>", "<>", "!=", ">=", "<=", "||", "::", "<", "=", "+", "%", "!",
+    "0", "7", ".", ".5", "e", "1.5e-3", "a", "_", "$", "SELECT", "FROM",
+    "(", ")", ",", ";", "é", "中", "٣",
+])
+
+
+@given(st.one_of(st.lists(_lexemes, max_size=40).map("".join),
+                 st.text(max_size=60)))
+@settings(max_examples=400, deadline=None)
+def test_tokens_tile_the_source(sql):
+    """Tokens index the source in order without overlap, and what lies
+    between them is whitespace and comments; an unclosed block comment may
+    take the rest of the input."""
+    tokens, diagnostic = scan(sql)
+    pos = 0
+    for tok in tokens:
+        assert tok.text == sql[tok.start:tok.end] and tok.start < tok.end
+        assert _GAP.fullmatch(sql, pos, tok.start)
+        pos = tok.end
+    end = len(sql)
+    if diagnostic is not None and "block comment" in diagnostic:
+        end = int(diagnostic.rsplit(" ", 1)[1])
+        assert sql.startswith("/*", end)
+    assert _GAP.fullmatch(sql, pos, end)
