@@ -1,14 +1,17 @@
 """Structural facts about fragments: table scans, joins, projection shape.
 
-Facts are computed per fragment at two granularities from the tree's one
-token list; nothing here tokenizes text. Subtree table counts read the
-fragment's whole ``token_range``, nested subqueries included. Own tokens are
-that range minus the direct children's ranges (the parentheses around a
-child stay), with offsets into the whole query; own-level counts subtract
-the direct children, so each base-table scan is attributed to exactly one
-fragment. Rule matchers, the rewriter's efficiency screen, and the
-equivalence pre-filter all read from here, keeping every tool's view of a
-query consistent.
+Facts are computed from the tree's one token list; nothing here tokenizes
+text. Every token has one owner, the innermost fragment whose
+``token_range`` holds it, so the parentheses around a child stay with the
+parent; a fragment's own tokens are the tokens it owns, with offsets into
+the whole query. One table-context pass over the whole query gives each
+table reference to the owner of its token, so each base-table scan is
+attributed to exactly one fragment, and subtree counts are own counts summed
+bottom-up. On well-formed SQL the pass reads a fragment's tokens as a scan
+of that fragment alone would, because a subquery opens with SELECT or WITH
+and a CTE body follows its consumed name. Rule matchers, the rewriter's
+efficiency screen, and the equivalence pre-filter all read from here,
+keeping every tool's view of a query consistent.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .fragmenter import Fragment, FragmentTree, SITE_SELECT_LIST, SUBQUERY
 from .sqltext import (
     Token,
     WORD,
+    is_keyword,
     iter_table_context,
     normalize_tokens,
     normalized_text,
@@ -53,30 +57,24 @@ class FragmentFacts:
                 in f" {normalize_tokens(self.own_tokens)} ")
 
 
-def _count_tables(tokens: tuple[Token, ...], cte_names: set[str]) -> Counter:
-    counts: Counter = Counter()
-    for _, tok in iter_table_context(tokens):
+def _table_refs(tokens: tuple[Token, ...], cte_names: set[str]):
+    """Yield (index, lower-cased name) for each base-table reference: a word
+    in table position that is neither a CTE name nor an alias, which comes
+    right after ')', AS or the name it renames."""
+    for idx, tok in iter_table_context(tokens):
+        prev = tokens[idx - 1] if idx else None
+        if prev and (prev.text == ")" or prev.upper() == "AS"
+                     or prev.kind == WORD and not is_keyword(prev)):
+            continue
         name = tok.text.strip('`"').lower()
         if name and name not in cte_names:
-            counts[name] += 1
-    return counts
+            yield idx, name
 
 
 def referenced_tables(tree: FragmentTree) -> list[str]:
-    """The base tables the whole query scans, sorted: the root fragment's
-    subtree table names, whose range is every token."""
-    return sorted(_count_tables(tree.tokens, tree.cte_names()))
-
-
-def _own_tokens(tokens: tuple[Token, ...], fragment: Fragment,
-                children: list[Fragment]) -> list[Token]:
-    pos, hi = fragment.token_range
-    own: list[Token] = []
-    for child_lo, child_hi in sorted(c.token_range for c in children):
-        own.extend(tokens[pos:child_lo])
-        pos = child_hi
-    own.extend(tokens[pos:hi])
-    return own
+    """The base tables the whole query scans, sorted."""
+    return sorted({name for _, name in _table_refs(tree.tokens,
+                                                   tree.cte_names())})
 
 
 def _top_level(tokens):
@@ -170,14 +168,9 @@ def _in_subquery(tokens: tuple[Token, ...], fragment: Fragment,
                for c in children)
 
 
-def analyze_fragment(fragment: Fragment, tree: FragmentTree,
-                     subtree_counts: dict[int, Counter]) -> FragmentFacts:
+def analyze_fragment(fragment: Fragment, tree: FragmentTree, own: list[Token],
+                     own_counts: Counter, subtree_counts: Counter) -> FragmentFacts:
     children = tree.children(fragment.id)
-    own = _own_tokens(tree.tokens, fragment, children)
-    own_counts = Counter(subtree_counts[fragment.id])
-    for child in children:
-        own_counts.subtract(subtree_counts[child.id])
-    own_counts = Counter({k: v for k, v in own_counts.items() if v > 0})
     select_region = _clause_region(own, "SELECT", _CLAUSE_BREAK)
     if select_region is None:
         items, star = None, False
@@ -189,7 +182,7 @@ def analyze_fragment(fragment: Fragment, tree: FragmentTree,
         fragment_id=fragment.id,
         own_tokens=tuple(own),
         table_counts_own=dict(own_counts),
-        table_counts_subtree=dict(subtree_counts[fragment.id]),
+        table_counts_subtree=dict(subtree_counts),
         join_kinds=tuple(joins),
         has_outer_join=any(k in _OUTER_JOINS for k in joins),
         where_has_is_not_null=_has_is_not_null(
@@ -206,13 +199,24 @@ def analyze_fragment(fragment: Fragment, tree: FragmentTree,
 
 
 def analyze_tree(tree: FragmentTree) -> dict[int, FragmentFacts]:
-    cte_names = tree.cte_names()
-    subtree_counts = {
-        f.id: _count_tables(tree.tokens[slice(*f.token_range)], cte_names)
-        for f in tree.fragments
-    }
+    owner = [0] * len(tree.tokens)
+    for f in reversed(tree.fragments):  # every parent before its children
+        lo, hi = f.token_range
+        owner[lo:hi] = [f.id] * (hi - lo)
+    own: dict[int, list[Token]] = {f.id: [] for f in tree.fragments}
+    for tok, fid in zip(tree.tokens, owner):
+        own[fid].append(tok)
+    own_counts = {f.id: Counter() for f in tree.fragments}
+    for idx, name in _table_refs(tree.tokens, tree.cte_names()):
+        own_counts[owner[idx]][name] += 1
+    subtree_counts: dict[int, Counter] = {}
+    for f in tree.fragments:  # every child before its parent
+        subtree_counts[f.id] = total = own_counts[f.id].copy()
+        for child in tree.children(f.id):
+            total.update(subtree_counts[child.id])
     return {
-        f.id: analyze_fragment(f, tree, subtree_counts)
+        f.id: analyze_fragment(f, tree, own[f.id], own_counts[f.id],
+                               subtree_counts[f.id])
         for f in tree.fragments
     }
 

@@ -95,17 +95,19 @@ def _bench_pair(pair: dict, executor, trials: int) -> BenchResult | dict:
                        trials={"original": pre_times, "rewritten": post_times})
 
 
-def _normalize_pairs(pairs) -> list[dict]:
+def normalize_pairs(pairs) -> list[dict]:
+    """Every pair as a record with an ``id`` and string ``original`` and
+    ``rewritten``; ValueError names the first pair that is neither such an
+    object nor a sequence of two strings."""
     normalized = []
-    for i, pair in enumerate(pairs):
-        if isinstance(pair, dict):
-            record = dict(pair)
-            record.setdefault("id", f"q{i + 1}")
-        else:
-            original, rewritten = pair
-            record = {"id": f"q{i + 1}", "original": original,
-                      "rewritten": rewritten}
-        normalized.append(record)
+    for i, pair in enumerate(pairs, 1):
+        if isinstance(pair, (list, tuple)) and len(pair) == 2:
+            pair = {"original": pair[0], "rewritten": pair[1]}
+        if not (isinstance(pair, dict) and all(
+                isinstance(pair.get(k), str) for k in ("original", "rewritten"))):
+            raise ValueError(f"record {i}: a pair needs string 'original' and "
+                             "'rewritten', as an object or a two-string list")
+        normalized.append({"id": f"q{i}", **pair})
     return normalized
 
 
@@ -116,7 +118,7 @@ def bench(pairs, executor, trials: int = 3) -> BenchReport:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     report = BenchReport()
-    for record in _normalize_pairs(pairs):
+    for record in normalize_pairs(pairs):
         outcome = _bench_pair(record, executor, trials)
         if isinstance(outcome, BenchResult):
             report.results.append(outcome)
@@ -128,8 +130,13 @@ def bench(pairs, executor, trials: int = 3) -> BenchReport:
 def route(issue: dict) -> str:
     """Send an issue to the right tool: execution errors to the corrector,
     performance complaints to the rewriter, everything else to the modifier."""
-    if not issue.get("sql"):
-        raise ValueError("issue must carry the sql under repair")
+    if not (isinstance(issue, dict) and isinstance(issue.get("sql"), str)
+            and issue["sql"]):
+        raise ValueError("issue must be an object carrying the sql under "
+                         "repair as a string")
+    for key in ("error_log", "intent_hint", "request"):
+        if not isinstance(issue.get(key), (str, type(None))):
+            raise ValueError(f"issue field {key!r} must be a string or null")
     if issue.get("error_log"):
         return CORRECTOR
     hint = (issue.get("intent_hint") or "").lower()

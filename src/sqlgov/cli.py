@@ -314,8 +314,11 @@ def cmd_kb_dedup(args, config) -> int:
 
 def cmd_bench(args, config) -> int:
     executor = SimulatedExecutor.from_path(args.fixtures, seed=config.seed)
-    report = bench_mod.bench(read_jsonl(args.pairs), executor,
-                             trials=args.trials)
+    try:
+        pairs = bench_mod.normalize_pairs(read_jsonl(args.pairs))
+    except ValueError as exc:
+        raise ValueError(f"{args.pairs}: {exc}") from None
+    report = bench_mod.bench(pairs, executor, trials=args.trials)
     if args.json:
         _print_json({
             "results": [asdict(r) for r in report.results],
@@ -335,8 +338,10 @@ def cmd_bench(args, config) -> int:
 
 
 def cmd_route(args, config) -> int:
-    issue = _read_json(args.issue)
-    tool = bench_mod.route(issue)
+    try:
+        tool = bench_mod.route(_read_json(args.issue))
+    except ValueError as exc:
+        raise ValueError(f"{args.issue}: {exc}") from None
     if args.json:
         _print_json({"tool": tool})
     else:

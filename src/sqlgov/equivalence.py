@@ -11,6 +11,7 @@ answers are never upgraded.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .analysis import FragmentFacts, analyze_tree
@@ -115,6 +116,10 @@ def skeleton(query: str) -> QuerySkeleton:
     )
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def extract_intent(side: QuerySkeleton, provider) -> IntentSummary:
     """Summarize field provenance, walking fragments innermost-first.
 
@@ -131,6 +136,13 @@ def extract_intent(side: QuerySkeleton, provider) -> IntentSummary:
         summaries[fragment.id] = ask_json(
             provider, intent_extract_prompt(fragment, child_rendered))
     main = summaries[tree.root_id]
+    answered = main.get("fields", [])
+    if not isinstance(answered, list) or not all(
+            isinstance(f, dict) and _is_strings(f.get("source_tables", []))
+            and _is_strings(f.get("conditions", [])) for f in answered):
+        raise RejectedResponseError(
+            "intent fields must be a list of objects whose source_tables "
+            "and conditions are lists of strings")
     fields = tuple(
         FieldProvenance(
             output_name=str(f.get("output_name", "")),
@@ -138,7 +150,7 @@ def extract_intent(side: QuerySkeleton, provider) -> IntentSummary:
             transformation=str(f.get("transformation", "")),
             conditions=tuple(f.get("conditions", [])),
         )
-        for f in main.get("fields", [])
+        for f in answered
     )
     root_facts = side.facts[tree.root_id]
     if not root_facts.select_has_star and root_facts.select_items \
@@ -204,13 +216,15 @@ def _align(intent_a: IntentSummary, intent_b: IntentSummary, provider,
     mappings = data.get("mappings", [])
     if not isinstance(mappings, list) or not all(
             isinstance(m, dict)
-            and isinstance(m.get("confidence", 0.0), (int, float))
-            and isinstance(m.get("left"), int)
-            and isinstance(m.get("right"), int)
+            # exact types: a JSON true is neither a position nor a number
+            and type(m.get("left")) is int and type(m.get("right")) is int
+            and type(m.get("confidence", 0.0)) in (int, float)
+            and math.isfinite(m.get("confidence", 0.0))
+            and isinstance(m.get("equivalent", False), bool)
             for m in mappings):
         raise RejectedResponseError(
             "alignment mappings must be a list of objects with integer "
-            "positions and numeric confidence")
+            "positions, numeric confidence and a boolean 'equivalent'")
     n = len(intent_a.fields)
     if n == 0:
         return EquivalenceVerdict(verdict=UNDECIDED, confidence=0.0,

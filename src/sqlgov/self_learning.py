@@ -72,7 +72,7 @@ _STATUSES = (STATUS_OK, STATUS_ERROR, STATUS_SLOW)
 
 def record_from_json(payload) -> ExecutionRecord:
     """An ExecutionRecord from its JSON form: an object with only the
-    record's fields, a string ``sql``, a known ``status``, a numeric
+    record's fields, a string ``sql``, a known ``status``, a finite numeric
     ``elapsed`` and the other fields strings or null. ValueError says what
     is wrong."""
     if not isinstance(payload, dict):
@@ -84,11 +84,12 @@ def record_from_json(payload) -> ExecutionRecord:
     if not (isinstance(payload.get("sql"), str)
             and payload.get("status") in _STATUSES
             and isinstance(elapsed, (int, float))
-            and not isinstance(elapsed, bool)
+            and not isinstance(elapsed, bool) and math.isfinite(elapsed)
             and all(isinstance(payload.get(key), (str, type(None)))
                     for key in _RECORD_FIELDS - {"sql", "status", "elapsed"})):
         raise ValueError(f"needs a string 'sql', a 'status' in {_STATUSES}, "
-                         "a numeric 'elapsed', and strings or null elsewhere")
+                         "a finite numeric 'elapsed', and strings or null "
+                         "elsewhere")
     return ExecutionRecord(**payload)
 
 

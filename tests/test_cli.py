@@ -365,6 +365,9 @@ def _store_bytes(store: Path) -> dict[str, bytes]:
     json.dumps({"sql": "SELECT 1", "status": "error", "elapsed": 1,
                 "error_log": "boom"}),
     json.dumps([1, 2]),
+    json.dumps({"sql": "SELECT 1", "status": "OK", "elapsed": float("nan")}),
+    json.dumps({"sql": "SELECT 1", "status": "SLOW",
+                "elapsed": float("inf")}),
 ])
 def test_kb_learn_rejects_a_malformed_record_before_learning(
         capsys, tmp_path, bad_line):
@@ -405,6 +408,40 @@ def test_route_cli(capsys, tmp_path):
     code, out, _ = run(capsys, "route", "--issue", str(issue))
     assert code == 0
     assert out.strip() == "REWRITER"
+
+
+@pytest.mark.parametrize("issue", [
+    [1],
+    {"sql": "SELECT 1", "request": 5},
+    {"sql": 7},
+    {"sql": "SELECT 1", "error_log": ["boom"]},
+], ids=["not-an-object", "request-a-number", "sql-a-number", "log-a-list"])
+def test_route_rejects_a_malformed_issue(capsys, tmp_path, issue):
+    issue_file = tmp_path / "issue.json"
+    issue_file.write_text(json.dumps(issue))
+    code, out, err = run(capsys, "route", "--issue", str(issue_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {issue_file}: issue")
+
+
+@pytest.mark.parametrize("bad_line", [
+    json.dumps(5),
+    json.dumps({"id": "a"}),
+    json.dumps({"original": "SELECT 1", "rewritten": None}),
+    json.dumps(["SELECT 1"]),
+    json.dumps(["SELECT 1", 2]),
+])
+def test_bench_rejects_a_malformed_pair_before_running(capsys, tmp_path,
+                                                       fixtures_dir, bad_line):
+    pairs = tmp_path / "pairs.jsonl"
+    good = (fixtures_dir / "bench_pairs.jsonl").read_text().splitlines()[0]
+    pairs.write_text(good + "\n" + bad_line + "\n")
+    code, out, err = run(capsys, "bench", "--pairs", str(pairs), "--fixtures",
+                         str(fixtures_dir / "executor_fixtures.jsonl"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {pairs}: record 2: ")
 
 
 # --- config / env overrides ---------------------------------------------------------

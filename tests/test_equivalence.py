@@ -17,7 +17,7 @@ from sqlgov.equivalence import (
     skeleton,
     _skeleton_mismatch,
 )
-from sqlgov.errors import UnsupportedStatementError
+from sqlgov.errors import RejectedResponseError, UnsupportedStatementError
 from sqlgov.providers import ScriptedLLM, SimulatedExecutor
 from sqlgov.sqltext import templatize
 
@@ -270,7 +270,17 @@ def _malformed_alignment_playbook(tmp_path, alignment) -> str:
     {"mappings": [{"left": 0, "right": 0, "equivalent": True,
                    "confidence": "high"}]},
     {"mappings": [{"right": 0, "equivalent": True, "confidence": 0.9}]},
-], ids=["mappings-not-a-list", "confidence-not-numeric", "position-missing"])
+    {"mappings": [{"left": 0, "right": 0, "equivalent": "no",
+                   "confidence": 0.9}]},
+    {"mappings": [{"left": True, "right": 0, "equivalent": True,
+                   "confidence": 0.9}]},
+    {"mappings": [{"left": 0, "right": 0, "equivalent": True,
+                   "confidence": True}]},
+    {"mappings": [{"left": 0, "right": 0, "equivalent": True,
+                   "confidence": float("nan")}]},
+], ids=["mappings-not-a-list", "confidence-not-numeric", "position-missing",
+        "equivalent-a-string", "position-a-bool", "confidence-a-bool",
+        "confidence-not-finite"])
 def test_malformed_alignment_is_an_operational_error(capsys, tmp_path,
                                                      alignment):
     from sqlgov.cli import main
@@ -283,6 +293,19 @@ def test_malformed_alignment_is_an_operational_error(capsys, tmp_path,
                                                              alignment)])
     assert code == 2
     assert "error[REJECTED_RESPONSE]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", [
+    {"output_name": "a", "source_tables": "t", "conditions": []},
+    {"output_name": "a", "source_tables": ["t"], "conditions": "a > 0"},
+    {"output_name": "a", "source_tables": [1], "conditions": []},
+], ids=["tables-a-string", "conditions-a-string", "table-a-number"])
+def test_malformed_intent_is_rejected(field):
+    intents = _simple_intents()
+    intents["SELECT a FROM t"]["fields"] = [field]
+    provider = _TableProvider(intents, _alignment())
+    with pytest.raises(RejectedResponseError, match="source_tables"):
+        check_equivalence("SELECT a FROM t", "SELECT a + 0 FROM t", provider)
 
 
 # --- pre-filter soundness against the executor oracle ------------------------------
