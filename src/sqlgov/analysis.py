@@ -30,6 +30,7 @@ from .sqltext import (
 )
 
 _OUTER_JOINS = {"LEFT", "RIGHT", "FULL"}
+_JOIN_MODIFIERS = _OUTER_JOINS | {"INNER", "OUTER", "CROSS", "NATURAL"}
 _SET_OPS = {"UNION", "INTERSECT", "EXCEPT"}
 _CLAUSE_BREAK = {"FROM", "WHERE", "GROUP", "ORDER", "HAVING", "LIMIT"} | _SET_OPS
 _WHERE_BREAK = {"GROUP", "ORDER", "HAVING", "LIMIT", "WINDOW"} | _SET_OPS
@@ -41,7 +42,6 @@ class FragmentFacts:
     own_tokens: tuple[Token, ...]
     table_counts_own: dict[str, int]
     table_counts_subtree: dict[str, int]
-    join_kinds: tuple[str, ...]
     has_outer_join: bool
     where_has_is_not_null: bool
     select_items: int | None
@@ -128,24 +128,22 @@ def _has_is_not_null(tokens: list[Token]) -> bool:
     return False
 
 
-def _join_kinds(tokens: list[Token]) -> list[str]:
-    kinds = []
+def _has_outer_join(tokens: list[Token]) -> bool:
+    """Some JOIN is outer: of LEFT/RIGHT/FULL/CROSS in the modifier run before
+    it, the one farthest from JOIN decides."""
     uppers = [t.upper() for t in tokens]
     for i, upper in enumerate(uppers):
         if upper != "JOIN":
             continue
-        kind = "INNER"
+        kind = None
         j = i - 1
-        mods = []
-        while j >= 0 and uppers[j] in ("INNER", "OUTER", "LEFT", "RIGHT",
-                                       "FULL", "CROSS", "NATURAL"):
-            mods.append(uppers[j])
+        while j >= 0 and uppers[j] in _JOIN_MODIFIERS:
+            if uppers[j] in _OUTER_JOINS or uppers[j] == "CROSS":
+                kind = uppers[j]
             j -= 1
-        for mod in mods:
-            if mod in ("LEFT", "RIGHT", "FULL", "CROSS"):
-                kind = mod
-        kinds.append(kind)
-    return kinds
+        if kind in _OUTER_JOINS:
+            return True
+    return False
 
 
 def _set_op_facts(tokens: list[Token]) -> tuple[bool, bool]:
@@ -176,15 +174,13 @@ def analyze_fragment(fragment: Fragment, tree: FragmentTree, own: list[Token],
         items, star = None, False
     else:
         items, star = _count_items(select_region)
-    joins = _join_kinds(own)
     has_op, arm_star = _set_op_facts(own)
     return FragmentFacts(
         fragment_id=fragment.id,
         own_tokens=tuple(own),
         table_counts_own=dict(own_counts),
         table_counts_subtree=dict(subtree_counts),
-        join_kinds=tuple(joins),
-        has_outer_join=any(k in _OUTER_JOINS for k in joins),
+        has_outer_join=_has_outer_join(own),
         where_has_is_not_null=_has_is_not_null(
             _clause_region(own, "WHERE", _WHERE_BREAK) or []),
         select_items=items,

@@ -452,9 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = load_config(getattr(args, "config", None))
     try:
-        return args.func(args, config)
+        return args.func(args, load_config(getattr(args, "config", None)))
     except SqlGovError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -29,16 +30,20 @@ class RuntimeConfig:
     seed: int = 0
 
 
-def _coerce(name: str, raw: str):
-    for f in fields(RuntimeConfig):
-        if f.name != name:
-            continue
-        if f.type in ("int", int):
-            return int(raw)
-        if f.type in ("float", float):
-            return float(raw)
+def _coerce(name: str, raw: str, source: str):
+    """``raw`` as the type of field ``name``; ``source`` names the file key
+    or env var in the error."""
+    kind = next(f.type for f in fields(RuntimeConfig) if f.name == name)
+    convert = {"int": int, "float": float}.get(kind)
+    if convert is None:
         return raw
-    return raw
+    try:
+        value = convert(raw)
+        if math.isfinite(value):  # a NaN floor would pass every confidence
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{source}: expected {kind}, got {raw!r}")
 
 
 def _parse_kv_file(path: Path) -> dict[str, str]:
@@ -65,9 +70,10 @@ def load_config(path: str | Path | None = None,
         if candidate.exists():
             for key, raw in _parse_kv_file(candidate).items():
                 if key in known:
-                    setattr(config, key, _coerce(key, raw))
+                    setattr(config, key,
+                            _coerce(key, raw, f"{candidate}: {key}"))
             break
     for env_key, attr in ENV_OVERRIDES.items():
         if env_key in env and env[env_key]:
-            setattr(config, attr, _coerce(attr, env[env_key]))
+            setattr(config, attr, _coerce(attr, env[env_key], env_key))
     return config

@@ -16,7 +16,8 @@ from .bench import ToolReport, input_digest
 from .errors import EmptyQueryError, StillInvalidError
 from .fragmenter import FragmentTree, decompose_lenient, fragment_at
 from .knowledge_base import CORRECTOR, ErrorStrategy, KnowledgeStore
-from .prompts import correction_prompt, render_columns, strip_fences
+from .prompts import (catalog_entry, correction_prompt, render_columns,
+                      strip_fences)
 
 SCOPE_LOCAL = "LOCAL"
 SCOPE_GLOBAL = "GLOBAL"
@@ -181,8 +182,7 @@ def _schema_lines(schema_slice, catalog: dict) -> tuple[str, ...]:
         tables = [t for t in schema_slice if t in catalog]
     lines = []
     for table in tables:
-        entry = catalog[table]
-        columns = entry.get("columns", entry) if isinstance(entry, dict) else entry
+        columns, _ = catalog_entry(catalog[table])
         lines.append(f"{table}: {render_columns(columns)}")
     return tuple(lines)
 

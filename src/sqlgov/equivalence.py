@@ -11,7 +11,6 @@ answers are never upgraded.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .analysis import FragmentFacts, analyze_tree
@@ -116,10 +115,6 @@ def skeleton(query: str) -> QuerySkeleton:
     )
 
 
-def _is_strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 def extract_intent(side: QuerySkeleton, provider) -> IntentSummary:
     """Summarize field provenance, walking fragments innermost-first.
 
@@ -136,21 +131,14 @@ def extract_intent(side: QuerySkeleton, provider) -> IntentSummary:
         summaries[fragment.id] = ask_json(
             provider, intent_extract_prompt(fragment, child_rendered))
     main = summaries[tree.root_id]
-    answered = main.get("fields", [])
-    if not isinstance(answered, list) or not all(
-            isinstance(f, dict) and _is_strings(f.get("source_tables", []))
-            and _is_strings(f.get("conditions", [])) for f in answered):
-        raise RejectedResponseError(
-            "intent fields must be a list of objects whose source_tables "
-            "and conditions are lists of strings")
     fields = tuple(
         FieldProvenance(
-            output_name=str(f.get("output_name", "")),
+            output_name=f.get("output_name", ""),
             source_tables=tuple(f.get("source_tables", [])),
-            transformation=str(f.get("transformation", "")),
+            transformation=f.get("transformation", ""),
             conditions=tuple(f.get("conditions", [])),
         )
-        for f in answered
+        for f in main.get("fields", [])
     )
     root_facts = side.facts[tree.root_id]
     if not root_facts.select_has_star and root_facts.select_items \
@@ -158,7 +146,7 @@ def extract_intent(side: QuerySkeleton, provider) -> IntentSummary:
         raise RejectedResponseError(
             f"intent summary carries {len(fields)} fields but the outermost "
             f"SELECT projects {root_facts.select_items}")
-    return IntentSummary(fields=fields, narrative=str(main.get("narrative", "")))
+    return IntentSummary(fields=fields, narrative=main.get("narrative", ""))
 
 
 def prefilter(a: IntentSummary, b: IntentSummary) -> EquivalenceVerdict | None:
@@ -214,40 +202,29 @@ def _align(intent_a: IntentSummary, intent_b: IntentSummary, provider,
     data = ask_json(provider,
                     alignment_prompt(intent_a.render(), intent_b.render()))
     mappings = data.get("mappings", [])
-    if not isinstance(mappings, list) or not all(
-            isinstance(m, dict)
-            # exact types: a JSON true is neither a position nor a number
-            and type(m.get("left")) is int and type(m.get("right")) is int
-            and type(m.get("confidence", 0.0)) in (int, float)
-            and math.isfinite(m.get("confidence", 0.0))
-            and isinstance(m.get("equivalent", False), bool)
-            for m in mappings):
-        raise RejectedResponseError(
-            "alignment mappings must be a list of objects with integer "
-            "positions, numeric confidence and a boolean 'equivalent'")
     n = len(intent_a.fields)
     if n == 0:
         return EquivalenceVerdict(verdict=UNDECIDED, confidence=0.0,
                                   reason="no output fields extracted")
-    confidences = [float(m.get("confidence", 0.0)) for m in mappings]
+    confidences = [m.get("confidence", 0.0) for m in mappings]
 
     for m in mappings:
         if not m.get("equivalent", False):
             counterexample = m.get("counterexample")
-            conf = float(m.get("confidence", 0.0))
+            conf = m.get("confidence", 0.0)
             if counterexample:
                 return EquivalenceVerdict(
                     verdict=NOT_EQUIVALENT, confidence=conf,
-                    counterexample=str(counterexample),
-                    reason=f"field pair ({m.get('left')}, {m.get('right')}) "
+                    counterexample=counterexample,
+                    reason=f"field pair ({m['left']}, {m['right']}) "
                            f"not equivalent")
             return EquivalenceVerdict(
                 verdict=UNDECIDED, confidence=conf,
                 reason="provider reported a non-equivalent field without a "
                        "counterexample")
 
-    lefts = [m.get("left") for m in mappings]
-    rights = [m.get("right") for m in mappings]
+    lefts = [m["left"] for m in mappings]
+    rights = [m["right"] for m in mappings]
     bijective = (
         sorted(lefts) == list(range(n)) and sorted(rights) == list(range(n))
     )
@@ -264,6 +241,5 @@ def _align(intent_a: IntentSummary, intent_b: IntentSummary, provider,
     return EquivalenceVerdict(
         verdict=EQUIVALENT,
         confidence=min(confidences) if confidences else 0.0,
-        field_mapping=tuple(sorted((int(m["left"]), int(m["right"]))
-                                   for m in mappings)),
+        field_mapping=tuple(sorted(zip(lefts, rights))),
     )

@@ -21,7 +21,8 @@ from .bench import ToolReport, input_digest
 from .errors import ContractViolationError, EmptyQueryError
 from .fragmenter import decompose_lenient
 from .knowledge_base import MODIFIER, cosine_similarity
-from .prompts import modify_prompt, parse_json_response, render_columns
+from .prompts import (catalog_entry, check_answer, modify_prompt,
+                      parse_json_response, render_columns)
 from .sqltext import STRING, NUMBER, templatize, tokenize
 
 REALIZE_SEMANTICS = "REALIZE_SEMANTICS"
@@ -245,11 +246,7 @@ def _describe_table(table: str, catalog: dict) -> str:
     entry = catalog.get(table)
     if entry is None:
         return "(not in catalog)"
-    if isinstance(entry, dict):
-        columns = entry.get("columns", [])
-        description = entry.get("description", "")
-    else:
-        columns, description = entry, ""
+    columns, description = catalog_entry(entry)
     text = render_columns(columns)
     return f"{description}; columns: {text}" if description else f"columns: {text}"
 
@@ -266,9 +263,10 @@ def modify(request: str, context: ModificationContext, category_id: str,
     except (ValueError, TypeError):
         data = None
     if not isinstance(data, dict):  # a bare SQL answer
-        data = {"sql": response.strip(), "explanation": ""}
-    out_sql = str(data.get("sql", ""))
-    explanation = str(data.get("explanation", ""))
+        data = {"sql": response.strip()}
+    check_answer(env.template_id, data)
+    out_sql = data["sql"]
+    explanation = data.get("explanation", "")
     if category_id == EXPLAIN_SQL:
         if templatize(out_sql) != templatize(context.target_sql):
             raise ContractViolationError(

@@ -8,6 +8,7 @@ TEMPLATE_VERSION and regenerate playbooks (scripts/build_playbook.py).
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import RejectedResponseError
 from .providers import (
@@ -196,6 +197,14 @@ def correction_prompt(inputs) -> PromptEnvelope:
     return envelope(CORRECT, *sections)
 
 
+def catalog_entry(entry) -> tuple[list | dict, str]:
+    """A catalog entry's (columns, description). An entry is a column list, a
+    ``{"columns", "description"}`` object or a ``{column: type}`` map."""
+    if isinstance(entry, dict) and {"columns", "description"} & entry.keys():
+        return entry.get("columns", []), entry.get("description", "")
+    return entry, ""
+
+
 def render_columns(columns) -> str:
     """One catalog column list as text: a column is a name or a
     ``{"name", "description"}`` object."""
@@ -226,15 +235,71 @@ def parse_json_response(text: str) -> dict | list:
     return json.loads(strip_fences(text.strip()))
 
 
+# The answer shape of each JSON template: [s] is a list of s, {key: s} an
+# object whose keys may be absent unless required, unknown keys ignored, and a
+# name a JSON scalar of exact type (a bool is no number, a float is finite).
+ANSWER_SHAPES = {
+    RULE_GEN: {},  # any JSON object
+    SCENARIO_1: {"applicable": [
+        {"rule": "string", "action": "string", "rationale": "string"}]},
+    SCENARIO_2: {"efficient": "boolean", "suggestions": [
+        {"action": "string", "rationale": "string"}]},
+    INTENT_EXTRACT: {"narrative": "string", "fields": [
+        {"output_name": "string", "source_tables": ["string"],
+         "transformation": "string", "conditions": ["string"]}]},
+    ALIGNMENT: {"mappings": [
+        {"left": "required integer", "right": "required integer",
+         "equivalent": "boolean", "confidence": "number",
+         "counterexample": "string or null"}]},
+    MODIFY_PREFIX: {"sql": "required string", "explanation": "string"},
+}
+_SCALARS = {"string": (str,), "required string": (str,), "boolean": (bool,),
+            "required integer": (int,), "number": (int, float),
+            "string or null": (str, type(None))}
+
+
+def _misfit(value, shape) -> str | None:
+    """Path to the first misfit in ``value`` ("" for itself), None if none."""
+    if isinstance(shape, dict):
+        if type(value) is not dict:
+            return ""
+        for key, sub in shape.items():
+            path = _misfit(value[key], sub) if key in value else \
+                "" if sub in ("required integer", "required string") else None
+            if path is not None:
+                return f".{key}{path}"
+        return None
+    if isinstance(shape, list):
+        if type(value) is not list:
+            return ""
+        for i, item in enumerate(value):
+            path = _misfit(item, shape[0])
+            if path is not None:
+                return f"[{i}]{path}"
+        return None
+    fits = type(value) in _SCALARS[shape] and \
+        (type(value) is not float or math.isfinite(value))
+    return None if fits else ""
+
+
+def check_answer(template_id: str, data) -> None:
+    """Reject a parsed answer that does not fit its template's shape."""
+    shape = ANSWER_SHAPES[template_id if template_id in ANSWER_SHAPES
+                          else MODIFY_PREFIX]
+    path = _misfit(data, shape)
+    if path is not None:
+        raise RejectedResponseError(
+            f"{template_id} response does not fit its answer shape "
+            f"{json.dumps(shape)} at {path or '.'}")
+
+
 def ask_json(provider, env: PromptEnvelope) -> dict:
-    """Complete ``env`` and parse the answer, which must be a JSON object."""
+    """Complete ``env`` and parse the answer, which must fit its shape."""
     response = provider.complete(env)
     try:
         data = parse_json_response(response)
     except (ValueError, TypeError) as exc:
         raise RejectedResponseError(
             f"{env.template_id} response is not valid JSON") from exc
-    if not isinstance(data, dict):
-        raise RejectedResponseError(
-            f"{env.template_id} response must be a JSON object")
+    check_answer(env.template_id, data)
     return data

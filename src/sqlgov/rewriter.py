@@ -85,8 +85,7 @@ def passes_efficiency_screen(fragment_id: int, facts: dict[int, FragmentFacts],
 
 def _merge_actions(entries: list[dict]) -> tuple[str, str]:
     if len(entries) == 1:
-        return (str(entries[0].get("action", "")),
-                str(entries[0].get("rationale", "")))
+        return entries[0].get("action", ""), entries[0].get("rationale", "")
     actions = [f"{i}. {e.get('action', '')}" for i, e in enumerate(entries, 1)]
     rationales = [f"{i}. {e.get('rationale', '')}" for i, e in enumerate(entries, 1)]
     return "\n".join(actions), "\n".join(rationales)
@@ -110,14 +109,14 @@ def evaluate(query: str, store: KnowledgeStore, provider) -> list[RewriteSuggest
             action, rationale = _merge_actions(applicable)
             suggestions.append(RewriteSuggestion(
                 fragment_id=fragment.id,
-                rule_index=str(applicable[0]["rule"]),
+                rule_index=applicable[0]["rule"],
                 action=action, rationale=rationale, scenario=RULE_GUIDED))
             continue
         if passes_efficiency_screen(fragment.id, facts, tree):
             suggestions.append(_efficient(fragment.id))
             continue
         data = ask_json(provider, scenario2_prompt(fragment))
-        entries = data.get("suggestions") or []
+        entries = data.get("suggestions", [])
         if data.get("efficient") or not entries:
             suggestions.append(_efficient(fragment.id))
             continue

@@ -30,7 +30,8 @@ KEYWORDS = {
     "ASC", "DESC", "INSERT", "INTO", "VALUES", "UPDATE", "SET", "DELETE",
     "CREATE", "TABLE", "VIEW", "DROP", "ALTER", "TRUE", "FALSE", "OVER",
     "PARTITION", "ROWS", "RANGE", "PRECEDING", "FOLLOWING", "CURRENT",
-    "ROW", "UNBOUNDED", "CAST", "INTERVAL", "TOP", "QUALIFY",
+    "ROW", "UNBOUNDED", "CAST", "INTERVAL", "TOP", "QUALIFY", "LATERAL",
+    "ONLY",
 }
 
 # Group names are the token kinds, plus SKIP (whitespace and comments) and

@@ -94,6 +94,18 @@ def test_aliases_are_not_tables(sql, tables):
     _assert_attribution(tree)
 
 
+@pytest.mark.parametrize("sql, tables", [
+    ("SELECT * FROM ONLY t", ["t"]),
+    ("SELECT * FROM t1, LATERAL (SELECT * FROM t2) x", ["t1", "t2"]),
+    ("SELECT * FROM t1 JOIN LATERAL (SELECT * FROM t2) x ON TRUE",
+     ["t1", "t2"]),
+])
+def test_lateral_and_only_are_not_tables(sql, tables):
+    tree = decompose(sql)
+    assert referenced_tables(tree) == tables
+    _assert_attribution(tree)
+
+
 def test_a_derived_table_alias_is_owned_by_nobody():
     tree = decompose("SELECT x FROM t JOIN (SELECT DISTINCT y FROM u) d "
                      "ON t.y = d.y")

@@ -469,6 +469,28 @@ def test_operational_error_exit_code(capsys, tmp_path):
     assert err
 
 
+@pytest.mark.parametrize("source, named, kind, raw", [
+    ("env", "SQLGOV_EMBED_DIM", "int", "abc"),
+    ("file", "sqlgov.toml: embedding_dim", "int", "abc"),
+    ("file", "sqlgov.toml: confidence_floor", "float", "nan"),
+])
+def test_bad_config_value_is_an_input_error(capsys, tmp_path, monkeypatch,
+                                            source, named, kind, raw):
+    """A config value of the wrong type names its key or env var and exits
+    2, never a traceback with exit 1."""
+    monkeypatch.chdir(tmp_path)
+    if source == "env":
+        monkeypatch.setenv(named, raw)
+    else:
+        key = named.split(": ")[1]
+        (tmp_path / "sqlgov.toml").write_text(f"{key} = {raw}\n")
+    (tmp_path / "q.sql").write_text("SELECT a FROM t")
+    code, out, err = run(capsys, "fragment", "q.sql")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {named}: expected {kind}, got {raw!r}\n"
+
+
 def test_fragment_reports_diagnostic_for_unparseable(capsys, tmp_path):
     sql = tmp_path / "bad.sql"
     sql.write_text("SELECT a FROM (SELECT b FROM t WHERE x = 1")

@@ -188,6 +188,26 @@ def test_schema_lines_render_list_dict_and_described_columns():
     assert schema(None) == ()
 
 
+def test_schema_lines_and_modify_metadata_read_an_entry_alike():
+    """A described entry without columns has no columns, in the fix-syntax
+    schema and in the modify metadata alike; a column map is columns in
+    both."""
+    from sqlgov.modifier import prepare_metadata
+
+    catalog = {"t": {"description": "daily sales"},
+               "u": {"p": "int", "q": "text"}}
+    sql = "SELECT a FROM t JOIN u ON t.a = u.p"
+    plan = CorrectionPlan(strategy=None, scope=SCOPE_GLOBAL,
+                          schema_slice=SCHEMA_FULL, target_fragment=None,
+                          guidance="fix it")
+    lines = prepare_data(plan, parse_error_log("ParseException: boom"), sql,
+                         decompose(sql), catalog).schema_lines
+    assert lines == ("t: ", "u: p, q")
+    metadata = prepare_metadata(sql, "", catalog, [], now=0.0)
+    assert metadata.referenced_metadata == {
+        "t": "daily sales; columns: ", "u": "columns: p, q"}
+
+
 def test_missing_fragment_falls_back_to_global(seeded_store):
     sql, tree = _broken_tree()
     error = parse_error_log("ParseException: x at line 1, column 2")
