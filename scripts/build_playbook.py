@@ -180,16 +180,52 @@ def build_intent_tables() -> None:
            "stays under the tb0 volume ratio; projects c0 plus two "
            "correlated scalars."),
     })
+    union_tables = ["table0", "table1"]
+    union_filter = ["ds > '0201'"]
+    latest_avg = _summary([
+        _field("AVG(duration)", union_tables,
+               "AVG(duration) over the newest row per instanceid",
+               union_filter + ["id = 1", "taskid IN (1, 12, 123)",
+                               "scriptid = 666"]),
+    ], "Average duration of the newest run per instance of tasks 1, 12 and "
+       "123 under script 666, over table0 and table1 after '0201'.")
+    numbered = [
+        _field("*", union_tables, "every column of the union rows",
+               union_filter),
+        _field("id", union_tables,
+               "ROW_NUMBER() per instanceid ordered by modifytime DESC",
+               union_filter),
+    ]
+    _register_intents(UNION_QUERY, {
+        1: _summary([
+            _field("*", union_tables, "UNION ALL of every column",
+                    union_filter),
+        ], "All rows of table0 and table1 after '0201', concatenated."),
+        2: _summary(numbered, "Union rows numbered per instanceid, newest "
+                              "first."),
+        3: latest_avg,
+    })
+    _register_intents(UNION_REWRITE, {
+        1: _summary(numbered, "Rows of the combined_data CTE numbered per "
+                              "instanceid, newest first."),
+        2: _summary([
+            _field(name, union_tables, "UNION ALL projection", union_filter)
+            for name in ("taskid", "instanceid", "scriptid", "modifytime")
+        ], "The four columns later steps use, from table0 and table1 rows "
+           "after '0201', concatenated."),
+        3: latest_avg,
+    })
 
 
-ALIGNMENT_RESPONSE = json.dumps({"mappings": [
-    {"left": 0, "right": 0, "equivalent": True, "confidence": 0.95,
-     "counterexample": None},
-    {"left": 1, "right": 1, "equivalent": True, "confidence": 0.92,
-     "counterexample": None},
-    {"left": 2, "right": 2, "equivalent": True, "confidence": 0.9,
-     "counterexample": None},
-]})
+def _alignment(*confidences):
+    return json.dumps({"mappings": [
+        {"left": i, "right": i, "equivalent": True, "confidence": confidence,
+         "counterexample": None}
+        for i, confidence in enumerate(confidences)]})
+
+
+# Alignment answers keyed by the number of output fields on the left.
+ALIGNMENT_RESPONSES = {3: _alignment(0.95, 0.92, 0.9), 1: _alignment(0.9)}
 
 
 class AuthoringLLM:
@@ -228,7 +264,8 @@ class AuthoringLLM:
                 return INTENT_SUMMARIES[key]
             raise KeyError(f"no authored intent summary for:\n{key[:80]}")
         if tid == "ALIGNMENT":
-            return ALIGNMENT_RESPONSE
+            left = json.loads(env.section("Left Intent") or "{}")
+            return ALIGNMENT_RESPONSES[len(left["fields"])]
         if tid == "CORRECT":
             return BROKEN_FIXED_FRAGMENT
         raise KeyError(f"unhandled template {tid}")
@@ -238,11 +275,12 @@ def run_flows(llm: AuthoringLLM) -> None:
     embedder = HashingEmbedding(768)
     store = KnowledgeStore(seed_snapshot(embedder), embedder)
 
-    # rewrite flows; the nested one also verifies the rewrite-output
-    # (stripped) form of its golden
+    # rewrite flows; each also verifies the rewrite-output (stripped) form
+    # of its golden
     report = rewriter_mod.optimize(NESTED_QUERY, store, llm, k=5, verify=True)
     assert report.output["verified"] == "EQUIVALENT", report
-    rewriter_mod.optimize(UNION_QUERY, store, llm, k=5)
+    report = rewriter_mod.optimize(UNION_QUERY, store, llm, k=5, verify=True)
+    assert report.output["verified"] == "EQUIVALENT", report
 
     # verify flow on the golden file form
     verdict = eq_mod.check_equivalence(NESTED_QUERY, NESTED_REWRITE, llm)

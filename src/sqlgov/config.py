@@ -30,20 +30,33 @@ class RuntimeConfig:
     seed: int = 0
 
 
+# The settings with a range: (lowest, highest, the range as errors name it).
+# A floor above 1 would make every verdict UNDECIDED; k < 1 drops cases.
+_RANGES = {
+    "embedding_dim": (1, math.inf, ">= 1"),
+    "retrieval_k": (1, math.inf, ">= 1"),
+    "confidence_floor": (0.0, 1.0, "in [0, 1]"),
+}
+
+
 def _coerce(name: str, raw: str, source: str):
-    """``raw`` as the type of field ``name``; ``source`` names the file key
-    or env var in the error."""
+    """``raw`` as the type of field ``name``, within its range; ``source``
+    names the file key or env var in the error."""
     kind = next(f.type for f in fields(RuntimeConfig) if f.name == name)
     convert = {"int": int, "float": float}.get(kind)
     if convert is None:
         return raw
     try:
         value = convert(raw)
-        if math.isfinite(value):  # a NaN floor would pass every confidence
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"{source}: expected {kind}, got {raw!r}")
+        finite = math.isfinite(value)  # a NaN floor would pass every confidence
+    except (ValueError, OverflowError):
+        finite = False
+    if not finite:
+        raise ValueError(f"{source}: expected {kind}, got {raw!r}")
+    low, high, wanted = _RANGES.get(name, (-math.inf, math.inf, ""))
+    if not low <= value <= high:
+        raise ValueError(f"{source}: expected {kind} {wanted}, got {raw!r}")
+    return value
 
 
 def _parse_kv_file(path: Path) -> dict[str, str]:

@@ -1,11 +1,13 @@
 """Semantic equivalence checking for SELECT-based queries.
 
 Stage one summarizes each query's field provenance (innermost fragments
-first, child summaries feeding parent prompts). A structural pre-filter
-rejects pairs with mismatched output arity or base-table sets before any
-provider call; surviving pairs go through an LLM field-alignment prompt with
-per-field confidences. UNDECIDED is a first-class outcome: low-confidence
-answers are never upgraded.
+first, child summaries feeding parent prompts). One check summarizes each
+distinct fragment envelope once: a fragment the rewrite left alone renders
+the same prompt on both sides, so both walks share one answer. A
+structural pre-filter rejects pairs with mismatched output arity or
+base-table sets before any provider call; surviving pairs go through an
+LLM field-alignment prompt with per-field confidences. UNDECIDED is a
+first-class outcome: low-confidence answers are never upgraded.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import (
 )
 from .fragmenter import FragmentTree, decompose_lenient
 from .prompts import alignment_prompt, ask_json, intent_extract_prompt
+from .providers import PromptEnvelope
 from .sqltext import SELECT_HEADS, Token, normalize_tokens, statement_head
 
 EQUIVALENT = "EQUIVALENT"
@@ -115,21 +118,28 @@ def skeleton(query: str) -> QuerySkeleton:
     )
 
 
-def extract_intent(side: QuerySkeleton, provider) -> IntentSummary:
+def extract_intent(side: QuerySkeleton, provider,
+                   answers: dict[PromptEnvelope, dict] | None = None,
+                   ) -> IntentSummary:
     """Summarize field provenance, walking fragments innermost-first.
 
     Analysis order already numbers children before parents, so feeding
-    summaries forward needs no extra bookkeeping.
+    summaries forward needs no extra bookkeeping. ``answers`` maps each
+    envelope already answered to its checked answer; only new envelopes
+    reach the provider.
     """
     tree = side.tree
+    answers = {} if answers is None else answers
     summaries: dict[int, dict] = {}
     for fragment in tree.fragments:
         child_rendered = [
             f"fragment {c.id}: {json.dumps(summaries[c.id], sort_keys=True)}"
             for c in tree.children(fragment.id)
         ]
-        summaries[fragment.id] = ask_json(
-            provider, intent_extract_prompt(fragment, child_rendered))
+        env = intent_extract_prompt(fragment, child_rendered)
+        if env not in answers:
+            answers[env] = ask_json(provider, env)
+        summaries[fragment.id] = answers[env]
     main = summaries[tree.root_id]
     fields = tuple(
         FieldProvenance(
@@ -189,8 +199,9 @@ def check_equivalence(a: str, b: str, provider,
     if mismatch is not None:
         return EquivalenceVerdict(verdict=NOT_EQUIVALENT, confidence=1.0,
                                   reason=mismatch)
-    intent_a = extract_intent(ska, provider)
-    intent_b = extract_intent(skb, provider)
+    answers: dict[PromptEnvelope, dict] = {}
+    intent_a = extract_intent(ska, provider, answers)
+    intent_b = extract_intent(skb, provider, answers)
     rejected = prefilter(intent_a, intent_b)
     if rejected is not None:
         return rejected

@@ -119,8 +119,7 @@ def iter_table_context(tokens: list[Token]):
     derived-table aliases may be missed, which is acceptable for masking.
     """
     expect_table = False
-    with_prelude = False
-    prelude_depth = 0
+    preludes: list[int] = []  # depth of each open WITH list, innermost last
     depth = 0
     i = 0
     while i < len(tokens):
@@ -132,6 +131,9 @@ def iter_table_context(tokens: list[Token]):
             continue
         if tok.text == ")":
             depth -= 1
+            while preludes and preludes[-1] > depth:
+                preludes.pop()  # a WITH list ends with its parenthesis
+                expect_table = False
             i += 1
             continue
         if tok.kind == WORD and upper in _TABLE_INTRO:
@@ -140,17 +142,16 @@ def iter_table_context(tokens: list[Token]):
             continue
         if tok.kind == WORD and upper == "WITH":
             expect_table = True
-            with_prelude = True
-            prelude_depth = depth
+            preludes.append(depth)
             i += 1
             continue
-        if tok.kind == WORD and upper == "RECURSIVE" and with_prelude:
+        if tok.kind == WORD and upper == "RECURSIVE" and preludes:
             i += 1
             continue
         if tok.kind == WORD and upper in _CLAUSE_ENDERS:
             expect_table = False
-            if with_prelude and depth == prelude_depth:
-                with_prelude = False
+            if preludes and preludes[-1] == depth:
+                preludes.pop()
             i += 1
             continue
         if expect_table and tok.kind == WORD and not is_keyword(tok):
@@ -161,7 +162,7 @@ def iter_table_context(tokens: list[Token]):
                     and tokens[i + 1].kind == WORD:
                 yield i + 1, tokens[i + 1]
                 i += 2
-            if not (with_prelude and depth == prelude_depth):
+            if not (preludes and preludes[-1] == depth):
                 if i < len(tokens) and tokens[i].kind == WORD \
                         and not is_keyword(tokens[i]):
                     yield i, tokens[i]  # bare alias
@@ -170,7 +171,7 @@ def iter_table_context(tokens: list[Token]):
                 expect_table = False  # CTE name consumed; AS ( body ) follows
             continue
         if tok.text == ",":
-            if with_prelude and depth == prelude_depth:
+            if preludes and preludes[-1] == depth:
                 expect_table = True  # next CTE in the WITH list
             i += 1
             continue

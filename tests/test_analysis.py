@@ -106,6 +106,19 @@ def test_lateral_and_only_are_not_tables(sql, tables):
     _assert_attribution(tree)
 
 
+@pytest.mark.parametrize("sql", [
+    "WITH t1 AS ( ( WITH ) ) , c2 AS ( t3 ) SELECT 1",
+    "( WITH t1 AS ( WITH SELECT UPDATE ) , x AS ( b ) VALUES )",
+])
+def test_a_with_list_ends_at_its_closing_parenthesis(sql):
+    """A WITH never closed by a clause at its depth, or one nested in a CTE
+    body, leaves no table context behind its parenthesis: the outer WITH
+    list resumes, so the CTE bodies ``t3`` and ``b`` are not tables."""
+    tree = decompose(sql)
+    assert referenced_tables(tree) == []
+    _assert_attribution(tree)
+
+
 def test_a_derived_table_alias_is_owned_by_nobody():
     tree = decompose("SELECT x FROM t JOIN (SELECT DISTINCT y FROM u) d "
                      "ON t.y = d.y")

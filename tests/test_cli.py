@@ -80,6 +80,17 @@ def test_rewrite_with_verify_flag(capsys, fixtures_dir):
     assert json.loads(out)["output"]["verified"] == "EQUIVALENT"
 
 
+def test_readme_rewrite_and_verify_of_the_union_pair(capsys, fixtures_dir,
+                                                    monkeypatch,
+                                                    union_rewrite):
+    monkeypatch.chdir(fixtures_dir.parent.parent)
+    code, out, err = run(capsys, "rewrite",
+                         "tests/fixtures/union_star_query.sql", "--playbook",
+                         "tests/fixtures/playbook.jsonl", "--verify")
+    assert (code, err) == (0, "")
+    assert out.startswith(union_rewrite.strip("\n"))
+
+
 def test_verify_pair_equivalent(capsys, fixtures_dir):
     code, out, _ = run(capsys, "verify",
                        "--left", str(fixtures_dir / "nested_query.sql"),
@@ -473,11 +484,19 @@ def test_operational_error_exit_code(capsys, tmp_path):
     ("env", "SQLGOV_EMBED_DIM", "int", "abc"),
     ("file", "sqlgov.toml: embedding_dim", "int", "abc"),
     ("file", "sqlgov.toml: confidence_floor", "float", "nan"),
+    ("env", "SQLGOV_EMBED_DIM", "int >= 1", "0"),
+    ("file", "sqlgov.toml: embedding_dim", "int >= 1", "0"),
+    ("file", "sqlgov.toml: retrieval_k", "int >= 1", "-2"),
+    ("file", "sqlgov.toml: retrieval_k", "int >= 1", "0"),
+    ("file", "sqlgov.toml: confidence_floor", "float in [0, 1]", "5"),
+    ("file", "sqlgov.toml: confidence_floor", "float in [0, 1]", "-0.1"),
+    pytest.param("file", "sqlgov.toml: embedding_dim", "int", "9" * 400,
+                 id="int-beyond-float-range"),
 ])
 def test_bad_config_value_is_an_input_error(capsys, tmp_path, monkeypatch,
                                             source, named, kind, raw):
-    """A config value of the wrong type names its key or env var and exits
-    2, never a traceback with exit 1."""
+    """A config value of the wrong type or out of its range names its key or
+    env var and exits 2, never a traceback with exit 1."""
     monkeypatch.chdir(tmp_path)
     if source == "env":
         monkeypatch.setenv(named, raw)

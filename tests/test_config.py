@@ -34,3 +34,14 @@ def test_env_overrides_file(tmp_path):
     assert config.kb_dir == "/from/env"
     assert config.embedding_dim == 384
     assert config.playbook == "pb.jsonl"
+
+
+def test_range_ends_are_accepted(tmp_path):
+    path = tmp_path / "sqlgov.toml"
+    path.write_text("retrieval_k = 1\nembedding_dim = 1\n"
+                    "confidence_floor = 0\n")
+    config = load_config(path=path, env={"SQLGOV_EMBED_DIM": ""})
+    assert (config.retrieval_k, config.embedding_dim,
+            config.confidence_floor) == (1, 1, 0.0)
+    path.write_text("confidence_floor = 1\n")
+    assert load_config(path=path, env={}).confidence_floor == 1.0

@@ -308,6 +308,73 @@ def test_malformed_intent_is_rejected(field):
         check_equivalence("SELECT a FROM t", "SELECT a + 0 FROM t", provider)
 
 
+# --- one intent answer per distinct envelope within a check --------------------
+
+# The rewrite touches only the outer query: fragments 1 and 2 render the same
+# intent envelope on both sides.
+_OUTER_ONLY = (
+    "SELECT o.x FROM (SELECT i.x FROM (SELECT x FROM t WHERE y > 1) i) o "
+    "WHERE o.x > 0",
+    "SELECT o.x FROM (SELECT i.x FROM (SELECT x FROM t WHERE y > 1) i) o "
+    "WHERE o.x > 0 AND o.x < 9",
+)
+
+
+class _CountingProvider:
+    """Answers every intent with one field and a narrative that names the
+    call, or with a malformed answer while ``broken``; records envelopes."""
+
+    def __init__(self, broken=False):
+        self.broken = broken
+        self.envelopes = []
+
+    def complete(self, env):
+        self.envelopes.append(env)
+        if env.template_id == "ALIGNMENT":
+            return json.dumps(_alignment())
+        if self.broken:
+            return json.dumps({"fields": "x", "narrative": ""})
+        return json.dumps({
+            "fields": [{"output_name": "x", "source_tables": ["t"],
+                        "transformation": "", "conditions": []}],
+            "narrative": f"call {len(self.envelopes)}"})
+
+    def intents(self):
+        return [e for e in self.envelopes if e.template_id == "INTENT_EXTRACT"]
+
+
+def _fragment_total(*queries):
+    return sum(len(skeleton(q).tree.fragments) for q in queries)
+
+
+def test_each_distinct_intent_envelope_is_asked_once():
+    provider = _CountingProvider()
+    verdict = check_equivalence(*_OUTER_ONLY, provider)
+    assert verdict.verdict == EQUIVALENT
+    intents = provider.intents()
+    assert len(intents) == len(set(intents)) == 4
+    assert len(intents) < _fragment_total(*_OUTER_ONLY) == 6
+
+
+def test_both_sides_see_one_summary_of_a_shared_fragment():
+    provider = _CountingProvider()
+    check_equivalence(*_OUTER_ONLY, provider)
+    roots = [e for e in provider.intents()
+             if e.section("Fragment").startswith("[fragment 3]")]
+    assert len(roots) == 2
+    left, right = (e.section("Child Summaries") for e in roots)
+    assert "call 2" in left and left == right
+
+
+def test_a_rejected_intent_is_not_kept_between_checks():
+    with pytest.raises(RejectedResponseError, match="fields"):
+        check_equivalence(*_OUTER_ONLY, _CountingProvider(broken=True))
+    provider = _CountingProvider()
+    for expected in (4, 8):
+        assert check_equivalence(*_OUTER_ONLY, provider).verdict == EQUIVALENT
+        assert len(provider.intents()) == expected
+
+
 # --- pre-filter soundness against the executor oracle ------------------------------
 
 _CORPUS = {
