@@ -8,9 +8,12 @@ any external services.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import os
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +94,13 @@ class KnowledgeSnapshot:
         return len(self.rules_for(tool, VERIFIED))
 
 
+def copy_snapshot(snapshot: KnowledgeSnapshot) -> KnowledgeSnapshot:
+    """A deep copy that shares the immutable embedding tuples."""
+    memo = {id(e.embedding): e.embedding
+            for e in (*snapshot.cases, *snapshot.strategies)}
+    return copy.deepcopy(snapshot, memo)
+
+
 def cosine_similarity(a, b) -> float:
     va = np.asarray(a, dtype=float)
     vb = np.asarray(b, dtype=float)
@@ -153,8 +163,54 @@ def matcher_holds(matcher: list[dict], fragment: Fragment, tree: FragmentTree,
     return bool(matcher)
 
 
+class _EmbeddingIndex:
+    """The distinct embeddings of a list of entries, stacked for scoring.
+
+    Entries with equal embeddings share a row, so their scores are bitwise
+    equal and ties fall to the index order, as with one
+    ``cosine_similarity`` call per entry.
+    """
+
+    def __init__(self, entries):
+        rows: dict[tuple, int] = {}
+        self.entry_rows = np.array(
+            [rows.setdefault(tuple(e.embedding), len(rows)) for e in entries],
+            dtype=np.intp)
+        lengths = {len(v) for v in rows}
+        if len(lengths) > 1:
+            raise DimensionMismatchError(
+                f"stored embeddings differ in length: {sorted(lengths)}")
+        self.matrix = np.array(list(rows), dtype=float)
+        self.norms = np.array([np.linalg.norm(v) for v in self.matrix])
+        order = sorted(range(len(entries)), key=lambda i: entries[i].index)
+        self.index_rank = np.empty(len(entries), dtype=np.intp)
+        self.index_rank[order] = np.arange(len(entries))
+
+    def rank(self, query_vec, selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Selected entry positions by (-score, index), and their scores."""
+        query = np.asarray(query_vec, dtype=float)
+        if query.shape != self.matrix.shape[1:]:
+            raise DimensionMismatchError(
+                f"dimension mismatch: {query.shape} vs {self.matrix.shape[1:]}")
+        query_norm = float(np.linalg.norm(query))
+        rows = self.entry_rows[selected]
+        if query_norm == 0.0 or not self.norms[rows].all():
+            raise ZeroVectorError("cosine similarity undefined for zero vectors")
+        with np.errstate(divide="ignore", invalid="ignore"):  # unselected zero rows
+            row_scores = np.clip(self.matrix @ query / (self.norms * query_norm),
+                                 -1.0, 1.0)
+        scores = row_scores[rows]
+        order = np.lexsort((self.index_rank[selected], -scores))
+        return selected[order], scores[order]
+
+
 class KnowledgeStore:
-    """Read view over a snapshot plus the embedding provider used for retrieval."""
+    """Read view over a snapshot plus the embedding provider used for retrieval.
+
+    The first retrieval indexes the snapshot's embeddings, so the view assumes
+    its snapshot does not change while the view is in use; build a new view
+    over a changed snapshot.
+    """
 
     def __init__(self, snapshot: KnowledgeSnapshot, embedder,
                  strategy_threshold: float = 0.55, default_k: int = 5):
@@ -162,6 +218,14 @@ class KnowledgeStore:
         self.embedder = embedder
         self.strategy_threshold = strategy_threshold
         self.default_k = default_k
+
+    @cached_property
+    def _case_index(self) -> _EmbeddingIndex:
+        return _EmbeddingIndex(self.snapshot.cases)
+
+    @cached_property
+    def _strategy_index(self) -> _EmbeddingIndex:
+        return _EmbeddingIndex(self.snapshot.strategies)
 
     def match_rules(self, fragment: Fragment, tool: str, tree: FragmentTree,
                     facts: dict[int, FragmentFacts]) -> list[RuleEntry]:
@@ -181,30 +245,36 @@ class KnowledgeStore:
                        k: int | None = None) -> list[tuple[HistoricalCase, float]]:
         """Top-k cases by cosine similarity of masked templates, tag-filtered."""
         k = self.default_k if k is None else k
-        if not self.snapshot.cases:
+        cases = self.snapshot.cases
+        if not cases:
             return []
         query_vec = self.embedder.embed(templatize(query))
-        scored = []
-        for case in self.snapshot.cases:
-            if tag_filter is not None and not set(case.tag) & set(tag_filter):
-                continue
-            scored.append((case, cosine_similarity(query_vec, case.embedding)))
-        scored.sort(key=lambda cs: (-cs[1], cs[0].index))
-        return scored[:k]
+        index = self._case_index  # a ragged store fails here, whatever the filter
+        if tag_filter is None:
+            selected = np.arange(len(cases))
+        else:
+            wanted = set(tag_filter)
+            selected = np.array([i for i, case in enumerate(cases)
+                                 if wanted.intersection(case.tag)], dtype=np.intp)
+            if not len(selected):
+                return []
+        positions, scores = index.rank(query_vec, selected)
+        return [(cases[i], float(score))
+                for i, score in zip(positions[:k], scores[:k])]
 
     def retrieve_strategy(self, error_key: str) -> tuple[ErrorStrategy, float] | None:
         """Nearest error strategy, or None below the confidence threshold."""
         if not error_key or not error_key.strip():
             raise ValueError("error_key must be non-empty")
-        if not self.snapshot.strategies:
+        strategies = self.snapshot.strategies
+        if not strategies:
             return None
         key_vec = self.embedder.embed(error_key)
-        scored = [(s, cosine_similarity(key_vec, s.embedding))
-                  for s in self.snapshot.strategies]
-        scored.sort(key=lambda ss: (-ss[1], ss[0].index))
-        best, sim = scored[0]
+        positions, scores = self._strategy_index.rank(
+            key_vec, np.arange(len(strategies)))
+        sim = float(scores[0])
         if sim >= self.strategy_threshold:
-            return best, sim
+            return strategies[positions[0]], sim
         return None
 
 
@@ -217,21 +287,43 @@ _FILES = {
 }
 
 
+def _record(entry) -> dict:
+    """A dataclass as a field-name dict, sharing its values (no deep copy)."""
+    return {f.name: getattr(entry, f.name) for f in fields(entry)}
+
+
 def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
+    """Write the store's files, each atomically, with ``meta.json`` last.
+
+    Every file goes to a temp file in the store directory first; only when
+    all are written does ``os.replace`` put each in place. A failure before
+    that removes the temp files and leaves the previous store untouched.
+    Nothing is fsynced, so a power loss may still lose the latest write.
+    """
     directory = Path(path)
+    staged: list[tuple[Path, Path]] = []
+
+    def stage(name: str) -> Path:
+        tmp = directory / f".{name}.{os.getpid()}.tmp"
+        staged.append((tmp, directory / name))
+        return tmp
+
     try:
         directory.mkdir(parents=True, exist_ok=True)
         for kind, name in _FILES.items():
-            write_jsonl((asdict(entry) for entry in getattr(snapshot, kind)),
-                        directory / name)
+            write_jsonl(map(_record, getattr(snapshot, kind)), stage(name))
         meta = {
             "schema_version": SCHEMA_VERSION,
-            "stats": {tool: asdict(ts) for tool, ts in snapshot.stats.items()},
+            "stats": {tool: _record(ts) for tool, ts in snapshot.stats.items()},
         }
-        with open(directory / "meta.json", "w", encoding="utf-8") as fh:
+        with open(stage("meta.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    except OSError as exc:
+        for tmp, final in staged:
+            os.replace(tmp, final)
+    except (OSError, TypeError, ValueError) as exc:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
         raise IoFailure(f"cannot write snapshot to {directory}: {exc}") from exc
 
 

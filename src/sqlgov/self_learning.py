@@ -26,6 +26,7 @@ from .knowledge_base import (
     KnowledgeSnapshot,
     RuleEntry,
     ToolStats,
+    copy_snapshot,
     save_snapshot,
 )
 from .prompts import ask_json, rule_generation_prompt
@@ -281,7 +282,7 @@ def dedupe_snapshot(snapshot: KnowledgeSnapshot, provider, tool: str,
     The medoid survives; absorbed rules are retired and cases tagged with an
     absorbed rule are re-tagged to the survivor (tag back-references union).
     """
-    new = copy.deepcopy(snapshot)
+    new = copy_snapshot(snapshot)
     active = [r for r in new.rules if r.tool == tool and r.status != RETIRED]
     if len(active) < 2:
         return new, []
@@ -341,7 +342,7 @@ def apply_verification(snapshot: KnowledgeSnapshot, batch: CandidateRuleBatch,
     unknown = set(decisions) - known
     if unknown:
         raise UnknownRuleError(f"decisions reference unknown rules: {sorted(unknown)}")
-    new = copy.deepcopy(snapshot)
+    new = copy_snapshot(snapshot)
     tool = batch.rules[0].tool if batch.rules else "REWRITER"
 
     def upsert(rule: RuleEntry) -> RuleEntry:

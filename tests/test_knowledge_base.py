@@ -6,19 +6,29 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sqlgov.knowledge_base as kb
 from sqlgov.analysis import analyze_tree
-from sqlgov.errors import DimensionMismatchError, SchemaVersionMismatchError, ZeroVectorError
+from sqlgov.errors import (
+    DimensionMismatchError,
+    IoFailure,
+    SchemaVersionMismatchError,
+    ZeroVectorError,
+)
 from sqlgov.fragmenter import decompose
 from sqlgov.knowledge_base import (
     REWRITER,
     VERIFIED,
+    ErrorStrategy,
     HistoricalCase,
     KnowledgeSnapshot,
     KnowledgeStore,
     RuleEntry,
     ToolStats,
     check_integrity,
+    copy_snapshot,
     cosine_similarity,
     load_snapshot,
     save_snapshot,
@@ -184,6 +194,119 @@ def test_tag_filter_soundness(embedder):
     assert all("TAG_A" in case.tag for case, _ in results)
 
 
+class _FixedEmbedder:
+    """Embeds every text as one given vector."""
+
+    def __init__(self, vec):
+        self.vec = np.asarray(vec, dtype=float)
+
+    def embed(self, text):
+        return self.vec
+
+
+@st.composite
+def planted_stores(draw):
+    """Cases over a few distinct random embeddings (so duplicates are
+    planted), with random tag sets and indices out of position order."""
+    n_distinct = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases = [tuple(float(x) for x in rng.normal(size=12))
+             for _ in range(n_distinct)]
+    rows = draw(st.lists(st.integers(0, n_distinct - 1), min_size=n, max_size=n))
+    names = draw(st.permutations(range(n)))
+    tags = draw(st.lists(st.sets(st.sampled_from(["A", "B", "C"])),
+                         min_size=n, max_size=n))
+    cases = [HistoricalCase(f"case-{names[i]:02d}", "d", sorted(tags[i]), "T",
+                            bases[rows[i]]) for i in range(n)]
+    return cases, rng.normal(size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_stores(), st.sampled_from([None, [], ["A"], ["UNKNOWN"]]),
+       st.data())
+def test_retrieval_equals_reference_loop(store_and_query, tag_filter, data):
+    cases, query_vec = store_and_query
+    k = data.draw(st.integers(1, len(cases) + 2))
+    store = KnowledgeStore(KnowledgeSnapshot(cases=cases),
+                           _FixedEmbedder(query_vec))
+    got = store.retrieve_cases("SELECT 1", tag_filter, k)
+    reference = sorted(
+        ((c, cosine_similarity(query_vec, c.embedding)) for c in cases
+         if tag_filter is None or set(c.tag) & set(tag_filter)),
+        key=lambda cs: (-cs[1], cs[0].index))[:k]
+    assert [c.index for c, _ in got] == [c.index for c, _ in reference]
+    for (_, score), (_, expected) in zip(got, reference):
+        assert abs(score - expected) <= 1e-12
+    by_embedding: dict[tuple, list] = {}
+    for case, score in got:
+        by_embedding.setdefault(case.embedding, []).append((case.index, score))
+    for hits in by_embedding.values():
+        assert len({score for _, score in hits}) == 1
+        assert [index for index, _ in hits] == sorted(index for index, _ in hits)
+
+
+def test_retrieval_zero_query_raises():
+    cases = [HistoricalCase("c1", "d", ["A"], "T", (1.0, 0.0))]
+    store = KnowledgeStore(KnowledgeSnapshot(cases=cases),
+                           _FixedEmbedder([0.0, 0.0]))
+    with pytest.raises(ZeroVectorError):
+        store.retrieve_cases("SELECT 1")
+
+
+def test_retrieval_zero_case_raises_only_when_scored():
+    cases = [HistoricalCase("c1", "d", ["A"], "T", (1.0, 0.0)),
+             HistoricalCase("c2", "d", ["B"], "T", (0.0, 0.0))]
+    store = KnowledgeStore(KnowledgeSnapshot(cases=cases),
+                           _FixedEmbedder([1.0, 1.0]))
+    with pytest.raises(ZeroVectorError):
+        store.retrieve_cases("SELECT 1")
+    with pytest.raises(ZeroVectorError):
+        store.retrieve_cases("SELECT 1", tag_filter=["B"])
+    hits = store.retrieve_cases("SELECT 1", tag_filter=["A"])
+    assert [c.index for c, _ in hits] == ["c1"]
+    assert hits[0][1] == cosine_similarity([1.0, 1.0], [1.0, 0.0])
+
+
+def test_retrieval_query_dimension_mismatch_raises():
+    cases = [HistoricalCase("c1", "d", ["A"], "T", (1.0, 0.0))]
+    store = KnowledgeStore(KnowledgeSnapshot(cases=cases),
+                           _FixedEmbedder([1.0, 0.0, 0.0]))
+    with pytest.raises(DimensionMismatchError):
+        store.retrieve_cases("SELECT 1")
+
+
+def test_ragged_store_raises_even_when_filtered_out():
+    cases = [HistoricalCase("c1", "d", ["A"], "T", (1.0, 0.0)),
+             HistoricalCase("c2", "d", ["B"], "T", (1.0, 0.0, 0.0))]
+    store = KnowledgeStore(KnowledgeSnapshot(cases=cases),
+                           _FixedEmbedder([1.0, 0.0]))
+    with pytest.raises(DimensionMismatchError):
+        store.retrieve_cases("SELECT 1", tag_filter=["A"])
+
+
+def test_strategy_retrieval_typed_errors():
+    def strategy(index, vec):
+        return ErrorStrategy(index, "p", False, False, "g", vec)
+
+    zero = KnowledgeStore(
+        KnowledgeSnapshot(strategies=[strategy("s1", (0.0, 0.0))]),
+        _FixedEmbedder([1.0, 0.0]))
+    with pytest.raises(ZeroVectorError):
+        zero.retrieve_strategy("AnyException: x")
+    ragged = KnowledgeStore(
+        KnowledgeSnapshot(strategies=[strategy("s1", (1.0, 0.0)),
+                                      strategy("s2", (1.0, 0.0, 0.0))]),
+        _FixedEmbedder([1.0, 0.0]))
+    with pytest.raises(DimensionMismatchError):
+        ragged.retrieve_strategy("AnyException: x")
+    wrong_query = KnowledgeStore(
+        KnowledgeSnapshot(strategies=[strategy("s1", (1.0, 0.0))]),
+        _FixedEmbedder([1.0, 0.0, 0.0]))
+    with pytest.raises(DimensionMismatchError):
+        wrong_query.retrieve_strategy("AnyException: x")
+
+
 # --- strategies ----------------------------------------------------------------
 
 def test_retrieve_strategy_seeded_join_condition(seeded_store):
@@ -208,7 +331,6 @@ def test_retrieve_strategy_below_threshold_returns_none(seeded_store):
 
 def test_retrieve_strategy_matches_exhaustive_scan(embedder):
     rng = random.Random(3)
-    from sqlgov.knowledge_base import ErrorStrategy
     strategies = []
     for i in range(30):
         pattern = f"Exception{i}: problem {rng.random():.4f} in section {i}"
@@ -278,3 +400,74 @@ def test_embeddings_are_unit_norm(embedder):
         assert np.linalg.norm(case.embedding) == pytest.approx(1.0, abs=1e-6)
     for strategy in snapshot.strategies:
         assert np.linalg.norm(strategy.embedding) == pytest.approx(1.0, abs=1e-6)
+
+
+# --- snapshot copies and atomic writes -------------------------------------------
+
+def _populated_snapshot(embedder):
+    snapshot = seed_snapshot(embedder, now=5.0)
+    snapshot.cases.extend(_random_cases(embedder, n=12))
+    snapshot.stats["REWRITER"] = ToolStats(rule_count=2, case_count=15,
+                                           update_times=[1.0])
+    return snapshot
+
+
+def test_copy_snapshot_copies_state_and_shares_embeddings(embedder):
+    snapshot = _populated_snapshot(embedder)
+    before = copy.deepcopy(snapshot)
+    clone = copy_snapshot(snapshot)
+    assert clone == snapshot
+    clone.rules[0].status = "RETIRED"
+    clone.rules[1].matcher.append({"pred": "in_subquery"})
+    clone.rules.append(RuleEntry("NEW", "d", None, REWRITER, VERIFIED))
+    clone.cases[0].tag.append("NEW")
+    clone.cases[-1].tag.clear()
+    clone.stats["REWRITER"].update_times.append(2.0)
+    assert snapshot == before
+    for copied, original in zip(clone.cases + clone.strategies,
+                                snapshot.cases + snapshot.strategies):
+        assert copied.embedding is original.embedding
+
+
+def _store_files(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+def test_failed_save_leaves_previous_store(tmp_path, embedder, monkeypatch):
+    directory = tmp_path / "kb"
+    previous = _populated_snapshot(embedder)
+    save_snapshot(previous, directory)
+    files = _store_files(directory)
+    changed = copy.deepcopy(previous)
+    changed.cases.pop()
+    changed.rules[0].status = "RETIRED"
+    changed.stats["REWRITER"].case_count = 14
+
+    calls = []
+    write = kb.write_jsonl
+
+    def failing_write(records, path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write(records, path)
+
+    monkeypatch.setattr(kb, "write_jsonl", failing_write)
+    with pytest.raises(IoFailure):
+        save_snapshot(changed, directory)
+    assert len(calls) == 2
+    assert _store_files(directory) == files
+    assert load_snapshot(directory) == previous
+
+
+def test_unserializable_save_leaves_previous_store(tmp_path, embedder):
+    directory = tmp_path / "kb"
+    previous = _populated_snapshot(embedder)
+    save_snapshot(previous, directory)
+    files = _store_files(directory)
+    broken = copy.deepcopy(previous)
+    broken.stats["REWRITER"].update_times.append({1.0})
+    with pytest.raises(IoFailure):
+        save_snapshot(broken, directory)
+    assert _store_files(directory) == files
+    assert load_snapshot(directory) == previous
