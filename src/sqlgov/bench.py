@@ -13,6 +13,7 @@ import statistics
 from dataclasses import dataclass, field
 
 from .knowledge_base import CORRECTOR, MODIFIER, REWRITER
+from .shapes import check, naming
 
 _EFFICIENCY_MARKERS = (
     "efficien", "performance", "slow", "optimiz", "optimis", "speed",
@@ -103,10 +104,8 @@ def normalize_pairs(pairs) -> list[dict]:
     for i, pair in enumerate(pairs, 1):
         if isinstance(pair, (list, tuple)) and len(pair) == 2:
             pair = {"original": pair[0], "rewritten": pair[1]}
-        if not (isinstance(pair, dict) and all(
-                isinstance(pair.get(k), str) for k in ("original", "rewritten"))):
-            raise ValueError(f"record {i}: a pair needs string 'original' and "
-                             "'rewritten', as an object or a two-string list")
+        with naming(f"record {i}"):
+            check(pair, {"original": "required str", "rewritten": "required str"})
         normalized.append({"id": f"q{i}", **pair})
     return normalized
 
@@ -130,13 +129,11 @@ def bench(pairs, executor, trials: int = 3) -> BenchReport:
 def route(issue: dict) -> str:
     """Send an issue to the right tool: execution errors to the corrector,
     performance complaints to the rewriter, everything else to the modifier."""
-    if not (isinstance(issue, dict) and isinstance(issue.get("sql"), str)
-            and issue["sql"]):
-        raise ValueError("issue must be an object carrying the sql under "
-                         "repair as a string")
-    for key in ("error_log", "intent_hint", "request"):
-        if not isinstance(issue.get(key), (str, type(None))):
-            raise ValueError(f"issue field {key!r} must be a string or null")
+    with naming("issue"):
+        check(issue, {"sql": "required str", "error_log": "str | None",
+                      "intent_hint": "str | None", "request": "str | None"})
+    if not issue["sql"]:
+        raise ValueError("issue carries an empty 'sql'")
     if issue.get("error_log"):
         return CORRECTOR
     hint = (issue.get("intent_hint") or "").lower()

@@ -38,6 +38,7 @@ from .providers import (
     read_jsonl,
 )
 from .seeds import add_entry, load_or_seed, seed_snapshot
+from .shapes import naming
 
 
 def _read_text(path: str) -> str:
@@ -72,8 +73,7 @@ def _store(config: RuntimeConfig, args, embedder) -> KnowledgeStore:
     snapshot = load_or_seed(kb_dir, embedder) if kb_dir \
         else seed_snapshot(embedder)
     return KnowledgeStore(snapshot, embedder,
-                          strategy_threshold=config.strategy_threshold,
-                          default_k=config.retrieval_k)
+                          strategy_threshold=config.strategy_threshold)
 
 
 def _print_json(payload) -> None:
@@ -248,7 +248,9 @@ def cmd_kb_stats(args, config) -> int:
         "rules": len(snapshot.rules),
         "cases": len(snapshot.cases),
         "strategies": len(snapshot.strategies),
-        "per_tool": {tool: asdict(stats)
+        "per_tool": {tool: {"rule_count": snapshot.n_current(tool),
+                            "case_count": len(snapshot.cases),
+                            "update_times": stats.update_times}
                      for tool, stats in snapshot.stats.items()},
         "integrity": check_integrity(snapshot),
     }
@@ -259,7 +261,8 @@ def cmd_kb_stats(args, config) -> int:
 def cmd_kb_add(args, config) -> int:
     embedder = _embedder(config)
     snapshot = load_or_seed(args.store, embedder)
-    add_entry(snapshot, args.kind, _read_json(args.data), embedder, time.time())
+    with naming(args.data):
+        add_entry(snapshot, args.kind, _read_json(args.data), embedder, time.time())
     problems = check_integrity(snapshot)
     if problems:
         print("refusing to save, integrity violations:", file=sys.stderr)
@@ -274,10 +277,8 @@ def cmd_kb_add(args, config) -> int:
 def cmd_kb_learn(args, config) -> int:
     records = []
     for i, payload in enumerate(read_jsonl(args.records), 1):
-        try:
+        with naming(f"{args.records}: record {i}"):
             records.append(learn_mod.record_from_json(payload))
-        except ValueError as exc:
-            raise ValueError(f"{args.records}: record {i}: {exc}") from None
     report = learn_mod.learn(args.store, records, _llm(config, args),
                              _embedder(config), args.tool, args.auto_accept,
                              time.time())
@@ -314,10 +315,8 @@ def cmd_kb_dedup(args, config) -> int:
 
 def cmd_bench(args, config) -> int:
     executor = SimulatedExecutor.from_path(args.fixtures, seed=config.seed)
-    try:
+    with naming(args.pairs):
         pairs = bench_mod.normalize_pairs(read_jsonl(args.pairs))
-    except ValueError as exc:
-        raise ValueError(f"{args.pairs}: {exc}") from None
     report = bench_mod.bench(pairs, executor, trials=args.trials)
     if args.json:
         _print_json({
@@ -338,10 +337,8 @@ def cmd_bench(args, config) -> int:
 
 
 def cmd_route(args, config) -> int:
-    try:
+    with naming(args.issue):
         tool = bench_mod.route(_read_json(args.issue))
-    except ValueError as exc:
-        raise ValueError(f"{args.issue}: {exc}") from None
     if args.json:
         _print_json({"tool": tool})
     else:

@@ -7,6 +7,8 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .knowledge_base import DEFAULT_K
+
 ENV_OVERRIDES = {
     "SQLGOV_KB_DIR": "kb_dir",
     "SQLGOV_PROVIDER": "provider",
@@ -25,7 +27,7 @@ class RuntimeConfig:
     playbook: str | None = None
     embedding_dim: int = 768
     strategy_threshold: float = 0.55
-    retrieval_k: int = 5
+    retrieval_k: int = DEFAULT_K
     confidence_floor: float = 0.7
     seed: int = 0
 

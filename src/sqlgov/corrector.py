@@ -247,9 +247,10 @@ def repair(query: str, log: str, store: KnowledgeStore, provider,
     ``max_rounds`` times. A round whose fix still fails to parse feeds that
     fix and its parse failure into the next round; after the last round the
     StillInvalidError propagates."""
-    rounds = max(1, max_rounds)
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     current_sql, current_log = query, log
-    for round_no in range(1, rounds + 1):
+    for round_no in range(1, max_rounds + 1):
         tree, _ = decompose_lenient(current_sql)
         error = parse_error_log(current_log)
         plan = clarify(error, store, tree)
@@ -257,7 +258,7 @@ def repair(query: str, log: str, store: KnowledgeStore, provider,
         try:
             corrected = correct(current_sql, inputs, provider)
         except StillInvalidError as exc:
-            if round_no == rounds:
+            if round_no == max_rounds:
                 raise
             current_sql, current_log = exc.corrected, str(exc)
             continue

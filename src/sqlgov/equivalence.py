@@ -25,7 +25,7 @@ from .errors import (
 from .fragmenter import FragmentTree, decompose_lenient
 from .prompts import alignment_prompt, ask_json, intent_extract_prompt
 from .providers import PromptEnvelope
-from .sqltext import SELECT_HEADS, Token, normalize_tokens, statement_head
+from .sqltext import SELECT_HEADS, normalize_tokens, statement_head
 
 EQUIVALENT = "EQUIVALENT"
 NOT_EQUIVALENT = "NOT_EQUIVALENT"
@@ -88,25 +88,28 @@ class QuerySkeleton:
     facts: dict[int, FragmentFacts]
 
 
-def _require_select(tokens: tuple[Token, ...]) -> None:
-    head = statement_head(tokens)
+def parse_select(query: str) -> FragmentTree:
+    """The fragment tree of a SELECT-based statement; UnsupportedStatementError
+    for no statement or another kind, UnparseableQueryError if it does not parse."""
+    try:
+        tree, diagnostic = decompose_lenient(query)
+    except EmptyQueryError:
+        raise UnsupportedStatementError("no statement found") from None
+    head = statement_head(tree.tokens)
     if head is None:
         raise UnsupportedStatementError("no statement found")
     if head not in SELECT_HEADS:
         raise UnsupportedStatementError(
             f"only SELECT-based DML is supported, got leading token {head!r}")
+    if diagnostic is not None:
+        raise UnparseableQueryError(diagnostic, partial_tree=tree)
+    return tree
 
 
 def skeleton(query: str) -> QuerySkeleton:
     """Parse and analyze ``query`` once: the structural facts the pre-filter
     needs, and the tree and facts intent extraction reads. No provider."""
-    try:
-        tree, diagnostic = decompose_lenient(query)
-    except EmptyQueryError:
-        raise UnsupportedStatementError("no statement found") from None
-    _require_select(tree.tokens)
-    if diagnostic is not None:
-        raise UnparseableQueryError(diagnostic, partial_tree=tree)
+    tree = parse_select(query)
     facts = analyze_tree(tree)
     root_facts = facts[tree.root_id]
     arity = None if root_facts.select_has_star else root_facts.select_items

@@ -8,9 +8,8 @@ class SqlGovError(Exception):
 
     code = "ERROR"
 
-    def __init__(self, message: str = "", **context):
+    def __init__(self, message: str = ""):
         super().__init__(message or self.code)
-        self.context = context
 
 
 class EmptyQueryError(SqlGovError):

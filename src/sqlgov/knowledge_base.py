@@ -12,7 +12,7 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -27,9 +27,11 @@ from .errors import (
 )
 from .fragmenter import Fragment, FragmentTree
 from .providers import read_jsonl, write_jsonl
+from .shapes import check, entry_from_json, naming
 from .sqltext import templatize
 
 SCHEMA_VERSION = 1
+DEFAULT_K = 5  # cases retrieved per rewrite
 
 REWRITER = "REWRITER"
 CORRECTOR = "CORRECTOR"
@@ -73,9 +75,7 @@ class ErrorStrategy:
 
 
 @dataclass
-class ToolStats:
-    rule_count: int = 0
-    case_count: int = 0
+class ToolStats:  # rule and case counts are the snapshot's, never stored
     update_times: list[float] = field(default_factory=list)
 
 
@@ -213,11 +213,10 @@ class KnowledgeStore:
     """
 
     def __init__(self, snapshot: KnowledgeSnapshot, embedder,
-                 strategy_threshold: float = 0.55, default_k: int = 5):
+                 strategy_threshold: float = 0.55):
         self.snapshot = snapshot
         self.embedder = embedder
         self.strategy_threshold = strategy_threshold
-        self.default_k = default_k
 
     @cached_property
     def _case_index(self) -> _EmbeddingIndex:
@@ -242,9 +241,8 @@ class KnowledgeStore:
         return hits
 
     def retrieve_cases(self, query: str, tag_filter: list[str] | None = None,
-                       k: int | None = None) -> list[tuple[HistoricalCase, float]]:
+                       k: int = DEFAULT_K) -> list[tuple[HistoricalCase, float]]:
         """Top-k cases by cosine similarity of masked templates, tag-filtered."""
-        k = self.default_k if k is None else k
         cases = self.snapshot.cases
         if not cases:
             return []
@@ -280,16 +278,8 @@ class KnowledgeStore:
 
 # --- persistence ---------------------------------------------------------
 
-_FILES = {
-    "rules": "rules.jsonl",
-    "cases": "cases.jsonl",
-    "strategies": "strategies.jsonl",
-}
-
-
-def _record(entry) -> dict:
-    """A dataclass as a field-name dict, sharing its values (no deep copy)."""
-    return {f.name: getattr(entry, f.name) for f in fields(entry)}
+_ENTRIES = {"rules": RuleEntry, "cases": HistoricalCase,
+            "strategies": ErrorStrategy}  # each kept in <kind>.jsonl
 
 
 def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
@@ -310,11 +300,12 @@ def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
 
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        for kind, name in _FILES.items():
-            write_jsonl(map(_record, getattr(snapshot, kind)), stage(name))
+        for kind in _ENTRIES:
+            write_jsonl(map(vars, getattr(snapshot, kind)),
+                        stage(f"{kind}.jsonl"))
         meta = {
             "schema_version": SCHEMA_VERSION,
-            "stats": {tool: _record(ts) for tool, ts in snapshot.stats.items()},
+            "stats": {tool: vars(ts) for tool, ts in snapshot.stats.items()},
         }
         with open(stage("meta.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, sort_keys=True, indent=2)
@@ -328,30 +319,34 @@ def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
 
 
 def load_snapshot(path: str | Path) -> KnowledgeSnapshot:
+    """The store saved at ``path``. A store file that does not fit its
+    entries' fields is a ValueError naming the file."""
     directory = Path(path)
     meta_path = directory / "meta.json"
     try:
-        if meta_path.exists():
-            with open(meta_path, encoding="utf-8") as fh:
-                meta = json.load(fh)
-        else:
+        with naming(meta_path):
             meta = {"schema_version": SCHEMA_VERSION, "stats": {}}
-        if meta.get("schema_version") != SCHEMA_VERSION:
-            raise SchemaVersionMismatchError(
-                f"snapshot schema_version {meta.get('schema_version')!r}; "
-                f"this build reads version {SCHEMA_VERSION}")
-        rows = {kind: read_jsonl(directory / name)
-                if (directory / name).exists() else []
-                for kind, name in _FILES.items()}
-        for record in rows["cases"] + rows["strategies"]:
-            # in place, so each parsed list is freed as its tuple is made
-            record["embedding"] = tuple(record["embedding"])
-        rules = [RuleEntry(**r) for r in rows["rules"]]
-        cases = [HistoricalCase(**r) for r in rows["cases"]]
-        strategies = [ErrorStrategy(**r) for r in rows["strategies"]]
-        stats = {tool: ToolStats(**ts) for tool, ts in meta.get("stats", {}).items()}
-        return KnowledgeSnapshot(rules=rules, cases=cases,
-                                 strategies=strategies, stats=stats)
+            if meta_path.exists():
+                with open(meta_path, encoding="utf-8") as fh:
+                    meta = json.load(fh)
+            check(meta, {"stats": "dict"})
+            if meta.get("schema_version") != SCHEMA_VERSION:
+                raise SchemaVersionMismatchError(
+                    f"snapshot schema_version {meta.get('schema_version')!r}; "
+                    f"this build reads version {SCHEMA_VERSION}")
+            stats = {tool: entry_from_json(ToolStats, record)
+                     for tool, record in meta.get("stats", {}).items()}
+        entries = {}
+        for kind, cls in _ENTRIES.items():
+            file = directory / f"{kind}.jsonl"
+            with naming(file):
+                entries[kind] = records = read_jsonl(file) if file.exists() else []
+                try:  # in place, so each parsed list is freed in turn
+                    for i, record in enumerate(records):
+                        records[i] = entry_from_json(cls, record)
+                except ValueError as exc:
+                    raise ValueError(f"record {i + 1}: {exc}") from None
+        return KnowledgeSnapshot(stats=stats, **entries)
     except OSError as exc:
         raise IoFailure(f"cannot read snapshot from {directory}: {exc}") from exc
 

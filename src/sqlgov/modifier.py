@@ -23,15 +23,13 @@ from .fragmenter import decompose_lenient
 from .knowledge_base import MODIFIER, cosine_similarity
 from .prompts import (catalog_entry, check_answer, modify_prompt,
                       parse_json_response, render_columns)
-from .sqltext import STRING, NUMBER, templatize, tokenize
+from .shapes import check, entry_from_json, naming
+from .sqltext import templatize
 
 REALIZE_SEMANTICS = "REALIZE_SEMANTICS"
 EXPLAIN_SQL = "EXPLAIN_SQL"
 ADOPT_SYNTAX = "ADOPT_SYNTAX"
 OTHER = "OTHER"
-
-PATHWAY_INSTRUCTION = "INSTRUCTION"
-PATHWAY_MASK = "MASK"
 
 EMBED_INSTRUCTION = (
     "Represent the action the user wants performed on the SQL, ignoring "
@@ -51,7 +49,6 @@ class ModifierConfig:
     beta_sim: float = 0.6
     theta: float = 0.35
     top_k_tables: int = 5
-    pathway: str = PATHWAY_INSTRUCTION
 
     def __post_init__(self):
         if self.alpha + self.beta_sim <= 0:
@@ -97,17 +94,16 @@ def default_categories() -> list[IntentCategory]:
 
 
 def _load_categories(path: str | Path) -> list[IntentCategory]:
-    """Categories from a JSON list of ``{"id", "keywords": [[phrase,
-    weight]...], "centroid"}`` objects; the centroid is optional."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [
-        IntentCategory(
-            id=entry["id"],
-            keywords=[(k, float(w)) for k, w in entry["keywords"]],
-            centroid=tuple(entry["centroid"]) if entry.get("centroid")
-            else None)
-        for entry in raw
-    ]
+    """Categories from a JSON list of ``IntentCategory`` objects, keywords as
+    [phrase, weight] pairs; a ValueError names a file that does not fit."""
+    with naming(path):
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        check(raw, "list[dict]")
+        categories = [entry_from_json(IntentCategory, entry) for entry in raw]
+    for category in categories:
+        category.keywords = [(k, float(w)) for k, w in category.keywords]
+        category.centroid = category.centroid or None
+    return categories
 
 
 def keyword_score(request: str, category: IntentCategory) -> float:
@@ -123,28 +119,10 @@ def keyword_score(request: str, category: IntentCategory) -> float:
     return total / len(category.keywords)
 
 
-def _mask_request(request: str) -> str:
-    parts = []
-    for tok in tokenize(request):
-        if tok.kind in (STRING, NUMBER):
-            parts.append("[MASK]")
-        elif tok.kind == "WORD" and ("_" in tok.text or "." in tok.text):
-            parts.append("[MASK]")
-        else:
-            parts.append(tok.text)
-    return " ".join(parts)
-
-
-def request_embedding(request: str, provider,
-                      cfg: ModifierConfig = ModifierConfig()) -> np.ndarray:
-    """Embed a request through the configured pathway.
-
-    The instruction pathway hands the guidance to providers that support it
+def request_embedding(request: str, provider) -> np.ndarray:
+    """Embed a request with the instruction for providers that support it
     (``embed_with_instruction``); instruction-blind providers embed the raw
-    request. The mask pathway blanks identifiers/constants before embedding.
-    """
-    if cfg.pathway == PATHWAY_MASK:
-        return provider.embed(_mask_request(request))
+    request."""
     instructed = getattr(provider, "embed_with_instruction", None)
     if instructed is not None:
         return instructed(request, EMBED_INSTRUCTION)
@@ -157,7 +135,7 @@ def classify_intent(request: str, categories: list[IntentCategory], provider,
     score falls below theta (the request is treated as unsupported)."""
     query_vec = None
     if cfg.beta_sim > 0:
-        query_vec = request_embedding(request, provider, cfg)
+        query_vec = request_embedding(request, provider)
     best: tuple[str, float] | None = None
     for category in categories:
         score = cfg.alpha * keyword_score(request, category)
@@ -175,22 +153,21 @@ def classify_intent(request: str, categories: list[IntentCategory], provider,
 def bootstrap_centroids(categories: list[IntentCategory], provider,
                         cfg: ModifierConfig = ModifierConfig()) -> list[IntentCategory]:
     """Deterministic cold-start: treat each category's keyword phrases as
-    labeled examples and build centroids from them."""
+    labeled examples and build centroids from them; ``cfg`` is unused."""
     labeled = [(phrase, category.id)
                for category in categories
                for phrase, _ in category.keywords]
-    return build_centroids(labeled, provider, categories, cfg)
+    return build_centroids(labeled, provider, categories)
 
 
 def build_centroids(labeled_requests: list[tuple[str, str]], provider,
-                    categories: list[IntentCategory],
-                    cfg: ModifierConfig = ModifierConfig()) -> list[IntentCategory]:
+                    categories: list[IntentCategory]) -> list[IntentCategory]:
     """Centroid = normalized mean of member embeddings; categories without
     examples keep their prior centroid."""
     grouped: dict[str, list[np.ndarray]] = {}
     for text, category_id in labeled_requests:
         grouped.setdefault(category_id, []).append(
-            request_embedding(text, provider, cfg))
+            request_embedding(text, provider))
     updated = []
     for category in categories:
         members = grouped.get(category.id)

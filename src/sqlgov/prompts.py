@@ -8,7 +8,6 @@ TEMPLATE_VERSION and regenerate playbooks (scripts/build_playbook.py).
 from __future__ import annotations
 
 import json
-import math
 
 from .errors import RejectedResponseError
 from .providers import (
@@ -23,6 +22,7 @@ from .providers import (
     PromptEnvelope,
     envelope,
 )
+from .shapes import check
 
 _RULE_GEN_TASK = (
     "You are given SQL queries together with their execution outputs "
@@ -41,7 +41,7 @@ _RULE_GEN_INSTRUCTION = (
 )
 
 
-def rule_generation_prompt(records, demonstrations: list[str] | None = None) -> PromptEnvelope:
+def rule_generation_prompt(records) -> PromptEnvelope:
     question_lines = []
     output_lines = []
     for i, record in enumerate(records, start=1):
@@ -58,7 +58,7 @@ def rule_generation_prompt(records, demonstrations: list[str] | None = None) -> 
         RULE_GEN,
         ("Task Description", _RULE_GEN_TASK),
         ("Instruction", _RULE_GEN_INSTRUCTION),
-        ("Demonstration", "\n".join(demonstrations or []) or "(none)"),
+        ("Demonstration", "(none)"),
         ("Question", "\n".join(question_lines)),
         ("Execution Outputs", "\n".join(output_lines)),
     )
@@ -235,62 +235,32 @@ def parse_json_response(text: str) -> dict | list:
     return json.loads(strip_fences(text.strip()))
 
 
-# The answer shape of each JSON template: [s] is a list of s, {key: s} an
-# object whose keys may be absent unless required, unknown keys ignored, and a
-# name a JSON scalar of exact type (a bool is no number, a float is finite).
+# The answer shape of each JSON template, as ``shapes.misfit`` reads shapes.
 ANSWER_SHAPES = {
     RULE_GEN: {},  # any JSON object
     SCENARIO_1: {"applicable": [
-        {"rule": "string", "action": "string", "rationale": "string"}]},
-    SCENARIO_2: {"efficient": "boolean", "suggestions": [
-        {"action": "string", "rationale": "string"}]},
-    INTENT_EXTRACT: {"narrative": "string", "fields": [
-        {"output_name": "string", "source_tables": ["string"],
-         "transformation": "string", "conditions": ["string"]}]},
+        {"rule": "str", "action": "str", "rationale": "str"}]},
+    SCENARIO_2: {"efficient": "bool", "suggestions": [
+        {"action": "str", "rationale": "str"}]},
+    INTENT_EXTRACT: {"narrative": "str", "fields": [
+        {"output_name": "str", "source_tables": ["str"],
+         "transformation": "str", "conditions": ["str"]}]},
     ALIGNMENT: {"mappings": [
-        {"left": "required integer", "right": "required integer",
-         "equivalent": "boolean", "confidence": "number",
-         "counterexample": "string or null"}]},
-    MODIFY_PREFIX: {"sql": "required string", "explanation": "string"},
+        {"left": "required int", "right": "required int",
+         "equivalent": "bool", "confidence": "float",
+         "counterexample": "str | None"}]},
+    MODIFY_PREFIX: {"sql": "required str", "explanation": "str"},
 }
-_SCALARS = {"string": (str,), "required string": (str,), "boolean": (bool,),
-            "required integer": (int,), "number": (int, float),
-            "string or null": (str, type(None))}
-
-
-def _misfit(value, shape) -> str | None:
-    """Path to the first misfit in ``value`` ("" for itself), None if none."""
-    if isinstance(shape, dict):
-        if type(value) is not dict:
-            return ""
-        for key, sub in shape.items():
-            path = _misfit(value[key], sub) if key in value else \
-                "" if sub in ("required integer", "required string") else None
-            if path is not None:
-                return f".{key}{path}"
-        return None
-    if isinstance(shape, list):
-        if type(value) is not list:
-            return ""
-        for i, item in enumerate(value):
-            path = _misfit(item, shape[0])
-            if path is not None:
-                return f"[{i}]{path}"
-        return None
-    fits = type(value) in _SCALARS[shape] and \
-        (type(value) is not float or math.isfinite(value))
-    return None if fits else ""
 
 
 def check_answer(template_id: str, data) -> None:
     """Reject a parsed answer that does not fit its template's shape."""
     shape = ANSWER_SHAPES[template_id if template_id in ANSWER_SHAPES
                           else MODIFY_PREFIX]
-    path = _misfit(data, shape)
-    if path is not None:
-        raise RejectedResponseError(
-            f"{template_id} response does not fit its answer shape "
-            f"{json.dumps(shape)} at {path or '.'}")
+    try:
+        check(data, shape)
+    except ValueError as exc:
+        raise RejectedResponseError(f"{template_id} response {exc}") from None
 
 
 def ask_json(provider, env: PromptEnvelope) -> dict:

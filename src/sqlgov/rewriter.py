@@ -14,16 +14,10 @@ from dataclasses import asdict, dataclass
 
 from .analysis import FragmentFacts, analyze_tree, duplicated_scan_tables
 from .bench import ToolReport, input_digest
-from .equivalence import DEFAULT_CONFIDENCE_FLOOR, check_equivalence
-from .errors import EmptyQueryError, RejectedResponseError
-from .fragmenter import (
-    FragmentTree,
-    SITE_FROM,
-    SUBQUERY,
-    decompose,
-    decompose_lenient,
-)
-from .knowledge_base import REWRITER, KnowledgeStore
+from .equivalence import DEFAULT_CONFIDENCE_FLOOR, check_equivalence, parse_select
+from .errors import RejectedResponseError, UnparseableQueryError, UnsupportedStatementError
+from .fragmenter import FragmentTree, SITE_FROM, SUBQUERY, decompose
+from .knowledge_base import DEFAULT_K, REWRITER, KnowledgeStore
 from .prompts import (
     ask_json,
     rewrite_prompt,
@@ -31,7 +25,6 @@ from .prompts import (
     scenario2_prompt,
     strip_fences,
 )
-from .sqltext import SELECT_HEADS, statement_head
 
 RULE_GUIDED = "RULE_GUIDED"
 EXPLORATORY = "EXPLORATORY"
@@ -128,13 +121,11 @@ def evaluate(query: str, store: KnowledgeStore, provider) -> list[RewriteSuggest
 
 
 def rewrite(query: str, suggestions: list[RewriteSuggestion],
-            store: KnowledgeStore, provider,
-            k: int | None = None) -> RewriteResult:
+            store: KnowledgeStore, provider, k: int = DEFAULT_K) -> RewriteResult:
     """Synthesize the rewritten query from suggestions and retrieved cases.
 
     With nothing actionable the original comes back unchanged and no provider
-    call is made.
-    """
+    call is made; an answer that is no parseable SELECT is a rejected response."""
     actionable = [s for s in suggestions
                   if s.scenario != ALREADY_EFFICIENT and s.action]
     if not actionable:
@@ -145,7 +136,10 @@ def rewrite(query: str, suggestions: list[RewriteSuggestion],
     cases = [case for case, _ in scored_cases]
     response = provider.complete(rewrite_prompt(query, actionable, cases))
     rewritten = strip_fences(response)
-    _validate_sql(rewritten)
+    try:
+        parse_select(rewritten)
+    except (UnsupportedStatementError, UnparseableQueryError) as exc:
+        raise RejectedResponseError(f"rewrite response: {exc}") from None
     return RewriteResult(
         original=query,
         rewritten=rewritten,
@@ -154,20 +148,7 @@ def rewrite(query: str, suggestions: list[RewriteSuggestion],
     )
 
 
-def _validate_sql(text: str) -> None:
-    try:
-        tree, diagnostic = decompose_lenient(text)
-    except EmptyQueryError:
-        raise RejectedResponseError("rewrite response is empty") from None
-    if diagnostic is not None:
-        raise RejectedResponseError(
-            f"rewrite response does not parse as SQL: {diagnostic}")
-    if statement_head(tree.tokens) not in SELECT_HEADS:
-        raise RejectedResponseError(
-            "rewrite response does not start a SELECT statement")
-
-
-def optimize(query: str, store: KnowledgeStore, provider, k: int | None = None,
+def optimize(query: str, store: KnowledgeStore, provider, k: int = DEFAULT_K,
              verify: bool = False,
              confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR) -> ToolReport:
     """The rewrite tool end to end: evaluate, rewrite and, with ``verify``,

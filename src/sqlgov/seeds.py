@@ -17,6 +17,7 @@ from .knowledge_base import (
     ToolStats,
     load_snapshot,
 )
+from .shapes import check, entry_from_json
 from .sqltext import templatize
 
 SAME_TABLE_JOIN = "SAME_TABLE_JOIN"
@@ -105,11 +106,14 @@ _CASE_SPECS = [
 
 
 def _case(spec: dict, embedder) -> HistoricalCase:
+    """A case from the fields of ``HistoricalCase`` but those made of ``sql``."""
+    check(spec, {"sql": "required str"})
     template = templatize(spec["sql"])
-    return HistoricalCase(
-        index=spec["index"], details=spec["details"],
-        tag=list(spec.get("tag", [])), template=template,
-        embedding=tuple(float(x) for x in embedder.embed(template)))
+    case = entry_from_json(HistoricalCase, {
+        "tag": [], **spec, "template": template,
+        "embedding": [float(x) for x in embedder.embed(template)]})
+    case.tag = list(case.tag)  # a copy: edits to the case leave the spec alone
+    return case
 
 
 def seed_cases(embedder) -> list[HistoricalCase]:
@@ -164,18 +168,17 @@ _STRATEGY_SPECS = [
 
 
 def _strategy(spec: dict, embedder) -> ErrorStrategy:
-    # embed through the same masking applied to extracted error keys
+    """A strategy from the fields of ``ErrorStrategy`` but the embedding,
+    made through the same masking applied to extracted error keys."""
+    check(spec, {"message_pattern": "required str"})
     pattern = spec["message_pattern"]
     exc, _, message = pattern.partition(": ")
     key = build_error_key(ParsedError(
         exception_type=exc, location=None, message=message or pattern,
         raw_log=pattern))
-    return ErrorStrategy(
-        index=spec["index"], message_pattern=pattern,
-        needs_schema=bool(spec.get("needs_schema", False)),
-        localized=bool(spec.get("localized", False)),
-        guidance=spec["guidance"],
-        embedding=tuple(float(x) for x in embedder.embed(key)))
+    return entry_from_json(ErrorStrategy, {
+        "needs_schema": False, "localized": False, **spec,
+        "embedding": [float(x) for x in embedder.embed(key)]})
 
 
 def seed_strategies(embedder) -> list[ErrorStrategy]:
@@ -186,12 +189,8 @@ def seed_snapshot(embedder, now: float = 0.0) -> KnowledgeSnapshot:
     rules = seed_rules(now)
     cases = seed_cases(embedder)
     strategies = seed_strategies(embedder)
-    stats = {
-        REWRITER: ToolStats(rule_count=len(rules), case_count=len(cases),
-                            update_times=[]),
-    }
-    return KnowledgeSnapshot(rules=rules, cases=cases,
-                             strategies=strategies, stats=stats)
+    return KnowledgeSnapshot(rules=rules, cases=cases, strategies=strategies,
+                             stats={REWRITER: ToolStats()})
 
 
 def load_or_seed(path: str | Path, embedder) -> KnowledgeSnapshot:
@@ -204,13 +203,13 @@ def load_or_seed(path: str | Path, embedder) -> KnowledgeSnapshot:
 def add_entry(snapshot: KnowledgeSnapshot, kind: str, data: dict, embedder,
               now: float) -> None:
     """Append a rule, case or strategy given in the seeds' JSON form; a case
-    carries its ``sql``, which is stored as its masked template."""
+    carries its ``sql``, which is stored as its masked template. ValueError
+    says what in ``data`` does not fit."""
+    check(data, "dict")
     if kind == "rule":
-        snapshot.rules.append(RuleEntry(
-            index=data["index"], description=data["description"],
-            matcher=data.get("matcher"), tool=data.get("tool", REWRITER),
-            status=data.get("status", CANDIDATE),
-            created_at=data.get("created_at", now)))
+        snapshot.rules.append(entry_from_json(RuleEntry, {
+            "matcher": None, "tool": REWRITER, "status": CANDIDATE,
+            "created_at": now, **data}))
     elif kind == "case":
         snapshot.cases.append(_case(
             {"index": f"case-{len(snapshot.cases) + 1}", **data}, embedder))

@@ -31,6 +31,7 @@ from .knowledge_base import (
 )
 from .prompts import ask_json, rule_generation_prompt
 from .seeds import load_or_seed
+from .shapes import check, entry_from_json, naming
 from .sqltext import templatize
 
 STATUS_OK = "OK"
@@ -38,14 +39,12 @@ STATUS_ERROR = "ERROR"
 STATUS_SLOW = "SLOW"
 
 
-@dataclass(frozen=True)
-class LearningConfig:
-    lam: float = 2.5          # capacity scaling for the count trigger
-    beta_time: float = 1.3    # temporal adaptation for the time trigger
-    dbscan_eps: float = 0.25  # cosine distance
-    dbscan_min_pts: int = 2
-    slow_percentile: float = 90.0
-    slow_min_batch: int = 3   # records needed before the percentile rule applies
+LAM = 2.5             # capacity scaling for the count trigger
+BETA_TIME = 1.3       # temporal adaptation for the time trigger
+DBSCAN_EPS = 0.25     # cosine distance
+DBSCAN_MIN_PTS = 2
+SLOW_PERCENTILE = 90.0
+SLOW_MIN_BATCH = 3    # records needed before the percentile rule applies
 
 
 @dataclass(frozen=True)
@@ -73,25 +72,15 @@ _STATUSES = (STATUS_OK, STATUS_ERROR, STATUS_SLOW)
 
 def record_from_json(payload) -> ExecutionRecord:
     """An ExecutionRecord from its JSON form: an object with only the
-    record's fields, a string ``sql``, a known ``status``, a finite numeric
-    ``elapsed`` and the other fields strings or null. ValueError says what
-    is wrong."""
-    if not isinstance(payload, dict):
-        raise ValueError("not a JSON object")
+    record's fields, of their JSON types, and a known ``status``.
+    ValueError says what is wrong."""
+    record = entry_from_json(ExecutionRecord, payload)
     unknown = sorted(set(payload) - _RECORD_FIELDS)
     if unknown:
         raise ValueError(f"unknown fields {unknown}")
-    elapsed = payload.get("elapsed")
-    if not (isinstance(payload.get("sql"), str)
-            and payload.get("status") in _STATUSES
-            and isinstance(elapsed, (int, float))
-            and not isinstance(elapsed, bool) and math.isfinite(elapsed)
-            and all(isinstance(payload.get(key), (str, type(None)))
-                    for key in _RECORD_FIELDS - {"sql", "status", "elapsed"})):
-        raise ValueError(f"needs a string 'sql', a 'status' in {_STATUSES}, "
-                         "a finite numeric 'elapsed', and strings or null "
-                         "elsewhere")
-    return ExecutionRecord(**payload)
+    if record.status not in _STATUSES:
+        raise ValueError(f"status {record.status!r} is not in {_STATUSES}")
+    return record
 
 
 @dataclass
@@ -107,14 +96,13 @@ class CandidateRuleBatch:
             raise ValueError(f"batch rules must be CANDIDATE, got {bad}")
 
 
-def filter_records(records: list[ExecutionRecord],
-                   cfg: LearningConfig = LearningConfig()) -> list[ExecutionRecord]:
+def filter_records(records: list[ExecutionRecord]) -> list[ExecutionRecord]:
     """Keep failures, flagged-slow records, and elapsed outliers above the
     batch percentile; deduplicate by masked SQL template (first wins)."""
     threshold = None
-    if len(records) >= cfg.slow_min_batch:
+    if len(records) >= SLOW_MIN_BATCH:
         threshold = float(np.percentile([r.elapsed for r in records],
-                                        cfg.slow_percentile))
+                                        SLOW_PERCENTILE))
     kept = []
     seen_templates = set()
     for record in records:
@@ -134,7 +122,7 @@ def filter_records(records: list[ExecutionRecord],
 
 
 def generate_rules(records: list[ExecutionRecord], provider, tool: str,
-                   now: float, demonstrations: list[str] | None = None) -> CandidateRuleBatch:
+                   now: float) -> CandidateRuleBatch:
     """Ask the LLM to distill rules from execution outputs.
 
     The response must be a JSON object keyed by problem-pattern labels; a
@@ -142,7 +130,7 @@ def generate_rules(records: list[ExecutionRecord], provider, tool: str,
     """
     if not records:
         raise ValueError("generate_rules needs at least one record")
-    env = rule_generation_prompt(records, demonstrations)
+    env = rule_generation_prompt(records)
     try:
         parsed = ask_json(provider, env)
     except RejectedResponseError:
@@ -162,29 +150,29 @@ def generate_rules(records: list[ExecutionRecord], provider, tool: str,
     )
 
 
-def count_threshold(n_current: int, cfg: LearningConfig = LearningConfig()) -> int:
+def count_threshold(n_current: int) -> int:
     if n_current < 0:
         raise ValueError("n_current must be non-negative")
-    return math.floor(cfg.lam * math.sqrt(n_current))
+    return math.floor(LAM * math.sqrt(n_current))
 
 
-def time_threshold(historical_intervals: list[float],
-                   cfg: LearningConfig = LearningConfig()) -> float:
+def time_threshold(historical_intervals: list[float]) -> float:
     if not historical_intervals:
         raise NoHistoryError("no update intervals recorded yet")
-    return cfg.beta_time * (sum(historical_intervals) / len(historical_intervals))
+    return BETA_TIME * (sum(historical_intervals) / len(historical_intervals))
 
 
 def should_trigger_verification(pending_count: int, elapsed_since_update: float,
-                                stats: ToolStats,
-                                cfg: LearningConfig = LearningConfig()) -> bool:
-    """True when pending rules exceed the count threshold or the elapsed time
-    exceeds the time threshold (strict inequalities)."""
-    if pending_count > count_threshold(stats.rule_count, cfg):
+                                n_current: int,
+                                update_times: list[float]) -> bool:
+    """True when pending rules exceed the count threshold for the tool's
+    ``n_current`` verified rules, or the elapsed time exceeds the time
+    threshold of its ``update_times`` (strict inequalities)."""
+    if pending_count > count_threshold(n_current):
         return True
-    intervals = [b - a for a, b in zip(stats.update_times, stats.update_times[1:])]
+    intervals = [b - a for a, b in zip(update_times, update_times[1:])]
     try:
-        t2 = time_threshold(intervals, cfg)
+        t2 = time_threshold(intervals)
     except NoHistoryError:
         return False
     return elapsed_since_update > t2
@@ -231,21 +219,20 @@ def _distance_matrix(embeddings: list[np.ndarray]) -> np.ndarray:
     return 1.0 - cos
 
 
-def cluster_rules(rules: list[RuleEntry], provider,
-                  cfg: LearningConfig = LearningConfig()) -> list[list[str]]:
-    """Group rules whose description embeddings sit within dbscan_eps cosine
+def cluster_rules(rules: list[RuleEntry], provider) -> list[list[str]]:
+    """Group rules whose description embeddings sit within DBSCAN_EPS cosine
     distance; noise points come back as singleton clusters."""
     if not rules:
         raise ValueError("cluster_rules needs at least one rule")
-    return _cluster(rules, [provider.embed(r.description) for r in rules], cfg)
+    return _cluster(rules, [provider.embed(r.description) for r in rules])
 
 
-def _cluster(rules: list[RuleEntry], embeddings: list[np.ndarray],
-             cfg: LearningConfig) -> list[list[str]]:
+def _cluster(rules: list[RuleEntry],
+             embeddings: list[np.ndarray]) -> list[list[str]]:
     if len(rules) == 1:
         return [[rules[0].index]]
     labels = dbscan_labels(_distance_matrix(embeddings),
-                           cfg.dbscan_eps, cfg.dbscan_min_pts)
+                           DBSCAN_EPS, DBSCAN_MIN_PTS)
     clusters: list[list[str]] = []
     label_position: dict[int, int] = {}
     for i, rule in enumerate(rules):
@@ -275,8 +262,8 @@ def merge_cluster(cluster: list[RuleEntry],
     return totals[0][3]
 
 
-def dedupe_snapshot(snapshot: KnowledgeSnapshot, provider, tool: str,
-                    cfg: LearningConfig = LearningConfig()) -> tuple[KnowledgeSnapshot, list[dict]]:
+def dedupe_snapshot(snapshot: KnowledgeSnapshot, provider,
+                    tool: str) -> tuple[KnowledgeSnapshot, list[dict]]:
     """Merge semantically equivalent rules for one tool.
 
     The medoid survives; absorbed rules are retired and cases tagged with an
@@ -287,7 +274,7 @@ def dedupe_snapshot(snapshot: KnowledgeSnapshot, provider, tool: str,
     if len(active) < 2:
         return new, []
     vectors = [provider.embed(r.description) for r in active]
-    clusters = _cluster(active, vectors, cfg)
+    clusters = _cluster(active, vectors)
     by_index = {r.index: r for r in active}
     embeddings = {r.index: v for r, v in zip(active, vectors)}
     merges = []
@@ -307,7 +294,7 @@ def dedupe_snapshot(snapshot: KnowledgeSnapshot, provider, tool: str,
                 case.tag.clear()
                 case.tag.extend(deduped)
         merges.append({"survivor": survivor.index, "absorbed": absorbed})
-    _refresh_counts(new, tool)
+    new.stats.setdefault(tool, ToolStats())
     return new, merges
 
 
@@ -321,12 +308,6 @@ def _render_details(record: ExecutionRecord) -> str:
     if record.result_digest:
         lines.append(f"result: {record.result_digest}")
     return "\n".join(lines)
-
-
-def _refresh_counts(snapshot: KnowledgeSnapshot, tool: str) -> None:
-    stats = snapshot.stats.setdefault(tool, ToolStats())
-    stats.rule_count = snapshot.n_current(tool)
-    stats.case_count = len(snapshot.cases)
 
 
 def apply_verification(snapshot: KnowledgeSnapshot, batch: CandidateRuleBatch,
@@ -379,10 +360,9 @@ def apply_verification(snapshot: KnowledgeSnapshot, batch: CandidateRuleBatch,
                 template=template,
                 embedding=embedding,
             ))
+    stats = new.stats.setdefault(tool, ToolStats())
     if decisions:
-        stats = new.stats.setdefault(tool, ToolStats())
         stats.update_times.append(now)
-    _refresh_counts(new, tool)
     return new
 
 
@@ -391,13 +371,20 @@ def apply_verification(snapshot: KnowledgeSnapshot, batch: CandidateRuleBatch,
 PENDING_DIR = "pending"
 
 
-def _batch_from_json(payload: dict) -> CandidateRuleBatch:
-    return CandidateRuleBatch(
-        rules=[RuleEntry(**r) for r in payload["rules"]],
-        source_records=payload["source_records"],
-        generated_at=payload["generated_at"],
-        records=[record_from_json(r) for r in payload["records"]],
-    )
+def _read_batch(path: Path) -> CandidateRuleBatch:
+    """A pending batch file; a ValueError names the file."""
+    with naming(path):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        check(payload, {"rules": "required list[dict]",
+                        "records": "required list[dict]",
+                        "source_records": "required list[str]",
+                        "generated_at": "required float"})
+        return CandidateRuleBatch(
+            rules=[entry_from_json(RuleEntry, r) for r in payload["rules"]],
+            source_records=payload["source_records"],
+            generated_at=payload["generated_at"],
+            records=[record_from_json(r) for r in payload["records"]],
+        )
 
 
 def _write_pending(store_dir: Path, batch: CandidateRuleBatch) -> Path:
@@ -425,8 +412,7 @@ def learn(store_dir: str | Path, records: list[ExecutionRecord], provider,
     ``pending/`` for ``verify_pending``. A batch without rules is not kept.
     """
     snapshot = load_or_seed(store_dir, embedder)
-    cfg = LearningConfig()
-    filtered = filter_records(records, cfg)
+    filtered = filter_records(records)
     rules: list[str] = []
     pending, required = None, False
     if filtered:
@@ -439,9 +425,10 @@ def learn(store_dir: str | Path, records: list[ExecutionRecord], provider,
             if batch.rules:
                 _write_pending(Path(store_dir), batch)
             pending = len(snapshot.rules_for(tool, CANDIDATE))
-            stats = snapshot.stats.get(tool) or ToolStats()
-            elapsed = now - stats.update_times[-1] if stats.update_times else 0.0
-            required = should_trigger_verification(pending, elapsed, stats, cfg)
+            times = snapshot.stats.get(tool, ToolStats()).update_times
+            elapsed = now - times[-1] if times else 0.0
+            required = should_trigger_verification(
+                pending, elapsed, snapshot.n_current(tool), times)
     return ToolReport(
         tool=tool,
         input_digest=input_digest(*(r.record_id for r in records)),
@@ -467,8 +454,7 @@ def verify_pending(store_dir: str | Path, decisions: dict[str, str], embedder,
     paths = sorted((Path(store_dir) / PENDING_DIR).glob("batch-*.json"))
     if not paths:
         raise ValueError("no pending batches")
-    batches = [(path, _batch_from_json(json.loads(
-        path.read_text(encoding="utf-8")))) for path in paths]
+    batches = [(path, _read_batch(path)) for path in paths]
     unknown = set(decisions) - {r.index for _, batch in batches
                                 for r in batch.rules}
     if unknown:

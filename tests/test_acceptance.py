@@ -35,7 +35,8 @@ from sqlgov.modifier import (
 )
 from sqlgov.providers import ScriptedLLM, SimulatedExecutor
 from sqlgov.self_learning import (
-    LearningConfig,
+    DBSCAN_EPS,
+    DBSCAN_MIN_PTS,
     cluster_rules,
     count_threshold,
     merge_cluster,
@@ -135,15 +136,14 @@ def _oracle_dbscan(dist, eps, min_pts):
 def test_criterion_4_dedup_oracle_equivalence(embedder):
     rules = _planted_rules()
     assert len(rules) == 20
-    cfg = LearningConfig()
-    clusters = cluster_rules(rules, embedder, cfg)
+    clusters = cluster_rules(rules, embedder)
 
     embeddings = [embedder.embed(r.description) for r in rules]
     n = len(rules)
     dist = [[1.0 - sum(float(a * b) for a, b in
                        zip(embeddings[i], embeddings[j]))
              for j in range(n)] for i in range(n)]
-    labels = _oracle_dbscan(dist, cfg.dbscan_eps, cfg.dbscan_min_pts)
+    labels = _oracle_dbscan(dist, DBSCAN_EPS, DBSCAN_MIN_PTS)
     oracle: dict[int, list[str]] = {}
     oracle_singletons = []
     for rule, label in zip(rules, labels):

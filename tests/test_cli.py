@@ -612,3 +612,114 @@ def test_kb_learn_without_rules_leaves_no_batch(capsys, tmp_path):
     assert code == 0
     assert "0 candidate rules" in out
     assert not (tmp_path / "kb" / "pending").exists()
+
+
+def test_kb_stats_counts_follow_kb_add(capsys, tmp_path):
+    """The per-tool counts are read from the store, so an added verified rule
+    and an added case show at once, not after the next learn."""
+    store = str(tmp_path / "kb")
+    run(capsys, "kb", "init", "--store", store)
+    rule = tmp_path / "rule.json"
+    rule.write_text(json.dumps({
+        "index": "R5", "description": "d", "tool": "REWRITER",
+        "status": "VERIFIED", "matcher": [{"pred": "in_subquery"}]}))
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps({"details": "d", "tag": ["R5"],
+                                "sql": "SELECT a FROM t"}))
+    assert run(capsys, "kb", "add", "--store", store, "--kind", "rule",
+               "--data", str(rule))[0] == 0
+    assert run(capsys, "kb", "add", "--store", store, "--kind", "case",
+               "--data", str(case))[0] == 0
+    code, out, _ = run(capsys, "kb", "stats", "--store", store)
+    assert code == 0
+    rewriter = json.loads(out)["per_tool"]["REWRITER"]
+    assert (rewriter["rule_count"], rewriter["case_count"]) == (5, 4)
+
+
+# --- malformed input files -----------------------------------------------------
+
+@pytest.mark.parametrize("name, line", [
+    ("rules.jsonl", {"index": "x"}),
+    ("rules.jsonl", {"index": "x", "description": "d", "matcher": None,
+                     "tool": "REWRITER", "created_at": "yesterday"}),
+    ("cases.jsonl", {"index": "x"}),
+    ("cases.jsonl", {"index": "x", "details": "d", "tag": "SAME_TABLE_JOIN",
+                     "template": "t", "embedding": [1.0]}),
+    ("strategies.jsonl", {"index": "x"}),
+    ("meta.json", [1]),
+    ("meta.json", {"schema_version": 1, "stats": {"REWRITER": {
+        "update_times": ["soon"]}}}),
+])
+def test_kb_names_a_malformed_store_file(capsys, tmp_path, name, line):
+    store = tmp_path / "kb"
+    run(capsys, "kb", "init", "--store", str(store))
+    if name == "meta.json":
+        (store / name).write_text(json.dumps(line))
+    else:
+        with open(store / name, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(line) + "\n")
+    code, out, err = run(capsys, "kb", "stats", "--store", str(store))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {store / name}: ")
+
+
+def test_kb_verify_names_a_malformed_batch(capsys, tmp_path):
+    store = tmp_path / "kb"
+    run(capsys, "kb", "init", "--store", str(store))
+    batch = store / "pending" / "batch-1-000.json"
+    batch.parent.mkdir()
+    batch.write_text(json.dumps({"rules": [{"index": "A"}], "records": [],
+                                 "source_records": [], "generated_at": 1}))
+    decisions = tmp_path / "decisions.json"
+    decisions.write_text(json.dumps({"A": "ACCEPT"}))
+    code, _, err = run(capsys, "kb", "verify", "--store", str(store),
+                       "--decisions", str(decisions))
+    assert code == 2
+    assert err.startswith(f"error: {batch}: missing field 'description'")
+
+
+@pytest.mark.parametrize("kind, data", [
+    ("rule", {"description": "d"}),
+    ("case", {"details": "d"}),
+    ("strategy", {"message_pattern": "m", "guidance": "g"}),
+    ("strategy", {"index": "s", "guidance": "g"}),
+    ("strategy", {"index": "s", "message_pattern": "m"}),
+    ("strategy", {"index": "s", "message_pattern": "m", "guidance": "g",
+                  "localized": "yes"}),
+])
+def test_kb_add_names_a_malformed_entry(capsys, tmp_path, kind, data):
+    store = str(tmp_path / "kb")
+    run(capsys, "kb", "init", "--store", store)
+    entry = tmp_path / "entry.json"
+    entry.write_text(json.dumps(data))
+    code, _, err = run(capsys, "kb", "add", "--store", store, "--kind", kind,
+                       "--data", str(entry))
+    assert code == 2
+    assert err.startswith(f"error: {entry}: ")
+
+
+@pytest.mark.parametrize("categories", [
+    [{"id": "X"}],
+    [{"id": "X", "keywords": [["explain"]]}],
+    [{"id": "X", "keywords": [["explain", "high"]]}],
+    {"id": "X", "keywords": []},
+])
+def test_modify_names_a_malformed_categories_file(capsys, tmp_path, categories):
+    sql = tmp_path / "q.sql"
+    sql.write_text("SELECT a FROM t")
+    path = tmp_path / "categories.json"
+    path.write_text(json.dumps(categories))
+    code, _, err = run(capsys, "modify", str(sql), "--request", "explain this",
+                       "--categories", str(path),
+                       "--provider", "scripted-permissive")
+    assert code == 2
+    assert err.startswith(f"error: {path}: ")
+
+
+def test_fix_syntax_rejects_fewer_than_one_round(capsys, fixtures_dir):
+    code, out, err = run(capsys, "fix-syntax", str(fixtures_dir / "broken.sql"),
+                         "--log", str(fixtures_dir / "broken.log"),
+                         "--provider", "scripted-permissive",
+                         "--max-rounds", "0")
+    assert code == 2 and out == ""
+    assert err == "error: max_rounds must be >= 1\n"

@@ -371,8 +371,7 @@ def test_populated_snapshot_round_trip_100_entries(tmp_path, embedder):
             tool=rng.choice(["REWRITER", "CORRECTOR"]), status=status,
             created_at=float(i), verified_at=float(i) if status == "VERIFIED"
             else None))
-    snapshot.stats["REWRITER"] = ToolStats(
-        rule_count=4, case_count=63, update_times=[1.0, 11.0, 29.5])
+    snapshot.stats["REWRITER"] = ToolStats(update_times=[1.0, 11.0, 29.5])
     assert (len(snapshot.rules) + len(snapshot.cases)
             + len(snapshot.strategies)) >= 100
     before = copy.deepcopy(snapshot)
@@ -407,8 +406,7 @@ def test_embeddings_are_unit_norm(embedder):
 def _populated_snapshot(embedder):
     snapshot = seed_snapshot(embedder, now=5.0)
     snapshot.cases.extend(_random_cases(embedder, n=12))
-    snapshot.stats["REWRITER"] = ToolStats(rule_count=2, case_count=15,
-                                           update_times=[1.0])
+    snapshot.stats["REWRITER"] = ToolStats(update_times=[1.0])
     return snapshot
 
 
@@ -441,7 +439,7 @@ def test_failed_save_leaves_previous_store(tmp_path, embedder, monkeypatch):
     changed = copy.deepcopy(previous)
     changed.cases.pop()
     changed.rules[0].status = "RETIRED"
-    changed.stats["REWRITER"].case_count = 14
+    changed.stats["REWRITER"].update_times.append(2.0)
 
     calls = []
     write = kb.write_jsonl

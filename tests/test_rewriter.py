@@ -184,6 +184,18 @@ def test_unparseable_rewrite_response_rejected(embedder):
         rewrite(sql, [suggestion], store, llm)
 
 
+def _rewrite_answering(text, embedder):
+    """``rewrite`` of a one-fragment query whose provider answers ``text``."""
+    sql = "SELECT a FROM t"
+    suggestion = RewriteSuggestion(fragment_id=1, rule_index=None,
+                                   action="do something", rationale="why",
+                                   scenario=EXPLORATORY)
+    env = rewrite_prompt(sql, [suggestion], [])
+    llm = ScriptedLLM([{"template_id": env.template_id, "digest": env.digest,
+                        "response": text}])
+    return rewrite(sql, [suggestion], _empty_store(embedder), llm)
+
+
 @pytest.mark.parametrize("text, is_select", [
     ("-- merged scans\nSELECT a FROM t", True),
     ("/* c */ SELECT a FROM t", True),
@@ -192,18 +204,17 @@ def test_unparseable_rewrite_response_rejected(embedder):
     ("WITHIN a", False),
     ("-- no statement", False),
 ])
-def test_statement_check_reads_tokens(text, is_select):
+def test_statement_check_reads_tokens(text, is_select, embedder):
     """The rewrite answer's statement check and the verifier's agree: after
     comments and opening parentheses the first token is SELECT or WITH, and
     an answer without tokens is a rejected answer."""
     from sqlgov.equivalence import skeleton
     from sqlgov.errors import UnsupportedStatementError
-    from sqlgov.rewriter import _validate_sql
     if is_select:
-        _validate_sql(text)
+        _rewrite_answering(text, embedder)
         skeleton(text)
     else:
         with pytest.raises(RejectedResponseError):
-            _validate_sql(text)
+            _rewrite_answering(text, embedder)
         with pytest.raises(UnsupportedStatementError):
             skeleton(text)

@@ -15,16 +15,18 @@ from sqlgov.knowledge_base import (
     VERIFIED,
     KnowledgeSnapshot,
     RuleEntry,
-    ToolStats,
     check_integrity,
 )
 from sqlgov.providers import ScriptedLLM
 from sqlgov.prompts import rule_generation_prompt
 from sqlgov.seeds import seed_snapshot
 from sqlgov.self_learning import (
+    DBSCAN_EPS,
+    DBSCAN_MIN_PTS,
+    SLOW_MIN_BATCH,
+    SLOW_PERCENTILE,
     CandidateRuleBatch,
     ExecutionRecord,
-    LearningConfig,
     apply_verification,
     cluster_rules,
     count_threshold,
@@ -75,22 +77,19 @@ def test_time_threshold_no_history():
 
 
 def test_trigger_on_count_strict_inequality():
-    stats = ToolStats(rule_count=100, update_times=[])
-    assert should_trigger_verification(26, 0.0, stats) is True
-    assert should_trigger_verification(25, 0.0, stats) is False
+    assert should_trigger_verification(26, 0.0, 100, []) is True
+    assert should_trigger_verification(25, 0.0, 100, []) is False
 
 
 def test_trigger_on_time():
-    stats = ToolStats(rule_count=0,
-                      update_times=[0.0, 10 * DAY, 20 * DAY])
-    assert should_trigger_verification(0, 14 * DAY, stats) is True
-    assert should_trigger_verification(0, 13 * DAY, stats) is False
+    times = [0.0, 10 * DAY, 20 * DAY]
+    assert should_trigger_verification(0, 14 * DAY, 0, times) is True
+    assert should_trigger_verification(0, 13 * DAY, 0, times) is False
 
 
 def test_trigger_without_history_uses_count_only():
-    stats = ToolStats(rule_count=0, update_times=[])
-    assert should_trigger_verification(0, 999 * DAY, stats) is False
-    assert should_trigger_verification(1, 0.0, stats) is True
+    assert should_trigger_verification(0, 999 * DAY, 0, []) is False
+    assert should_trigger_verification(1, 0.0, 0, []) is True
 
 
 # --- record filtering -----------------------------------------------------------
@@ -115,12 +114,12 @@ def test_duplicate_templates_deduplicated():
     assert survivors == [records[0]]
 
 
-def _oracle_filter(records, cfg=LearningConfig()):
+def _oracle_filter(records):
     from sqlgov.sqltext import templatize
     threshold = None
-    if len(records) >= cfg.slow_min_batch:
+    if len(records) >= SLOW_MIN_BATCH:
         values = sorted(r.elapsed for r in records)
-        pos = (len(values) - 1) * cfg.slow_percentile / 100.0
+        pos = (len(values) - 1) * SLOW_PERCENTILE / 100.0
         lo, hi = math.floor(pos), math.ceil(pos)
         threshold = values[lo] + (values[hi] - values[lo]) * (pos - lo)
     kept, seen = [], set()
@@ -257,8 +256,7 @@ def test_cluster_rules_matches_oracle(embedder):
     n = len(rules)
     dist = [[1.0 - float(np.dot(embeddings[i], embeddings[j]))
              for j in range(n)] for i in range(n)]
-    cfg = LearningConfig()
-    labels = _oracle_dbscan(dist, cfg.dbscan_eps, cfg.dbscan_min_pts)
+    labels = _oracle_dbscan(dist, DBSCAN_EPS, DBSCAN_MIN_PTS)
     expected = {}
     singletons = []
     for rule, label in zip(rules, labels):
