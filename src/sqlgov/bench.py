@@ -13,7 +13,7 @@ import statistics
 from dataclasses import dataclass, field
 
 from .knowledge_base import CORRECTOR, MODIFIER, REWRITER
-from .shapes import check, naming
+from .shapes import check, check_records, naming
 
 _EFFICIENCY_MARKERS = (
     "efficien", "performance", "slow", "optimiz", "optimis", "speed",
@@ -100,14 +100,11 @@ def normalize_pairs(pairs) -> list[dict]:
     """Every pair as a record with an ``id`` and string ``original`` and
     ``rewritten``; ValueError names the first pair that is neither such an
     object nor a sequence of two strings."""
-    normalized = []
-    for i, pair in enumerate(pairs, 1):
-        if isinstance(pair, (list, tuple)) and len(pair) == 2:
-            pair = {"original": pair[0], "rewritten": pair[1]}
-        with naming(f"record {i}"):
-            check(pair, {"original": "required str", "rewritten": "required str"})
-        normalized.append({"id": f"q{i}", **pair})
-    return normalized
+    pairs = [{"original": pair[0], "rewritten": pair[1]}
+             if isinstance(pair, (list, tuple)) and len(pair) == 2 else pair
+             for pair in pairs]
+    check_records(pairs, {"original": "required str", "rewritten": "required str"})
+    return [{"id": f"q{i}", **pair} for i, pair in enumerate(pairs, 1)]
 
 
 def bench(pairs, executor, trials: int = 3) -> BenchReport:

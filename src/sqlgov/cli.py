@@ -171,7 +171,7 @@ def cmd_modify(args, config) -> int:
         _read_text(args.source), args.request, _llm(config, args),
         _embedder(config),
         catalog=_read_json(args.catalog) if args.catalog else {},
-        history=read_jsonl(args.history) if args.history else [],
+        history=modifier_mod.read_history(args.history) if args.history else [],
         context=args.context or "", categories_path=categories,
         now=float(now) if now else None)
     if report is None:

@@ -2,15 +2,16 @@
 
 Rules match fragments through structural predicates; historical cases and
 error strategies are retrieved by cosine similarity over template embeddings.
-Persistence is JSON-Lines per sub-store plus a meta file, loadable without
-any external services.
+Each entry kind persists as JSON Lines of its fields; case and strategy
+embeddings go beside them as one float64 ``.npy`` matrix per kind, one row
+per record. A meta file holds the schema version and update times. Nothing
+loads through pickle or external services.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,7 +31,7 @@ from .providers import read_jsonl, write_jsonl
 from .shapes import check, entry_from_json, naming
 from .sqltext import templatize
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # 1: embeddings inline in the JSONL, read still
 DEFAULT_K = 5  # cases retrieved per rewrite
 
 REWRITER = "REWRITER"
@@ -54,24 +55,54 @@ class RuleEntry:
     created_at: float = 0.0
     verified_at: float | None = None
 
+    def __post_init__(self):  # a clause that does not fit fails every match
+        for i, clause in enumerate(self.matcher or ()):
+            with naming(f"rule {self.index!r}: matcher[{i}]"):
+                check(clause, {"pred": "required str"})
+                check(clause, MATCHER_PREDICATES.get(clause["pred"], (None, {}))[1])
 
-@dataclass
-class HistoricalCase:
+
+class _Embedded:
+    """An entry with an embedding, held as a read-only 1-D float64 row.
+
+    Any float sequence converts once; a read-only float64 array (a row of a
+    loaded matrix) is kept as it is. Equality includes the embedding.
+    """
+
+    def __post_init__(self):
+        row = np.asarray(self.embedding, dtype=np.float64)
+        if row.ndim != 1:
+            raise ValueError(f"embedding of shape {row.shape} is not a vector")
+        if row.flags.writeable:  # the caller's array, or a fresh one: freeze a copy
+            row = row.copy()
+            row.flags.writeable = False
+        self.embedding = row
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        mine, theirs = dict(vars(self)), dict(vars(other))
+        return np.array_equal(mine.pop("embedding"), theirs.pop("embedding")) \
+            and mine == theirs
+
+
+@dataclass(eq=False)
+class HistoricalCase(_Embedded):
     index: str
     details: str
     tag: list[str]
     template: str
-    embedding: tuple[float, ...]
+    embedding: np.ndarray
 
 
-@dataclass
-class ErrorStrategy:
+@dataclass(eq=False)
+class ErrorStrategy(_Embedded):
     index: str
     message_pattern: str
     needs_schema: bool
     localized: bool
     guidance: str
-    embedding: tuple[float, ...]
+    embedding: np.ndarray
 
 
 @dataclass
@@ -95,7 +126,7 @@ class KnowledgeSnapshot:
 
 
 def copy_snapshot(snapshot: KnowledgeSnapshot) -> KnowledgeSnapshot:
-    """A deep copy that shares the immutable embedding tuples."""
+    """A deep copy that shares the read-only embedding rows."""
     memo = {id(e.embedding): e.embedding
             for e in (*snapshot.cases, *snapshot.strategies)}
     return copy.deepcopy(snapshot, memo)
@@ -121,7 +152,7 @@ def _pred_contains_operator(facts, tree, fragment, params) -> bool:
 
 
 def _pred_same_table_scanned(facts, tree, fragment, params) -> bool:
-    min_count = int(params.get("min_count", 2))
+    min_count = params.get("min_count", 2)
     return bool(duplicated_scan_tables(fragment.id, facts, tree, min_count))
 
 
@@ -143,24 +174,36 @@ def _pred_scalar_subquery_in_select(facts, tree, fragment, params) -> bool:
     return facts[fragment.id].scalar_subquery_in_select
 
 
-MATCHER_PREDICATES = {
-    "contains_operator": _pred_contains_operator,
-    "same_table_scanned": _pred_same_table_scanned,
-    "outer_join_with_null_filter": _pred_outer_join_with_null_filter,
-    "in_subquery": _pred_in_subquery,
-    "union_all_unprojected": _pred_union_all_unprojected,
-    "scalar_subquery_in_select": _pred_scalar_subquery_in_select,
+MATCHER_PREDICATES = {  # name: (predicate, shape of its clause's parameters)
+    "contains_operator": (_pred_contains_operator, {"op": "required str"}),
+    "same_table_scanned": (_pred_same_table_scanned, {"min_count": "int"}),
+    "outer_join_with_null_filter": (_pred_outer_join_with_null_filter, {}),
+    "in_subquery": (_pred_in_subquery, {}),
+    "union_all_unprojected": (_pred_union_all_unprojected, {}),
+    "scalar_subquery_in_select": (_pred_scalar_subquery_in_select, {}),
 }
 
 
 def matcher_holds(matcher: list[dict], fragment: Fragment, tree: FragmentTree,
                   facts: dict[int, FragmentFacts]) -> bool:
-    """A matcher is a conjunction of predicates from the fixed vocabulary."""
+    """A matcher is a conjunction of predicates from the fixed vocabulary; a
+    predicate outside it never holds."""
     for clause in matcher:
-        pred = MATCHER_PREDICATES.get(clause.get("pred", ""))
+        pred, _ = MATCHER_PREDICATES.get(clause.get("pred"), (None, None))
         if pred is None or not pred(facts, tree, fragment, clause):
             return False
     return bool(matcher)
+
+
+def _matrix(entries) -> np.ndarray:
+    """The entries' embeddings stacked as rows; a DimensionMismatchError if
+    they differ in length."""
+    lengths = {len(e.embedding) for e in entries}
+    if len(lengths) > 1:
+        raise DimensionMismatchError(
+            f"stored embeddings differ in length: {sorted(lengths)}")
+    return np.array([e.embedding for e in entries]) if entries \
+        else np.empty((0, 0))
 
 
 class _EmbeddingIndex:
@@ -172,16 +215,14 @@ class _EmbeddingIndex:
     """
 
     def __init__(self, entries):
-        rows: dict[tuple, int] = {}
+        stacked = _matrix(entries) + 0.0  # -0.0 becomes 0.0: one row for both
+        rows: dict[bytes, int] = {}
         self.entry_rows = np.array(
-            [rows.setdefault(tuple(e.embedding), len(rows)) for e in entries],
+            [rows.setdefault(row.tobytes(), len(rows)) for row in stacked],
             dtype=np.intp)
-        lengths = {len(v) for v in rows}
-        if len(lengths) > 1:
-            raise DimensionMismatchError(
-                f"stored embeddings differ in length: {sorted(lengths)}")
-        self.matrix = np.array(list(rows), dtype=float)
-        self.norms = np.array([np.linalg.norm(v) for v in self.matrix])
+        _, first = np.unique(self.entry_rows, return_index=True)
+        self.matrix = stacked[first]
+        self.norms = np.linalg.norm(self.matrix, axis=1)
         order = sorted(range(len(entries)), key=lambda i: entries[i].index)
         self.index_rank = np.empty(len(entries), dtype=np.intp)
         self.index_rank[order] = np.arange(len(entries))
@@ -280,6 +321,11 @@ class KnowledgeStore:
 
 _ENTRIES = {"rules": RuleEntry, "cases": HistoricalCase,
             "strategies": ErrorStrategy}  # each kept in <kind>.jsonl
+_EMBEDDED = ("cases", "strategies")  # embeddings kept in <kind>.npy, row i for record i
+
+
+def _record(entry) -> dict:
+    return {k: v for k, v in vars(entry).items() if k != "embedding"}
 
 
 def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
@@ -291,6 +337,7 @@ def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
     Nothing is fsynced, so a power loss may still lose the latest write.
     """
     directory = Path(path)
+    matrices = {kind: _matrix(getattr(snapshot, kind)) for kind in _EMBEDDED}
     staged: list[tuple[Path, Path]] = []
 
     def stage(name: str) -> Path:
@@ -301,8 +348,11 @@ def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
     try:
         directory.mkdir(parents=True, exist_ok=True)
         for kind in _ENTRIES:
-            write_jsonl(map(vars, getattr(snapshot, kind)),
+            write_jsonl(map(_record, getattr(snapshot, kind)),
                         stage(f"{kind}.jsonl"))
+            if kind in matrices:
+                with open(stage(f"{kind}.npy"), "wb") as fh:
+                    np.save(fh, matrices[kind], allow_pickle=False)
         meta = {
             "schema_version": SCHEMA_VERSION,
             "stats": {tool: vars(ts) for tool, ts in snapshot.stats.items()},
@@ -318,9 +368,38 @@ def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
         raise IoFailure(f"cannot write snapshot to {directory}: {exc}") from exc
 
 
+def _read_matrix(file: Path) -> np.ndarray:
+    """The read-only 2-D matrix of finite float64s saved at ``file``, empty
+    if there is no file. The .npy header is checked against the file's size
+    before any data is read, and a dtype that would need unpickling is
+    refused before that."""
+    if not file.exists():
+        return np.empty((0, 0))
+    fmt = np.lib.format
+    with open(file, "rb") as fh:
+        read_header = {(1, 0): fmt.read_array_header_1_0,
+                       (2, 0): fmt.read_array_header_2_0}.get(fmt.read_magic(fh))
+        if read_header is None:
+            raise ValueError("not a version 1 or 2 .npy file")
+        shape, fortran_order, dtype = read_header(fh)
+        if dtype != np.float64 or len(shape) != 2:
+            raise ValueError(f"holds a {dtype} array of shape {shape}, "
+                             f"not a float64 matrix")
+        size = shape[0] * shape[1]
+        if 8 * size != os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ValueError(f"data does not fill shape {shape}")
+        matrix = np.fromfile(fh, dtype=np.float64, count=size).reshape(
+            shape, order="F" if fortran_order else "C")
+    if not np.isfinite(matrix).all():
+        raise ValueError("holds a number that is not finite")
+    matrix.flags.writeable = False
+    return matrix
+
+
 def load_snapshot(path: str | Path) -> KnowledgeSnapshot:
     """The store saved at ``path``. A store file that does not fit its
-    entries' fields is a ValueError naming the file."""
+    entries' fields is a ValueError naming the file. A schema-1 store, with
+    embeddings inline in its JSONL, loads too; the next save writes schema 2."""
     directory = Path(path)
     meta_path = directory / "meta.json"
     try:
@@ -330,20 +409,37 @@ def load_snapshot(path: str | Path) -> KnowledgeSnapshot:
                 with open(meta_path, encoding="utf-8") as fh:
                     meta = json.load(fh)
             check(meta, {"stats": "dict"})
-            if meta.get("schema_version") != SCHEMA_VERSION:
+            version = meta.get("schema_version")
+            if version not in (1, SCHEMA_VERSION):
                 raise SchemaVersionMismatchError(
-                    f"snapshot schema_version {meta.get('schema_version')!r}; "
-                    f"this build reads version {SCHEMA_VERSION}")
+                    f"snapshot schema_version {version!r}; "
+                    f"this build reads versions 1 and {SCHEMA_VERSION}")
             stats = {tool: entry_from_json(ToolStats, record)
                      for tool, record in meta.get("stats", {}).items()}
         entries = {}
+        width = None  # (columns, file) of the first matrix with rows
         for kind, cls in _ENTRIES.items():
             file = directory / f"{kind}.jsonl"
             with naming(file):
                 entries[kind] = records = read_jsonl(file) if file.exists() else []
+            given = [{}] * len(records)
+            if kind in _EMBEDDED and version == SCHEMA_VERSION:
+                matrix_file = file.with_suffix(".npy")
+                with naming(matrix_file):
+                    matrix = _read_matrix(matrix_file)
+                    if len(matrix):
+                        width = width or (matrix.shape[1], matrix_file.name)
+                        if matrix.shape[1] != width[0]:
+                            raise ValueError(f"{matrix.shape[1]} columns where "
+                                             f"{width[1]} has {width[0]}")
+                if len(matrix) != len(records):
+                    raise ValueError(f"{file}: {len(records)} records for "
+                                     f"{len(matrix)} rows in {matrix_file.name}")
+                given = [{"embedding": row} for row in matrix]
+            with naming(file):
                 try:  # in place, so each parsed list is freed in turn
                     for i, record in enumerate(records):
-                        records[i] = entry_from_json(cls, record)
+                        records[i] = entry_from_json(cls, record, **given[i])
                 except ValueError as exc:
                     raise ValueError(f"record {i + 1}: {exc}") from None
         return KnowledgeSnapshot(stats=stats, **entries)
@@ -363,11 +459,15 @@ def check_integrity(snapshot: KnowledgeSnapshot) -> list[str]:
             problems.append(f"duplicate active rule index {key}")
         seen.add(key)
     all_indices = {r.index for r in snapshot.rules}
-    for case in snapshot.cases:
+    try:
+        norms = np.linalg.norm(_matrix(snapshot.cases), axis=1)
+    except DimensionMismatchError as exc:
+        problems.append(f"case {exc}")
+        norms = np.ones(len(snapshot.cases))
+    for case, norm in zip(snapshot.cases, norms):
         for tag in case.tag:
             if tag not in all_indices:
                 problems.append(f"case {case.index} tags unknown rule {tag}")
-        norm = math.sqrt(sum(x * x for x in case.embedding))
         if abs(norm - 1.0) > 1e-6:
             problems.append(f"case {case.index} embedding norm {norm:.8f}")
     for strat in snapshot.strategies:

@@ -23,7 +23,8 @@ from .fragmenter import decompose_lenient
 from .knowledge_base import MODIFIER, cosine_similarity
 from .prompts import (catalog_entry, check_answer, modify_prompt,
                       parse_json_response, render_columns)
-from .shapes import check, entry_from_json, naming
+from .providers import read_jsonl
+from .shapes import check, check_records, entry_from_json, naming
 from .sqltext import templatize
 
 REALIZE_SEMANTICS = "REALIZE_SEMANTICS"
@@ -104,6 +105,21 @@ def _load_categories(path: str | Path) -> list[IntentCategory]:
         category.keywords = [(k, float(w)) for k, w in category.keywords]
         category.centroid = category.centroid or None
     return categories
+
+
+def read_history(path: str | Path) -> dict[str, int]:
+    """Access counts by table from a JSON-Lines history whose lines are table
+    names or ``{"table", "count"}`` objects (count 1 if absent); a
+    ValueError names a file that does not fit."""
+    with naming(path):
+        records = [{"table": r} if type(r) is str else r for r in read_jsonl(path)]
+        check_records(records, {"table": "required str", "count": "int"})
+    counts: dict[str, int] = {}
+    for record in records:
+        table, n = record["table"], record.get("count", 1)
+        if n > 0:
+            counts[table] = counts.get(table, 0) + n
+    return counts
 
 
 def keyword_score(request: str, category: IntentCategory) -> float:
@@ -254,14 +270,15 @@ def modify(request: str, context: ModificationContext, category_id: str,
 
 
 def modify_query(query: str, request: str, provider, embedder,
-                 catalog: dict | None = None, history: list | None = None,
+                 catalog: dict | None = None,
+                 history: list[str] | dict[str, int] | None = None,
                  context: str = "", categories_path: str | Path | None = None,
                  now: float | None = None) -> ToolReport | None:
     """The modify tool end to end: load the intent categories (the file at
     ``categories_path``, else the defaults), classify the request, prepare
     metadata and run the category prompt. None when the request is rejected.
 
-    ``history`` holds accessed table names or ``{"table", "count"}`` records.
+    ``history`` holds accessed table names or access counts by table.
     """
     cfg = ModifierConfig()
     categories = _load_categories(categories_path) if categories_path \
@@ -272,14 +289,8 @@ def modify_query(query: str, request: str, provider, embedder,
     if decision is None:
         return None
     category_id, score = decision
-    tables: list[str] = []
-    for record in history or []:
-        if isinstance(record, str):
-            tables.append(record)
-        elif "table" in record:
-            tables.extend([record["table"]] * int(record.get("count", 1)))
-    metadata = prepare_metadata(query, context, catalog or {}, tables, cfg,
-                                now=now)
+    metadata = prepare_metadata(query, context, catalog or {}, history or [],
+                                cfg, now=now)
     outcome = modify(request, metadata, category_id, provider)
     return ToolReport(
         tool=MODIFIER,

@@ -19,6 +19,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import EmptyTextError, MockMiss, ProviderFailure
+from .shapes import check_records, naming
 from .sqltext import templatize
 
 TEMPLATE_VERSION = "v1"
@@ -96,7 +97,13 @@ def read_jsonl(path: str | Path) -> list:
 
 
 def load_playbook(path: str | Path) -> list[dict]:
-    return read_jsonl(path)
+    """Playbook entries; a ValueError names a file that does not fit."""
+    with naming(path):
+        entries = read_jsonl(path)
+        check_records(entries, {"template_id": "required str",
+                                "digest": "required str",
+                                "response": "required str"})
+    return entries
 
 
 def write_jsonl(records, path: str | Path) -> None:
@@ -241,8 +248,12 @@ class SimulatedExecutor:
 
     @classmethod
     def from_path(cls, path: str | Path, seed: int = 0) -> "SimulatedExecutor":
-        fixtures = {record.pop("template"): record
-                    for record in read_jsonl(path)}
+        with naming(path):
+            records = read_jsonl(path)
+            check_records(records, {"template": "required str", "status": "str",
+                                    "elapsed": "float", "jitter": "float",
+                                    "error_log": "str"})
+        fixtures = {record.pop("template"): record for record in records}
         return cls(fixtures, seed=seed)
 
     def _draw(self, template: str, call_index: int) -> float:

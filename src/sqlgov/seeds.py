@@ -109,9 +109,8 @@ def _case(spec: dict, embedder) -> HistoricalCase:
     """A case from the fields of ``HistoricalCase`` but those made of ``sql``."""
     check(spec, {"sql": "required str"})
     template = templatize(spec["sql"])
-    case = entry_from_json(HistoricalCase, {
-        "tag": [], **spec, "template": template,
-        "embedding": [float(x) for x in embedder.embed(template)]})
+    case = entry_from_json(HistoricalCase, {"tag": [], **spec},
+                           template=template, embedding=embedder.embed(template))
     case.tag = list(case.tag)  # a copy: edits to the case leave the spec alone
     return case
 
@@ -176,9 +175,9 @@ def _strategy(spec: dict, embedder) -> ErrorStrategy:
     key = build_error_key(ParsedError(
         exception_type=exc, location=None, message=message or pattern,
         raw_log=pattern))
-    return entry_from_json(ErrorStrategy, {
-        "needs_schema": False, "localized": False, **spec,
-        "embedding": [float(x) for x in embedder.embed(key)]})
+    return entry_from_json(ErrorStrategy,
+                           {"needs_schema": False, "localized": False, **spec},
+                           embedding=embedder.embed(key))
 
 
 def seed_strategies(embedder) -> list[ErrorStrategy]:

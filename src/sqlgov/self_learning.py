@@ -352,13 +352,12 @@ def apply_verification(snapshot: KnowledgeSnapshot, batch: CandidateRuleBatch,
             if case_index in existing_cases:
                 continue
             template = templatize(record.sql)
-            embedding = tuple(float(x) for x in embedder.embed(template))
             new.cases.append(HistoricalCase(
                 index=case_index,
                 details=_render_details(record),
                 tag=list(accepted),
                 template=template,
-                embedding=embedding,
+                embedding=embedder.embed(template),
             ))
     stats = new.stats.setdefault(tool, ToolStats())
     if decisions:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -49,3 +50,24 @@ def seeded_store(embedder) -> KnowledgeStore:
 @pytest.fixture()
 def playbook_llm() -> ScriptedLLM:
     return ScriptedLLM.from_path(FIXTURES / "playbook.jsonl", strict=True)
+
+
+def _write_schema1_store(snapshot, directory: Path) -> None:
+    """Write ``snapshot`` in the schema-1 layout: JSON Lines only, with each
+    case's and strategy's embedding inline as a list of numbers."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for kind in ("rules", "cases", "strategies"):
+        with open(directory / f"{kind}.jsonl", "w", encoding="utf-8") as fh:
+            for entry in getattr(snapshot, kind):
+                record = dict(vars(entry))
+                if "embedding" in record:
+                    record["embedding"] = [float(x) for x in record["embedding"]]
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+    meta = {"schema_version": 1,
+            "stats": {tool: vars(ts) for tool, ts in snapshot.stats.items()}}
+    (directory / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+
+
+@pytest.fixture(scope="session")
+def write_schema1_store():
+    return _write_schema1_store

@@ -638,6 +638,79 @@ def test_kb_stats_counts_follow_kb_add(capsys, tmp_path):
 
 # --- malformed input files -----------------------------------------------------
 
+@pytest.mark.parametrize("clause", [
+    {"pred": "contains_operator"},
+    {"pred": "contains_operator", "op": 5},
+    {"pred": "same_table_scanned", "min_count": "2"},
+    {"op": "CROSS JOIN"},
+])
+def test_kb_add_refuses_a_matcher_clause_that_does_not_fit(capsys, tmp_path,
+                                                           clause):
+    store = str(tmp_path / "kb")
+    run(capsys, "kb", "init", "--store", store)
+    rule = tmp_path / "rule.json"
+    rule.write_text(json.dumps({"index": "R9", "description": "d",
+                                "status": "VERIFIED", "matcher": [clause]}))
+    code, out, err = run(capsys, "kb", "add", "--store", store, "--kind",
+                         "rule", "--data", str(rule))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {rule}: rule 'R9': matcher[0]: does not fit")
+    assert all(r.index != "R9" for r in load_snapshot(store).rules)
+
+
+def test_a_stored_matcher_that_does_not_fit_is_named(capsys, tmp_path,
+                                                      fixtures_dir):
+    """A rule the store took before its matcher was checked stops the next
+    rewrite with the file and the rule, not with an internal error."""
+    store = tmp_path / "kb"
+    run(capsys, "kb", "init", "--store", str(store))
+    with open(store / "rules.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"index": "R9", "description": "d", "tool": "REWRITER",
+                             "status": "VERIFIED",
+                             "matcher": [{"pred": "contains_operator"}]}) + "\n")
+    code, out, err = run(capsys, "rewrite", str(fixtures_dir / "nested_query.sql"),
+                         "--kb", str(store), "--playbook", PLAYBOOK)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {store / 'rules.jsonl'}: record 5: rule 'R9': "
+                          f"matcher[0]: does not fit")
+
+
+@pytest.mark.parametrize("option, line", [
+    ("--history", 5),
+    ("--history", {"table": ["t"]}),
+    ("--fixtures", {"elapsed": 1.0, "status": "OK"}),
+    ("--playbook", {"digest": "d", "response": "r"}),
+])
+def test_operator_files_are_named(capsys, tmp_path, fixtures_dir, option, line):
+    source = tmp_path / "input.jsonl"
+    source.write_text(json.dumps(line) + "\n")
+    argv = {
+        "--history": ["modify", str(fixtures_dir / "nested_query.sql"),
+                      "--request", "explain this", "--provider",
+                      "scripted-permissive"],
+        "--fixtures": ["bench", "--pairs", str(fixtures_dir / "bench_pairs.jsonl")],
+        "--playbook": ["rewrite", str(fixtures_dir / "nested_query.sql")],
+    }[option]
+    code, out, err = run(capsys, *argv, option, str(source))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {source}: record 1: does not fit")
+
+
+def test_kb_stats_names_a_schema1_embedding_that_is_no_number(
+        capsys, tmp_path, embedder, write_schema1_store):
+    store = tmp_path / "kb"
+    write_schema1_store(seed_snapshot(embedder), store)
+    lines = (store / "cases.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    record["embedding"][3] = "x"
+    lines[1] = json.dumps(record)
+    (store / "cases.jsonl").write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "kb", "stats", "--store", str(store))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {store / 'cases.jsonl'}: record 2: "
+                          f"field 'embedding'[3] is not of type")
+
+
 @pytest.mark.parametrize("name, line", [
     ("rules.jsonl", {"index": "x"}),
     ("rules.jsonl", {"index": "x", "description": "d", "matcher": None,
@@ -703,6 +776,8 @@ def test_kb_add_names_a_malformed_entry(capsys, tmp_path, kind, data):
     [{"id": "X", "keywords": [["explain"]]}],
     [{"id": "X", "keywords": [["explain", "high"]]}],
     {"id": "X", "keywords": []},
+    [{"id": "EXPLAIN_SQL", "keywords": [["explain", 1.0]], "centroid": [{}, 1.0]}],
+    [{"id": "EXPLAIN_SQL", "keywords": [["explain", 1.0]], "centroid": ["x", 1.0]}],
 ])
 def test_modify_names_a_malformed_categories_file(capsys, tmp_path, categories):
     sql = tmp_path / "q.sql"

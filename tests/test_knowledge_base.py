@@ -154,6 +154,17 @@ def test_retrieval_tie_break_by_index(embedder):
     assert got == ["case-a", "case-b"]
 
 
+def test_signed_zeros_share_an_index_row_and_tie_break_by_index():
+    cases = [HistoricalCase("case-b", "b", [], "T", (0.6, 0.0, -0.0, 0.8)),
+             HistoricalCase("case-a", "a", [], "T", (0.6, -0.0, 0.0, 0.8))]
+    store = KnowledgeStore(KnowledgeSnapshot(cases=cases),
+                           _FixedEmbedder([1.0, 0.5, -0.5, 0.0]))
+    hits = store.retrieve_cases("SELECT 1", k=2)
+    assert store._case_index.entry_rows.tolist() == [0, 0]
+    assert [c.index for c, _ in hits] == ["case-a", "case-b"]
+    assert hits[0][1].hex() == hits[1][1].hex()
+
+
 def test_retrieval_self_similarity(embedder):
     query = "SELECT name FROM users WHERE id = 5"
     template = templatize(query)
@@ -240,7 +251,8 @@ def test_retrieval_equals_reference_loop(store_and_query, tag_filter, data):
         assert abs(score - expected) <= 1e-12
     by_embedding: dict[tuple, list] = {}
     for case, score in got:
-        by_embedding.setdefault(case.embedding, []).append((case.index, score))
+        by_embedding.setdefault(tuple(case.embedding), []).append(
+            (case.index, score))
     for hits in by_embedding.values():
         assert len({score for _, score in hits}) == 1
         assert [index for index, _ in hits] == sorted(index for index, _ in hits)
@@ -383,14 +395,31 @@ def test_populated_snapshot_round_trip_100_entries(tmp_path, embedder):
 def test_unknown_schema_version_rejected(tmp_path, embedder):
     save_snapshot(seed_snapshot(embedder), tmp_path / "kb")
     meta = tmp_path / "kb" / "meta.json"
-    meta.write_text(meta.read_text().replace('"schema_version": 1',
-                                             '"schema_version": 99'))
+    meta.write_text(meta.read_text().replace(
+        f'"schema_version": {kb.SCHEMA_VERSION}', '"schema_version": 99'))
     with pytest.raises(SchemaVersionMismatchError):
         load_snapshot(tmp_path / "kb")
 
 
 def test_seed_snapshot_integrity(embedder):
     assert check_integrity(seed_snapshot(embedder)) == []
+
+
+def test_integrity_reports_norms_as_the_reference_loop():
+    rng = random.Random(11)
+    cases = [HistoricalCase(f"c{i}", "d", ["NOPE"] if i == 2 else [], "T",
+                            tuple(rng.uniform(-2, 2) for _ in range(6)))
+             for i in range(5)]
+    expected = []
+    for case in cases:
+        expected += [f"case {case.index} tags unknown rule {t}" for t in case.tag]
+        norm = math.sqrt(sum(x * x for x in case.embedding))
+        expected.append(f"case {case.index} embedding norm {norm:.8f}")
+    assert check_integrity(KnowledgeSnapshot(cases=cases)) == expected
+    ragged = [HistoricalCase("c1", "d", [], "T", (1.0, 0.0)),
+              HistoricalCase("c2", "d", [], "T", (1.0,))]
+    assert check_integrity(KnowledgeSnapshot(cases=ragged)) == \
+        ["case stored embeddings differ in length: [1, 2]"]
 
 
 def test_embeddings_are_unit_norm(embedder):
