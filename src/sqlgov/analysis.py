@@ -11,13 +11,17 @@ bottom-up. On well-formed SQL the pass reads a fragment's tokens as a scan
 of that fragment alone would, because a subquery opens with SELECT or WITH
 and a CTE body follows its consumed name. Rule matchers, the rewriter's
 efficiency screen, and the equivalence pre-filter all read from here,
-keeping every tool's view of a query consistent.
+keeping every tool's view of a query consistent. A tree's analysis is
+computed once and held on the tree, read-only, so every consumer of one
+(memoized) tree shares it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .fragmenter import Fragment, FragmentTree, SITE_SELECT_LIST, SUBQUERY
 from .sqltext import (
@@ -40,8 +44,8 @@ _WHERE_BREAK = {"GROUP", "ORDER", "HAVING", "LIMIT", "WINDOW"} | _SET_OPS
 class FragmentFacts:
     fragment_id: int
     own_tokens: tuple[Token, ...]
-    table_counts_own: dict[str, int]
-    table_counts_subtree: dict[str, int]
+    table_counts_own: Mapping[str, int]
+    table_counts_subtree: Mapping[str, int]
     has_outer_join: bool
     where_has_is_not_null: bool
     select_items: int | None
@@ -178,8 +182,8 @@ def analyze_fragment(fragment: Fragment, tree: FragmentTree, own: list[Token],
     return FragmentFacts(
         fragment_id=fragment.id,
         own_tokens=tuple(own),
-        table_counts_own=dict(own_counts),
-        table_counts_subtree=dict(subtree_counts),
+        table_counts_own=MappingProxyType(dict(own_counts)),
+        table_counts_subtree=MappingProxyType(dict(subtree_counts)),
         has_outer_join=_has_outer_join(own),
         where_has_is_not_null=_has_is_not_null(
             _clause_region(own, "WHERE", _WHERE_BREAK) or []),
@@ -194,7 +198,20 @@ def analyze_fragment(fragment: Fragment, tree: FragmentTree, own: list[Token],
     )
 
 
-def analyze_tree(tree: FragmentTree) -> dict[int, FragmentFacts]:
+_FACTS = "_facts"  # the attribute a tree holds its analysis in
+
+
+def analyze_tree(tree: FragmentTree) -> Mapping[int, FragmentFacts]:
+    """Each fragment's facts by fragment id, read-only. Computed on a tree's
+    first call and held on the tree, as ``functools.cached_property`` holds
+    a value, so later calls on the same tree return the same mapping."""
+    facts = tree.__dict__.get(_FACTS)
+    if facts is None:
+        facts = tree.__dict__[_FACTS] = MappingProxyType(_analyze(tree))
+    return facts
+
+
+def _analyze(tree: FragmentTree) -> dict[int, FragmentFacts]:
     owner = [0] * len(tree.tokens)
     for f in reversed(tree.fragments):  # every parent before its children
         lo, hi = f.token_range
@@ -217,7 +234,8 @@ def analyze_tree(tree: FragmentTree) -> dict[int, FragmentFacts]:
     }
 
 
-def duplicated_scan_tables(fragment_id: int, facts_map: dict[int, FragmentFacts],
+def duplicated_scan_tables(fragment_id: int,
+                           facts_map: Mapping[int, FragmentFacts],
                            tree: FragmentTree, min_count: int = 2) -> list[str]:
     """Tables scanned >= min_count times in this fragment's subtree where no
     single child subtree already accounts for the duplication: this

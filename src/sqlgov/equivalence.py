@@ -13,6 +13,7 @@ first-class outcome: low-confidence answers are never upgraded.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .analysis import FragmentFacts, analyze_tree
@@ -85,7 +86,7 @@ class QuerySkeleton:
     arity: int | None  # None when the projection contains a star
     base_tables: frozenset[str]
     tree: FragmentTree
-    facts: dict[int, FragmentFacts]
+    facts: Mapping[int, FragmentFacts]
 
 
 def parse_select(query: str) -> FragmentTree:

@@ -17,12 +17,16 @@ text's tokens there: ``tree.tokens[lo:hi]`` equals ``scan(fragment.text)``
 shifted by ``span[0]``. A child's range nests in its parent's, after the '('
 that opens it, and siblings' ranges are disjoint. Consumers slice these
 tokens instead of tokenizing fragment text again.
+
+A small LRU memo keyed by the query text returns the same tree for the same
+text, so a request that evaluates, rewrites, verifies and retrieves one query
+scans and decomposes it once. Trees are immutable and shared by every caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import EmptyQueryError, OutOfRangeError, UnparseableQueryError
 from .sqltext import SELECT_HEADS, Token, WORD, scan
@@ -60,6 +64,10 @@ _CLAUSE_KEYWORDS = {
 }
 
 _SET_OPS = {"UNION", "INTERSECT", "EXCEPT"}
+
+# Texts whose parse is kept: a rewrite-and-verify request holds two, the
+# original and the rewrite.
+PARSE_MEMO_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -291,12 +299,15 @@ def _number_fragments(root: _Node, source: str) -> list[Fragment]:
     ]
 
 
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
 def decompose_lenient(query: str) -> tuple[FragmentTree, str | None]:
     """Best-effort decomposition; never raises on structural damage.
 
     Returns the (possibly partial) tree and a diagnostic when the bracket or
     literal structure was broken. The syntax corrector relies on this entry
-    point because its input is invalid by definition.
+    point because its input is invalid by definition. The last
+    ``PARSE_MEMO_SIZE`` texts' results are memoized (``cache_clear()``
+    empties the memo); a blank query raises every time.
     """
     if not query or not query.strip():
         raise EmptyQueryError("query is blank")

@@ -13,6 +13,8 @@ from __future__ import annotations
 import copy
 import json
 import os
+import shutil
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -185,7 +187,7 @@ MATCHER_PREDICATES = {  # name: (predicate, shape of its clause's parameters)
 
 
 def matcher_holds(matcher: list[dict], fragment: Fragment, tree: FragmentTree,
-                  facts: dict[int, FragmentFacts]) -> bool:
+                  facts: Mapping[int, FragmentFacts]) -> bool:
     """A matcher is a conjunction of predicates from the fixed vocabulary; a
     predicate outside it never holds."""
     for clause in matcher:
@@ -268,7 +270,7 @@ class KnowledgeStore:
         return _EmbeddingIndex(self.snapshot.strategies)
 
     def match_rules(self, fragment: Fragment, tool: str, tree: FragmentTree,
-                    facts: dict[int, FragmentFacts]) -> list[RuleEntry]:
+                    facts: Mapping[int, FragmentFacts]) -> list[RuleEntry]:
         """All VERIFIED rules whose matcher holds on the fragment, by index.
 
         Rules without a matcher are retrieval-only (prompt guidance) and
@@ -333,8 +335,11 @@ def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
 
     Every file goes to a temp file in the store directory first; only when
     all are written does ``os.replace`` put each in place. A failure before
-    that removes the temp files and leaves the previous store untouched.
-    Nothing is fsynced, so a power loss may still lose the latest write.
+    that removes the temp files and leaves the previous store untouched. A
+    failure between two moves puts back each file already moved, from a
+    second name (a hard link, or a copy) kept for it until the save ends,
+    so the store still loads as the previous one. Nothing is fsynced, so a power loss
+    may still lose the latest write or leave a mix of old and new files.
     """
     directory = Path(path)
     matrices = {kind: _matrix(getattr(snapshot, kind)) for kind in _EMBEDDED}
@@ -360,12 +365,46 @@ def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
         with open(stage("meta.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, sort_keys=True, indent=2)
             fh.write("\n")
-        for tmp, final in staged:
-            os.replace(tmp, final)
+        _replace_all(staged)
     except (OSError, TypeError, ValueError) as exc:
+        raise IoFailure(f"cannot write snapshot to {directory}: {exc}") from exc
+    finally:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
-        raise IoFailure(f"cannot write snapshot to {directory}: {exc}") from exc
+            _previous(tmp).unlink(missing_ok=True)
+
+
+def _previous(tmp: Path) -> Path:
+    """The name that keeps a file's previous content while ``tmp`` replaces it."""
+    return tmp.with_suffix(".old")
+
+
+def _replace_all(staged: list[tuple[Path, Path]]) -> None:
+    """Move each temp file onto its final name, all or none: if one move
+    fails, each final file already moved gets its previous content back (or
+    is removed if it had none) before the error propagates."""
+    moves = []
+    for tmp, final in staged:
+        backup = None
+        if final.exists():
+            backup = _previous(tmp)
+            try:
+                os.link(final, backup)
+            except OSError:  # no hard links here, or a stale backup name
+                shutil.copyfile(final, backup)
+        moves.append((tmp, final, backup))
+    done = []
+    try:
+        for tmp, final, backup in moves:
+            os.replace(tmp, final)
+            done.append((final, backup))
+    except OSError:
+        for final, backup in reversed(done):
+            if backup is None:
+                final.unlink()
+            else:
+                os.replace(backup, final)
+        raise
 
 
 def _read_matrix(file: Path) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from collections import Counter
 from contextlib import nullcontext
@@ -180,6 +181,9 @@ class ScriptedLLM:
 
 # --- embedding mock --------------------------------------------------------
 
+_EMBED_TOKEN = re.compile(r"\w+|[^\w\s]")
+
+
 def _stable_hash(text: str) -> int:
     return int.from_bytes(hashlib.md5(text.encode("utf-8")).digest(), "big")
 
@@ -197,19 +201,15 @@ class HashingEmbedding:
             raise ValueError("dim must be positive")
         self.dim = dim
 
-    def _tokens(self, text: str) -> list[str]:
-        import re
-        return re.findall(r"\w+|[^\w\s]", text.lower())
-
     def embed(self, text: str) -> np.ndarray:
         if not text or not text.strip():
             raise EmptyTextError("cannot embed empty text")
         vec = np.zeros(self.dim, dtype=float)
-        for token in self._tokens(text):
+        # Each distinct token is hashed once and adds its count: the sums are
+        # small integers, exact in float64, so the order of adding is moot.
+        for token, count in Counter(_EMBED_TOKEN.findall(text.lower())).items():
             h = _stable_hash(token)
-            bucket = h % self.dim
-            sign = 1.0 if (h >> 64) & 1 else -1.0
-            vec[bucket] += sign
+            vec[h % self.dim] += count if (h >> 64) & 1 else -count
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:  # pathological sign cancellation
             vec[_stable_hash(text) % self.dim] = 1.0

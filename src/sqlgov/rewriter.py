@@ -10,6 +10,7 @@ retrieved historical cases to the provider and validates the result parses.
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 
 from .analysis import FragmentFacts, analyze_tree, duplicated_scan_tables
@@ -53,7 +54,7 @@ def _efficient(suggestion_id: int) -> RewriteSuggestion:
                              action="", rationale="", scenario=ALREADY_EFFICIENT)
 
 
-def passes_efficiency_screen(fragment_id: int, facts: dict[int, FragmentFacts],
+def passes_efficiency_screen(fragment_id: int, facts: Mapping[int, FragmentFacts],
                              tree: FragmentTree) -> bool:
     """Negative screen: single base-table scan at most, no scalar or predicate
     subqueries at this level, no outer-join null filtering, no duplicate

@@ -14,6 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .errors import EmptyQueryError
+
 WORD = "WORD"
 NUMBER = "NUMBER"
 STRING = "STRING"
@@ -188,8 +190,15 @@ def templatize(sql: str) -> str:
 
     Total and deterministic; keywords are upper-cased, comments dropped,
     structure preserved. Idempotent because placeholders are atomic tokens.
+    The tokens come from the fragmenter's memoized parse, so a query already
+    decomposed is not scanned again; blank or comment-only text gives "".
     """
-    tokens = tokenize(sql)
+    from .fragmenter import decompose_lenient  # fragmenter imports this module
+
+    try:
+        tokens = decompose_lenient(sql)[0].tokens
+    except EmptyQueryError:
+        return ""
     table_positions = {i for i, _ in iter_table_context(tokens)}
     out: list[str] = []
     for idx, tok in enumerate(tokens):

@@ -5,11 +5,19 @@ from pathlib import Path
 
 import pytest
 
+from sqlgov.fragmenter import decompose_lenient
 from sqlgov.knowledge_base import KnowledgeStore
 from sqlgov.providers import HashingEmbedding, ScriptedLLM
 from sqlgov.seeds import seed_snapshot
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(autouse=True)
+def empty_parse_memo():
+    """Start every test without parses memoized by an earlier one, so tests
+    that count scans see what they cause and no order between tests matters."""
+    decompose_lenient.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -141,3 +141,25 @@ def test_renamed_aliases_pass_the_skeleton_prefilter(a, b):
 def test_an_aliased_single_scan_passes_the_efficiency_screen():
     tree = decompose("SELECT a.x FROM t a WHERE a.y = 1")
     assert passes_efficiency_screen(tree.root_id, analyze_tree(tree), tree)
+
+
+# --- one shared, read-only analysis per tree ------------------------------------
+
+def test_one_memoized_tree_is_analyzed_once(nested_query):
+    facts = analyze_tree(decompose(nested_query))
+    assert analyze_tree(decompose(nested_query)) is facts
+    assert skeleton(nested_query).facts is facts
+
+
+def test_a_shared_analysis_is_read_only(nested_query):
+    tree = decompose(nested_query)
+    facts = analyze_tree(tree)
+    root = facts[tree.root_id]
+    with pytest.raises(TypeError):
+        facts[tree.root_id] = root
+    with pytest.raises(TypeError):
+        del facts[tree.root_id]
+    for counts in (root.table_counts_own, root.table_counts_subtree):
+        with pytest.raises(TypeError):
+            counts["tb9"] = 1
+    assert "tb9" not in analyze_tree(tree)[tree.root_id].table_counts_subtree

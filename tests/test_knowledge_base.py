@@ -498,3 +498,41 @@ def test_unserializable_save_leaves_previous_store(tmp_path, embedder):
         save_snapshot(broken, directory)
     assert _store_files(directory) == files
     assert load_snapshot(directory) == previous
+
+
+_MOVES_PER_SAVE = 6  # three JSONL files, two matrices and meta.json
+
+
+@pytest.mark.parametrize("previous_store", [True, False])
+@pytest.mark.parametrize("k", range(1, _MOVES_PER_SAVE + 1))
+def test_a_save_failing_at_any_move_leaves_the_previous_store(
+        tmp_path, embedder, monkeypatch, k, previous_store):
+    directory = tmp_path / "kb"
+    directory.mkdir()
+    previous = KnowledgeSnapshot()
+    if previous_store:
+        previous = _populated_snapshot(embedder)
+        save_snapshot(previous, directory)
+    files = _store_files(directory)
+    changed = copy.deepcopy(previous)
+    changed.cases.append(_random_cases(embedder, n=1)[0])
+    changed.rules.append(RuleEntry("R-new", "new rule", None, REWRITER))
+
+    calls = []
+    replace = kb.os.replace
+
+    def failing_replace(src, dst):
+        calls.append(dst)
+        if len(calls) == k:
+            raise OSError("device busy")
+        replace(src, dst)
+
+    monkeypatch.setattr(kb.os, "replace", failing_replace)
+    with pytest.raises(IoFailure):
+        save_snapshot(changed, directory)
+    monkeypatch.undo()
+    assert len(calls) >= k
+    assert _store_files(directory) == files
+    assert load_snapshot(directory) == previous
+    save_snapshot(changed, directory)
+    assert load_snapshot(directory) == changed

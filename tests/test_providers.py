@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +129,35 @@ def test_embedding_deterministic_and_unit_norm(embedder):
 def test_embedding_unit_norm_property(text):
     vec = HashingEmbedding(64).embed(text)
     assert math.isclose(float(np.linalg.norm(vec)), 1.0, abs_tol=1e-6)
+
+
+def _embed_token_by_token(text: str, dim: int) -> np.ndarray:
+    """The reference embedding: hash every token occurrence, add its sign."""
+    vec = np.zeros(dim, dtype=float)
+    for token in re.findall(r"\w+|[^\w\s]", text.lower()):
+        h = int.from_bytes(hashlib.md5(token.encode("utf-8")).digest(), "big")
+        vec[h % dim] += 1.0 if (h >> 64) & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        h = int.from_bytes(hashlib.md5(text.encode("utf-8")).digest(), "big")
+        vec[h % dim] = 1.0
+        norm = 1.0
+    return vec / norm
+
+
+_TEMPLATE_WORDS = st.sampled_from(
+    ["[COL]", "[TBL]", "[VAL]", "SELECT", "FROM", "WHERE", "=", ",", "(", ")",
+     "AND", "x", "é", "a_1"])
+
+
+@given(st.one_of(
+    st.lists(_TEMPLATE_WORDS, min_size=1, max_size=400).map(" ".join),
+    st.text(min_size=1, max_size=120)).filter(lambda t: t.strip()),
+    st.sampled_from([1, 2, 7, 64, 768]))
+@settings(max_examples=200, deadline=None)
+def test_embedding_equals_the_token_by_token_reference(text, dim):
+    got = HashingEmbedding(dim).embed(text)
+    assert got.tobytes() == _embed_token_by_token(text, dim).tobytes()
 
 
 def test_embedding_rejects_empty_text(embedder):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from sqlgov import analysis, fragmenter, sqltext
 from sqlgov.analysis import analyze_tree
+from sqlgov.equivalence import EQUIVALENT, check_equivalence
 from sqlgov.errors import RejectedResponseError
 from sqlgov.knowledge_base import REWRITER, KnowledgeSnapshot, KnowledgeStore
 from sqlgov.prompts import rewrite_prompt
@@ -108,6 +110,31 @@ def test_nested_query_rewrite_matches_golden(nested_query, nested_rewrite, seede
     assert "INNER JOIN tb2" in result.rewritten
     assert result.rewritten.startswith("WITH cte AS")
     assert len(result.suggestions_applied) == 2
+
+
+def test_rewrite_and_verify_parse_and_analyze_each_text_once(
+        nested_query, seeded_store, playbook_llm, monkeypatch):
+    scanned, analyzed = [], []
+    real_scan, real_analyze = sqltext.scan, analysis._analyze
+
+    def counting_scan(sql):
+        scanned.append(sql)
+        return real_scan(sql)
+
+    def counting_analyze(tree):
+        analyzed.append(tree.source)
+        return real_analyze(tree)
+
+    monkeypatch.setattr(sqltext, "scan", counting_scan)
+    monkeypatch.setattr(fragmenter, "scan", counting_scan)
+    monkeypatch.setattr(analysis, "_analyze", counting_analyze)
+    suggestions = evaluate(nested_query, seeded_store, playbook_llm)
+    result = rewrite(nested_query, suggestions, seeded_store, playbook_llm, k=5)
+    verdict = check_equivalence(result.original, result.rewritten, playbook_llm)
+    assert result.cases_consulted  # retrieval templatized the query
+    assert verdict.verdict == EQUIVALENT
+    assert scanned == [nested_query, result.rewritten]
+    assert analyzed == [nested_query, result.rewritten]
 
 
 def test_nested_query_rewrite_consults_tagged_cases(nested_query, seeded_store,

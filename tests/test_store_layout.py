@@ -21,6 +21,7 @@ from sqlgov.knowledge_base import (
 )
 from sqlgov.seeds import SAME_TABLE_JOIN, UNION_ALL_UNPROJECTED, seed_snapshot
 from sqlgov.sqltext import templatize
+from test_providers import _embed_token_by_token
 
 QUERIES = ["SELECT a FROM t WHERE b = 1",
            "SELECT AVG(d) FROM (SELECT * FROM u1 UNION ALL SELECT * FROM u2) z",
@@ -125,3 +126,21 @@ def test_entries_take_any_float_sequence_and_compare_by_value():
     assert caller.flags.writeable and not case.embedding.flags.writeable
     with pytest.raises(ValueError):
         HistoricalCase("c", "d", [], "T", [[1.0, 0.0]])
+
+
+class _TokenByTokenEmbedding:
+    """The reference embedding as a provider."""
+
+    dim = 768
+
+    def embed(self, text: str) -> np.ndarray:
+        return _embed_token_by_token(text, self.dim)
+
+
+def test_saved_matrices_match_token_by_token_embeddings_byte_for_byte(
+        tmp_path, embedder):
+    save_snapshot(_snapshot(embedder), tmp_path / "counted")
+    save_snapshot(_snapshot(_TokenByTokenEmbedding()), tmp_path / "reference")
+    for name in ("cases.npy", "strategies.npy"):
+        assert (tmp_path / "counted" / name).read_bytes() \
+            == (tmp_path / "reference" / name).read_bytes()
