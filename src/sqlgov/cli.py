@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
+from datetime import datetime, timezone
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -134,12 +135,13 @@ def _verdict_payload(verdict) -> dict:
 def cmd_verify(args, config) -> int:
     llm = _llm(config, args)
     if args.batch:
-        records = read_jsonl(args.batch)
-        for i, record in enumerate(records, 1):
-            if not (isinstance(record, dict) and all(
-                    isinstance(record.get(k), str) for k in ("left", "right"))):
-                raise ValueError(f"{args.batch}: record {i} needs string "
-                                 f"'left' and 'right' fields")
+        with naming(args.batch):
+            records = read_jsonl(args.batch)
+            for i, record in enumerate(records, 1):
+                if not (isinstance(record, dict) and all(
+                        isinstance(record.get(k), str) for k in ("left", "right"))):
+                    raise ValueError(f"record {i} needs string "
+                                     f"'left' and 'right' fields")
         pairs = [(record.get("id", f"pair{i + 1}"), record["left"],
                   record["right"])
                  for i, record in enumerate(records)]
@@ -161,19 +163,32 @@ def cmd_verify(args, config) -> int:
     return 0 if all(v.verdict == eq_mod.EQUIVALENT for _, v in verdicts) else 1
 
 
+def _env_now() -> float | None:
+    """``SQLGOV_NOW``, the POSIX time a modify run stamps, if set; a
+    ValueError naming it if it is no finite time a datetime holds."""
+    raw = os.environ.get("SQLGOV_NOW")
+    if not raw:
+        return None
+    try:
+        now = float(raw)
+        datetime.fromtimestamp(now, tz=timezone.utc)  # NaN, inf, year 10000 fail
+    except (ValueError, OverflowError, OSError):
+        raise ValueError(f"SQLGOV_NOW: expected a POSIX time, got {raw!r}") from None
+    return now
+
+
 def cmd_modify(args, config) -> int:
     categories = args.categories
     kb_dir = _kb_dir(config, args)
     if not categories and kb_dir and (Path(kb_dir) / "categories.json").exists():
         categories = str(Path(kb_dir) / "categories.json")
-    now = os.environ.get("SQLGOV_NOW")
     report = modifier_mod.modify_query(
         _read_text(args.source), args.request, _llm(config, args),
         _embedder(config),
         catalog=_read_json(args.catalog) if args.catalog else {},
         history=modifier_mod.read_history(args.history) if args.history else [],
         context=args.context or "", categories_path=categories,
-        now=float(now) if now else None)
+        now=_env_now())
     if report is None:
         message = "request rejected: no intent category reached the threshold"
         if args.json:
@@ -275,10 +290,11 @@ def cmd_kb_add(args, config) -> int:
 
 
 def cmd_kb_learn(args, config) -> int:
-    records = []
-    for i, payload in enumerate(read_jsonl(args.records), 1):
-        with naming(f"{args.records}: record {i}"):
-            records.append(learn_mod.record_from_json(payload))
+    with naming(args.records):
+        records = []
+        for i, payload in enumerate(read_jsonl(args.records), 1):
+            with naming(f"record {i}"):
+                records.append(learn_mod.record_from_json(payload))
     report = learn_mod.learn(args.store, records, _llm(config, args),
                              _embedder(config), args.tool, args.auto_accept,
                              time.time())

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import FragmentFacts, duplicated_scan_tables
 from .errors import (
     DimensionMismatchError,
@@ -32,6 +30,9 @@ from .fragmenter import Fragment, FragmentTree
 from .providers import read_jsonl, write_jsonl
 from .shapes import check, entry_from_json, naming
 from .sqltext import templatize
+
+# numpy is imported in the functions that make or read arrays, to keep it off
+# the cold start of commands that embed nothing (fragment, verify).
 
 SCHEMA_VERSION = 2  # 1: embeddings inline in the JSONL, read still
 DEFAULT_K = 5  # cases retrieved per rewrite
@@ -72,6 +73,8 @@ class _Embedded:
     """
 
     def __post_init__(self):
+        import numpy as np
+
         row = np.asarray(self.embedding, dtype=np.float64)
         if row.ndim != 1:
             raise ValueError(f"embedding of shape {row.shape} is not a vector")
@@ -83,6 +86,8 @@ class _Embedded:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
+        import numpy as np
+
         mine, theirs = dict(vars(self)), dict(vars(other))
         return np.array_equal(mine.pop("embedding"), theirs.pop("embedding")) \
             and mine == theirs
@@ -135,6 +140,8 @@ def copy_snapshot(snapshot: KnowledgeSnapshot) -> KnowledgeSnapshot:
 
 
 def cosine_similarity(a, b) -> float:
+    import numpy as np
+
     va = np.asarray(a, dtype=float)
     vb = np.asarray(b, dtype=float)
     if va.shape != vb.shape:
@@ -200,6 +207,8 @@ def matcher_holds(matcher: list[dict], fragment: Fragment, tree: FragmentTree,
 def _matrix(entries) -> np.ndarray:
     """The entries' embeddings stacked as rows; a DimensionMismatchError if
     they differ in length."""
+    import numpy as np
+
     lengths = {len(e.embedding) for e in entries}
     if len(lengths) > 1:
         raise DimensionMismatchError(
@@ -217,6 +226,8 @@ class _EmbeddingIndex:
     """
 
     def __init__(self, entries):
+        import numpy as np
+
         stacked = _matrix(entries) + 0.0  # -0.0 becomes 0.0: one row for both
         rows: dict[bytes, int] = {}
         self.entry_rows = np.array(
@@ -231,6 +242,8 @@ class _EmbeddingIndex:
 
     def rank(self, query_vec, selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Selected entry positions by (-score, index), and their scores."""
+        import numpy as np
+
         query = np.asarray(query_vec, dtype=float)
         if query.shape != self.matrix.shape[1:]:
             raise DimensionMismatchError(
@@ -289,6 +302,8 @@ class KnowledgeStore:
         cases = self.snapshot.cases
         if not cases:
             return []
+        import numpy as np
+
         query_vec = self.embedder.embed(templatize(query))
         index = self._case_index  # a ragged store fails here, whatever the filter
         if tag_filter is None:
@@ -310,6 +325,8 @@ class KnowledgeStore:
         strategies = self.snapshot.strategies
         if not strategies:
             return None
+        import numpy as np
+
         key_vec = self.embedder.embed(error_key)
         positions, scores = self._strategy_index.rank(
             key_vec, np.arange(len(strategies)))
@@ -341,6 +358,8 @@ def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
     so the store still loads as the previous one. Nothing is fsynced, so a power loss
     may still lose the latest write or leave a mix of old and new files.
     """
+    import numpy as np
+
     directory = Path(path)
     matrices = {kind: _matrix(getattr(snapshot, kind)) for kind in _EMBEDDED}
     staged: list[tuple[Path, Path]] = []
@@ -412,6 +431,8 @@ def _read_matrix(file: Path) -> np.ndarray:
     if there is no file. The .npy header is checked against the file's size
     before any data is read, and a dtype that would need unpickling is
     refused before that."""
+    import numpy as np
+
     if not file.exists():
         return np.empty((0, 0))
     fmt = np.lib.format
@@ -488,6 +509,8 @@ def load_snapshot(path: str | Path) -> KnowledgeSnapshot:
 
 def check_integrity(snapshot: KnowledgeSnapshot) -> list[str]:
     """Invariant violations as human-readable strings (empty = healthy)."""
+    import numpy as np
+
     problems = []
     seen = set()
     for rule in snapshot.rules:

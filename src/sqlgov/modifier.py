@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import referenced_tables
 from .bench import ToolReport, input_digest
 from .errors import ContractViolationError, EmptyQueryError
@@ -26,6 +24,9 @@ from .prompts import (catalog_entry, check_answer, modify_prompt,
 from .providers import read_jsonl
 from .shapes import check, check_records, entry_from_json, naming
 from .sqltext import templatize
+
+# numpy is imported in the functions that make or read arrays, to keep it off
+# the cold start of commands that embed nothing (fragment, verify).
 
 REALIZE_SEMANTICS = "REALIZE_SEMANTICS"
 EXPLAIN_SQL = "EXPLAIN_SQL"
@@ -180,6 +181,8 @@ def build_centroids(labeled_requests: list[tuple[str, str]], provider,
                     categories: list[IntentCategory]) -> list[IntentCategory]:
     """Centroid = normalized mean of member embeddings; categories without
     examples keep their prior centroid."""
+    import numpy as np
+
     grouped: dict[str, list[np.ndarray]] = {}
     for text, category_id in labeled_requests:
         grouped.setdefault(category_id, []).append(

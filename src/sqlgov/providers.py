@@ -17,11 +17,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
-import numpy as np
-
 from .errors import EmptyTextError, MockMiss, ProviderFailure
 from .shapes import check_records, naming
 from .sqltext import templatize
+
+# numpy is imported in the functions that make or read arrays, to keep it off
+# the cold start of commands that embed nothing (fragment, verify).
 
 TEMPLATE_VERSION = "v1"
 
@@ -90,11 +91,20 @@ class QueryExecutor(Protocol):
 # --- scripted LLM ---------------------------------------------------------
 
 def read_jsonl(path: str | Path) -> list:
-    """Records of a JSON-Lines file, blank lines skipped; ``-`` reads stdin."""
+    """Records of a JSON-Lines file, blank lines skipped; ``-`` reads stdin.
+    A line that is not JSON is a ValueError naming its line in the file,
+    counted from 1; the caller names the file (``shapes.naming``)."""
     source = nullcontext(sys.stdin) if str(path) == "-" \
         else open(path, encoding="utf-8")
+    records = []
     with source as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"line {number}: {exc.msg}") from None
+    return records
 
 
 def load_playbook(path: str | Path) -> list[dict]:
@@ -202,6 +212,8 @@ class HashingEmbedding:
         self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:
+        import numpy as np
+
         if not text or not text.strip():
             raise EmptyTextError("cannot embed empty text")
         vec = np.zeros(self.dim, dtype=float)

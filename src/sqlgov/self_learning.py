@@ -14,8 +14,6 @@ from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from .bench import ToolReport, input_digest
 from .errors import NoHistoryError, RejectedResponseError, UnknownRuleError
 from .knowledge_base import (
@@ -33,6 +31,9 @@ from .prompts import ask_json, rule_generation_prompt
 from .seeds import load_or_seed
 from .shapes import check, entry_from_json, naming
 from .sqltext import templatize
+
+# numpy is imported in the functions that make or read arrays, to keep it off
+# the cold start of commands that embed nothing (fragment, verify).
 
 STATUS_OK = "OK"
 STATUS_ERROR = "ERROR"
@@ -99,6 +100,8 @@ class CandidateRuleBatch:
 def filter_records(records: list[ExecutionRecord]) -> list[ExecutionRecord]:
     """Keep failures, flagged-slow records, and elapsed outliers above the
     batch percentile; deduplicate by masked SQL template (first wins)."""
+    import numpy as np
+
     threshold = None
     if len(records) >= SLOW_MIN_BATCH:
         threshold = float(np.percentile([r.elapsed for r in records],
@@ -184,6 +187,8 @@ def dbscan_labels(distance: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     Returns one label per point; -1 marks noise. Seeding follows index order,
     so results are deterministic for a fixed matrix.
     """
+    import numpy as np
+
     n = distance.shape[0]
     UNVISITED, NOISE = -2, -1
     labels = np.full(n, UNVISITED, dtype=int)
@@ -212,6 +217,8 @@ def dbscan_labels(distance: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 
 
 def _distance_matrix(embeddings: list[np.ndarray]) -> np.ndarray:
+    import numpy as np
+
     mat = np.vstack(embeddings)
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     unit = mat / norms
@@ -251,6 +258,8 @@ def merge_cluster(cluster: list[RuleEntry],
                   embeddings: list[np.ndarray]) -> RuleEntry:
     """Medoid of the cluster: the member minimizing the summed L2 distance to
     all members. Ties go to the earliest created_at, then the index label."""
+    import numpy as np
+
     if not cluster:
         raise ValueError("merge_cluster needs a non-empty cluster")
     totals = []

@@ -798,3 +798,63 @@ def test_fix_syntax_rejects_fewer_than_one_round(capsys, fixtures_dir):
                          "--max-rounds", "0")
     assert code == 2 and out == ""
     assert err == "error: max_rounds must be >= 1\n"
+
+
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "abc", "1e20", "-1e20"])
+def test_modify_names_a_bad_sqlgov_now(capsys, monkeypatch, fixtures_dir, raw):
+    """SQLGOV_NOW must be a finite POSIX time a datetime holds; anything
+    else exits 2 naming the env var, never error[INTERNAL]."""
+    monkeypatch.setenv("SQLGOV_NOW", raw)
+    code, out, err = run(capsys, "modify", str(fixtures_dir / "nested_query.sql"),
+                         "--request", "please add comments that explain what "
+                         "each subquery does", "--provider", "scripted-permissive")
+    assert code == 2 and out == ""
+    assert err == f"error: SQLGOV_NOW: expected a POSIX time, got {raw!r}\n"
+
+
+def test_modify_stamps_sqlgov_now(capsys, monkeypatch, fixtures_dir):
+    prompts = []
+    complete = ScriptedLLM.complete
+
+    def recorded(self, env):
+        prompts.append(env.render())
+        return complete(self, env)
+
+    monkeypatch.setattr(ScriptedLLM, "complete", recorded)
+    monkeypatch.setenv("SQLGOV_NOW", "86400.5")
+    code, _, _ = run(capsys, "modify", str(fixtures_dir / "nested_query.sql"),
+                     "--request", "explain and annotate: add comments",
+                     "--provider", "scripted-permissive")
+    assert code == 0
+    assert any("1970-01-02T00:00:00.500000+00:00" in p for p in prompts)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--batch", "{file}", "--playbook", PLAYBOOK],
+    ["kb", "learn", "--store", "{tmp}/kb", "--records", "{file}"],
+    ["verify", "--left", "{nested}", "--right", "{nested}", "--playbook", "{file}"],
+    ["bench", "--pairs", "{file}", "--fixtures", "{fixtures}"],
+], ids=["verify-batch", "kb-learn-records", "playbook", "bench-pairs"])
+def test_a_line_that_is_not_json_is_named_by_file_and_line(
+        capsys, tmp_path, fixtures_dir, argv):
+    """The file is named once, and the line is the file's own, counted from 1
+    with blank lines included."""
+    source = tmp_path / "input.jsonl"
+    source.write_text('{"a": 1}\n\nnot json\n')
+    names = {"file": source, "tmp": tmp_path,
+             "nested": fixtures_dir / "nested_query.sql",
+             "fixtures": fixtures_dir / "executor_fixtures.jsonl"}
+    code, out, err = run(capsys, *(arg.format(**names) for arg in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: {source}: line 3: Expecting value\n"
+
+
+def test_a_store_line_that_is_not_json_is_named_once(capsys, tmp_path):
+    store = tmp_path / "kb"
+    run(capsys, "kb", "init", "--store", str(store))
+    with open(store / "rules.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"index": \n')
+    lines = (store / "rules.jsonl").read_text().count("\n")
+    code, out, err = run(capsys, "kb", "stats", "--store", str(store))
+    assert code == 2 and out == ""
+    assert err == f"error: {store / 'rules.jsonl'}: line {lines}: Expecting value\n"

@@ -6,9 +6,14 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_targets() -> list[tuple]:
@@ -29,3 +34,21 @@ def test_every_trace_target_resolves():
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_cli_import_loads_every_traced_module():
+    """The traced cli-calls child (perfbench/cli_runner.py) imports
+    ``sqlgov.cli`` and ``sqlgov.providers``, then installs the tracer, which
+    reads ``sys.modules`` for every target module. A module those two imports
+    no longer load would crash that child, so a fresh interpreter must hold
+    them all after the same imports."""
+    modules = sorted({module_name for module_name, *_ in _load_targets()})
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    child = ("import json, sys, sqlgov.cli, sqlgov.providers; "
+             f"print(json.dumps([m for m in {modules!r} if m not in sys.modules]))")
+    done = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []

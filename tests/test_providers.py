@@ -79,6 +79,16 @@ def test_read_jsonl_skips_blank_lines_and_reads_stdin(tmp_path, monkeypatch):
     assert read_jsonl("-") == [{"c": 3}]
 
 
+def test_read_jsonl_names_the_line_that_is_not_json(monkeypatch):
+    """Lines count from 1 in the input, blank ones included; a separator
+    inside a JSON string starts no line."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        '{"a": "x\u2028y"}\n\n{"b": 2}\n{"c": }\n'))
+    with pytest.raises(ValueError) as info:
+        read_jsonl("-")
+    assert str(info.value) == "line 4: Expecting value"
+
+
 # --- scripted LLM ---------------------------------------------------------------
 
 def test_scripted_lookup_and_determinism():
