@@ -310,8 +310,7 @@ def write_corrector_fixtures() -> None:
 
 
 def golden_envelopes():
-    """Representative envelopes rendered with pinned slot values; must stay
-    in sync with tests/test_providers.py::test_prompt_rendering_goldens."""
+    """Representative envelopes rendered with pinned slot values."""
     from sqlgov import prompts
     from sqlgov.corrector import CorrectionInputs
     from sqlgov.fragmenter import decompose
@@ -348,25 +347,29 @@ def golden_envelopes():
     ]
 
 
-def write_prompt_goldens() -> None:
-    blocks = []
-    for env in golden_envelopes():
-        blocks.append(f"=== {env.template_id} {env.digest} ===\n{env.render()}")
-    (FIXTURES / "prompt_goldens.txt").write_text("\n\n".join(blocks) + "\n")
+def render_goldens() -> str:
+    """The text of ``prompt_goldens.txt``: each golden envelope under a
+    header naming its template and digest."""
+    return "\n\n".join(
+        f"=== {env.template_id} {env.digest} ===\n{env.render()}"
+        for env in golden_envelopes()) + "\n"
+
+
+def playbook_entries(llm: AuthoringLLM) -> list[dict]:
+    """The playbook entries of every exchange ``llm`` recorded, sorted."""
+    return [{"template_id": tid, "digest": digest, "response": response}
+            for (tid, digest), response in sorted(llm.entries.items())]
 
 
 def main() -> None:
     build_intent_tables()
     llm = AuthoringLLM()
     run_flows(llm)
-    entries = [
-        {"template_id": tid, "digest": digest, "response": response}
-        for (tid, digest), response in sorted(llm.entries.items())
-    ]
+    entries = playbook_entries(llm)
     save_playbook(entries, FIXTURES / "playbook.jsonl")
     write_bench_fixtures()
     write_corrector_fixtures()
-    write_prompt_goldens()
+    (FIXTURES / "prompt_goldens.txt").write_text(render_goldens())
     print(f"wrote {len(entries)} playbook entries and fixtures to {FIXTURES}")
 
 

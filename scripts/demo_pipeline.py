@@ -20,13 +20,9 @@ from sqlgov import bench as bench_mod
 from sqlgov import corrector, rewriter
 from sqlgov.fragmenter import decompose
 from sqlgov.knowledge_base import KnowledgeStore
-from sqlgov.providers import (
-    HashingEmbedding,
-    ScriptedLLM,
-    SimulatedExecutor,
-    read_jsonl,
-)
+from sqlgov.providers import HashingEmbedding, ScriptedLLM, SimulatedExecutor
 from sqlgov.seeds import seed_snapshot
+from sqlgov.shapes import read_jsonl
 
 
 def banner(title: str) -> None:
@@ -70,8 +66,8 @@ def main() -> None:
 
     banner("benchmark")
     executor = SimulatedExecutor.from_path(FIXTURES / "executor_fixtures.jsonl")
-    report = bench_mod.bench(read_jsonl(FIXTURES / "bench_pairs.jsonl"),
-                             executor, trials=3)
+    pairs = read_jsonl(FIXTURES / "bench_pairs.jsonl", bench_mod.normalize_pair)
+    report = bench_mod.bench(pairs, executor, trials=3)
     for r in report.results:
         print(f"{r.query_id}: ET_pre={r.et_pre:.1f}s ET_post={r.et_post:.1f}s "
               f"ETS={r.ets:.1f}s ETOG={r.etog:.1f}%")

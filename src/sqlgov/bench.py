@@ -13,7 +13,7 @@ import statistics
 from dataclasses import dataclass, field
 
 from .knowledge_base import CORRECTOR, MODIFIER, REWRITER
-from .shapes import check, check_records, naming
+from .shapes import check, naming
 
 _EFFICIENCY_MARKERS = (
     "efficien", "performance", "slow", "optimiz", "optimis", "speed",
@@ -96,26 +96,25 @@ def _bench_pair(pair: dict, executor, trials: int) -> BenchResult | dict:
                        trials={"original": pre_times, "rewritten": post_times})
 
 
-def normalize_pairs(pairs) -> list[dict]:
-    """Every pair as a record with an ``id`` and string ``original`` and
-    ``rewritten``; ValueError names the first pair that is neither such an
-    object nor a sequence of two strings."""
-    pairs = [{"original": pair[0], "rewritten": pair[1]}
-             if isinstance(pair, (list, tuple)) and len(pair) == 2 else pair
-             for pair in pairs]
-    check_records(pairs, {"original": "required str", "rewritten": "required str"})
-    return [{"id": f"q{i}", **pair} for i, pair in enumerate(pairs, 1)]
+def normalize_pair(pair) -> dict:
+    """``pair`` as an object with string ``original`` and ``rewritten``: it
+    is such an object or a sequence of two strings, else a ValueError."""
+    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+        pair = {"original": pair[0], "rewritten": pair[1]}
+    return check(pair, {"original": "required str", "rewritten": "required str"})
 
 
 def bench(pairs, executor, trials: int = 3) -> BenchReport:
     """Benchmark (original, rewritten) pairs: ETS = pre - post, ETOG =
     ETS/pre * 100. Erroring pairs are excluded from aggregates and reported.
+    A pair without an ``id`` is named ``q<n>``, n counted from 1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    pairs = [normalize_pair(pair) for pair in pairs]  # all checked before any runs
     report = BenchReport()
-    for record in normalize_pairs(pairs):
-        outcome = _bench_pair(record, executor, trials)
+    for i, pair in enumerate(pairs, 1):
+        outcome = _bench_pair({"id": f"q{i}", **pair}, executor, trials)
         if isinstance(outcome, BenchResult):
             report.results.append(outcome)
         else:

@@ -32,24 +32,16 @@ from .knowledge_base import (
     check_integrity,
     save_snapshot,
 )
-from .providers import (
-    HashingEmbedding,
-    ScriptedLLM,
-    SimulatedExecutor,
-    read_jsonl,
-)
+from .prompts import check_catalog
+from .providers import HashingEmbedding, ScriptedLLM, SimulatedExecutor
 from .seeds import add_entry, load_or_seed, seed_snapshot
-from .shapes import naming
+from .shapes import check, read_json, read_jsonl
 
 
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text(encoding="utf-8")
-
-
-def _read_json(path: str):
-    return json.loads(_read_text(path))
 
 
 def _embedder(config: RuntimeConfig) -> HashingEmbedding:
@@ -121,27 +113,11 @@ def cmd_rewrite(args, config) -> int:
         report.output["verified"] != eq_mod.EQUIVALENT else 0
 
 
-def _verdict_payload(verdict) -> dict:
-    return {
-        "verdict": verdict.verdict,
-        "confidence": verdict.confidence,
-        "field_mapping": [list(m) for m in verdict.field_mapping]
-        if verdict.field_mapping else None,
-        "counterexample": verdict.counterexample,
-        "reason": verdict.reason,
-    }
-
-
 def cmd_verify(args, config) -> int:
     llm = _llm(config, args)
     if args.batch:
-        with naming(args.batch):
-            records = read_jsonl(args.batch)
-            for i, record in enumerate(records, 1):
-                if not (isinstance(record, dict) and all(
-                        isinstance(record.get(k), str) for k in ("left", "right"))):
-                    raise ValueError(f"record {i} needs string "
-                                     f"'left' and 'right' fields")
+        records = read_jsonl(args.batch, lambda record: check(
+            record, {"left": "required str", "right": "required str"}))
         pairs = [(record.get("id", f"pair{i + 1}"), record["left"],
                   record["right"])
                  for i, record in enumerate(records)]
@@ -154,7 +130,7 @@ def cmd_verify(args, config) -> int:
                                                     config.confidence_floor))
                 for pair_id, left, right in pairs]
     if args.json:
-        _print_json([{"id": pid, **_verdict_payload(v)} for pid, v in verdicts])
+        _print_json([{"id": pid, **asdict(v)} for pid, v in verdicts])
     else:
         for pid, v in verdicts:
             detail = v.reason or v.counterexample or ""
@@ -185,7 +161,7 @@ def cmd_modify(args, config) -> int:
     report = modifier_mod.modify_query(
         _read_text(args.source), args.request, _llm(config, args),
         _embedder(config),
-        catalog=_read_json(args.catalog) if args.catalog else {},
+        catalog=read_json(args.catalog, check_catalog) if args.catalog else {},
         history=modifier_mod.read_history(args.history) if args.history else [],
         context=args.context or "", categories_path=categories,
         now=_env_now())
@@ -212,7 +188,7 @@ def cmd_fix_syntax(args, config) -> int:
         report = corrector_mod.repair(
             sql, _read_text(args.log), _store(config, args, embedder),
             _llm(config, args),
-            catalog=_read_json(args.schema) if args.schema else {},
+            catalog=read_json(args.schema, check_catalog) if args.schema else {},
             max_rounds=args.max_rounds)
     except StillInvalidError as exc:
         if args.json:
@@ -276,8 +252,8 @@ def cmd_kb_stats(args, config) -> int:
 def cmd_kb_add(args, config) -> int:
     embedder = _embedder(config)
     snapshot = load_or_seed(args.store, embedder)
-    with naming(args.data):
-        add_entry(snapshot, args.kind, _read_json(args.data), embedder, time.time())
+    read_json(args.data, lambda data: add_entry(snapshot, args.kind, data,
+                                                embedder, time.time()))
     problems = check_integrity(snapshot)
     if problems:
         print("refusing to save, integrity violations:", file=sys.stderr)
@@ -290,11 +266,7 @@ def cmd_kb_add(args, config) -> int:
 
 
 def cmd_kb_learn(args, config) -> int:
-    with naming(args.records):
-        records = []
-        for i, payload in enumerate(read_jsonl(args.records), 1):
-            with naming(f"record {i}"):
-                records.append(learn_mod.record_from_json(payload))
+    records = read_jsonl(args.records, learn_mod.record_from_json)
     report = learn_mod.learn(args.store, records, _llm(config, args),
                              _embedder(config), args.tool, args.auto_accept,
                              time.time())
@@ -312,7 +284,7 @@ def cmd_kb_learn(args, config) -> int:
 
 
 def cmd_kb_verify(args, config) -> int:
-    decisions = _read_json(args.decisions)
+    decisions = read_json(args.decisions, learn_mod.check_decisions)
     learn_mod.verify_pending(args.store, decisions, _embedder(config),
                              time.time())
     print(f"applied {len(decisions)} decisions")
@@ -331,8 +303,7 @@ def cmd_kb_dedup(args, config) -> int:
 
 def cmd_bench(args, config) -> int:
     executor = SimulatedExecutor.from_path(args.fixtures, seed=config.seed)
-    with naming(args.pairs):
-        pairs = bench_mod.normalize_pairs(read_jsonl(args.pairs))
+    pairs = read_jsonl(args.pairs, bench_mod.normalize_pair)
     report = bench_mod.bench(pairs, executor, trials=args.trials)
     if args.json:
         _print_json({
@@ -353,8 +324,7 @@ def cmd_bench(args, config) -> int:
 
 
 def cmd_route(args, config) -> int:
-    with naming(args.issue):
-        tool = bench_mod.route(_read_json(args.issue))
+    tool = read_json(args.issue, bench_mod.route)
     if args.json:
         _print_json({"tool": tool})
     else:

@@ -194,10 +194,10 @@ def check_equivalence(a: str, b: str, provider,
     ska = skeleton(a)
     skb = skeleton(b)
     if normalize_tokens(ska.tree.tokens) == normalize_tokens(skb.tree.tokens):
-        n = ska.arity or 0
-        return EquivalenceVerdict(
+        return EquivalenceVerdict(  # no mapping when a star hides the arity
             verdict=EQUIVALENT, confidence=1.0,
-            field_mapping=tuple((i, i) for i in range(n)),
+            field_mapping=tuple((i, i) for i in range(ska.arity))
+            if ska.arity else None,
             reason="identical normalized text")
     mismatch = _skeleton_mismatch(ska, skb)
     if mismatch is not None:

@@ -16,7 +16,7 @@ import os
 import shutil
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 from .analysis import FragmentFacts, duplicated_scan_tables
@@ -27,8 +27,8 @@ from .errors import (
     ZeroVectorError,
 )
 from .fragmenter import Fragment, FragmentTree
-from .providers import read_jsonl, write_jsonl
-from .shapes import check, entry_from_json, naming
+from .providers import write_jsonl
+from .shapes import check, entry_from_json, naming, read_json, read_jsonl
 from .sqltext import templatize
 
 # numpy is imported in the functions that make or read arrays, to keep it off
@@ -430,30 +430,52 @@ def _read_matrix(file: Path) -> np.ndarray:
     """The read-only 2-D matrix of finite float64s saved at ``file``, empty
     if there is no file. The .npy header is checked against the file's size
     before any data is read, and a dtype that would need unpickling is
-    refused before that."""
+    refused before that. A ValueError names the file."""
     import numpy as np
 
     if not file.exists():
         return np.empty((0, 0))
     fmt = np.lib.format
-    with open(file, "rb") as fh:
-        read_header = {(1, 0): fmt.read_array_header_1_0,
-                       (2, 0): fmt.read_array_header_2_0}.get(fmt.read_magic(fh))
-        if read_header is None:
-            raise ValueError("not a version 1 or 2 .npy file")
-        shape, fortran_order, dtype = read_header(fh)
-        if dtype != np.float64 or len(shape) != 2:
-            raise ValueError(f"holds a {dtype} array of shape {shape}, "
-                             f"not a float64 matrix")
-        size = shape[0] * shape[1]
-        if 8 * size != os.fstat(fh.fileno()).st_size - fh.tell():
-            raise ValueError(f"data does not fill shape {shape}")
-        matrix = np.fromfile(fh, dtype=np.float64, count=size).reshape(
-            shape, order="F" if fortran_order else "C")
-    if not np.isfinite(matrix).all():
-        raise ValueError("holds a number that is not finite")
+    try:
+        with open(file, "rb") as fh:
+            read_header = {(1, 0): fmt.read_array_header_1_0,
+                           (2, 0): fmt.read_array_header_2_0}.get(fmt.read_magic(fh))
+            if read_header is None:
+                raise ValueError("not a version 1 or 2 .npy file")
+            shape, fortran_order, dtype = read_header(fh)
+            if dtype != np.float64 or len(shape) != 2:
+                raise ValueError(f"holds a {dtype} array of shape {shape}, "
+                                 f"not a float64 matrix")
+            size = shape[0] * shape[1]
+            if 8 * size != os.fstat(fh.fileno()).st_size - fh.tell():
+                raise ValueError(f"data does not fill shape {shape}")
+            matrix = np.fromfile(fh, dtype=np.float64, count=size).reshape(
+                shape, order="F" if fortran_order else "C")
+        if not np.isfinite(matrix).all():
+            raise ValueError("holds a number that is not finite")
+    except ValueError as exc:
+        raise ValueError(f"{file}: {exc}") from None
     matrix.flags.writeable = False
     return matrix
+
+
+def _meta_from_json(meta) -> tuple[int, dict[str, ToolStats]]:
+    """The schema version and tool stats of a ``meta.json`` value."""
+    check(meta, {"stats": "dict"})
+    version = meta.get("schema_version")
+    if version not in (1, SCHEMA_VERSION):
+        raise SchemaVersionMismatchError(
+            f"snapshot schema_version {version!r}; "
+            f"this build reads versions 1 and {SCHEMA_VERSION}")
+    return version, {tool: entry_from_json(ToolStats, record)
+                     for tool, record in meta.get("stats", {}).items()}
+
+
+def _entry_with_row(cls, rows, record):
+    """The ``cls`` entry of ``record`` with the next of ``rows`` as its
+    embedding; past the last row, ``record`` as parsed, to be counted."""
+    row = next(rows, None)
+    return record if row is None else entry_from_json(cls, record, embedding=row)
 
 
 def load_snapshot(path: str | Path) -> KnowledgeSnapshot:
@@ -463,45 +485,27 @@ def load_snapshot(path: str | Path) -> KnowledgeSnapshot:
     directory = Path(path)
     meta_path = directory / "meta.json"
     try:
-        with naming(meta_path):
-            meta = {"schema_version": SCHEMA_VERSION, "stats": {}}
-            if meta_path.exists():
-                with open(meta_path, encoding="utf-8") as fh:
-                    meta = json.load(fh)
-            check(meta, {"stats": "dict"})
-            version = meta.get("schema_version")
-            if version not in (1, SCHEMA_VERSION):
-                raise SchemaVersionMismatchError(
-                    f"snapshot schema_version {version!r}; "
-                    f"this build reads versions 1 and {SCHEMA_VERSION}")
-            stats = {tool: entry_from_json(ToolStats, record)
-                     for tool, record in meta.get("stats", {}).items()}
+        version, stats = read_json(meta_path, _meta_from_json) \
+            if meta_path.exists() else (SCHEMA_VERSION, {})
         entries = {}
         width = None  # (columns, file) of the first matrix with rows
         for kind, cls in _ENTRIES.items():
             file = directory / f"{kind}.jsonl"
-            with naming(file):
-                entries[kind] = records = read_jsonl(file) if file.exists() else []
-            given = [{}] * len(records)
+            make, matrix = partial(entry_from_json, cls), None
             if kind in _EMBEDDED and version == SCHEMA_VERSION:
                 matrix_file = file.with_suffix(".npy")
-                with naming(matrix_file):
-                    matrix = _read_matrix(matrix_file)
-                    if len(matrix):
-                        width = width or (matrix.shape[1], matrix_file.name)
-                        if matrix.shape[1] != width[0]:
-                            raise ValueError(f"{matrix.shape[1]} columns where "
-                                             f"{width[1]} has {width[0]}")
-                if len(matrix) != len(records):
-                    raise ValueError(f"{file}: {len(records)} records for "
-                                     f"{len(matrix)} rows in {matrix_file.name}")
-                given = [{"embedding": row} for row in matrix]
-            with naming(file):
-                try:  # in place, so each parsed list is freed in turn
-                    for i, record in enumerate(records):
-                        records[i] = entry_from_json(cls, record, **given[i])
-                except ValueError as exc:
-                    raise ValueError(f"record {i + 1}: {exc}") from None
+                matrix = _read_matrix(matrix_file)
+                if len(matrix):
+                    width = width or (matrix.shape[1], matrix_file.name)
+                    if matrix.shape[1] != width[0]:
+                        raise ValueError(f"{matrix_file}: {matrix.shape[1]} "
+                                         f"columns where {width[1]} has {width[0]}")
+                make = partial(_entry_with_row, cls, iter(matrix))
+            entries[kind] = records = read_jsonl(file, make) \
+                if file.exists() else []
+            if matrix is not None and len(records) != len(matrix):
+                raise ValueError(f"{file}: {len(records)} records for "
+                                 f"{len(matrix)} rows in {matrix_file.name}")
         return KnowledgeSnapshot(stats=stats, **entries)
     except OSError as exc:
         raise IoFailure(f"cannot read snapshot from {directory}: {exc}") from exc

@@ -8,7 +8,6 @@ confidence threshold are rejected as unsupported rather than guessed.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -21,8 +20,7 @@ from .fragmenter import decompose_lenient
 from .knowledge_base import MODIFIER, cosine_similarity
 from .prompts import (catalog_entry, check_answer, modify_prompt,
                       parse_json_response, render_columns)
-from .providers import read_jsonl
-from .shapes import check, check_records, entry_from_json, naming
+from .shapes import check, entry_from_json, read_json, read_jsonl
 from .sqltext import templatize
 
 # numpy is imported in the functions that make or read arrays, to keep it off
@@ -32,11 +30,6 @@ REALIZE_SEMANTICS = "REALIZE_SEMANTICS"
 EXPLAIN_SQL = "EXPLAIN_SQL"
 ADOPT_SYNTAX = "ADOPT_SYNTAX"
 OTHER = "OTHER"
-
-EMBED_INSTRUCTION = (
-    "Represent the action the user wants performed on the SQL, ignoring "
-    "schema identifiers and constants.")
-
 
 @dataclass
 class IntentCategory:
@@ -98,10 +91,9 @@ def default_categories() -> list[IntentCategory]:
 def _load_categories(path: str | Path) -> list[IntentCategory]:
     """Categories from a JSON list of ``IntentCategory`` objects, keywords as
     [phrase, weight] pairs; a ValueError names a file that does not fit."""
-    with naming(path):
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        check(raw, "list[dict]")
-        categories = [entry_from_json(IntentCategory, entry) for entry in raw]
+    categories = read_json(path, lambda raw: [
+        entry_from_json(IntentCategory, entry)
+        for entry in check(raw, "list[dict]")])
     for category in categories:
         category.keywords = [(k, float(w)) for k, w in category.keywords]
         category.centroid = category.centroid or None
@@ -112,9 +104,9 @@ def read_history(path: str | Path) -> dict[str, int]:
     """Access counts by table from a JSON-Lines history whose lines are table
     names or ``{"table", "count"}`` objects (count 1 if absent); a
     ValueError names a file that does not fit."""
-    with naming(path):
-        records = [{"table": r} if type(r) is str else r for r in read_jsonl(path)]
-        check_records(records, {"table": "required str", "count": "int"})
+    records = read_jsonl(path, lambda r: check(
+        {"table": r} if type(r) is str else r,
+        {"table": "required str", "count": "int"}))
     counts: dict[str, int] = {}
     for record in records:
         table, n = record["table"], record.get("count", 1)
@@ -136,23 +128,13 @@ def keyword_score(request: str, category: IntentCategory) -> float:
     return total / len(category.keywords)
 
 
-def request_embedding(request: str, provider) -> np.ndarray:
-    """Embed a request with the instruction for providers that support it
-    (``embed_with_instruction``); instruction-blind providers embed the raw
-    request."""
-    instructed = getattr(provider, "embed_with_instruction", None)
-    if instructed is not None:
-        return instructed(request, EMBED_INSTRUCTION)
-    return provider.embed(request)
-
-
 def classify_intent(request: str, categories: list[IntentCategory], provider,
                     cfg: ModifierConfig = ModifierConfig()) -> tuple[str, float] | None:
     """Winning (category id, score) by the combined score, or None when every
     score falls below theta (the request is treated as unsupported)."""
     query_vec = None
     if cfg.beta_sim > 0:
-        query_vec = request_embedding(request, provider)
+        query_vec = provider.embed(request)
     best: tuple[str, float] | None = None
     for category in categories:
         score = cfg.alpha * keyword_score(request, category)
@@ -185,8 +167,7 @@ def build_centroids(labeled_requests: list[tuple[str, str]], provider,
 
     grouped: dict[str, list[np.ndarray]] = {}
     for text, category_id in labeled_requests:
-        grouped.setdefault(category_id, []).append(
-            request_embedding(text, provider))
+        grouped.setdefault(category_id, []).append(provider.embed(text))
     updated = []
     for category in categories:
         members = grouped.get(category.id)

@@ -22,7 +22,7 @@ from .providers import (
     PromptEnvelope,
     envelope,
 )
-from .shapes import check
+from .shapes import check, misfit
 
 _RULE_GEN_TASK = (
     "You are given SQL queries together with their execution outputs "
@@ -203,6 +203,29 @@ def catalog_entry(entry) -> tuple[list | dict, str]:
     if isinstance(entry, dict) and {"columns", "description"} & entry.keys():
         return entry.get("columns", []), entry.get("description", "")
     return entry, ""
+
+
+_COLUMN = {"name": "required str", "description": "str"}
+
+
+def check_catalog(catalog) -> dict:
+    """``catalog`` if it is a JSON object from table to entry (see
+    ``catalog_entry``) whose columns are names or ``{"name",
+    "description"}`` objects and whose types are strings; else a ValueError
+    naming the first table that does not fit."""
+    check(catalog, "dict")
+    for table, entry in catalog.items():
+        columns, description = catalog_entry(entry)
+        if type(columns) is dict:
+            fits = all(type(t) is str for t in columns.values())
+        else:
+            fits = type(columns) is list and all(
+                type(c) is str or misfit(c, _COLUMN) is None for c in columns)
+        if not fits or type(description) is not str:
+            raise ValueError(f"table {table!r} is not a column list, a "
+                             f'{{"columns", "description"}} object or a '
+                             f"{{column: type}} map")
+    return catalog
 
 
 def render_columns(columns) -> str:

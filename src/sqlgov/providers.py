@@ -10,15 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import sys
 from collections import Counter
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
 from .errors import EmptyTextError, MockMiss, ProviderFailure
-from .shapes import check_records, naming
+from .shapes import check, read_jsonl
 from .sqltext import templatize
 
 # numpy is imported in the functions that make or read arrays, to keep it off
@@ -90,31 +88,13 @@ class QueryExecutor(Protocol):
 
 # --- scripted LLM ---------------------------------------------------------
 
-def read_jsonl(path: str | Path) -> list:
-    """Records of a JSON-Lines file, blank lines skipped; ``-`` reads stdin.
-    A line that is not JSON is a ValueError naming its line in the file,
-    counted from 1; the caller names the file (``shapes.naming``)."""
-    source = nullcontext(sys.stdin) if str(path) == "-" \
-        else open(path, encoding="utf-8")
-    records = []
-    with source as fh:
-        for number, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"line {number}: {exc.msg}") from None
-    return records
+_PLAYBOOK_ENTRY = {"template_id": "required str", "digest": "required str",
+                   "response": "required str"}
 
 
 def load_playbook(path: str | Path) -> list[dict]:
     """Playbook entries; a ValueError names a file that does not fit."""
-    with naming(path):
-        entries = read_jsonl(path)
-        check_records(entries, {"template_id": "required str",
-                                "digest": "required str",
-                                "response": "required str"})
-    return entries
+    return read_jsonl(path, lambda entry: check(entry, _PLAYBOOK_ENTRY))
 
 
 def write_jsonl(records, path: str | Path) -> None:
@@ -228,10 +208,6 @@ class HashingEmbedding:
             norm = 1.0
         return vec / norm
 
-    def embed_with_instruction(self, text: str, instruction: str) -> np.ndarray:
-        # token hashing cannot condition on guidance; embed the text alone
-        return self.embed(text)
-
 
 # --- simulated executor ------------------------------------------------------
 
@@ -241,6 +217,10 @@ class ExecOutcome:
     rows: int | None
     error_log: str | None
     elapsed: float
+
+
+_FIXTURE = {"template": "required str", "status": "str", "elapsed": "float",
+            "jitter": "float", "error_log": "str"}
 
 
 class SimulatedExecutor:
@@ -260,11 +240,7 @@ class SimulatedExecutor:
 
     @classmethod
     def from_path(cls, path: str | Path, seed: int = 0) -> "SimulatedExecutor":
-        with naming(path):
-            records = read_jsonl(path)
-            check_records(records, {"template": "required str", "status": "str",
-                                    "elapsed": "float", "jitter": "float",
-                                    "error_log": "str"})
+        records = read_jsonl(path, lambda record: check(record, _FIXTURE))
         fixtures = {record.pop("template"): record for record in records}
         return cls(fixtures, seed=seed)
 

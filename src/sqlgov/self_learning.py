@@ -29,7 +29,7 @@ from .knowledge_base import (
 )
 from .prompts import ask_json, rule_generation_prompt
 from .seeds import load_or_seed
-from .shapes import check, entry_from_json, naming
+from .shapes import check, entry_from_json, read_json
 from .sqltext import templatize
 
 # numpy is imported in the functions that make or read arrays, to keep it off
@@ -379,20 +379,18 @@ def apply_verification(snapshot: KnowledgeSnapshot, batch: CandidateRuleBatch,
 PENDING_DIR = "pending"
 
 
-def _read_batch(path: Path) -> CandidateRuleBatch:
-    """A pending batch file; a ValueError names the file."""
-    with naming(path):
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        check(payload, {"rules": "required list[dict]",
-                        "records": "required list[dict]",
-                        "source_records": "required list[str]",
-                        "generated_at": "required float"})
-        return CandidateRuleBatch(
-            rules=[entry_from_json(RuleEntry, r) for r in payload["rules"]],
-            source_records=payload["source_records"],
-            generated_at=payload["generated_at"],
-            records=[record_from_json(r) for r in payload["records"]],
-        )
+def _batch_from_json(payload) -> CandidateRuleBatch:
+    """A pending batch from its JSON form; ValueError says what is wrong."""
+    check(payload, {"rules": "required list[dict]",
+                    "records": "required list[dict]",
+                    "source_records": "required list[str]",
+                    "generated_at": "required float"})
+    return CandidateRuleBatch(
+        rules=[entry_from_json(RuleEntry, r) for r in payload["rules"]],
+        source_records=payload["source_records"],
+        generated_at=payload["generated_at"],
+        records=[record_from_json(r) for r in payload["records"]],
+    )
 
 
 def _write_pending(store_dir: Path, batch: CandidateRuleBatch) -> Path:
@@ -446,6 +444,15 @@ def learn(store_dir: str | Path, records: list[ExecutionRecord], provider,
     )
 
 
+def check_decisions(decisions) -> dict[str, str]:
+    """``decisions`` if they map rule indices to ACCEPT or REJECT, else a
+    ValueError."""
+    if not isinstance(decisions, dict) or not all(
+            verdict in ("ACCEPT", "REJECT") for verdict in decisions.values()):
+        raise ValueError("decisions must map rule indices to ACCEPT or REJECT")
+    return decisions
+
+
 def verify_pending(store_dir: str | Path, decisions: dict[str, str], embedder,
                    now: float) -> list[Path]:
     """Apply expert ACCEPT/REJECT decisions to the store's pending batches
@@ -455,14 +462,12 @@ def verify_pending(store_dir: str | Path, decisions: dict[str, str], embedder,
     rejects the whole call before any decision is applied or any batch
     removed.
     """
-    if not isinstance(decisions, dict) or not all(
-            verdict in ("ACCEPT", "REJECT") for verdict in decisions.values()):
-        raise ValueError("decisions must map rule indices to ACCEPT or REJECT")
+    check_decisions(decisions)
     snapshot = load_or_seed(store_dir, embedder)
     paths = sorted((Path(store_dir) / PENDING_DIR).glob("batch-*.json"))
     if not paths:
         raise ValueError("no pending batches")
-    batches = [(path, _read_batch(path)) for path in paths]
+    batches = [(path, read_json(path, _batch_from_json)) for path in paths]
     unknown = set(decisions) - {r.index for _, batch in batches
                                 for r in batch.rules}
     if unknown:

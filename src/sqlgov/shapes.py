@@ -1,13 +1,15 @@
 """One type check for every JSON input: provider answers, store files and
-operator files. A type is named as a dataclass field annotates it, so a
-stored entry's dataclass is its own file format."""
+operator files, and one reader for each JSON and JSON-Lines file. A type is
+named as a dataclass field annotates it, so a stored entry's dataclass is
+its own file format."""
 
 from __future__ import annotations
 
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 _SCALARS = {"str": (str,), "bool": (bool,), "int": (int,), "dict": (dict,)}
 _FLOAT64_MAX = sys.float_info.max
@@ -75,19 +77,12 @@ def misfit(value, shape) -> str | None:
     return None
 
 
-def check(value, shape) -> None:
-    """Raise a ValueError saying where ``value`` does not fit ``shape``."""
+def check(value, shape):
+    """``value`` if it fits ``shape``, else a ValueError saying where not."""
     path = misfit(value, shape)
     if path is not None:
         raise ValueError(f"does not fit {json.dumps(shape)} at {path or '.'}")
-
-
-def check_records(records: list, shape) -> None:
-    """Raise a ValueError naming the first of ``records`` (counted from 1)
-    that does not fit ``shape``."""
-    for i, record in enumerate(records, 1):
-        with naming(f"record {i}"):
-            check(record, shape)
+    return value
 
 
 def entry_from_json(cls, record, **given):
@@ -120,3 +115,34 @@ def naming(subject):
         yield
     except ValueError as exc:
         raise ValueError(f"{subject}: {exc}") from None
+
+
+def read_json(path: str | Path, make):
+    """``make`` of the JSON value in the file at ``path`` (``-`` for stdin).
+    A ValueError, from the JSON or from ``make``, names the file."""
+    with naming(path):
+        text = sys.stdin.read() if str(path) == "-" \
+            else Path(path).read_text(encoding="utf-8")
+        return make(json.loads(text))
+
+
+def read_jsonl(path: str | Path, make) -> list:
+    """``make`` of each record of the JSON-Lines file at ``path`` (``-`` for
+    stdin), blank lines skipped. A ValueError, from the JSON or from
+    ``make``, names the file and the record's line, counted from 1 with
+    blank lines included."""
+    source = nullcontext(sys.stdin) if str(path) == "-" \
+        else open(path, encoding="utf-8")
+    records = []
+    number = 0
+    try:
+        with source as fh:
+            for number, line in enumerate(fh, 1):
+                if line.strip():
+                    records.append(make(json.loads(line)))
+    except UnicodeDecodeError as exc:  # raised by a read, not by a line
+        raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+        raise ValueError(f"{path}: line {number}: {reason}") from None
+    return records

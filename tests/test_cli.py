@@ -121,6 +121,18 @@ def test_verify_batch(capsys, tmp_path, nested_query, nested_rewrite):
     assert json.loads(out)[0]["verdict"] == "EQUIVALENT"
 
 
+def test_verify_json_of_an_identical_star_pair_has_no_mapping(capsys, tmp_path):
+    batch = tmp_path / "pairs.jsonl"
+    batch.write_text(json.dumps({"left": "SELECT * FROM t",
+                                 "right": "SELECT  * FROM t"}) + "\n")
+    code, out, _ = run(capsys, "verify", "--batch", str(batch), "--json")
+    assert code == 0
+    assert json.loads(out) == [{"id": "pair1", "verdict": "EQUIVALENT",
+                                "confidence": 1.0, "field_mapping": None,
+                                "counterexample": None,
+                                "reason": "identical normalized text"}]
+
+
 @pytest.mark.parametrize("second", [
     {"original": "SELECT 1", "rewritten": "SELECT 1"},  # bench pair fields
     {"left": "SELECT 1", "right": 1},
@@ -136,7 +148,7 @@ def test_verify_batch_rejects_record_without_left_and_right(
                          "--playbook", PLAYBOOK)
     assert code == 2
     assert out == ""  # checked before any pair is compared
-    assert "record 2" in err and "'left' and 'right'" in err
+    assert err.startswith(f"error: {batch}: line 2: does not fit")
 
 
 # --- modify / fix-syntax -------------------------------------------------------
@@ -394,7 +406,7 @@ def test_kb_learn_rejects_a_malformed_record_before_learning(
                        "--playbook", _learn_playbook(tmp_path, [good]),
                        "--auto-accept")
     assert code == 2
-    assert err.startswith(f"error: {records_file}: record 2")
+    assert err.startswith(f"error: {records_file}: line 2: ")
     assert _store_bytes(store) == before
 
 
@@ -452,7 +464,7 @@ def test_bench_rejects_a_malformed_pair_before_running(capsys, tmp_path,
                          str(fixtures_dir / "executor_fixtures.jsonl"))
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {pairs}: record 2: ")
+    assert err.startswith(f"error: {pairs}: line 2: ")
 
 
 # --- config / env overrides ---------------------------------------------------------
@@ -671,7 +683,7 @@ def test_a_stored_matcher_that_does_not_fit_is_named(capsys, tmp_path,
     code, out, err = run(capsys, "rewrite", str(fixtures_dir / "nested_query.sql"),
                          "--kb", str(store), "--playbook", PLAYBOOK)
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {store / 'rules.jsonl'}: record 5: rule 'R9': "
+    assert err.startswith(f"error: {store / 'rules.jsonl'}: line 5: rule 'R9': "
                           f"matcher[0]: does not fit")
 
 
@@ -693,7 +705,7 @@ def test_operator_files_are_named(capsys, tmp_path, fixtures_dir, option, line):
     }[option]
     code, out, err = run(capsys, *argv, option, str(source))
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {source}: record 1: does not fit")
+    assert err.startswith(f"error: {source}: line 1: does not fit")
 
 
 def test_kb_stats_names_a_schema1_embedding_that_is_no_number(
@@ -707,7 +719,7 @@ def test_kb_stats_names_a_schema1_embedding_that_is_no_number(
     (store / "cases.jsonl").write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "kb", "stats", "--store", str(store))
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {store / 'cases.jsonl'}: record 2: "
+    assert err.startswith(f"error: {store / 'cases.jsonl'}: line 2: "
                           f"field 'embedding'[3] is not of type")
 
 
@@ -829,24 +841,126 @@ def test_modify_stamps_sqlgov_now(capsys, monkeypatch, fixtures_dir):
     assert any("1970-01-02T00:00:00.500000+00:00" in p for p in prompts)
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--batch", "{file}", "--playbook", PLAYBOOK],
-    ["kb", "learn", "--store", "{tmp}/kb", "--records", "{file}"],
-    ["verify", "--left", "{nested}", "--right", "{nested}", "--playbook", "{file}"],
-    ["bench", "--pairs", "{file}", "--fixtures", "{fixtures}"],
+_FIXTURES = Path(__file__).parent / "fixtures"
+_NAMES = {"nested": _FIXTURES / "nested_query.sql", "log": _FIXTURES / "broken.log",
+          "fixtures": _FIXTURES / "executor_fixtures.jsonl",
+          "pairs": _FIXTURES / "bench_pairs.jsonl"}
+_GOOD_PAIR = {"left": "SELECT 1", "right": "SELECT 1"}
+_GOOD_RECORD = {"sql": "SELECT 1", "status": "OK", "elapsed": 1.0}
+_GOOD_PLAY = {"template_id": "REWRITE", "digest": "d", "response": "r"}
+
+
+def _run_on(capsys, tmp_path, argv, source):
+    """Run ``argv`` with ``{file}`` as ``source``, ``{tmp}`` as ``tmp_path``
+    and the fixtures of ``_NAMES``."""
+    names = {**_NAMES, "file": source, "tmp": tmp_path}
+    return run(capsys, *(arg.format(**names) for arg in argv))
+
+
+@pytest.mark.parametrize("argv, good", [
+    (["verify", "--batch", "{file}", "--playbook", PLAYBOOK], _GOOD_PAIR),
+    (["kb", "learn", "--store", "{tmp}/kb", "--records", "{file}"], _GOOD_RECORD),
+    (["verify", "--left", "{nested}", "--right", "{nested}", "--playbook",
+      "{file}"], _GOOD_PLAY),
+    (["bench", "--pairs", "{file}", "--fixtures", "{fixtures}"],
+     ["SELECT 1", "SELECT 1"]),
 ], ids=["verify-batch", "kb-learn-records", "playbook", "bench-pairs"])
 def test_a_line_that_is_not_json_is_named_by_file_and_line(
-        capsys, tmp_path, fixtures_dir, argv):
+        capsys, tmp_path, argv, good):
     """The file is named once, and the line is the file's own, counted from 1
     with blank lines included."""
     source = tmp_path / "input.jsonl"
-    source.write_text('{"a": 1}\n\nnot json\n')
-    names = {"file": source, "tmp": tmp_path,
-             "nested": fixtures_dir / "nested_query.sql",
-             "fixtures": fixtures_dir / "executor_fixtures.jsonl"}
-    code, out, err = run(capsys, *(arg.format(**names) for arg in argv))
+    source.write_text(json.dumps(good) + "\n\nnot json\n")
+    code, out, err = _run_on(capsys, tmp_path, argv, source)
     assert code == 2 and out == ""
     assert err == f"error: {source}: line 3: Expecting value\n"
+
+
+@pytest.mark.parametrize("argv, good, bad", [
+    (["verify", "--batch", "{file}", "--playbook", PLAYBOOK], _GOOD_PAIR,
+     {"left": "SELECT 1"}),
+    (["kb", "learn", "--store", "{tmp}/kb", "--records", "{file}"], _GOOD_RECORD,
+     {"sql": "SELECT 1", "status": "OK"}),
+    (["bench", "--pairs", "{file}", "--fixtures", "{fixtures}"],
+     ["SELECT 1", "SELECT 1"], ["SELECT 1"]),
+    (["bench", "--pairs", "{pairs}", "--fixtures", "{file}"],
+     {"template": "SELECT 1"}, {"template": "SELECT 1", "elapsed": "1"}),
+    (["modify", "{nested}", "--request", "explain this", "--provider",
+      "scripted-permissive", "--history", "{file}"], "t1", {"count": 2}),
+    (["verify", "--left", "{nested}", "--right", "{nested}", "--playbook",
+      "{file}"], _GOOD_PLAY, {"template_id": "REWRITE", "digest": "d"}),
+], ids=["verify-batch", "kb-learn-records", "bench-pairs", "bench-fixtures",
+        "modify-history", "playbook"])
+def test_a_bad_record_after_a_blank_line_is_named_by_its_line(
+        capsys, tmp_path, argv, good, bad):
+    """Blank lines count: the bad record is on line 4, the second record."""
+    source = tmp_path / "input.jsonl"
+    source.write_text(f"\n{json.dumps(good)}\n\n{json.dumps(bad)}\n")
+    code, out, err = _run_on(capsys, tmp_path, argv, source)
+    assert code == 2 and out == ""
+    reason = "missing field 'elapsed'" if argv[0] == "kb" else "does not fit"
+    assert err.startswith(f"error: {source}: line 4: {reason}")
+
+
+def test_a_bad_store_record_after_a_blank_line_is_named_by_its_line(
+        capsys, tmp_path):
+    store = tmp_path / "kb"
+    run(capsys, "kb", "init", "--store", str(store))
+    first, second, *rest = (store / "cases.jsonl").read_text().splitlines()
+    bad = {**json.loads(second), "tag": "SAME_TABLE_JOIN"}
+    (store / "cases.jsonl").write_text(
+        "\n".join([first, "", json.dumps(bad), *rest]) + "\n")
+    code, out, err = run(capsys, "kb", "stats", "--store", str(store))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {store / 'cases.jsonl'}: line 3: "
+                          f"field 'tag' is not of type")
+
+
+@pytest.mark.parametrize("argv", [
+    ["kb", "verify", "--store", "{tmp}/kb", "--decisions", "{file}"],
+    ["modify", "{nested}", "--request", "explain this", "--provider",
+     "scripted-permissive", "--catalog", "{file}"],
+    ["fix-syntax", "{nested}", "--log", "{file}", "--provider",
+     "scripted-permissive", "--schema", "{file}"],
+    ["kb", "add", "--store", "{tmp}/kb", "--kind", "case", "--data", "{file}"],
+    ["route", "--issue", "{file}"],
+], ids=["kb-verify-decisions", "modify-catalog", "fix-syntax-schema",
+        "kb-add-data", "route-issue"])
+def test_a_json_file_that_is_not_json_is_named(capsys, tmp_path, argv):
+    source = tmp_path / "input.json"
+    source.write_text("not json\n")
+    code, out, err = _run_on(capsys, tmp_path, argv, source)
+    assert code == 2 and out == ""
+    assert err == f"error: {source}: Expecting value: line 1 column 1 (char 0)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["modify", "{nested}", "--request", "explain this", "--provider",
+     "scripted-permissive", "--catalog", "{file}"],
+    ["fix-syntax", "{nested}", "--log", "{log}", "--provider",
+     "scripted-permissive", "--schema", "{file}"],
+], ids=["modify-catalog", "fix-syntax-schema"])
+@pytest.mark.parametrize("catalog", [[1, 2], {"t": 5}, {"t": [1]},
+                                     {"t": {"columns": "a"}}, {"t": {"a": 1}}])
+def test_a_catalog_that_does_not_fit_is_named(capsys, tmp_path, argv, catalog):
+    source = tmp_path / "catalog.json"
+    source.write_text(json.dumps(catalog))
+    code, out, err = _run_on(capsys, tmp_path, argv, source)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {source}: ")
+    assert "INTERNAL" not in err
+
+
+def test_every_catalog_form_is_read(capsys, tmp_path, fixtures_dir):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps({
+        "t1": ["a", {"name": "b", "description": "bee"}],
+        "t2": {"description": "facts", "columns": ["x"]},
+        "t3": {"p": "int"}}))
+    code, _, err = run(capsys, "modify", str(fixtures_dir / "nested_query.sql"),
+                       "--request", "explain and annotate: add comments",
+                       "--provider", "scripted-permissive", "--catalog", str(catalog))
+    assert code == 0, err
 
 
 def test_a_store_line_that_is_not_json_is_named_once(capsys, tmp_path):

@@ -1,12 +1,10 @@
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import io
 import json
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,18 +18,9 @@ from sqlgov.providers import (
     ScriptedLLM,
     SimulatedExecutor,
     envelope,
-    read_jsonl,
 )
+from sqlgov.shapes import read_jsonl
 from sqlgov.sqltext import templatize
-
-
-def _load_builder():
-    spec = importlib.util.spec_from_file_location(
-        "build_playbook",
-        Path(__file__).parent.parent / "scripts" / "build_playbook.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 # --- envelopes --------------------------------------------------------------
@@ -61,22 +50,12 @@ def test_envelope_rejects_unregistered_template():
     envelope("MODIFY_CUSTOM_CATEGORY", ("Section", "text"))  # prefix allowed
 
 
-def test_prompt_rendering_goldens(fixtures_dir):
-    builder = _load_builder()
-    blocks = []
-    for env in builder.golden_envelopes():
-        blocks.append(f"=== {env.template_id} {env.digest} ===\n{env.render()}")
-    rendered = "\n\n".join(blocks) + "\n"
-    golden = (fixtures_dir / "prompt_goldens.txt").read_text()
-    assert rendered == golden
-
-
 def test_read_jsonl_skips_blank_lines_and_reads_stdin(tmp_path, monkeypatch):
     path = tmp_path / "records.jsonl"
     path.write_text('{"a": 1}\n\n  \n{"b": "x\u2028y"}\n', encoding="utf-8")
-    assert read_jsonl(path) == [{"a": 1}, {"b": "x\u2028y"}]
+    assert read_jsonl(path, lambda r: r) == [{"a": 1}, {"b": "x\u2028y"}]
     monkeypatch.setattr("sys.stdin", io.StringIO('{"c": 3}\n'))
-    assert read_jsonl("-") == [{"c": 3}]
+    assert read_jsonl("-", lambda r: r) == [{"c": 3}]
 
 
 def test_read_jsonl_names_the_line_that_is_not_json(monkeypatch):
@@ -85,8 +64,8 @@ def test_read_jsonl_names_the_line_that_is_not_json(monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(
         '{"a": "x\u2028y"}\n\n{"b": 2}\n{"c": }\n'))
     with pytest.raises(ValueError) as info:
-        read_jsonl("-")
-    assert str(info.value) == "line 4: Expecting value"
+        read_jsonl("-", lambda r: r)
+    assert str(info.value) == "-: line 4: Expecting value"
 
 
 # --- scripted LLM ---------------------------------------------------------------

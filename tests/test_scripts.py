@@ -5,8 +5,9 @@ the demo walks the whole pipeline."""
 from __future__ import annotations
 
 import importlib.util
-import json
 from pathlib import Path
+
+from sqlgov.providers import save_playbook
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 
@@ -18,22 +19,16 @@ def _load(name: str):
     return module
 
 
-def test_playbook_and_goldens_regenerate_byte_identical(fixtures_dir):
+def test_playbook_and_goldens_regenerate_byte_identical(fixtures_dir, tmp_path):
     builder = _load("build_playbook")
     builder.build_intent_tables()
     llm = builder.AuthoringLLM()
     builder.run_flows(llm)
-    playbook = "".join(
-        json.dumps({"template_id": tid, "digest": digest, "response": response},
-                   sort_keys=True, ensure_ascii=False) + "\n"
-        for (tid, digest), response in sorted(llm.entries.items()))
-    assert playbook == (fixtures_dir / "playbook.jsonl").read_text(
-        encoding="utf-8")
-    goldens = "\n\n".join(
-        f"=== {env.template_id} {env.digest} ===\n{env.render()}"
-        for env in builder.golden_envelopes()) + "\n"
-    assert goldens == (fixtures_dir / "prompt_goldens.txt").read_text(
-        encoding="utf-8")
+    save_playbook(builder.playbook_entries(llm), tmp_path / "playbook.jsonl")
+    assert (tmp_path / "playbook.jsonl").read_bytes() == \
+        (fixtures_dir / "playbook.jsonl").read_bytes()
+    goldens = (fixtures_dir / "prompt_goldens.txt").read_text(encoding="utf-8")
+    assert builder.render_goldens() == goldens
 
 
 def test_demo_pipeline_runs_end_to_end(capsys):
