@@ -10,8 +10,8 @@ loads through pickle or external services.
 
 from __future__ import annotations
 
-import copy
 import json
+import operator
 import os
 import shutil
 from collections.abc import Mapping
@@ -132,11 +132,33 @@ class KnowledgeSnapshot:
         return len(self.rules_for(tool, VERIFIED))
 
 
+def copy_entry(entry):
+    """A new ``entry`` whose lists, and the dicts in them, are fresh: a
+    rule's matcher and its clauses, a case's tags, a tool's update times.
+    Strings and the read-only embedding row are shared. The fields are
+    copied from ``vars()``, so ``__post_init__`` does not check or convert
+    them again."""
+    clone = object.__new__(type(entry))
+    fields = clone.__dict__
+    fields.update(vars(entry))
+    for name, value in fields.items():
+        if isinstance(value, list):
+            fields[name] = [dict(x) if isinstance(x, dict) else x for x in value]
+    return clone
+
+
 def copy_snapshot(snapshot: KnowledgeSnapshot) -> KnowledgeSnapshot:
-    """A deep copy that shares the read-only embedding rows."""
-    memo = {id(e.embedding): e.embedding
-            for e in (*snapshot.cases, *snapshot.strategies)}
-    return copy.deepcopy(snapshot, memo)
+    """A copy of every entry (``copy_entry``) in new lists. The copy shares
+    the embedding rows, so it also takes the snapshot's embedding indexes,
+    which stay valid for it until its entries change."""
+    clone = KnowledgeSnapshot(
+        rules=list(map(copy_entry, snapshot.rules)),
+        cases=list(map(copy_entry, snapshot.cases)),
+        strategies=list(map(copy_entry, snapshot.strategies)),
+        stats={tool: copy_entry(s) for tool, s in snapshot.stats.items()})
+    if _INDEXES in snapshot.__dict__:
+        clone.__dict__[_INDEXES] = dict(snapshot.__dict__[_INDEXES])
+    return clone
 
 
 def cosine_similarity(a, b) -> float:
@@ -228,17 +250,26 @@ class _EmbeddingIndex:
     def __init__(self, entries):
         import numpy as np
 
-        stacked = _matrix(entries) + 0.0  # -0.0 becomes 0.0: one row for both
+        self.labels = [e.index for e in entries]
+        self.rows = [e.embedding for e in entries]  # held, so ids are not reused
+        stacked = _matrix(entries)
+        stacked += 0.0  # -0.0 becomes 0.0: one row for both
         rows: dict[bytes, int] = {}
         self.entry_rows = np.array(
             [rows.setdefault(row.tobytes(), len(rows)) for row in stacked],
             dtype=np.intp)
         _, first = np.unique(self.entry_rows, return_index=True)
-        self.matrix = stacked[first]
+        self.matrix = stacked if len(first) == len(stacked) else stacked[first]
         self.norms = np.linalg.norm(self.matrix, axis=1)
-        order = sorted(range(len(entries)), key=lambda i: entries[i].index)
+        order = sorted(range(len(entries)), key=self.labels.__getitem__)
         self.index_rank = np.empty(len(entries), dtype=np.intp)
         self.index_rank[order] = np.arange(len(entries))
+
+    def fits(self, entries) -> bool:
+        """Whether ``entries`` hold, in order, the index labels and the very
+        embedding objects this index was built from."""
+        return [e.index for e in entries] == self.labels and all(
+            map(operator.is_, [e.embedding for e in entries], self.rows))
 
     def rank(self, query_vec, selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Selected entry positions by (-score, index), and their scores."""
@@ -260,12 +291,33 @@ class _EmbeddingIndex:
         return selected[order], scores[order]
 
 
+_INDEXES = "_indexes"  # the attribute a snapshot holds its indexes in, by kind
+
+
+def _embedding_index(snapshot: KnowledgeSnapshot, kind: str) -> _EmbeddingIndex:
+    """The index of the snapshot's ``kind`` entries ("cases" or
+    "strategies"). Built on first use and held on the snapshot, as
+    ``analyze_tree`` holds a tree's facts; later calls return it while the
+    entries still fit it (``_EmbeddingIndex.fits``), and build a new one
+    otherwise. A ragged list raises DimensionMismatchError on every call."""
+    entries = getattr(snapshot, kind)
+    indexes = snapshot.__dict__.setdefault(_INDEXES, {})
+    index = indexes.get(kind)
+    if index is None or not index.fits(entries):
+        index = indexes[kind] = _EmbeddingIndex(entries)
+    return index
+
+
 class KnowledgeStore:
     """Read view over a snapshot plus the embedding provider used for retrieval.
 
-    The first retrieval indexes the snapshot's embeddings, so the view assumes
-    its snapshot does not change while the view is in use; build a new view
-    over a changed snapshot.
+    The case and strategy indexes belong to the snapshot: each is built once
+    and reused by every view while the entries, their index labels and
+    their embedding objects are unchanged. ``copy_snapshot`` shares the
+    embedding rows and hands the indexes on, so the snapshots of a
+    self-learning update reuse them too. A view checks its snapshot's index
+    on its first retrieval and then assumes the snapshot does not change
+    while the view is in use; build a new view over a changed snapshot.
     """
 
     def __init__(self, snapshot: KnowledgeSnapshot, embedder,
@@ -276,11 +328,11 @@ class KnowledgeStore:
 
     @cached_property
     def _case_index(self) -> _EmbeddingIndex:
-        return _EmbeddingIndex(self.snapshot.cases)
+        return _embedding_index(self.snapshot, "cases")
 
     @cached_property
     def _strategy_index(self) -> _EmbeddingIndex:
-        return _EmbeddingIndex(self.snapshot.strategies)
+        return _embedding_index(self.snapshot, "strategies")
 
     def match_rules(self, fragment: Fragment, tool: str, tree: FragmentTree,
                     facts: Mapping[int, FragmentFacts]) -> list[RuleEntry]:

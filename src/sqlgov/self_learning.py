@@ -5,7 +5,6 @@ semantically equivalent rules by clustering their description embeddings.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import itertools
 import json
@@ -24,6 +23,7 @@ from .knowledge_base import (
     KnowledgeSnapshot,
     RuleEntry,
     ToolStats,
+    copy_entry,
     copy_snapshot,
     save_snapshot,
 )
@@ -340,7 +340,7 @@ def apply_verification(snapshot: KnowledgeSnapshot, batch: CandidateRuleBatch,
             if existing.tool == rule.tool and existing.index == rule.index \
                     and existing.status != RETIRED:
                 return existing
-        clone = copy.deepcopy(rule)
+        clone = copy_entry(rule)
         new.rules.append(clone)
         return clone
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from sqlgov.fragmenter import decompose_lenient
+import sqlgov.knowledge_base as kb
 from sqlgov.knowledge_base import KnowledgeStore
 from sqlgov.providers import HashingEmbedding, ScriptedLLM
 from sqlgov.seeds import seed_snapshot
@@ -53,6 +54,20 @@ def embedder() -> HashingEmbedding:
 @pytest.fixture()
 def seeded_store(embedder) -> KnowledgeStore:
     return KnowledgeStore(seed_snapshot(embedder), embedder)
+
+
+@pytest.fixture()
+def index_builds(monkeypatch):
+    """The entry lists an ``_EmbeddingIndex`` was built over, in order."""
+    built = []
+
+    class Counted(kb._EmbeddingIndex):
+        def __init__(self, entries):
+            built.append([e.index for e in entries])
+            super().__init__(entries)
+
+    monkeypatch.setattr(kb, "_EmbeddingIndex", Counted)
+    return built
 
 
 @pytest.fixture()

@@ -456,6 +456,154 @@ def test_copy_snapshot_copies_state_and_shares_embeddings(embedder):
         assert copied.embedding is original.embedding
 
 
+_CLAUSES = st.sampled_from([
+    {"pred": "in_subquery"},
+    {"pred": "contains_operator", "op": "JOIN"},
+    {"pred": "same_table_scanned", "min_count": 3},
+])
+_LABELS = st.text("ABC_", min_size=1, max_size=4)
+_ROWS = st.lists(st.floats(-2, 2), min_size=1, max_size=4)
+
+
+@st.composite
+def snapshots(draw):
+    """Snapshots of every entry kind: rules with and without matchers,
+    cases with tag lists, strategies, and per-tool stats."""
+    rules = [RuleEntry(index, "d", draw(st.none() | st.lists(_CLAUSES, max_size=3)),
+                       draw(st.sampled_from(kb.TOOLS)),
+                       draw(st.sampled_from([kb.CANDIDATE, VERIFIED, kb.RETIRED])),
+                       draw(st.floats(0, 9)), draw(st.none() | st.floats(0, 9)))
+             for index in draw(st.lists(_LABELS, max_size=4))]
+    cases = [HistoricalCase(index, "d", draw(st.lists(_LABELS, max_size=3)), "T",
+                            draw(_ROWS))
+             for index in draw(st.lists(_LABELS, max_size=4))]
+    strategies = [ErrorStrategy(index, "p", draw(st.booleans()), draw(st.booleans()),
+                                "g", draw(_ROWS))
+                  for index in draw(st.lists(_LABELS, max_size=3))]
+    stats = draw(st.dictionaries(st.sampled_from(kb.TOOLS), st.lists(
+        st.floats(0, 9), max_size=3).map(lambda times: ToolStats(times)), max_size=2))
+    return KnowledgeSnapshot(rules, cases, strategies, stats)
+
+
+def _mutate_every_container(snapshot):
+    for rule in snapshot.rules:
+        rule.status, rule.verified_at = "CHANGED", -1.0
+        for clause in rule.matcher or ():
+            clause["pred"] = "changed"
+            clause["extra"] = 1
+        if rule.matcher is not None:
+            rule.matcher.append({"pred": "in_subquery"})
+    for case in snapshot.cases:
+        case.tag.append("NEW")
+    for stats in snapshot.stats.values():
+        stats.update_times.append(-1.0)
+    snapshot.stats["NEW"] = ToolStats()
+    snapshot.rules.append(RuleEntry("NEW", "d", None, REWRITER))
+    snapshot.cases.clear()
+    snapshot.strategies.reverse()
+
+
+@settings(max_examples=100, deadline=None)
+@given(snapshots())
+def test_copy_snapshot_is_a_deep_copy_that_shares_embeddings(snapshot):
+    before = copy.deepcopy(snapshot)
+    clone = copy_snapshot(snapshot)
+    assert clone == before
+    for copied, original in zip(clone.cases + clone.strategies,
+                                snapshot.cases + snapshot.strategies):
+        assert copied.embedding is original.embedding
+    _mutate_every_container(clone)
+    assert snapshot == before
+
+
+# --- one embedding index per snapshot ------------------------------------------------
+
+def _retrieve(snapshot, embedder):
+    """Every case by a new view, as (index, score bits), unfiltered and by tag."""
+    store = KnowledgeStore(snapshot, embedder)
+    return [[(c.index, score.hex()) for c, score in
+             store.retrieve_cases("SELECT 1", tags, k=len(snapshot.cases))]
+            for tags in (None, ["SAME_TABLE_JOIN"])]
+
+
+def _fresh(snapshot, embedder):
+    """As ``_retrieve``, over an index built afresh for the same entries."""
+    return _retrieve(KnowledgeSnapshot(cases=list(snapshot.cases)), embedder)
+
+
+def test_views_over_a_snapshot_and_its_copy_build_each_index_once(
+        embedder, index_builds):
+    def use(store):
+        store.retrieve_cases("SELECT a FROM t", k=3)
+        store.retrieve_strategy("column not found")
+
+    snapshot = _populated_snapshot(embedder)
+    use(KnowledgeStore(snapshot, embedder))
+    use(KnowledgeStore(snapshot, embedder))
+    use(KnowledgeStore(copy_snapshot(snapshot), embedder))
+    assert index_builds == [[c.index for c in snapshot.cases],
+                            [s.index for s in snapshot.strategies]]
+
+
+def _twinned_cases(embedder):
+    """Cases where ``case-twin`` shares ``case-000``'s embedding object, so
+    their order in a ranking is decided by index alone."""
+    cases = _random_cases(embedder, n=8)
+    cases.append(HistoricalCase("case-twin", "twin", ["SAME_TABLE_JOIN"], "T",
+                                cases[0].embedding))
+    return cases
+
+
+def _append(cases):
+    cases.append(HistoricalCase("case-new", "new", ["SAME_TABLE_JOIN"], "T",
+                                cases[4].embedding[::-1].copy()))
+
+
+def _pop(cases):
+    cases.pop(2)
+
+
+def _swap(cases):
+    cases[1], cases[2] = cases[2], cases[1]
+
+
+def _rename_twin(cases):
+    cases[-1].index = "case-"  # now ranks before case-000, its tie
+
+
+def _equal_new_row(cases):
+    cases[3].embedding = np.array(cases[3].embedding)
+
+
+def _different_row(cases):
+    cases[3].embedding = cases[5].embedding[::-1].copy()
+
+
+@pytest.mark.parametrize("change", [_append, _pop, _swap, _rename_twin,
+                                    _equal_new_row, _different_row])
+def test_a_view_after_an_in_place_change_ranks_as_a_fresh_index(embedder, change):
+    snapshot = KnowledgeSnapshot(cases=_twinned_cases(embedder))
+    query = _FixedEmbedder(np.random.default_rng(5).normal(size=768))
+    _retrieve(snapshot, query)  # the snapshot now holds an index
+    change(snapshot.cases)
+    assert _retrieve(snapshot, query) == _fresh(snapshot, query)
+
+
+def test_a_ragged_snapshot_fails_every_retrieval():
+    cases = [HistoricalCase("c1", "d", ["A"], "T", (1.0, 0.0)),
+             HistoricalCase("c2", "d", ["A"], "T", (1.0,))]
+    strategies = [ErrorStrategy("s1", "p", False, True, "g", (1.0, 0.0)),
+                  ErrorStrategy("s2", "p", False, True, "g", (1.0,))]
+    snapshot = KnowledgeSnapshot(cases=cases, strategies=strategies)
+    store = KnowledgeStore(snapshot, _FixedEmbedder([1.0, 0.0]))
+    for view in (store, store, KnowledgeStore(snapshot, store.embedder)):
+        for tags in (None, ["A"]):
+            with pytest.raises(DimensionMismatchError):
+                view.retrieve_cases("SELECT 1", tags)
+        with pytest.raises(DimensionMismatchError):
+            view.retrieve_strategy("error")
+
+
 def _store_files(directory):
     return sorted(p.name for p in directory.iterdir())
 

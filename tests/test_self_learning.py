@@ -14,8 +14,11 @@ from sqlgov.knowledge_base import (
     REWRITER,
     VERIFIED,
     KnowledgeSnapshot,
+    KnowledgeStore,
     RuleEntry,
     check_integrity,
+    load_snapshot,
+    save_snapshot,
 )
 from sqlgov.providers import ScriptedLLM
 from sqlgov.prompts import rule_generation_prompt
@@ -409,3 +412,72 @@ def test_batch_rejects_non_candidate_rules():
         CandidateRuleBatch(
             rules=[RuleEntry("x", "d", None, REWRITER, VERIFIED)],
             source_records=[], generated_at=0.0)
+
+
+def _batch_with_a_duplicate(snapshot, now=50.0):
+    """The candidate batch plus a rule, with a matcher, that repeats a seed
+    rule's description, so dedup has a merge to make."""
+    batch = _candidate_batch(now)
+    batch.rules.append(RuleEntry("NEW_COPY", snapshot.rules[0].description,
+                                 [{"pred": "in_subquery"}], REWRITER, CANDIDATE,
+                                 created_at=now))
+    return batch
+
+
+def test_verification_leaves_the_batch_rules_alone(embedder):
+    snapshot = seed_snapshot(embedder)
+    batch = _batch_with_a_duplicate(snapshot)
+    updated = apply_verification(snapshot, batch, {"NEW_COPY": "ACCEPT"},
+                                 embedder, now=60.0)
+    [added] = [r for r in updated.rules if r.index == "NEW_COPY"]
+    added.matcher[0]["pred"] = "contains_operator"
+    added.matcher.append({"pred": "in_subquery"})
+    assert added.status == VERIFIED
+    assert batch.rules[1] == RuleEntry("NEW_COPY", snapshot.rules[0].description,
+                                       [{"pred": "in_subquery"}], REWRITER,
+                                       CANDIDATE, created_at=50.0)
+
+
+def _reads(snapshot, embedder):
+    """Three reads, each through a new view: cases unfiltered and by tag, and
+    a strategy lookup, as (index, score bits)."""
+    results = []
+    for i, sql in enumerate(["SELECT a FROM big1 WHERE x = 9",
+                             "SELECT o.id FROM orders o JOIN orders p ON o.id = p.id",
+                             "SELECT b FROM big2 WHERE y IN (SELECT y FROM t)"]):
+        store = KnowledgeStore(snapshot, embedder)
+        for tags in (None, ["NEW_RULE"], ["SAME_TABLE_JOIN"]):
+            results.append([(c.index, score.hex()) for c, score in
+                            store.retrieve_cases(sql, tags, k=len(snapshot.cases))])
+        strategy, score = store.retrieve_strategy(f"column {i} not found") \
+            or (None, 0.0)
+        results.append((strategy and strategy.index, score.hex()))
+    return results
+
+
+def test_a_lifecycle_builds_one_case_index_per_case_list(embedder, tmp_path,
+                                                        index_builds):
+    store_dir = tmp_path / "kb"
+    save_snapshot(seed_snapshot(embedder), store_dir)
+    snapshot = load_snapshot(store_dir)
+    batch = _batch_with_a_duplicate(snapshot)
+
+    learned = apply_verification(snapshot, batch, {}, embedder, now=60.0)
+    save_snapshot(learned, store_dir)
+    after_learn = _reads(learned, embedder)
+
+    verified = apply_verification(load_snapshot(store_dir), batch,
+                                  {"NEW_RULE": "ACCEPT", "NEW_COPY": "ACCEPT"},
+                                  embedder, now=120.0)
+    verified, merges = dedupe_snapshot(verified, embedder, REWRITER)
+    save_snapshot(verified, store_dir)
+    after_verify = _reads(verified, embedder)
+
+    assert merges == [{"survivor": "SAME_TABLE_JOIN", "absorbed": ["NEW_COPY"]}]
+    case_lists = [[c.index for c in s.cases] for s in (learned, verified)]
+    assert case_lists[0] != case_lists[1]
+    strategies = [s.index for s in learned.strategies]  # loaded anew to verify
+    assert index_builds == [case_lists[0], strategies, case_lists[1], strategies]
+    fresh = [KnowledgeSnapshot(cases=list(s.cases), strategies=list(s.strategies))
+             for s in (learned, verified)]
+    assert [_reads(s, embedder) for s in fresh] == [after_learn, after_verify]
