@@ -80,15 +80,18 @@ def _summary(fields, narrative):
     return json.dumps({"fields": fields, "narrative": narrative})
 
 
-# Intent summaries keyed by the fragment's stripped text; shared fragments
-# between the original and the rewrite automatically share entries.
+# Intent summaries keyed by the fragment's stripped local text, the text its
+# INTENT_EXTRACT prompt shows; shared fragments between the original and the
+# rewrite automatically share entries.
 INTENT_SUMMARIES: dict[str, str] = {}
 
 
 def _register_intents(source: str, summaries: dict[int, str]) -> None:
     tree, _ = decompose_lenient(source)
     for fragment in tree.fragments:
-        INTENT_SUMMARIES[fragment.text.strip()] = summaries[fragment.id]
+        key = tree.local_text(fragment.id).strip()
+        summary = INTENT_SUMMARIES.setdefault(key, summaries[fragment.id])
+        assert summary == summaries[fragment.id], f"two summaries for:\n{key}"
 
 
 def build_intent_tables() -> None:
@@ -319,7 +322,9 @@ def golden_envelopes():
     from sqlgov.rewriter import RewriteSuggestion
     from sqlgov.self_learning import ExecutionRecord
 
-    fragment = decompose("SELECT a FROM t WHERE x = 1").root
+    tree = decompose("SELECT a FROM t WHERE x = 1")
+    fragment = tree.root
+    nested = decompose("SELECT a FROM (SELECT a FROM t) AS s")
     rule = RuleEntry("SAMPLE_RULE", "a sample rule description", None,
                      "REWRITER", "VERIFIED")
     suggestion = RewriteSuggestion(1, "SAMPLE_RULE", "do the thing",
@@ -337,13 +342,16 @@ def golden_envelopes():
         guidance="fix it", target_fragment=None, splice_span=None)
     return [
         prompts.rule_generation_prompt([record]),
-        prompts.scenario1_prompt(fragment, [rule]),
-        prompts.scenario2_prompt(fragment),
+        prompts.scenario1_prompt(tree, fragment, [rule]),
+        prompts.scenario2_prompt(tree, fragment),
         prompts.rewrite_prompt("SELECT a FROM t", [suggestion], []),
-        prompts.intent_extract_prompt(fragment, []),
+        prompts.intent_extract_prompt(tree, fragment, []),
         prompts.alignment_prompt('{"fields": []}', '{"fields": []}'),
         prompts.modify_prompt("EXPLAIN_SQL", "add comments", context),
         prompts.correction_prompt(inputs),
+        prompts.intent_extract_prompt(nested, nested.root, [
+            'fragment 1: {"fields": [{"output_name": "a", "source_tables": '
+            '["t"]}], "narrative": "column a of t"}']),
     ]
 
 

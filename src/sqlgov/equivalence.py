@@ -3,11 +3,14 @@
 Stage one summarizes each query's field provenance (innermost fragments
 first, child summaries feeding parent prompts). One check summarizes each
 distinct fragment envelope once: a fragment the rewrite left alone renders
-the same prompt on both sides, so both walks share one answer. A
-structural pre-filter rejects pairs with mismatched output arity or
-base-table sets before any provider call; surviving pairs go through an
-LLM field-alignment prompt with per-field confidences. UNDECIDED is a
-first-class outcome: low-confidence answers are never upgraded.
+the same prompt on both sides, so both walks share one answer. A prompt
+shows the fragment's local text, with each child as ``[fragment k]``, so an
+ancestor of a rewritten fragment shares its answer too when its own text
+and its child summaries are unchanged. A structural pre-filter rejects
+pairs with mismatched output arity or base-table sets before any provider
+call; surviving pairs go through an LLM field-alignment prompt with
+per-field confidences. UNDECIDED is a first-class outcome: low-confidence
+answers are never upgraded.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ def extract_intent(side: QuerySkeleton, provider,
             f"fragment {c.id}: {json.dumps(summaries[c.id], sort_keys=True)}"
             for c in tree.children(fragment.id)
         ]
-        env = intent_extract_prompt(fragment, child_rendered)
+        env = intent_extract_prompt(tree, fragment, child_rendered)
         if env not in answers:
             answers[env] = ask_json(provider, env)
         summaries[fragment.id] = answers[env]

@@ -112,6 +112,26 @@ class FragmentTree:
             index.setdefault(frag.parent_id, []).append(frag)
         return index
 
+    def local_text(self, fragment_id: int) -> str:
+        """The fragment's text with each direct child's span replaced by
+        ``[fragment k]``, k the child's id: what a prompt about the fragment
+        shows. Computed once per tree, for every fragment."""
+        return self._local_texts[fragment_id]
+
+    @cached_property
+    def _local_texts(self) -> dict[int, str]:
+        texts: dict[int, str] = {}
+        for frag in self.fragments:
+            parts, at = [], frag.span[0]
+            for child in sorted(self._children.get(frag.id, ()),
+                                key=lambda c: c.span[0]):
+                parts += (self.source[at:child.span[0]],
+                          f"[fragment {child.id}]")
+                at = child.span[1]
+            parts.append(self.source[at:frag.span[1]])
+            texts[frag.id] = "".join(parts)
+        return texts
+
     def cte_names(self) -> set[str]:
         return {f.name.lower() for f in self.fragments if f.kind == CTE and f.name}
 

@@ -1,8 +1,12 @@
 """Prompt templates for every LLM call site.
 
-Template texts are versioned package resources: scripted mocks key on the
-digest of the rendered envelope, so any wording change must bump
-TEMPLATE_VERSION and regenerate playbooks (scripts/build_playbook.py).
+Scripted mocks key on the digest of the rendered envelope, so any change to
+rendering means regenerating the playbook with scripts/build_playbook.py.
+
+A prompt about one fragment shows its local text: its own text with each
+direct child replaced by ``[fragment k]``, the label intent extraction gives
+that child's summary. REWRITE shows the whole query and CORRECT the whole
+fragment, since their answers replace that text.
 """
 
 from __future__ import annotations
@@ -64,11 +68,16 @@ def rule_generation_prompt(records) -> PromptEnvelope:
     )
 
 
-def scenario1_prompt(fragment, rules) -> PromptEnvelope:
+def _fragment_section(tree, fragment) -> tuple[str, str]:
+    return ("Fragment",
+            f"[fragment {fragment.id}]\n{tree.local_text(fragment.id)}")
+
+
+def scenario1_prompt(tree, fragment, rules) -> PromptEnvelope:
     rule_lines = [f"- {r.index}: {r.description}" for r in rules]
     return envelope(
         SCENARIO_1,
-        ("Fragment", f"[fragment {fragment.id}]\n{fragment.text}"),
+        _fragment_section(tree, fragment),
         ("Matched Rules", "\n".join(rule_lines)),
         ("Instruction",
          "Evaluate whether each matched rule truly applies to this fragment. "
@@ -79,10 +88,10 @@ def scenario1_prompt(fragment, rules) -> PromptEnvelope:
     )
 
 
-def scenario2_prompt(fragment) -> PromptEnvelope:
+def scenario2_prompt(tree, fragment) -> PromptEnvelope:
     return envelope(
         SCENARIO_2,
-        ("Fragment", f"[fragment {fragment.id}]\n{fragment.text}"),
+        _fragment_section(tree, fragment),
         ("Instruction",
          "Analyze the intent of this fragment and look for a cheaper "
          "formulation that preserves its semantics. If it is already "
@@ -111,10 +120,11 @@ def rewrite_prompt(original_sql: str, suggestions, cases) -> PromptEnvelope:
     )
 
 
-def intent_extract_prompt(fragment, child_summaries: list[str]) -> PromptEnvelope:
+def intent_extract_prompt(tree, fragment,
+                          child_summaries: list[str]) -> PromptEnvelope:
     return envelope(
         INTENT_EXTRACT,
-        ("Fragment", f"[fragment {fragment.id}]\n{fragment.text}"),
+        _fragment_section(tree, fragment),
         ("Child Summaries", "\n".join(child_summaries) or "(none)"),
         ("Instruction",
          "Describe the provenance of every output field of this fragment's "

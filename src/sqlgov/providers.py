@@ -22,8 +22,6 @@ from .sqltext import templatize
 # numpy is imported in the functions that make or read arrays, to keep it off
 # the cold start of commands that embed nothing (fragment, verify).
 
-TEMPLATE_VERSION = "v1"
-
 RULE_GEN = "RULE_GEN"
 SCENARIO_1 = "SCENARIO_1"
 SCENARIO_2 = "SCENARIO_2"

@@ -93,7 +93,7 @@ def evaluate(query: str, store: KnowledgeStore, provider) -> list[RewriteSuggest
     for fragment in tree.fragments:
         rules = store.match_rules(fragment, REWRITER, tree, facts)
         if rules:
-            data = ask_json(provider, scenario1_prompt(fragment, rules))
+            data = ask_json(provider, scenario1_prompt(tree, fragment, rules))
             allowed = {r.index for r in rules}
             applicable = [e for e in data.get("applicable", [])
                           if e.get("rule") in allowed]
@@ -109,7 +109,7 @@ def evaluate(query: str, store: KnowledgeStore, provider) -> list[RewriteSuggest
         if passes_efficiency_screen(fragment.id, facts, tree):
             suggestions.append(_efficient(fragment.id))
             continue
-        data = ask_json(provider, scenario2_prompt(fragment))
+        data = ask_json(provider, scenario2_prompt(tree, fragment))
         entries = data.get("suggestions", [])
         if data.get("efficient") or not entries:
             suggestions.append(_efficient(fragment.id))

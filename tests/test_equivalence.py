@@ -126,7 +126,8 @@ def test_intent_summary_arity_guard():
     from sqlgov.fragmenter import decompose
 
     sql = "SELECT a, b FROM t"
-    env = intent_extract_prompt(decompose(sql).root, [])
+    tree = decompose(sql)
+    env = intent_extract_prompt(tree, tree.root, [])
     llm = ScriptedLLM([{"template_id": env.template_id, "digest": env.digest,
                         "response": json.dumps({
                             "fields": [{"output_name": "a",
@@ -251,7 +252,8 @@ def _malformed_alignment_playbook(tmp_path, alignment) -> str:
 
     entries = []
     for sql, intent in _simple_intents().items():
-        env = intent_extract_prompt(decompose(sql).root, [])
+        tree = decompose(sql)
+        env = intent_extract_prompt(tree, tree.root, [])
         entries.append({"template_id": env.template_id, "digest": env.digest,
                         "response": json.dumps(intent)})
     llm = ScriptedLLM(entries)
@@ -322,10 +324,12 @@ _OUTER_ONLY = (
 
 class _CountingProvider:
     """Answers every intent with one field and a narrative that names the
-    call, or with a malformed answer while ``broken``; records envelopes."""
+    call (or the same narrative every time, without ``named``), or with a
+    malformed answer while ``broken``; records envelopes."""
 
-    def __init__(self, broken=False):
+    def __init__(self, broken=False, named=True):
         self.broken = broken
+        self.named = named
         self.envelopes = []
 
     def complete(self, env):
@@ -337,7 +341,8 @@ class _CountingProvider:
         return json.dumps({
             "fields": [{"output_name": "x", "source_tables": ["t"],
                         "transformation": "", "conditions": []}],
-            "narrative": f"call {len(self.envelopes)}"})
+            "narrative": f"call {len(self.envelopes)}" if self.named
+            else "column x of t"})
 
     def intents(self):
         return [e for e in self.envelopes if e.template_id == "INTENT_EXTRACT"]
@@ -364,6 +369,29 @@ def test_both_sides_see_one_summary_of_a_shared_fragment():
     assert len(roots) == 2
     left, right = (e.section("Child Summaries") for e in roots)
     assert "call 2" in left and left == right
+
+
+def _chain(depth: int, literal: int) -> str:
+    """``depth`` nested SELECTs over t; only the innermost holds ``literal``."""
+    sql = f"SELECT x FROM t WHERE y > {literal}"
+    for level in range(1, depth):
+        sql = f"SELECT x FROM ({sql}) AS s{level}"
+    return sql
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 5])
+def test_a_pair_that_differs_in_one_leaf_asks_one_more_intent(depth):
+    """Each side has N = depth fragments. Only the leaf's text differs, and
+    the leaf's summary comes back the same, so every ancestor shows the same
+    local text and child summaries on both sides and shares one answer:
+    N + 1 intent calls. Prompts showing whole fragment texts would make the
+    leaf's every ancestor differ too: N + depth calls."""
+    left, right = _chain(depth, 1), _chain(depth, 2)
+    provider = _CountingProvider(named=False)
+    assert check_equivalence(left, right, provider).verdict == EQUIVALENT
+    intents = provider.intents()
+    assert len(intents) == len(set(intents)) == depth + 1
+    assert _fragment_total(left) == depth
 
 
 def test_a_rejected_intent_is_not_kept_between_checks():

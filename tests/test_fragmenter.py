@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqlgov.errors import EmptyQueryError, OutOfRangeError, UnparseableQueryError
@@ -322,3 +323,79 @@ def test_decompose_idempotent_on_subfragments(root):
         subtree = decompose(frag.text)
         assert subtree.root.kind == MAIN
         assert shape(subtree, subtree.root_id) == shape(tree, frag.id)
+
+
+# --- local texts ----------------------------------------------------------------
+
+_PLACEHOLDER = re.compile(r"\[fragment (\d+)\]")
+
+
+def _expand(tree, fragment_id: int) -> str:
+    """The fragment's local text with each ``[fragment k]`` replaced,
+    recursively, by child k's expansion; every child is named once."""
+    children = [c.id for c in tree.children(fragment_id)]
+    local = tree.local_text(fragment_id)
+    named = [int(k) for k in _PLACEHOLDER.findall(local)]
+    assert sorted(named) == sorted(children), local
+    return _PLACEHOLDER.sub(lambda m: _expand(tree, int(m.group(1))), local)
+
+
+def _assert_local_texts_rebuild(tree):
+    for frag in tree.fragments:
+        assert _expand(tree, frag.id) == frag.text
+
+
+def test_local_texts_of_the_fixtures_rebuild_their_texts(
+        nested_query, nested_rewrite, union_query, union_rewrite):
+    for sql in (nested_query, nested_rewrite, union_query, union_rewrite):
+        _assert_local_texts_rebuild(decompose(sql))
+
+
+def test_a_local_text_names_its_children_in_place():
+    tree = decompose("SELECT a, (SELECT MAX(b) FROM u) FROM "
+                     "(SELECT a FROM t) AS s WHERE a IN (SELECT c FROM v)")
+    assert tree.local_text(tree.root_id) == (
+        "SELECT a, ([fragment 3]) FROM ([fragment 1]) AS s "
+        "WHERE a IN ([fragment 2])")
+    assert tree.local_text(1) == tree.by_id(1).text == "SELECT a FROM t"
+    assert tree.local_text(tree.root_id) is tree.local_text(tree.root_id)
+
+
+@given(gen_trees())
+@settings(max_examples=100, deadline=None)
+def test_local_texts_rebuild_every_fragment_text(root):
+    _assign_markers(root, [0])
+    _assert_local_texts_rebuild(decompose(_render(root)))
+
+
+_DAMAGE_PIECES = ["SELECT", "FROM", "WHERE", "WITH", "AS", "UNION", "ALL",
+                  "(", "(", ")", ",", "x", "t", "c1", "'s(", "-- (\n",
+                  "/* ) */", " ", "\n"]
+
+
+@st.composite
+def damaged_sql(draw):
+    """A generated query cut short and with some ')' dropped, or a soup of
+    SQL pieces: texts whose trees the lenient parse builds from damage."""
+    if draw(st.booleans()):
+        root = draw(gen_trees())
+        _assign_markers(root, [0])
+        sql = _render(root)
+        sql = sql[:draw(st.integers(min_value=1, max_value=len(sql)))]
+        closes = [i for i, ch in enumerate(sql) if ch == ")"]
+        drop = set(draw(st.lists(st.sampled_from(closes), unique=True))
+                   if closes else [])
+        return "".join(ch for i, ch in enumerate(sql) if i not in drop)
+    return " ".join(draw(st.lists(st.sampled_from(_DAMAGE_PIECES),
+                                  min_size=1, max_size=40)))
+
+
+@given(st.one_of(damaged_sql(), st.text(min_size=1, max_size=120)))
+@settings(max_examples=200, deadline=None)
+def test_local_texts_rebuild_lenient_trees(text):
+    assume("[fragment " not in text)  # a literal label could not be told apart
+    try:
+        tree, _ = decompose_lenient(text)
+    except EmptyQueryError:
+        return
+    _assert_local_texts_rebuild(tree)

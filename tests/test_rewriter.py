@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -88,7 +89,7 @@ def test_scenario2_exploratory_route(embedder):
     sql = "SELECT * FROM t1 JOIN t2 ON t1.k = t2.k"
     from sqlgov.prompts import scenario2_prompt
     tree = decompose(sql)
-    env = scenario2_prompt(tree.root)
+    env = scenario2_prompt(tree, tree.root)
     llm = ScriptedLLM([{
         "template_id": env.template_id, "digest": env.digest,
         "response": json.dumps({"efficient": False, "suggestions": [
@@ -98,6 +99,48 @@ def test_scenario2_exploratory_route(embedder):
     suggestions = evaluate(sql, _empty_store(embedder), llm)
     assert suggestions[0].scenario == EXPLORATORY
     assert "project only" in suggestions[0].action
+
+
+class _Recording:
+    """The permissive scripted provider, recording every envelope."""
+
+    def __init__(self):
+        self.inner = ScriptedLLM([], strict=False)
+        self.envelopes = []
+
+    def complete(self, env):
+        self.envelopes.append(env)
+        return self.inner.complete(env)
+
+
+_MARKERS = ("SELECT m1, (SELECT m2 FROM t2 WHERE m2 IN (SELECT m3 FROM t3)) "
+            "FROM t1 WHERE m1 IN (SELECT m4 FROM t4 "
+            "WHERE m4 > (SELECT MAX(m5) FROM t5))")
+
+
+def _descendants(tree, fragment_id):
+    for child in tree.children(fragment_id):
+        yield child
+        yield from _descendants(tree, child.id)
+
+
+def test_scenario_prompts_show_no_descendant_text(
+        nested_query, union_query, seeded_store):
+    seen = set()
+    for sql in (nested_query, union_query, _MARKERS):
+        provider = _Recording()
+        evaluate(sql, seeded_store, provider)
+        tree = decompose(sql)
+        for env in provider.envelopes:
+            seen.add(env.template_id)
+            header, body = env.section("Fragment").split("\n", 1)
+            fragment_id = int(re.fullmatch(r"\[fragment (\d+)\]", header)[1])
+            assert body == tree.local_text(fragment_id)
+            own = set(re.findall(r"\bm\d\b", body))
+            for d in _descendants(tree, fragment_id):
+                assert d.text.strip() not in body
+                assert not own & set(re.findall(r"\bm\d\b", d.text))
+    assert seen == {"SCENARIO_1", "SCENARIO_2"}
 
 
 # --- rewriting -------------------------------------------------------------
