@@ -16,7 +16,14 @@ source's tokens, and a fragment's ``token_range = (lo, hi)`` indexes its
 text's tokens there: ``tree.tokens[lo:hi]`` equals ``scan(fragment.text)``
 shifted by ``span[0]``. A child's range nests in its parent's, after the '('
 that opens it, and siblings' ranges are disjoint. Consumers slice these
-tokens instead of tokenizing fragment text again.
+tokens instead of tokenizing fragment text again. Tokens are tuples that
+carry their upper-case form. The tree also keeps, computed on first use, the
+positions of its table-context walk (``table_positions``), so the table
+analysis and ``templatize`` walk a tree once between them.
+
+Building and numbering walk the nesting with explicit stacks, not
+recursion, so a query nested past the interpreter's recursion limit still
+decomposes.
 
 A small LRU memo keyed by the query text returns the same tree for the same
 text, so a request that evaluates, rewrites, verifies and retrieves one query
@@ -25,11 +32,11 @@ scans and decomposes it once. Trees are immutable and shared by every caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import EmptyQueryError, OutOfRangeError, UnparseableQueryError
-from .sqltext import SELECT_HEADS, Token, WORD, scan
+from .sqltext import SELECT_HEADS, Token, WORD, iter_table_context, scan
 
 MAIN = "MAIN"
 CTE = "CTE"
@@ -132,22 +139,15 @@ class FragmentTree:
             texts[frag.id] = "".join(parts)
         return texts
 
+    @cached_property
+    def table_positions(self) -> tuple[int, ...]:
+        """Indices into ``tokens`` of the words in table-name position, in
+        order: ``iter_table_context`` over the whole query, walked once per
+        tree."""
+        return tuple(idx for idx, _ in iter_table_context(self.tokens))
+
     def cte_names(self) -> set[str]:
         return {f.name.lower() for f in self.fragments if f.kind == CTE and f.name}
-
-
-@dataclass
-class _Node:
-    kind: str
-    site: str
-    span: tuple[int, int]
-    token_range: tuple[int, int]
-    name: str | None = None
-    subqueries: list["_Node"] = field(default_factory=list)
-    ctes: list["_Node"] = field(default_factory=list)
-    fid: int = 0
-    depth: int = 0
-    parent: "_Node | None" = None
 
 
 def _match_parens(tokens: list[Token]) -> tuple[dict[int, int], str | None]:
@@ -156,9 +156,10 @@ def _match_parens(tokens: list[Token]) -> tuple[dict[int, int], str | None]:
     stack: list[int] = []
     diagnostic = None
     for idx, tok in enumerate(tokens):
-        if tok.text == "(":
+        text = tok.text
+        if text == "(":
             stack.append(idx)
-        elif tok.text == ")":
+        elif text == ")":
             if stack:
                 matches[stack.pop()] = idx
             else:
@@ -171,23 +172,17 @@ def _match_parens(tokens: list[Token]) -> tuple[dict[int, int], str | None]:
     return matches, diagnostic
 
 
-def _first_word(tokens: list[Token], lo: int, hi: int) -> str | None:
-    for idx in range(lo, min(hi, len(tokens))):
-        if tokens[idx].kind == WORD:
-            return tokens[idx].upper()
-        return tokens[idx].text
-    return None
-
-
 def _is_subquery_group(tokens: list[Token], open_idx: int, close_idx: int) -> bool:
-    return _first_word(tokens, open_idx + 1, close_idx) in SELECT_HEADS
+    first = open_idx + 1
+    return first < min(close_idx, len(tokens)) \
+        and tokens[first].upper in SELECT_HEADS
 
 
 def _is_set_op_arm(tokens: list[Token], open_idx: int, close_idx: int) -> bool:
-    prev = tokens[open_idx - 1].upper() if open_idx > 0 else None
+    prev = tokens[open_idx - 1].upper if open_idx > 0 else None
     if prev in _SET_OPS or prev == "ALL":
         return True
-    if close_idx + 1 < len(tokens) and tokens[close_idx + 1].upper() in _SET_OPS:
+    if close_idx + 1 < len(tokens) and tokens[close_idx + 1].upper in _SET_OPS:
         # Followed by a set op: an arm only when nothing operand-like
         # precedes it (IN (...) UNION ... is an operand, not an arm).
         return prev is None or prev == "("
@@ -198,10 +193,10 @@ def _split_with_prelude(tokens: list[Token], lo: int, hi: int,
                         pmatch: dict[int, int]) -> tuple[list[tuple[str, int, int]], int]:
     """Return ([(cte_name, open_idx, close_idx)], body_start_index)."""
     ctes: list[tuple[str, int, int]] = []
-    if lo >= hi or tokens[lo].upper() != "WITH":
+    if lo >= hi or tokens[lo].upper != "WITH":
         return ctes, lo
     i = lo + 1
-    if i < hi and tokens[i].upper() == "RECURSIVE":
+    if i < hi and tokens[i].upper == "RECURSIVE":
         i += 1
     while i < hi:
         if tokens[i].kind != WORD:
@@ -210,7 +205,7 @@ def _split_with_prelude(tokens: list[Token], lo: int, hi: int,
         i += 1
         if i < hi and tokens[i].text == "(":  # optional column alias list
             i = min(pmatch.get(i, hi), hi - 1) + 1
-        if i >= hi or tokens[i].upper() != "AS":
+        if i >= hi or tokens[i].upper != "AS":
             break
         i += 1
         if i >= hi or tokens[i].text != "(":
@@ -237,47 +232,65 @@ def _collect_subqueries(tokens: list[Token], lo: int, hi: int,
     clause = SITE_NONE
     i = lo
     while i < hi:
-        tok = tokens[i]
-        if tok.text == "(" and i not in skip:
+        upper = tokens[i].upper
+        if upper == "(":
             close = pmatch.get(i, len(tokens))
-            if _is_subquery_group(tokens, i, close) \
+            if i in skip:  # a CTE body group; jump past it
+                i = close + 1
+            elif _is_subquery_group(tokens, i, close) \
                     and not _is_set_op_arm(tokens, i, close):
                 found.append((i, close, clause))
                 i = close + 1
-                continue
-            i += 1
+            else:
+                i += 1
             continue
-        if i in skip:  # a CTE body group; jump past it
-            i = pmatch.get(i, len(tokens)) + 1
-            continue
-        if tok.kind == WORD:
-            upper = tok.upper()
-            if upper in _CLAUSE_KEYWORDS:
-                clause = _CLAUSE_KEYWORDS[upper]
+        clause = _CLAUSE_KEYWORDS.get(upper, clause)
         i += 1
     return found
 
 
-def _build_node(tokens: list[Token], lo: int, hi: int, pmatch: dict[int, int],
-                kind: str, site: str, span: tuple[int, int],
-                name: str | None = None) -> _Node:
-    node = _Node(kind=kind, site=site, span=span, token_range=(lo, hi),
-                 name=name)
-    ctes, body_lo = _split_with_prelude(tokens, lo, hi, pmatch)
-    cte_opens = {open_idx for _, open_idx, _ in ctes}
-    for open_idx, close_idx, child_site in _collect_subqueries(
-            tokens, body_lo, hi, pmatch, cte_opens):
-        child_span = _group_span(tokens, open_idx, close_idx)
-        node.subqueries.append(_build_node(
-            tokens, open_idx + 1, min(close_idx, len(tokens)), pmatch,
-            SUBQUERY, child_site, child_span))
-    # the prelude's column-alias groups never contain subqueries; CTE bodies do
-    for cte_name, open_idx, close_idx in ctes:
-        child_span = _group_span(tokens, open_idx, close_idx)
-        node.ctes.append(_build_node(
-            tokens, open_idx + 1, min(close_idx, len(tokens)), pmatch,
-            CTE, SITE_CTE_BODY, child_span, name=cte_name))
-    return node
+def _build_fragments(tokens: list[Token], pmatch: dict[int, int],
+                     source: str) -> list[Fragment]:
+    """Every fragment of the query, in id order.
+
+    Nodes wait on a stack as (kind, site, span, token_range, name, depth,
+    index of the parent in visit order). A node's children are pushed in
+    numbering order (subqueries by clause priority, stably, as they come in
+    text order; then CTEs in text order) and so taken last to first: that
+    pre-order visit, reversed, is the post-order walk that numbers them.
+    """
+    visited = []
+    pending = [(MAIN, SITE_NONE, (0, len(source)), (0, len(tokens)), None, 1,
+                None)]
+    while pending:
+        node = pending.pop()
+        _, _, _, (lo, hi), _, depth, _ = node
+        at = len(visited)
+        visited.append(node)
+        ctes, body_lo = _split_with_prelude(tokens, lo, hi, pmatch)
+        cte_opens = {open_idx for _, open_idx, _ in ctes}
+        subqueries = [
+            (SUBQUERY, site, _group_span(tokens, open_idx, close_idx),
+             (open_idx + 1, min(close_idx, len(tokens))), None, depth + 1, at)
+            for open_idx, close_idx, site in _collect_subqueries(
+                tokens, body_lo, hi, pmatch, cte_opens)]
+        subqueries.sort(key=lambda child: _SIBLING_PRIORITY[child[1]])
+        pending += subqueries
+        # the prelude's column-alias groups never contain subqueries; CTE bodies do
+        pending += [
+            (CTE, SITE_CTE_BODY, _group_span(tokens, open_idx, close_idx),
+             (open_idx + 1, min(close_idx, len(tokens))), name, depth + 1, at)
+            for name, open_idx, close_idx in ctes]
+    last = len(visited)  # the node visited at index i gets id last - i
+    return [
+        Fragment(
+            id=last - i, kind=kind, text=source[span[0]:span[1]], span=span,
+            parent_id=None if parent is None else last - parent, depth=depth,
+            clause_site=site, token_range=token_range, name=name,
+        )
+        for i, (kind, site, span, token_range, name, depth, parent)
+        in reversed(list(enumerate(visited)))
+    ]
 
 
 def _group_span(tokens: list[Token], open_idx: int, close_idx: int) -> tuple[int, int]:
@@ -287,36 +300,6 @@ def _group_span(tokens: list[Token], open_idx: int, close_idx: int) -> tuple[int
     else:
         end = tokens[close_idx].start
     return (start, end)
-
-
-def _number_fragments(root: _Node, source: str) -> list[Fragment]:
-    nodes: list[_Node] = []
-    counter = [0]
-
-    def visit(node: _Node, depth: int, parent: _Node | None) -> None:
-        node.depth = depth
-        node.parent = parent
-        ordered = sorted(
-            node.subqueries,
-            key=lambda c: (_SIBLING_PRIORITY.get(c.site, 5), c.span[0]),
-        ) + sorted(node.ctes, key=lambda c: c.span[0])
-        for child in ordered:
-            visit(child, depth + 1, node)
-        counter[0] += 1
-        node.fid = counter[0]
-        nodes.append(node)
-
-    visit(root, 1, None)
-    return [
-        Fragment(
-            id=node.fid, kind=node.kind,
-            text=source[node.span[0]:node.span[1]], span=node.span,
-            parent_id=node.parent.fid if node.parent else None,
-            depth=node.depth, clause_site=node.site,
-            token_range=node.token_range, name=node.name,
-        )
-        for node in nodes
-    ]
 
 
 @lru_cache(maxsize=PARSE_MEMO_SIZE)
@@ -336,9 +319,7 @@ def decompose_lenient(query: str) -> tuple[FragmentTree, str | None]:
         raise EmptyQueryError("query contains only comments/whitespace")
     pmatch, paren_diag = _match_parens(tokens)
     diagnostic = diagnostic or paren_diag
-    root = _build_node(tokens, 0, len(tokens), pmatch,
-                       MAIN, SITE_NONE, (0, len(query)))
-    fragments = _number_fragments(root, query)
+    fragments = _build_fragments(tokens, pmatch, query)
     tree = FragmentTree(fragments=tuple(fragments),
                         root_id=fragments[-1].id, source=query,
                         tokens=tuple(tokens))

@@ -1,18 +1,26 @@
 """Lenient SQL tokenizer and template masking.
 
 The lexical grammar is the one pattern ``_LEXICON``, a named group per
-token kind; the order of its alternatives is their precedence. The
-tokenizer never fails: an unclosed string, quoted identifier or block
+token kind; the order of its alternatives is their precedence. Each match
+takes the whitespace before its token, so the scan steps once per token.
+The tokenizer never fails: an unclosed string, quoted identifier or block
 comment ends the scan with a best-effort token stream plus a diagnostic,
 which the fragmenter surfaces as an UNPARSEABLE condition. Offsets always
 index into the original text so downstream consumers can splice edits back
 losslessly.
+
+A token is a tuple record that carries its upper-case form, computed in the
+scan once per spelling: a word's text upper-cased, and any other token's
+text itself. Words of one spelling share their two strings.
+Keyword tests read that field. No other kind's text upper-cases to a word:
+a string opens with a quote, a number with a digit or '.', and no single
+character upper-cases to a keyword.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyQueryError
 
@@ -36,12 +44,14 @@ KEYWORDS = {
     "ONLY",
 }
 
-# Group names are the token kinds, plus SKIP (whitespace and comments) and
-# OPEN (an opener whose closer never comes). The lookahead keeps a string
-# literal from closing inside a doubled quote on backtracking. A placeholder
-# is one token, so templatize() is idempotent; operators go longest first.
-_LEXICON = re.compile(r"""
-    (?P<SKIP>\s+ | --[^\n]* | /\*.*?\*/)
+# Group names are the token kinds, plus SKIP (a comment, or the end of the
+# input after trailing whitespace) and OPEN (an opener whose closer never
+# comes). Whitespace before a token belongs to its match; a group's span is
+# the token's. The lookahead keeps a string literal from closing inside a
+# doubled quote on backtracking. A placeholder is one token, so templatize()
+# is idempotent; operators go longest first.
+_LEXICON = re.compile(r"""\s*(?:
+    (?P<SKIP>--[^\n]* | /\*.*?\*/ | \Z)
   | (?P<STRING>'(?:[^']|'')*'(?!'))
   | (?P<WORD>[A-Za-z_][A-Za-z_0-9$]* | "[^"]*" | `[^`]*`)
   | (?P<OPEN>/\* | ['"`])
@@ -49,7 +59,7 @@ _LEXICON = re.compile(r"""
   | (?P<NUMBER>(?:\d+(?:\.\d+)? | \.\d+)(?:[eE][+-]?\d+)?)
   | (?P<OP><=> | <> | != | >= | <= | \|\| | :: | [<>=+\-*/%!&|^~])
   | (?P<PUNCT>.)
-""", re.VERBOSE | re.DOTALL)
+)""", re.VERBOSE | re.DOTALL)
 
 # An unclosed opener's token kind up to the end of input, and its name.
 _UNCLOSED = {
@@ -60,31 +70,45 @@ _UNCLOSED = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     start: int
     end: int
+    upper: str  # a word's text upper-cased; any other token's text itself
 
-    def upper(self) -> str:
-        return self.text.upper()
+
+_new_token = tuple.__new__  # Token(...) without the Python-level __new__
 
 
 def scan(sql: str) -> tuple[list[Token], str | None]:
     """Tokenize ``sql``; returns (tokens, diagnostic-or-None). Comments are skipped."""
     tokens: list[Token] = []
+    append = tokens.append
+    words: dict[str, tuple[str, str]] = {}  # one (text, upper) per spelling
     for m in _LEXICON.finditer(sql):
         kind = m.lastgroup
-        if kind == "SKIP":
-            continue
-        start = m.start()
-        if kind == "OPEN":
-            to_end, what = _UNCLOSED[m.group()]
-            if to_end:
-                tokens.append(Token(to_end, sql[start:], start, len(sql)))
-            return tokens, f"unterminated {what} at offset {start}"
-        tokens.append(Token(kind, m.group(), start, m.end()))
+        if kind == WORD:
+            text = m[kind]
+            start = m.start(kind)
+            shared = words.get(text)
+            if shared is None:
+                upper = text.upper()
+                shared = words[text] = (text, text if upper == text else upper)
+            append(_new_token(Token, (kind, shared[0], start,
+                                      start + len(text), shared[1])))
+        elif kind != "SKIP":
+            text = m[kind]
+            start = m.start(kind)
+            if kind == "OPEN":
+                to_end, what = _UNCLOSED[text]
+                if to_end:
+                    rest = sql[start:]
+                    append(Token(to_end, rest, start, len(sql),
+                                 rest.upper() if to_end == WORD else rest))
+                return tokens, f"unterminated {what} at offset {start}"
+            append(_new_token(Token, (kind, text, start, start + len(text),
+                                      text)))
     return tokens, None
 
 
@@ -98,11 +122,11 @@ SELECT_HEADS = ("SELECT", "WITH")
 def statement_head(tokens) -> str | None:
     """The first token after any opening parentheses, upper-cased; a
     SELECT-based statement's is in ``SELECT_HEADS``. None without one."""
-    return next((tok.upper() for tok in tokens if tok.text != "("), None)
+    return next((tok.text.upper() for tok in tokens if tok.text != "("), None)
 
 
 def is_keyword(token: Token) -> bool:
-    return token.kind == WORD and token.upper() in KEYWORDS
+    return token.kind == WORD and token.upper in KEYWORDS
 
 
 _TABLE_INTRO = {"FROM", "JOIN", "INTO", "UPDATE", "TABLE"}
@@ -126,37 +150,37 @@ def iter_table_context(tokens: list[Token]):
     i = 0
     while i < len(tokens):
         tok = tokens[i]
-        upper = tok.upper()
-        if tok.text == "(":
+        upper = tok.upper
+        if upper == "(":
             depth += 1
             i += 1
             continue
-        if tok.text == ")":
+        if upper == ")":
             depth -= 1
             while preludes and preludes[-1] > depth:
                 preludes.pop()  # a WITH list ends with its parenthesis
                 expect_table = False
             i += 1
             continue
-        if tok.kind == WORD and upper in _TABLE_INTRO:
+        if upper in _TABLE_INTRO:
             expect_table = True
             i += 1
             continue
-        if tok.kind == WORD and upper == "WITH":
+        if upper == "WITH":
             expect_table = True
             preludes.append(depth)
             i += 1
             continue
-        if tok.kind == WORD and upper == "RECURSIVE" and preludes:
+        if upper == "RECURSIVE" and preludes:
             i += 1
             continue
-        if tok.kind == WORD and upper in _CLAUSE_ENDERS:
+        if upper in _CLAUSE_ENDERS:
             expect_table = False
             if preludes and preludes[-1] == depth:
                 preludes.pop()
             i += 1
             continue
-        if expect_table and tok.kind == WORD and not is_keyword(tok):
+        if expect_table and tok.kind == WORD and upper not in KEYWORDS:
             yield i, tok
             i += 1
             # qualifier chain and trailing alias
@@ -177,7 +201,7 @@ def iter_table_context(tokens: list[Token]):
                 expect_table = True  # next CTE in the WITH list
             i += 1
             continue
-        if tok.kind == WORD and upper == "AS" and expect_table:
+        if upper == "AS" and expect_table:
             i += 1
             continue
         if expect_table and tok.kind != WORD and tok.text != ",":
@@ -190,34 +214,36 @@ def templatize(sql: str) -> str:
 
     Total and deterministic; keywords are upper-cased, comments dropped,
     structure preserved. Idempotent because placeholders are atomic tokens.
-    The tokens come from the fragmenter's memoized parse, so a query already
-    decomposed is not scanned again; blank or comment-only text gives "".
+    The tokens and their table positions come from the fragmenter's memoized
+    parse, so a query already decomposed is neither scanned nor walked for
+    table context again; blank or comment-only text gives "".
     """
     from .fragmenter import decompose_lenient  # fragmenter imports this module
 
     try:
-        tokens = decompose_lenient(sql)[0].tokens
+        tree = decompose_lenient(sql)[0]
     except EmptyQueryError:
         return ""
-    table_positions = {i for i, _ in iter_table_context(tokens)}
+    tokens = tree.tokens
+    tables = set(tree.table_positions)
+    last = len(tokens) - 1
     out: list[str] = []
     for idx, tok in enumerate(tokens):
-        if tok.kind == PLACEHOLDER:
-            out.append(tok.text)
-        elif tok.kind in (NUMBER, STRING):
-            out.append("[VAL]")
-        elif tok.kind == WORD:
-            upper = tok.upper()
+        kind = tok.kind
+        if kind == WORD:
+            upper = tok.upper
             if upper in KEYWORDS:
                 out.append(upper)
-            elif idx in table_positions:
+            elif idx in tables:
                 out.append("[TBL]")
-            elif idx + 1 < len(tokens) and tokens[idx + 1].text == "(":
+            elif idx < last and tokens[idx + 1].text == "(":
                 out.append(upper)
-            elif idx + 1 < len(tokens) and tokens[idx + 1].text == ".":
+            elif idx < last and tokens[idx + 1].text == ".":
                 out.append("[TBL]")
             else:
                 out.append("[COL]")
+        elif kind == NUMBER or kind == STRING:
+            out.append("[VAL]")
         else:
             out.append(tok.text)
     return " ".join(out)
@@ -226,7 +252,7 @@ def templatize(sql: str) -> str:
 def normalize_tokens(tokens) -> str:
     """Tokens joined by single spaces with keywords upper-cased: two token
     sequences share this form only when they are token-for-token identical."""
-    return " ".join(tok.upper() if is_keyword(tok) else tok.text
+    return " ".join(tok.upper if is_keyword(tok) else tok.text
                     for tok in tokens)
 
 

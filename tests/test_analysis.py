@@ -1,6 +1,8 @@
-"""Table attribution in ``analysis``: the one-pass owner map against a
-per-fragment reference count, the invariants that tie own and subtree
-counts together, and aliases, which are not tables."""
+"""Facts in ``analysis``: table attribution by the one-pass owner map
+against a per-fragment reference count, the invariants that tie own and
+subtree counts together, aliases, which are not tables, and every other
+fact of the one walk per fragment against per-fragment reference
+definitions."""
 
 from __future__ import annotations
 
@@ -10,12 +12,17 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sqlgov.fragmenter as fragmenter
 from sqlgov.analysis import _table_refs, analyze_tree, referenced_tables
 from sqlgov.equivalence import _skeleton_mismatch, skeleton
-from sqlgov.fragmenter import decompose
+from sqlgov.errors import EmptyQueryError
+from sqlgov.fragmenter import SITE_SELECT_LIST, SUBQUERY, decompose, \
+    decompose_lenient
 from sqlgov.rewriter import passes_efficiency_screen
-from test_fragmenter import _assign_markers, _render, gen_trees
+from sqlgov.sqltext import iter_table_context, templatize
+from test_fragmenter import _assign_markers, _render, damaged_sql, gen_trees
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -33,11 +40,12 @@ def _reference_counts(tree):
     helper over each fragment's whole token range, and own counts the
     subtree counts minus the direct children's."""
     cte_names = tree.cte_names()
-    subtree = {
-        f.id: Counter(name for _, name in _table_refs(
-            tree.tokens[slice(*f.token_range)], cte_names))
-        for f in tree.fragments
-    }
+    subtree = {}
+    for f in tree.fragments:
+        tokens = tree.tokens[slice(*f.token_range)]
+        positions = [idx for idx, _ in iter_table_context(tokens)]
+        subtree[f.id] = Counter(
+            name for _, name in _table_refs(tokens, positions, cte_names))
     own = {}
     for f in tree.fragments:
         counts = Counter(subtree[f.id])
@@ -163,3 +171,203 @@ def test_a_shared_analysis_is_read_only(nested_query):
         with pytest.raises(TypeError):
             counts["tb9"] = 1
     assert "tb9" not in analyze_tree(tree)[tree.root_id].table_counts_subtree
+
+
+def test_analysis_templatize_and_tables_walk_a_tree_once(monkeypatch,
+                                                        nested_query):
+    walks = []
+
+    def counting(tokens):
+        walks.append(len(tokens))
+        return iter_table_context(tokens)
+
+    monkeypatch.setattr(fragmenter, "iter_table_context", counting)
+    tree = decompose(nested_query)
+    analyze_tree(tree)
+    templatize(nested_query)
+    assert referenced_tables(tree) == ["tb0", "tb1", "tb2", "tb3", "tb4"]
+    assert walks == [len(tree.tokens)]
+
+
+# --- every fact against a per-fragment reference ------------------------------
+#
+# The definitions below compute each fact the long way, each on its own pass
+# over the fragment's own tokens, upper-casing token text as they go.
+
+_REF_SET_OPS = {"UNION", "INTERSECT", "EXCEPT"}
+_REF_CLAUSE_BREAK = {"FROM", "WHERE", "GROUP", "ORDER", "HAVING",
+                     "LIMIT"} | _REF_SET_OPS
+_REF_WHERE_BREAK = {"GROUP", "ORDER", "HAVING", "LIMIT",
+                    "WINDOW"} | _REF_SET_OPS
+_REF_OUTER_JOINS = {"LEFT", "RIGHT", "FULL"}
+_REF_JOIN_MODIFIERS = _REF_OUTER_JOINS | {"INNER", "OUTER", "CROSS", "NATURAL"}
+
+
+def _ref_top_level(tokens):
+    depth = 0
+    for idx, tok in enumerate(tokens):
+        if tok.text == "(":
+            depth += 1
+        elif tok.text == ")":
+            depth -= 1
+        elif depth == 0:
+            yield idx, tok
+
+
+def _ref_clause_region(tokens, head, enders):
+    start = None
+    for idx, tok in _ref_top_level(tokens):
+        if tok.kind != "WORD":
+            continue
+        if start is None:
+            if tok.text.upper() == head:
+                start = idx + 1
+        elif tok.text.upper() in enders:
+            return tokens[start:idx]
+    return None if start is None else tokens[start:]
+
+
+def _ref_count_items(region):
+    top = list(_ref_top_level(region))
+    commas = sum(1 for _, tok in top if tok.text == ",")
+    star = any(
+        tok.text == "*" and (idx == 0 or region[idx - 1].text in (",", ".")
+                             or region[idx - 1].text.upper() == "DISTINCT")
+        for idx, tok in top)
+    return (commas + 1 if top else 0), star
+
+
+def _ref_has_is_not_null(tokens):
+    uppers = [t.text.upper() for t in tokens]
+    return any(uppers[i:i + 3] == ["IS", "NOT", "NULL"]
+               for i in range(len(uppers) - 2))
+
+
+def _ref_has_outer_join(tokens):
+    uppers = [t.text.upper() for t in tokens]
+    for i, upper in enumerate(uppers):
+        if upper != "JOIN":
+            continue
+        kind = None
+        j = i - 1
+        while j >= 0 and uppers[j] in _REF_JOIN_MODIFIERS:
+            if uppers[j] in _REF_OUTER_JOINS or uppers[j] == "CROSS":
+                kind = uppers[j]
+            j -= 1
+        if kind in _REF_OUTER_JOINS:
+            return True
+    return False
+
+
+def _ref_set_op_facts(tokens):
+    words = [(idx, tok.text.upper()) for idx, tok in _ref_top_level(tokens)
+             if tok.kind == "WORD"]
+    has_op = any(upper in _REF_SET_OPS for _, upper in words)
+    arm_star = has_op and any(
+        _ref_count_items(_ref_clause_region(tokens[idx:], "SELECT",
+                                            _REF_CLAUSE_BREAK))[1]
+        for idx, upper in words if upper == "SELECT")
+    return has_op, arm_star
+
+
+def _reference_facts(tree, fragment) -> dict:
+    children = [f for f in tree.fragments if f.parent_id == fragment.id]
+    lo, hi = fragment.token_range
+    own = tuple(tok for idx, tok in enumerate(tree.tokens[lo:hi], lo)
+                if not any(c.token_range[0] <= idx < c.token_range[1]
+                           for c in children))
+    select_region = _ref_clause_region(own, "SELECT", _REF_CLAUSE_BREAK)
+    items, star = (None, False) if select_region is None \
+        else _ref_count_items(select_region)
+    has_op, arm_star = _ref_set_op_facts(own)
+    return {
+        "own_tokens": own,
+        "select_items": items,
+        "select_has_star": star,
+        "has_set_op": has_op,
+        "set_op_arm_star": arm_star,
+        "has_outer_join": _ref_has_outer_join(own),
+        "where_has_is_not_null": _ref_has_is_not_null(
+            _ref_clause_region(own, "WHERE", _REF_WHERE_BREAK) or []),
+        "in_subquery": any(
+            c.token_range[0] - 2 >= lo
+            and tree.tokens[c.token_range[0] - 2].text.upper() == "IN"
+            for c in children),
+        "scalar_subquery_in_select": any(
+            c.kind == SUBQUERY and c.clause_site == SITE_SELECT_LIST
+            for c in children),
+    }
+
+
+def _assert_facts_match_the_reference(tree):
+    facts = analyze_tree(tree)
+    for f in tree.fragments:
+        expected = _reference_facts(tree, f)
+        got = {name: getattr(facts[f.id], name) for name in expected}
+        assert got == expected, f.text
+
+
+_FACT_PIECES = [
+    "SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT",
+    "WINDOW", "UNION", "ALL", "INTERSECT", "EXCEPT", "DISTINCT", "JOIN",
+    "LEFT", "right", "FULL", "OUTER", "INNER", "CROSS", "NATURAL", "ON",
+    "IS", "not", "NULL", "IN", "WITH", "AS", "(", "(", ")", ")", ",", ".",
+    "*", "*", "t", "x", "1", "'s'", "-- c\n", "/* ( */",
+    "IS NOT NULL", "LEFT JOIN", "SELECT *", "SELECT DISTINCT *", "WHERE x",
+    "SELECT x", "UNION ALL", "IN (SELECT x)", "(SELECT *)", "CROSS LEFT",
+]
+
+
+@st.composite
+def fact_soup(draw):
+    """SQL pieces that the facts look for, in any order and nesting."""
+    return " ".join(draw(st.lists(st.sampled_from(_FACT_PIECES),
+                                  min_size=1, max_size=50)))
+
+
+@pytest.mark.parametrize("sql", _fixture_queries())
+def test_every_fact_matches_the_reference_on_fixtures(sql):
+    _assert_facts_match_the_reference(decompose(sql))
+
+
+@given(gen_trees())
+@settings(max_examples=100, deadline=None)
+def test_every_fact_matches_the_reference_on_nested_queries(root):
+    _assign_markers(root, [0])
+    _assert_facts_match_the_reference(decompose(_render(root)))
+
+
+@given(st.one_of(fact_soup(), damaged_sql(), st.text(min_size=1,
+                                                     max_size=120)))
+@settings(max_examples=400, deadline=None)
+def test_every_fact_matches_the_reference_on_lenient_trees(text):
+    try:
+        tree, _ = decompose_lenient(text)
+    except EmptyQueryError:
+        return
+    _assert_facts_match_the_reference(tree)
+
+
+@pytest.mark.parametrize("sql, facts", [
+    ("SELECT a, b * 2, * FROM t LEFT OUTER JOIN u ON TRUE "
+     "WHERE a IS NOT NULL GROUP BY a",
+     {"select_items": 3, "select_has_star": True, "has_outer_join": True,
+      "where_has_is_not_null": True, "has_set_op": False}),
+    ("SELECT a * b FROM t CROSS LEFT JOIN u GROUP BY a IS NOT NULL",
+     {"select_items": 1, "select_has_star": False, "has_outer_join": False,
+      "where_has_is_not_null": False}),
+    ("SELECT a FROM t UNION ALL SELECT DISTINCT * FROM u",
+     {"select_items": 1, "select_has_star": False, "has_set_op": True,
+      "set_op_arm_star": True}),
+    ("SELECT a FROM t WHERE a IN (SELECT b FROM u)",
+     {"in_subquery": True, "scalar_subquery_in_select": False}),
+    ("SELECT a, (SELECT b FROM u) FROM t WHERE a IS NOT NULL WHERE b = 1",
+     {"select_items": 2, "in_subquery": False,
+      "scalar_subquery_in_select": True, "where_has_is_not_null": True}),
+    ("SELECT a SELECT * FROM t UNION SELECT b FROM u",
+     {"select_items": 1, "select_has_star": False, "has_set_op": True,
+      "set_op_arm_star": True}),
+])
+def test_facts_of_worked_examples(sql, facts):
+    root = analyze_tree(decompose(sql))[decompose(sql).root_id]
+    assert {name: getattr(root, name) for name in facts} == facts

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import json
 import re
+import sys
 from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sqlgov import cli
 from sqlgov.errors import EmptyQueryError, OutOfRangeError, UnparseableQueryError
 from sqlgov.fragmenter import (
     CTE,
@@ -188,7 +191,7 @@ def _assert_token_ranges(tree):
         lo, hi = frag.token_range
         base = frag.span[0]
         assert list(tree.tokens[lo:hi]) == [
-            Token(t.kind, t.text, t.start + base, t.end + base)
+            Token(t.kind, t.text, t.start + base, t.end + base, t.upper)
             for t in scan(frag.text)[0]]
         if frag.parent_id is not None:
             parent_lo, parent_hi = tree.by_id(frag.parent_id).token_range
@@ -202,6 +205,21 @@ def test_nested_query_invariants(nested_query):
 
 def test_nested_rewrite_invariants(nested_rewrite):
     _assert_invariants(decompose(nested_rewrite))
+
+
+def test_a_query_nested_past_the_recursion_limit_decomposes(tmp_path, capsys):
+    depth = sys.getrecursionlimit() + 100
+    sql = "SELECT a FROM (" * depth + "SELECT a FROM t" + ") s" * depth
+    tree = decompose(sql)
+    assert len(tree.fragments) == depth + 1
+    assert tree.by_id(1).text == "SELECT a FROM t"
+    assert tree.by_id(1).depth == depth + 1
+    assert [f.parent_id for f in tree.fragments] == \
+        list(range(2, depth + 2)) + [None]
+    path = tmp_path / "deep.sql"
+    path.write_text(sql)
+    assert cli.main(["fragment", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["fragments"]) == depth + 1
 
 
 # --- randomized numbering oracle ----------------------------------------------

@@ -161,11 +161,14 @@ _lexemes = st.sampled_from([
 def test_tokens_tile_the_source(sql):
     """Tokens index the source in order without overlap, and what lies
     between them is whitespace and comments; an unclosed block comment may
-    take the rest of the input."""
+    take the rest of the input. A word's upper form is its text upper-cased,
+    any other token's its text."""
     tokens, diagnostic = scan(sql)
     pos = 0
     for tok in tokens:
         assert tok.text == sql[tok.start:tok.end] and tok.start < tok.end
+        assert tok.upper == (tok.text.upper() if tok.kind == "WORD"
+                             else tok.text)
         assert _GAP.fullmatch(sql, pos, tok.start)
         pos = tok.end
     end = len(sql)
