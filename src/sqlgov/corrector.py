@@ -16,8 +16,7 @@ from .bench import ToolReport, input_digest
 from .errors import EmptyQueryError, StillInvalidError
 from .fragmenter import FragmentTree, decompose_lenient, fragment_at
 from .knowledge_base import CORRECTOR, ErrorStrategy, KnowledgeStore
-from .prompts import (catalog_entry, correction_prompt, render_columns,
-                      strip_fences)
+from .prompts import ask, catalog_entry, correction_prompt, render_columns
 
 SCOPE_LOCAL = "LOCAL"
 SCOPE_GLOBAL = "GLOBAL"
@@ -223,12 +222,10 @@ def correct(query: str, inputs: CorrectionInputs, provider) -> str:
     the query untouched; the result must decompose cleanly or the call fails
     with both texts attached.
     """
-    response = strip_fences(provider.complete(correction_prompt(inputs)))
-    if inputs.scope == SCOPE_LOCAL and inputs.splice_span is not None:
+    corrected = ask(provider, correction_prompt(inputs))
+    if inputs.splice_span is not None:  # a LOCAL fix
         start, end = inputs.splice_span
-        corrected = query[:start] + response + query[end:]
-    else:
-        corrected = response
+        corrected = query[:start] + corrected + query[end:]
     try:
         _, diagnostic = decompose_lenient(corrected)
     except EmptyQueryError as exc:

@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedStatementError,
 )
 from .fragmenter import FragmentTree, decompose_lenient
-from .prompts import alignment_prompt, ask_json, intent_extract_prompt
+from .prompts import alignment_prompt, ask, intent_extract_prompt
 from .providers import PromptEnvelope
 from .sqltext import SELECT_HEADS, normalize_tokens, statement_head
 
@@ -145,7 +145,7 @@ def extract_intent(side: QuerySkeleton, provider,
         ]
         env = intent_extract_prompt(tree, fragment, child_rendered)
         if env not in answers:
-            answers[env] = ask_json(provider, env)
+            answers[env] = ask(provider, env)
         summaries[fragment.id] = answers[env]
     main = summaries[tree.root_id]
     fields = tuple(
@@ -217,8 +217,7 @@ def check_equivalence(a: str, b: str, provider,
 
 def _align(intent_a: IntentSummary, intent_b: IntentSummary, provider,
            confidence_floor: float) -> EquivalenceVerdict:
-    data = ask_json(provider,
-                    alignment_prompt(intent_a.render(), intent_b.render()))
+    data = ask(provider, alignment_prompt(intent_a.render(), intent_b.render()))
     mappings = data.get("mappings", [])
     n = len(intent_a.fields)
     if n == 0:

@@ -32,7 +32,7 @@ scans and decomposes it once. Trees are immutable and shared by every caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import EmptyQueryError, OutOfRangeError, UnparseableQueryError
@@ -81,13 +81,17 @@ PARSE_MEMO_SIZE = 4
 class Fragment:
     id: int
     kind: str
-    text: str
     span: tuple[int, int]
     parent_id: int | None
     depth: int
     clause_site: str
     token_range: tuple[int, int]  # [lo, hi) into FragmentTree.tokens
+    source: str = field(repr=False)  # the whole query, shared by the tree
     name: str | None = None  # CTE name when kind == CTE
+
+    @property
+    def text(self) -> str:  # sliced on read: a tree holds its query once
+        return self.source[self.span[0]:self.span[1]]
 
     def contains(self, offset: int) -> bool:
         return self.span[0] <= offset < self.span[1]
@@ -284,7 +288,7 @@ def _build_fragments(tokens: list[Token], pmatch: dict[int, int],
     last = len(visited)  # the node visited at index i gets id last - i
     return [
         Fragment(
-            id=last - i, kind=kind, text=source[span[0]:span[1]], span=span,
+            id=last - i, kind=kind, span=span, source=source,
             parent_id=None if parent is None else last - parent, depth=depth,
             clause_site=site, token_range=token_range, name=name,
         )

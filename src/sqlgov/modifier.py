@@ -18,8 +18,7 @@ from .bench import ToolReport, input_digest
 from .errors import ContractViolationError, EmptyQueryError
 from .fragmenter import decompose_lenient
 from .knowledge_base import MODIFIER, cosine_similarity
-from .prompts import (catalog_entry, check_answer, modify_prompt,
-                      parse_json_response, render_columns)
+from .prompts import ask, catalog_entry, modify_prompt, render_columns
 from .shapes import check, entry_from_json, read_json, read_jsonl
 from .sqltext import templatize
 
@@ -233,23 +232,12 @@ def modify(request: str, context: ModificationContext, category_id: str,
     """Run the category-tailored prompt. EXPLAIN_SQL output must keep the SQL
     logic unchanged apart from whitespace and comments (checked by comparing
     masked templates, which drop comments)."""
-    env = modify_prompt(category_id, request, context)
-    response = provider.complete(env)
-    try:
-        data = parse_json_response(response)
-    except (ValueError, TypeError):
-        data = None
-    if not isinstance(data, dict):  # a bare SQL answer
-        data = {"sql": response.strip()}
-    check_answer(env.template_id, data)
-    out_sql = data["sql"]
-    explanation = data.get("explanation", "")
-    if category_id == EXPLAIN_SQL:
-        if templatize(out_sql) != templatize(context.target_sql):
-            raise ContractViolationError(
-                "EXPLAIN_SQL output altered the SQL logic "
-                "(masked templates differ)")
-    return ModifyOutcome(sql=out_sql, explanation=explanation,
+    data = ask(provider, modify_prompt(category_id, request, context))
+    if category_id == EXPLAIN_SQL and \
+            templatize(data["sql"]) != templatize(context.target_sql):
+        raise ContractViolationError(
+            "EXPLAIN_SQL output altered the SQL logic (masked templates differ)")
+    return ModifyOutcome(sql=data["sql"], explanation=data.get("explanation", ""),
                          category=category_id)
 
 

@@ -1,4 +1,4 @@
-"""Prompt templates for every LLM call site.
+"""Prompt templates for every LLM call site and ``ask``, their one answer gate.
 
 Scripted mocks key on the digest of the rendered envelope, so any change to
 rendering means regenerating the playbook with scripts/build_playbook.py.
@@ -263,18 +263,16 @@ def strip_fences(text: str) -> str:
     return cleaned
 
 
-def parse_json_response(text: str) -> dict | list:
-    """Parse an LLM JSON answer, tolerating markdown code fences."""
-    return json.loads(strip_fences(text.strip()))
-
-
-# The answer shape of each JSON template, as ``shapes.misfit`` reads shapes.
+# The answer contract of every template: SQL text, taken as text, or JSON
+# that fits a shape as ``shapes.misfit`` reads shapes.
+SQL_TEXT = "SQL text"
 ANSWER_SHAPES = {
     RULE_GEN: {},  # any JSON object
     SCENARIO_1: {"applicable": [
         {"rule": "str", "action": "str", "rationale": "str"}]},
     SCENARIO_2: {"efficient": "bool", "suggestions": [
         {"action": "str", "rationale": "str"}]},
+    REWRITE: SQL_TEXT,
     INTENT_EXTRACT: {"narrative": "str", "fields": [
         {"output_name": "str", "source_tables": ["str"],
          "transformation": "str", "conditions": ["str"]}]},
@@ -283,26 +281,38 @@ ANSWER_SHAPES = {
          "equivalent": "bool", "confidence": "float",
          "counterexample": "str | None"}]},
     MODIFY_PREFIX: {"sql": "required str", "explanation": "str"},
+    CORRECT: SQL_TEXT,
 }
 
 
-def check_answer(template_id: str, data) -> None:
-    """Reject a parsed answer that does not fit its template's shape."""
-    shape = ANSWER_SHAPES[template_id if template_id in ANSWER_SHAPES
-                          else MODIFY_PREFIX]
-    try:
-        check(data, shape)
-    except ValueError as exc:
-        raise RejectedResponseError(f"{template_id} response {exc}") from None
-
-
-def ask_json(provider, env: PromptEnvelope) -> dict:
-    """Complete ``env`` and parse the answer, which must fit its shape."""
-    response = provider.complete(env)
-    try:
-        data = parse_json_response(response)
-    except (ValueError, TypeError) as exc:
-        raise RejectedResponseError(
-            f"{env.template_id} response is not valid JSON") from exc
-    check_answer(env.template_id, data)
-    return data
+def ask(provider, env: PromptEnvelope) -> str | dict:
+    """Complete ``env`` and return the answer its template's entry in
+    ``ANSWER_SHAPES`` allows, a surrounding code fence dropped; any other is
+    a RejectedResponseError. Where a shape has an ``sql`` key (a modify
+    answer), an answer that is no JSON object is bare SQL, read as
+    ``{"sql": text}``. Blank SQL is rejected."""
+    tid = env.template_id
+    shape = ANSWER_SHAPES[tid if tid in ANSWER_SHAPES else MODIFY_PREFIX]
+    text = provider.complete(env)
+    if shape == SQL_TEXT:
+        answer = sql = strip_fences(text)
+    else:
+        text = strip_fences(text.strip())
+        bare = "sql" in shape
+        try:
+            answer = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            if not bare:
+                raise RejectedResponseError(
+                    f"{tid} response is not valid JSON") from exc
+            answer = None
+        if bare and type(answer) is not dict:
+            answer = {"sql": text}
+        try:
+            check(answer, shape)
+        except ValueError as exc:
+            raise RejectedResponseError(f"{tid} response {exc}") from None
+        sql = answer["sql"] if bare else None
+    if sql is not None and not sql.strip():
+        raise RejectedResponseError(f"{tid} response is blank SQL")
+    return answer

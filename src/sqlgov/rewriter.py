@@ -19,13 +19,7 @@ from .equivalence import DEFAULT_CONFIDENCE_FLOOR, check_equivalence, parse_sele
 from .errors import RejectedResponseError, UnparseableQueryError, UnsupportedStatementError
 from .fragmenter import FragmentTree, SITE_FROM, SUBQUERY, decompose
 from .knowledge_base import DEFAULT_K, REWRITER, KnowledgeStore
-from .prompts import (
-    ask_json,
-    rewrite_prompt,
-    scenario1_prompt,
-    scenario2_prompt,
-    strip_fences,
-)
+from .prompts import ask, rewrite_prompt, scenario1_prompt, scenario2_prompt
 
 RULE_GUIDED = "RULE_GUIDED"
 EXPLORATORY = "EXPLORATORY"
@@ -93,7 +87,7 @@ def evaluate(query: str, store: KnowledgeStore, provider) -> list[RewriteSuggest
     for fragment in tree.fragments:
         rules = store.match_rules(fragment, REWRITER, tree, facts)
         if rules:
-            data = ask_json(provider, scenario1_prompt(tree, fragment, rules))
+            data = ask(provider, scenario1_prompt(tree, fragment, rules))
             allowed = {r.index for r in rules}
             applicable = [e for e in data.get("applicable", [])
                           if e.get("rule") in allowed]
@@ -109,7 +103,7 @@ def evaluate(query: str, store: KnowledgeStore, provider) -> list[RewriteSuggest
         if passes_efficiency_screen(fragment.id, facts, tree):
             suggestions.append(_efficient(fragment.id))
             continue
-        data = ask_json(provider, scenario2_prompt(tree, fragment))
+        data = ask(provider, scenario2_prompt(tree, fragment))
         entries = data.get("suggestions", [])
         if data.get("efficient") or not entries:
             suggestions.append(_efficient(fragment.id))
@@ -133,10 +127,8 @@ def rewrite(query: str, suggestions: list[RewriteSuggestion],
         return RewriteResult(original=query, rewritten=query,
                              suggestions_applied=(), cases_consulted=())
     tags = sorted({s.rule_index for s in actionable if s.rule_index}) or None
-    scored_cases = store.retrieve_cases(query, tags, k)
-    cases = [case for case, _ in scored_cases]
-    response = provider.complete(rewrite_prompt(query, actionable, cases))
-    rewritten = strip_fences(response)
+    cases = [case for case, _ in store.retrieve_cases(query, tags, k)]
+    rewritten = ask(provider, rewrite_prompt(query, actionable, cases))
     try:
         parse_select(rewritten)
     except (UnsupportedStatementError, UnparseableQueryError) as exc:

@@ -9,12 +9,13 @@ import hashlib
 import itertools
 import json
 import math
+import os
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .bench import ToolReport, input_digest
-from .errors import NoHistoryError, RejectedResponseError, UnknownRuleError
+from .errors import IoFailure, NoHistoryError, RejectedResponseError, UnknownRuleError
 from .knowledge_base import (
     CANDIDATE,
     RETIRED,
@@ -27,7 +28,7 @@ from .knowledge_base import (
     copy_snapshot,
     save_snapshot,
 )
-from .prompts import ask_json, rule_generation_prompt
+from .prompts import ask, rule_generation_prompt
 from .seeds import load_or_seed
 from .shapes import check, entry_from_json, read_json
 from .sqltext import templatize
@@ -135,9 +136,9 @@ def generate_rules(records: list[ExecutionRecord], provider, tool: str,
         raise ValueError("generate_rules needs at least one record")
     env = rule_generation_prompt(records)
     try:
-        parsed = ask_json(provider, env)
+        parsed = ask(provider, env)
     except RejectedResponseError:
-        parsed = ask_json(provider, env)  # one retry
+        parsed = ask(provider, env)  # one retry
     rules = []
     for index, value in parsed.items():
         description = value if isinstance(value, str) else \
@@ -394,19 +395,26 @@ def _batch_from_json(payload) -> CandidateRuleBatch:
 
 
 def _write_pending(store_dir: Path, batch: CandidateRuleBatch) -> Path:
-    """Save a batch under a name no earlier batch holds: names sort by
-    generation second, then by a counter within that second."""
+    """Save a batch whole or not at all, under a name no earlier batch holds
+    (by generation second, then a counter within it): a temp file, once
+    written, is hard-linked to that name."""
     pending = store_dir / PENDING_DIR
-    pending.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(asdict(batch), indent=2)
-    for n in itertools.count():
-        path = pending / f"batch-{int(batch.generated_at)}-{n:03d}.json"
-        try:
-            with open(path, "x", encoding="utf-8") as fh:
-                fh.write(text)
-            return path
-        except FileExistsError:
-            continue
+    tmp = pending / f".batch.{os.getpid()}.tmp"
+    try:
+        pending.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(asdict(batch), indent=2))
+        for n in itertools.count():
+            path = pending / f"batch-{int(batch.generated_at)}-{n:03d}.json"
+            try:
+                os.link(tmp, path)
+                return path
+            except FileExistsError:
+                continue
+    except OSError as exc:
+        raise IoFailure(f"cannot write a batch to {pending}: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def learn(store_dir: str | Path, records: list[ExecutionRecord], provider,
@@ -425,11 +433,12 @@ def learn(store_dir: str | Path, records: list[ExecutionRecord], provider,
         batch = generate_rules(filtered, provider, tool, now)
         rules = [r.index for r in batch.rules]
         decisions = {index: "ACCEPT" for index in rules} if auto_accept else {}
+        if batch.rules and not auto_accept:
+            # before the store, so no candidate is stored without its batch
+            _write_pending(Path(store_dir), batch)
         snapshot = apply_verification(snapshot, batch, decisions, embedder, now)
         save_snapshot(snapshot, store_dir)
         if not auto_accept:
-            if batch.rules:
-                _write_pending(Path(store_dir), batch)
             pending = len(snapshot.rules_for(tool, CANDIDATE))
             times = snapshot.stats.get(tool, ToolStats()).update_times
             elapsed = now - times[-1] if times else 0.0

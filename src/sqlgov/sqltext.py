@@ -120,9 +120,9 @@ SELECT_HEADS = ("SELECT", "WITH")
 
 
 def statement_head(tokens) -> str | None:
-    """The first token after any opening parentheses, upper-cased; a
+    """The ``upper`` of the first token after any opening parentheses; a
     SELECT-based statement's is in ``SELECT_HEADS``. None without one."""
-    return next((tok.text.upper() for tok in tokens if tok.text != "("), None)
+    return next((tok.upper for tok in tokens if tok.text != "("), None)
 
 
 def is_keyword(token: Token) -> bool:

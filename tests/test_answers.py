@@ -1,6 +1,6 @@
-"""Provider answers: every JSON template's consumer ends in a result or a
+"""Provider answers: every template's consumer ends in a result or a
 ``SqlGovError``, whatever the answer, and a result never carries a value of
-the wrong JSON type."""
+the wrong JSON type or blank SQL."""
 
 from __future__ import annotations
 
@@ -12,21 +12,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqlgov.equivalence import check_equivalence, extract_intent, skeleton
+from sqlgov.corrector import repair
+from sqlgov.equivalence import (check_equivalence, extract_intent,
+                                parse_select, skeleton)
 from sqlgov.errors import RejectedResponseError, SqlGovError
 from sqlgov.knowledge_base import REWRITER, KnowledgeSnapshot, KnowledgeStore
 from sqlgov.modifier import REALIZE_SEMANTICS, modify, prepare_metadata
 from sqlgov.prompts import ANSWER_SHAPES
 from sqlgov.providers import (
     ALIGNMENT,
+    CORRECT,
     INTENT_EXTRACT,
+    KNOWN_TEMPLATES,
     MODIFY_PREFIX,
+    REWRITE,
     RULE_GEN,
     SCENARIO_1,
     SCENARIO_2,
     HashingEmbedding,
 )
-from sqlgov.rewriter import evaluate
+from sqlgov.rewriter import evaluate, rewrite
 from sqlgov.seeds import seed_snapshot
 from sqlgov.self_learning import ExecutionRecord, generate_rules
 
@@ -39,6 +44,12 @@ STAR_QUERY = "SELECT * FROM t"
 NESTED = "SELECT a FROM (SELECT a FROM t) s"
 PAIR = ("SELECT a FROM t", "SELECT a + 0 FROM t")
 MODIFY_TEMPLATE = MODIFY_PREFIX + REALIZE_SEMANTICS
+BROKEN = "SELECT x, (SELECT a b FROM t2 WHERE k = 1) FROM t1"
+# A log the seeded store's missing-comma strategy places in the subquery,
+# and one no strategy knows, which asks for the whole query.
+LOGS = {"LOCAL": "ParseException: syntax error, missing comma between "
+                 "select list items near 'b' at line 1, column 20",
+        "GLOBAL": "unknown failure"}
 
 VALID = {
     SCENARIO_1: {"applicable": [{"rule": "SAME_TABLE_JOIN",
@@ -55,6 +66,8 @@ VALID = {
     MODIFY_TEMPLATE: {"sql": "SELECT a FROM t WHERE x = 2",
                       "explanation": "changed the filter"},
     RULE_GEN: {"MINED": "scan once", "NESTED": {"why": ["a", 1]}},
+    REWRITE: "SELECT a FROM t",
+    CORRECT: "SELECT a, b FROM t2 WHERE k = 1",
 }
 
 # Keys of every shape, so arbitrary objects often carry a known key.
@@ -98,13 +111,31 @@ def mutations(draw, valid):
     return value
 
 
+def sql_answers(valid):
+    """SQL answer texts: blank, whitespace, ``valid``, arbitrary text, or
+    one of these in a code fence, the fence alone or after spaces."""
+    body = st.one_of(st.just(""), st.text(" \t\n", max_size=4),
+                     st.just(valid), st.text(max_size=12))
+    fenced = st.tuples(st.text(" \n", max_size=3), body).map(
+        lambda parts: f"{parts[0]}```sql\n{parts[1]}\n```")
+    return body | fenced
+
+
 def answers(template_id):
-    """Answer texts: arbitrary JSON, a mutated valid answer, or not JSON."""
-    return st.one_of(
+    """Answer texts: for SQL text, ``sql_answers``; for JSON, arbitrary
+    JSON, a mutated valid answer, or not JSON, and for a modify answer,
+    which may be bare SQL, ``sql_answers`` too."""
+    valid = VALID[template_id]
+    if isinstance(valid, str):
+        return sql_answers(valid)
+    json_answers = st.one_of(
         json_values.map(json.dumps),
-        mutations(VALID[template_id]).map(json.dumps),
+        mutations(valid).map(json.dumps),
         st.text(max_size=12),
     )
+    if "sql" in valid:
+        return json_answers | sql_answers(valid["sql"])
+    return json_answers
 
 
 class _Provider:
@@ -128,7 +159,8 @@ class _Provider:
             name = "a + 0" if "a + 0" in body else "a"
             return json.dumps({"fields": [{"output_name": name,
                                            "source_tables": ["t"]}]})
-        return json.dumps(VALID[tid])
+        valid = VALID[tid]
+        return valid if isinstance(valid, str) else json.dumps(valid)
 
 
 def _outcome(consume, check):
@@ -165,6 +197,18 @@ def _check_verdict(verdict):
 
 def _check_modification(outcome):
     assert type(outcome.sql) is str and type(outcome.explanation) is str
+    assert outcome.sql.strip()
+
+
+def _check_rewrite(result):
+    assert type(result.rewritten) is str and result.rewritten.strip()
+    parse_select(result.rewritten)
+
+
+def _check_correction(report, scope):
+    assert report.output["scope"] == scope
+    corrected = report.output["corrected"]
+    assert type(corrected) is str and corrected.strip()
 
 
 def _check_rules(batch):
@@ -220,6 +264,25 @@ def test_modify_answers(answer):
              _check_modification)
 
 
+@settings(max_examples=150, deadline=None)
+@given(answers(REWRITE))
+def test_rewrite_answers(answer):
+    provider = _Provider(REWRITE, answer)
+    suggestions = evaluate(STAR_QUERY, _EMPTY, provider)
+    _outcome(lambda: rewrite(STAR_QUERY, suggestions, _EMPTY, provider),
+             _check_rewrite)
+
+
+@pytest.mark.parametrize("scope", ["LOCAL", "GLOBAL"])
+@settings(max_examples=100, deadline=None)
+@given(answer=answers(CORRECT))
+def test_correction_answers(scope, answer):
+    provider = _Provider(CORRECT, answer)
+    store = _SEEDED if scope == "LOCAL" else _EMPTY
+    _outcome(lambda: repair(BROKEN, LOGS[scope], store, provider),
+             lambda report: _check_correction(report, scope))
+
+
 @settings(max_examples=100, deadline=None)
 @given(answers(RULE_GEN))
 def test_rule_generation_answers(answer):
@@ -231,8 +294,51 @@ def test_rule_generation_answers(answer):
 
 
 def test_every_json_template_has_a_valid_answer_and_a_shape():
+    """Every template, SQL text ones too, has an answer contract and a
+    valid answer drawn on here."""
     assert set(VALID) - {MODIFY_TEMPLATE} | {MODIFY_PREFIX} == \
-        set(ANSWER_SHAPES)
+        set(ANSWER_SHAPES) == KNOWN_TEMPLATES | {MODIFY_PREFIX}
+
+
+_BLANK_SQL = ["", "  \n\t", "```sql\n\n```", "\n```\n   \n```\n"]
+
+
+@pytest.mark.parametrize("answer", _BLANK_SQL)
+@pytest.mark.parametrize("scope", ["LOCAL", "GLOBAL"])
+def test_a_blank_correction_is_rejected_without_a_second_round(scope,
+                                                                answer):
+    store = _SEEDED if scope == "LOCAL" else _EMPTY
+    with pytest.raises(RejectedResponseError, match=f"{CORRECT} response"):
+        repair(BROKEN, LOGS[scope], store, _Provider(CORRECT, answer),
+               max_rounds=2)
+
+
+@pytest.mark.parametrize("answer", _BLANK_SQL + [
+    " \n```\n \n```", json.dumps({"sql": "  "}),
+    json.dumps({"sql": "", "explanation": "x"})])
+def test_a_blank_modify_answer_is_rejected(answer):
+    context = prepare_metadata(PAIR[0], "", {}, [], now=0.0)
+    with pytest.raises(RejectedResponseError, match="blank SQL"):
+        modify("filter to x = 2", context, REALIZE_SEMANTICS,
+               _Provider(MODIFY_TEMPLATE, answer))
+
+
+@pytest.mark.parametrize("answer", _BLANK_SQL)
+def test_a_blank_rewrite_is_rejected(answer):
+    provider = _Provider(REWRITE, answer)
+    suggestions = evaluate(STAR_QUERY, _EMPTY, provider)
+    with pytest.raises(RejectedResponseError, match="blank SQL"):
+        rewrite(STAR_QUERY, suggestions, _EMPTY, provider)
+
+
+@pytest.mark.parametrize("answer", [
+    "```sql\nSELECT a FROM t WHERE a > 1\n```",
+    "  \n```\nSELECT a FROM t WHERE a > 1\n```  \n"])
+def test_a_fenced_bare_modify_answer_loses_its_fence(answer):
+    context = prepare_metadata(PAIR[0], "", {}, [], now=0.0)
+    outcome = modify("filter to a > 1", context, REALIZE_SEMANTICS,
+                     _Provider(MODIFY_TEMPLATE, answer))
+    assert outcome.sql == "SELECT a FROM t WHERE a > 1"
 
 
 # Answers the consumers once took in with a coerced value, now rejected.
@@ -287,3 +393,13 @@ def test_a_malformed_child_intent_is_rejected():
     with pytest.raises(RejectedResponseError,
                        match=r"at \.fields\[0\]\.conditions$"):
         extract_intent(skeleton(NESTED), provider)
+
+
+def test_an_answer_nested_past_the_recursion_limit_is_not_json():
+    answer = "[" * 100_000
+    with pytest.raises(RejectedResponseError, match="not valid JSON"):
+        evaluate(STAR_QUERY, _EMPTY, _Provider(SCENARIO_2, answer))
+    context = prepare_metadata(PAIR[0], "", {}, [], now=0.0)
+    outcome = modify("filter to x = 2", context, REALIZE_SEMANTICS,
+                     _Provider(MODIFY_TEMPLATE, answer))
+    assert outcome.sql == answer  # bare SQL, for the tool to judge

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -624,6 +625,58 @@ def test_kb_learn_without_rules_leaves_no_batch(capsys, tmp_path):
     assert code == 0
     assert "0 candidate rules" in out
     assert not (tmp_path / "kb" / "pending").exists()
+
+
+class _HalfWritten:
+    """A file that takes half of a write, then reports a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_kb_learn_whose_batch_fails_to_write_leaves_no_trace(capsys, tmp_path,
+                                                             monkeypatch):
+    """A failed batch write leaves no batch file, not even a truncated one,
+    and no candidate in the store; a later learn and verify still run."""
+    store = str(tmp_path / "kb")
+    run(capsys, "kb", "init", "--store", store)
+    records = [ExecutionRecord(sql="SELECT q FROM v1, v2", status="ERROR",
+                               elapsed=3.0, error_log="boom")]
+    records_file = tmp_path / "records.jsonl"
+    records_file.write_text(json.dumps(asdict(records[0])) + "\n")
+    playbook = _learn_playbook(tmp_path, records)
+    learn = ("kb", "learn", "--store", store, "--records", str(records_file),
+             "--playbook", playbook)
+    monkeypatch.setattr("sqlgov.self_learning.open",
+                        lambda *a, **k: _HalfWritten(open(*a, **k)),
+                        raising=False)
+    code, out, err = run(capsys, *learn)
+    assert code == 2 and out == ""
+    assert err.startswith("error[IO_FAILURE]: cannot write a batch to")
+    monkeypatch.undo()
+    pending = tmp_path / "kb" / "pending"
+    assert list(pending.iterdir()) == []
+    assert "MINED_RULE" not in {r.index for r in load_snapshot(store).rules}
+
+    assert run(capsys, *learn)[0] == 0
+    decisions = tmp_path / "decisions.json"
+    decisions.write_text(json.dumps({"MINED_RULE": "ACCEPT"}))
+    code, _, _ = run(capsys, "kb", "verify", "--store", store,
+                     "--decisions", str(decisions))
+    assert code == 0
+    assert list(pending.iterdir()) == []
+    mined = [r for r in load_snapshot(store).rules if r.index == "MINED_RULE"]
+    assert [r.status for r in mined] == [VERIFIED]
 
 
 def test_kb_stats_counts_follow_kb_add(capsys, tmp_path):

@@ -13,6 +13,7 @@ from sqlgov.equivalence import (
     IntentSummary,
     check_equivalence,
     extract_intent,
+    parse_select,
     prefilter,
     skeleton,
     _skeleton_mismatch,
@@ -90,6 +91,9 @@ def test_unsupported_statement():
         check_equivalence("INSERT INTO t VALUES (1)", "SELECT 1", llm)
     with pytest.raises(UnsupportedStatementError):
         extract_intent(skeleton("UPDATE t SET a = 1"), llm)
+    # a leading token that is no word is named as written
+    with pytest.raises(UnsupportedStatementError, match="\"'abc'\"$"):
+        parse_select("'abc' FROM t")
 
 
 # --- skeletons ------------------------------------------------------------------

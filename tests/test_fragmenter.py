@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+import tracemalloc
 from dataclasses import dataclass, field
 
 import pytest
@@ -220,6 +221,25 @@ def test_a_query_nested_past_the_recursion_limit_decomposes(tmp_path, capsys):
     path.write_text(sql)
     assert cli.main(["fragment", str(path)]) == 0
     assert len(json.loads(capsys.readouterr().out)["fragments"]) == depth + 1
+
+
+def test_a_deep_tree_holds_its_query_once():
+    """Fragments read their text from the tree's one source string, so the
+    bytes a tree holds grow with the query's length, not length x depth."""
+    depth = 3000
+    sql = "SELECT a FROM (" * depth + "SELECT a FROM t" + ") s" * depth
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree, _ = decompose_lenient.__wrapped__(sql)  # past the parse memo
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert held / len(sql) < 200, held / len(sql)
+    assert tree.by_id(2).text == "SELECT a FROM (SELECT a FROM t) s"
 
 
 # --- randomized numbering oracle ----------------------------------------------
