@@ -15,7 +15,7 @@ import operator
 import os
 import shutil
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -150,14 +150,16 @@ def copy_entry(entry):
 def copy_snapshot(snapshot: KnowledgeSnapshot) -> KnowledgeSnapshot:
     """A copy of every entry (``copy_entry``) in new lists. The copy shares
     the embedding rows, so it also takes the snapshot's embedding indexes,
-    which stay valid for it until its entries change."""
+    which stay valid for it until its entries change, and the record of
+    what its store files hold, which ``save_snapshot`` checks the same way."""
     clone = KnowledgeSnapshot(
         rules=list(map(copy_entry, snapshot.rules)),
         cases=list(map(copy_entry, snapshot.cases)),
         strategies=list(map(copy_entry, snapshot.strategies)),
         stats={tool: copy_entry(s) for tool, s in snapshot.stats.items()})
-    if _INDEXES in snapshot.__dict__:
-        clone.__dict__[_INDEXES] = dict(snapshot.__dict__[_INDEXES])
+    for name in (_INDEXES, _FILES):
+        if name in snapshot.__dict__:
+            clone.__dict__[name] = dict(snapshot.__dict__[name])
     return clone
 
 
@@ -292,6 +294,10 @@ class _EmbeddingIndex:
 
 
 _INDEXES = "_indexes"  # the attribute a snapshot holds its indexes in, by kind
+# The attribute a snapshot holds, by kind, what the kind's files held when
+# it last read or wrote them: (directory, each file's _identity in _names
+# order, the objects its entries held by _held).
+_FILES = "_files"
 
 
 def _embedding_index(snapshot: KnowledgeSnapshot, kind: str) -> _EmbeddingIndex:
@@ -399,21 +405,100 @@ def _record(entry) -> dict:
     return {k: v for k, v in vars(entry).items() if k != "embedding"}
 
 
+def _names(kind: str) -> tuple[str, ...]:
+    """The store files of ``kind``."""
+    return (f"{kind}.jsonl", f"{kind}.npy") if kind in _EMBEDDED \
+        else (f"{kind}.jsonl",)
+
+
+def _identity(status: os.stat_result) -> tuple[int, int, int]:
+    return status.st_ino, status.st_size, status.st_mtime_ns
+
+
+# Each kind's field values, read without vars(): vars() would give every
+# entry a dict of its own, which slows each later attribute read.
+_FIELD_VALUES = {kind: operator.attrgetter(*(f.name for f in fields(cls)))
+                 for kind, cls in _ENTRIES.items()}
+
+
+def _held(kind: str, entries) -> list:
+    """The objects the ``kind`` entries hold in their fields, in order, down
+    to the items of their lists and of the dicts in those lists: the depth
+    ``copy_entry`` copies to. The items of each list and dict end with the
+    type ``list`` or ``dict``, which no JSON value is and ``copy.deepcopy``
+    keeps."""
+    field_values = _FIELD_VALUES[kind]
+    held = []
+    for entry in entries:
+        for value in field_values(entry):
+            if isinstance(value, list):
+                for item in value:
+                    if isinstance(item, dict):
+                        for pair in item.items():
+                            held.extend(pair)
+                        held.append(dict)
+                    else:
+                        held.append(item)
+                held.append(list)
+            else:
+                held.append(value)
+    return held
+
+
+def _unchanged(snapshot: KnowledgeSnapshot, kind: str, where: str,
+               held: list) -> bool:
+    """Whether the ``kind`` files at ``where`` hold the snapshot's entries
+    of that kind: it last read or wrote them there, the entries hold the
+    very objects (``held``) they held then, every embedding row is
+    read-only, and each file keeps the identity it had then."""
+    last = snapshot.__dict__.get(_FILES, {}).get(kind)
+    if last is None:
+        return False
+    last_where, identities, last_held = last
+    if last_where != where or len(last_held) != len(held) \
+            or not all(map(operator.is_, held, last_held)):
+        return False
+    if kind in _EMBEDDED and any(
+            e.embedding.flags.writeable for e in getattr(snapshot, kind)):
+        return False
+    try:
+        return identities == tuple(
+            _identity(os.stat(os.path.join(where, name))) for name in _names(kind))
+    except OSError:
+        return False
+
+
 def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
     """Write the store's files, each atomically, with ``meta.json`` last.
 
-    Every file goes to a temp file in the store directory first; only when
-    all are written does ``os.replace`` put each in place. A failure before
-    that removes the temp files and leaves the previous store untouched. A
-    failure between two moves puts back each file already moved, from a
-    second name (a hard link, or a copy) kept for it until the save ends,
-    so the store still loads as the previous one. Nothing is fsynced, so a power loss
-    may still lose the latest write or leave a mix of old and new files.
+    A kind's files are skipped when they already hold its entries: the
+    snapshot, or the one it was copied from (``copy_snapshot``), last read
+    or wrote them at this directory, its entries hold the very objects
+    they held then, to the depth ``copy_entry`` copies, every embedding row
+    is read-only, and each file keeps the inode, size and modification time
+    it had then. Any other kind is written whole: one changed in place, even
+    to an equal value, one whose file another process replaced or rewrote,
+    and every kind of a store saved elsewhere or read as schema 1.
+    ``meta.json`` is always written.
+
+    Every file written goes to a temp file in the store directory first;
+    only when all are written does ``os.replace`` put each in place. A
+    failure before that removes the temp files and leaves the previous
+    store untouched. A failure between two moves puts back each file
+    already moved, from a second name (a hard link, or a copy) kept for it
+    until the save ends, so the store still loads as the previous one.
+    Nothing is fsynced, so a power loss may still lose the latest write or
+    leave a mix of old and new files.
     """
     import numpy as np
 
     directory = Path(path)
-    matrices = {kind: _matrix(getattr(snapshot, kind)) for kind in _EMBEDDED}
+    where = os.path.abspath(directory)
+    held = {kind: _held(kind, getattr(snapshot, kind)) for kind in _ENTRIES}
+    kinds = [kind for kind in _ENTRIES
+             if not _unchanged(snapshot, kind, where, held[kind])]
+    matrices = {kind: _matrix(getattr(snapshot, kind))
+                for kind in _EMBEDDED if kind in kinds}
     staged: list[tuple[Path, Path]] = []
 
     def stage(name: str) -> Path:
@@ -423,7 +508,7 @@ def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
 
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        for kind in _ENTRIES:
+        for kind in kinds:
             write_jsonl(map(_record, getattr(snapshot, kind)),
                         stage(f"{kind}.jsonl"))
             if kind in matrices:
@@ -437,12 +522,16 @@ def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
             json.dump(meta, fh, sort_keys=True, indent=2)
             fh.write("\n")
         _replace_all(staged)
+        written = {kind: (where, tuple(_identity(os.stat(directory / name))
+                                       for name in _names(kind)), held[kind])
+                   for kind in kinds}
     except (OSError, TypeError, ValueError) as exc:
         raise IoFailure(f"cannot write snapshot to {directory}: {exc}") from exc
     finally:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
             _previous(tmp).unlink(missing_ok=True)
+    snapshot.__dict__.setdefault(_FILES, {}).update(written)
 
 
 def _previous(tmp: Path) -> Path:
@@ -478,15 +567,16 @@ def _replace_all(staged: list[tuple[Path, Path]]) -> None:
         raise
 
 
-def _read_matrix(file: Path) -> np.ndarray:
-    """The read-only 2-D matrix of finite float64s saved at ``file``, empty
-    if there is no file. The .npy header is checked against the file's size
-    before any data is read, and a dtype that would need unpickling is
-    refused before that. A ValueError names the file."""
+def _read_matrix(file: Path) -> tuple[np.ndarray, tuple | None]:
+    """The read-only 2-D matrix of finite float64s saved at ``file``, and
+    the identity of the file read (``_identity``); empty and None if there
+    is no file. The .npy header is checked against the file's size before
+    any data is read, and a dtype that would need unpickling is refused
+    before that. A ValueError names the file."""
     import numpy as np
 
     if not file.exists():
-        return np.empty((0, 0))
+        return np.empty((0, 0)), None
     fmt = np.lib.format
     try:
         with open(file, "rb") as fh:
@@ -499,7 +589,8 @@ def _read_matrix(file: Path) -> np.ndarray:
                 raise ValueError(f"holds a {dtype} array of shape {shape}, "
                                  f"not a float64 matrix")
             size = shape[0] * shape[1]
-            if 8 * size != os.fstat(fh.fileno()).st_size - fh.tell():
+            status = os.fstat(fh.fileno())
+            if 8 * size != status.st_size - fh.tell():
                 raise ValueError(f"data does not fill shape {shape}")
             matrix = np.fromfile(fh, dtype=np.float64, count=size).reshape(
                 shape, order="F" if fortran_order else "C")
@@ -508,7 +599,18 @@ def _read_matrix(file: Path) -> np.ndarray:
     except ValueError as exc:
         raise ValueError(f"{file}: {exc}") from None
     matrix.flags.writeable = False
-    return matrix
+    return matrix, _identity(status)
+
+
+def _read_records(file: Path, make) -> tuple[list, tuple | None]:
+    """``read_jsonl`` of ``file``, and the identity of the file read; no
+    records and None if there is no file."""
+    try:
+        fh = open(file, encoding="utf-8")
+    except FileNotFoundError:
+        return [], None
+    with fh:
+        return read_jsonl(fh, make), _identity(os.fstat(fh.fileno()))
 
 
 def _meta_from_json(meta) -> tuple[int, dict[str, ToolStats]]:
@@ -533,32 +635,45 @@ def _entry_with_row(cls, rows, record):
 def load_snapshot(path: str | Path) -> KnowledgeSnapshot:
     """The store saved at ``path``. A store file that does not fit its
     entries' fields is a ValueError naming the file. A schema-1 store, with
-    embeddings inline in its JSONL, loads too; the next save writes schema 2."""
+    embeddings inline in its JSONL, loads too; the next save writes schema 2.
+
+    The snapshot records, for each kind whose files are all there in a
+    schema-2 store, the identity of each file it read (inode, size and
+    modification time, taken from the open file) and the objects its
+    entries hold, so that ``save_snapshot`` back to this directory skips
+    the kinds that still hold them."""
     directory = Path(path)
+    where = os.path.abspath(directory)
     meta_path = directory / "meta.json"
     try:
         version, stats = read_json(meta_path, _meta_from_json) \
             if meta_path.exists() else (SCHEMA_VERSION, {})
-        entries = {}
+        entries, files = {}, {}
         width = None  # (columns, file) of the first matrix with rows
         for kind, cls in _ENTRIES.items():
             file = directory / f"{kind}.jsonl"
-            make, matrix = partial(entry_from_json, cls), None
+            make, matrix, identities = partial(entry_from_json, cls), None, ()
             if kind in _EMBEDDED and version == SCHEMA_VERSION:
                 matrix_file = file.with_suffix(".npy")
-                matrix = _read_matrix(matrix_file)
+                matrix, identity = _read_matrix(matrix_file)
+                identities = (identity,)
                 if len(matrix):
                     width = width or (matrix.shape[1], matrix_file.name)
                     if matrix.shape[1] != width[0]:
                         raise ValueError(f"{matrix_file}: {matrix.shape[1]} "
                                          f"columns where {width[1]} has {width[0]}")
                 make = partial(_entry_with_row, cls, iter(matrix))
-            entries[kind] = records = read_jsonl(file, make) \
-                if file.exists() else []
+            records, identity = _read_records(file, make)
+            entries[kind] = records
             if matrix is not None and len(records) != len(matrix):
                 raise ValueError(f"{file}: {len(records)} records for "
                                  f"{len(matrix)} rows in {matrix_file.name}")
-        return KnowledgeSnapshot(stats=stats, **entries)
+            identities = (identity, *identities)  # in the order of _names
+            if version == SCHEMA_VERSION and None not in identities:
+                files[kind] = (where, identities, _held(kind, records))
+        snapshot = KnowledgeSnapshot(stats=stats, **entries)
+        snapshot.__dict__[_FILES] = files
+        return snapshot
     except OSError as exc:
         raise IoFailure(f"cannot read snapshot from {directory}: {exc}") from exc
 

@@ -253,10 +253,13 @@ def render_columns(columns) -> str:
 
 
 def strip_fences(text: str) -> str:
-    """Drop a surrounding markdown code fence from an LLM answer."""
+    """Drop a surrounding markdown code fence, and any whitespace before it,
+    from an LLM answer; an answer with no fence loses only its leading and
+    trailing newlines."""
     cleaned = text.strip("\n")
-    if cleaned.startswith("```"):
-        lines = cleaned.splitlines()[1:]
+    fenced = cleaned.lstrip()
+    if fenced.startswith("```"):
+        lines = fenced.splitlines()[1:]
         if lines and lines[-1].strip().startswith("```"):
             lines = lines[:-1]
         cleaned = "\n".join(lines).strip("\n")

@@ -95,11 +95,15 @@ def load_playbook(path: str | Path) -> list[dict]:
     return read_jsonl(path, lambda entry: check(entry, _PLAYBOOK_ENTRY))
 
 
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 def write_jsonl(records, path: str | Path) -> None:
     """Write records as JSON Lines with sorted keys and non-ASCII kept."""
+    encode = _JSONL_ENCODER.encode
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+            fh.write(encode(record) + "\n")
 
 
 def save_playbook(entries: list[dict], path: str | Path) -> None:

@@ -18,7 +18,7 @@ from sqlgov.equivalence import (check_equivalence, extract_intent,
 from sqlgov.errors import RejectedResponseError, SqlGovError
 from sqlgov.knowledge_base import REWRITER, KnowledgeSnapshot, KnowledgeStore
 from sqlgov.modifier import REALIZE_SEMANTICS, modify, prepare_metadata
-from sqlgov.prompts import ANSWER_SHAPES
+from sqlgov.prompts import ANSWER_SHAPES, strip_fences
 from sqlgov.providers import (
     ALIGNMENT,
     CORRECT,
@@ -339,6 +339,40 @@ def test_a_fenced_bare_modify_answer_loses_its_fence(answer):
     outcome = modify("filter to a > 1", context, REALIZE_SEMANTICS,
                      _Provider(MODIFY_TEMPLATE, answer))
     assert outcome.sql == "SELECT a FROM t WHERE a > 1"
+
+
+# SQL answers fenced after leading whitespace, each a format of its SQL.
+_FENCED_AFTER_SPACES = [" \n```sql\n{}\n```", "  ```\n{}\n```  \n"]
+
+
+@pytest.mark.parametrize("fence", _FENCED_AFTER_SPACES)
+def test_a_rewrite_fenced_after_spaces_loses_its_fence(fence):
+    provider = _Provider(REWRITE, fence.format(VALID[REWRITE]))
+    suggestions = evaluate(STAR_QUERY, _EMPTY, provider)
+    result = rewrite(STAR_QUERY, suggestions, _EMPTY, provider)
+    assert result.rewritten == VALID[REWRITE]
+
+
+@pytest.mark.parametrize("fence", _FENCED_AFTER_SPACES)
+@pytest.mark.parametrize("scope", ["LOCAL", "GLOBAL"])
+def test_a_correction_fenced_after_spaces_loses_its_fence(scope, fence):
+    """The fenced answer is spliced as the bare one is: into the subquery
+    (LOCAL), or in place of the whole query (GLOBAL)."""
+    store = _SEEDED if scope == "LOCAL" else _EMPTY
+    bare = repair(BROKEN, LOGS[scope], store,
+                  _Provider(CORRECT, VALID[CORRECT]))
+    fenced = repair(BROKEN, LOGS[scope], store,
+                    _Provider(CORRECT, fence.format(VALID[CORRECT])))
+    assert fenced.output["scope"] == bare.output["scope"] == scope
+    assert fenced.output["corrected"] == bare.output["corrected"]
+    assert "`" not in fenced.output["corrected"]
+
+
+@pytest.mark.parametrize("answer", [
+    "SELECT a FROM t", "\n SELECT a\nFROM t\n\n", "  SELECT '```' FROM t",
+    "\t\nSELECT a FROM t -- ```"])
+def test_an_unfenced_sql_answer_loses_only_its_outer_newlines(answer):
+    assert strip_fences(answer) == answer.strip("\n")
 
 
 # Answers the consumers once took in with a coerced value, now rejected.

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import copy
+import json
 import math
+import os
 import random
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from sqlgov.errors import (
 )
 from sqlgov.fragmenter import decompose
 from sqlgov.knowledge_base import (
+    CANDIDATE,
     REWRITER,
     VERIFIED,
     ErrorStrategy,
@@ -34,6 +39,12 @@ from sqlgov.knowledge_base import (
     save_snapshot,
 )
 from sqlgov.seeds import seed_snapshot
+from sqlgov.self_learning import (
+    CandidateRuleBatch,
+    ExecutionRecord,
+    apply_verification,
+    dedupe_snapshot,
+)
 from sqlgov.sqltext import templatize
 
 
@@ -648,7 +659,10 @@ def test_unserializable_save_leaves_previous_store(tmp_path, embedder):
     assert load_snapshot(directory) == previous
 
 
-_MOVES_PER_SAVE = 6  # three JSONL files, two matrices and meta.json
+# The moves of the save below: three JSONL files, two matrices and
+# meta.json, since every kind of the deep copy is written (its embedding
+# rows are writable, so no kind can be taken to be on disk already).
+_MOVES_PER_SAVE = 6
 
 
 @pytest.mark.parametrize("previous_store", [True, False])
@@ -682,5 +696,227 @@ def test_a_save_failing_at_any_move_leaves_the_previous_store(
     assert len(calls) >= k
     assert _store_files(directory) == files
     assert load_snapshot(directory) == previous
-    save_snapshot(changed, directory)
+    assert len(_written_by_save(changed, directory)) == _MOVES_PER_SAVE
+    assert load_snapshot(directory) == changed
+
+
+# --- saves that skip what the store already holds -----------------------------
+
+_KIND_FILES = ["rules.jsonl", "cases.jsonl", "cases.npy", "strategies.jsonl",
+               "strategies.npy"]
+_ALL_FILES = sorted(_KIND_FILES + ["meta.json"])
+
+
+def _inodes(directory):
+    return {p.name: p.stat().st_ino for p in directory.iterdir() if p.is_file()}
+
+
+def _written_by_save(snapshot, directory):
+    """Save ``snapshot`` at ``directory``; the names of the files the save
+    wrote, each of which, moved into place, has a new inode."""
+    before = _inodes(directory) if directory.exists() else {}
+    save_snapshot(snapshot, directory)
+    after = _inodes(directory)
+    return sorted(name for name in after if before.get(name) != after[name])
+
+
+def _assert_as_saved_afresh(snapshot, directory, tmp_path):
+    """Every store file at ``directory`` holds the bytes that a save of
+    ``snapshot`` into a new directory, which writes every file, writes."""
+    fresh = tmp_path / f"fresh-{len(list(tmp_path.iterdir()))}"
+    assert _written_by_save(snapshot, fresh) == _ALL_FILES
+    assert sorted(_inodes(directory)) == _ALL_FILES
+    for name in _ALL_FILES:
+        assert (directory / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def _learned_batch(snapshot, now):
+    """A candidate batch of a new rule and of one that repeats the
+    description of the snapshot's first rule, so dedup has a merge to make."""
+    records = [ExecutionRecord(sql=f"SELECT a{i} FROM big{i} WHERE x = {i}",
+                               status="ERROR", elapsed=2.0, error_log=f"log {i}")
+               for i in range(2)]
+    rules = [RuleEntry("NEW_RULE", "a newly mined rule", None, REWRITER,
+                       CANDIDATE, created_at=now),
+             RuleEntry("NEW_COPY", snapshot.rules[0].description,
+                       [{"pred": "in_subquery"}], REWRITER, CANDIDATE,
+                       created_at=now)]
+    return CandidateRuleBatch(rules=rules,
+                              source_records=[r.record_id for r in records],
+                              generated_at=now, records=records)
+
+
+def test_a_lifecycle_writes_only_what_changed_and_what_a_fresh_save_writes(
+        tmp_path, embedder):
+    """learn, verify with dedup, and a dedup that finds nothing, as the
+    self-learning loop runs them: each save writes the kinds that changed,
+    and leaves the store as a save into a new directory would."""
+    store_dir = tmp_path / "kb"
+    save_snapshot(_populated_snapshot(embedder), store_dir)
+    snapshot = load_snapshot(store_dir)
+    batch = _learned_batch(snapshot, now=60.0)
+
+    learned = apply_verification(snapshot, batch, {}, embedder, now=60.0)
+    assert _written_by_save(learned, store_dir) == ["meta.json", "rules.jsonl"]
+    _assert_as_saved_afresh(learned, store_dir, tmp_path)
+
+    verified = apply_verification(
+        load_snapshot(store_dir), batch,
+        {"NEW_RULE": "ACCEPT", "NEW_COPY": "ACCEPT"}, embedder, now=120.0)
+    verified, merges = dedupe_snapshot(verified, embedder, REWRITER)
+    assert merges
+    assert _written_by_save(verified, store_dir) == [
+        "cases.jsonl", "cases.npy", "meta.json", "rules.jsonl"]
+    _assert_as_saved_afresh(verified, store_dir, tmp_path)
+
+    deduped, merges = dedupe_snapshot(load_snapshot(store_dir), embedder,
+                                      REWRITER)
+    assert merges == []
+    assert _written_by_save(deduped, store_dir) == ["meta.json"]
+    _assert_as_saved_afresh(deduped, store_dir, tmp_path)
+    assert load_snapshot(store_dir) == verified
+
+
+def _replace(file: Path, data: bytes) -> None:
+    tmp = file.with_name(file.name + ".other")
+    tmp.write_bytes(data)
+    os.replace(tmp, file)
+
+
+def _rewrite_in_place(file: Path, data: bytes) -> None:
+    """Write ``data`` over ``file``, keeping its inode, and again until its
+    modification time moves on from the one it had, as another process's
+    later write would (a file system's clock may tick only every few ms)."""
+    seen = file.stat().st_mtime_ns
+    deadline = time.monotonic() + 5.0
+    while True:
+        with open(file, "r+b") as fh:
+            fh.write(data)
+        if file.stat().st_mtime_ns != seen or time.monotonic() > deadline:
+            return
+        time.sleep(0.001)
+
+
+def _changed(data: bytes) -> bytes:
+    """``data`` of the same size with its last byte changed."""
+    return data[:-1] + bytes([data[-1] ^ 1])
+
+
+@pytest.mark.parametrize("change", ["replaced", "rewritten in place", "removed"])
+@pytest.mark.parametrize("name", _KIND_FILES)
+def test_a_kind_file_changed_by_another_process_is_written(
+        tmp_path, embedder, name, change):
+    store_dir = tmp_path / "kb"
+    save_snapshot(_populated_snapshot(embedder), store_dir)
+    snapshot = load_snapshot(store_dir)
+    file = store_dir / name
+    data = file.read_bytes()
+    if change == "replaced":
+        _replace(file, data)  # the same bytes under a new inode
+    elif change == "rewritten in place":
+        _rewrite_in_place(file, _changed(data))
+        assert file.stat().st_size == len(data)
+    else:
+        file.unlink()
+    kind_files = [n for n in _KIND_FILES if n.split(".")[0] == name.split(".")[0]]
+    assert _written_by_save(snapshot, store_dir) == sorted(kind_files + ["meta.json"])
+    _assert_as_saved_afresh(snapshot, store_dir, tmp_path)
+
+
+def _append_tag(snapshot):
+    snapshot.cases[3].tag.append("SAME_TABLE_JOIN")
+
+
+def _retire(snapshot):
+    snapshot.rules[1].status = "RETIRED"
+
+
+def _set_an_equal_status(snapshot):
+    snapshot.rules[1].status = "".join(snapshot.rules[1].status)  # a new str
+    assert snapshot.rules[1].status is not VERIFIED
+
+
+def _rewrite_a_row(snapshot):
+    snapshot.strategies[0].embedding[0] += 1.0
+
+
+@pytest.mark.parametrize("change, deep, written", [
+    (_append_tag, False, ["cases.jsonl", "cases.npy"]),
+    (_retire, False, ["rules.jsonl"]),
+    (_set_an_equal_status, False, ["rules.jsonl"]),
+    # a deep copy's rows are new and writable: its embedded kinds are written
+    (_rewrite_a_row, True, ["cases.jsonl", "cases.npy", "strategies.jsonl",
+                            "strategies.npy"]),
+], ids=["tag-appended", "status-set", "status-set-equal", "deepcopy-row-written"])
+def test_an_entry_changed_in_place_gets_its_kind_written(
+        tmp_path, embedder, change, deep, written):
+    store_dir = tmp_path / "kb"
+    save_snapshot(_populated_snapshot(embedder), store_dir)
+    snapshot = load_snapshot(store_dir)
+    if deep:
+        snapshot = copy.deepcopy(snapshot)
+    change(snapshot)
+    assert _written_by_save(snapshot, store_dir) == sorted(written + ["meta.json"])
+    _assert_as_saved_afresh(snapshot, store_dir, tmp_path)
+    assert load_snapshot(store_dir) == snapshot
+
+
+def test_a_store_saved_elsewhere_is_written_whole(tmp_path, embedder):
+    """Even into a directory of hard links to the very files it read."""
+    save_snapshot(_populated_snapshot(embedder), tmp_path / "kb")
+    snapshot = load_snapshot(tmp_path / "kb")
+    links = tmp_path / "links"
+    links.mkdir()
+    for name in _ALL_FILES:
+        os.link(tmp_path / "kb" / name, links / name)
+    assert _written_by_save(snapshot, links) == _ALL_FILES
+    assert _written_by_save(snapshot, tmp_path / "kb") == _ALL_FILES
+    assert _written_by_save(snapshot, tmp_path / "kb") == ["meta.json"]
+
+
+def test_a_schema1_store_is_written_whole_as_schema_2(tmp_path, embedder,
+                                                      write_schema1_store):
+    store_dir = tmp_path / "kb"
+    write_schema1_store(_populated_snapshot(embedder), store_dir)
+    snapshot = load_snapshot(store_dir)
+    assert _written_by_save(snapshot, store_dir) == _ALL_FILES
+    assert json.loads((store_dir / "meta.json").read_text())[
+        "schema_version"] == 2
+    _assert_as_saved_afresh(snapshot, store_dir, tmp_path)
+    assert _written_by_save(load_snapshot(store_dir), store_dir) == ["meta.json"]
+
+
+# The moves of a save of a loaded store whose rules and cases changed:
+# its strategies are skipped, and meta.json comes last.
+_PARTIAL_MOVES = ["rules.jsonl", "cases.jsonl", "cases.npy", "meta.json"]
+
+
+@pytest.mark.parametrize("k", range(1, len(_PARTIAL_MOVES) + 1))
+def test_a_partial_save_failing_at_any_move_leaves_the_previous_store(
+        tmp_path, embedder, monkeypatch, k):
+    directory = tmp_path / "kb"
+    previous = _populated_snapshot(embedder)
+    save_snapshot(previous, directory)
+    files = _store_files(directory)
+    changed = copy_snapshot(load_snapshot(directory))
+    changed.cases.append(_random_cases(embedder, n=1)[0])
+    changed.rules.append(RuleEntry("R-new", "new rule", None, REWRITER))
+
+    calls = []
+    replace = kb.os.replace
+
+    def failing_replace(src, dst):
+        calls.append(Path(dst).name)
+        if len(calls) == k:
+            raise OSError("device busy")
+        replace(src, dst)
+
+    monkeypatch.setattr(kb.os, "replace", failing_replace)
+    with pytest.raises(IoFailure):
+        save_snapshot(changed, directory)
+    monkeypatch.undo()
+    assert calls[:k] == _PARTIAL_MOVES[:k]
+    assert _store_files(directory) == files
+    assert load_snapshot(directory) == previous
+    assert _written_by_save(changed, directory) == sorted(_PARTIAL_MOVES)
     assert load_snapshot(directory) == changed
