@@ -324,6 +324,9 @@ class KnowledgeStore:
     self-learning update reuse them too. A view checks its snapshot's index
     on its first retrieval and then assumes the snapshot does not change
     while the view is in use; build a new view over a changed snapshot.
+    The view also keeps the case positions of each tag it has filtered by,
+    read on the tag's first use, so an in-place edit of a case's tags, like
+    any other in-place edit, needs a new view too.
     """
 
     def __init__(self, snapshot: KnowledgeSnapshot, embedder,
@@ -331,6 +334,7 @@ class KnowledgeStore:
         self.snapshot = snapshot
         self.embedder = embedder
         self.strategy_threshold = strategy_threshold
+        self._tag_positions: dict[str, np.ndarray] = {}
 
     @cached_property
     def _case_index(self) -> _EmbeddingIndex:
@@ -354,9 +358,23 @@ class KnowledgeStore:
         hits.sort(key=lambda r: r.index)
         return hits
 
+    def _positions(self, tag: str) -> np.ndarray:
+        """The sorted, read-only positions of the cases carrying ``tag``."""
+        positions = self._tag_positions.get(tag)
+        if positions is None:
+            import numpy as np
+
+            positions = np.array([i for i, case in enumerate(self.snapshot.cases)
+                                  if tag in case.tag], dtype=np.intp)
+            positions.flags.writeable = False
+            self._tag_positions[tag] = positions
+        return positions
+
     def retrieve_cases(self, query: str, tag_filter: list[str] | None = None,
                        k: int = DEFAULT_K) -> list[tuple[HistoricalCase, float]]:
         """Top-k cases by cosine similarity of masked templates, tag-filtered."""
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         cases = self.snapshot.cases
         if not cases:
             return []
@@ -367,9 +385,14 @@ class KnowledgeStore:
         if tag_filter is None:
             selected = np.arange(len(cases))
         else:
-            wanted = set(tag_filter)
-            selected = np.array([i for i, case in enumerate(cases)
-                                 if wanted.intersection(case.tag)], dtype=np.intp)
+            parts = [self._positions(tag) for tag in set(tag_filter)]
+            if len(parts) == 1:
+                selected = parts[0]
+            else:  # the sorted union; np.union1d would import numpy.ma
+                wanted = np.zeros(len(cases), dtype=bool)
+                for part in parts:
+                    wanted[part] = True
+                selected = np.flatnonzero(wanted)
             if not len(selected):
                 return []
         positions, scores = index.rank(query_vec, selected)

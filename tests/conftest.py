@@ -51,6 +51,22 @@ def embedder() -> HashingEmbedding:
     return HashingEmbedding(768)
 
 
+class CountingEmbedder:
+    """Embeds through ``inner`` and counts the calls."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def embed(self, text):
+        self.calls += 1
+        return self.inner.embed(text)
+
+
+@pytest.fixture()
+def counting_embedder(embedder) -> CountingEmbedder:
+    return CountingEmbedder(embedder)
+
+
 @pytest.fixture()
 def seeded_store(embedder) -> KnowledgeStore:
     return KnowledgeStore(seed_snapshot(embedder), embedder)

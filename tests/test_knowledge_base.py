@@ -205,6 +205,19 @@ def test_retrieval_respects_k_and_is_prefix_monotone(embedder):
         previous = got
 
 
+@pytest.mark.parametrize("k", [0, -1, -2])
+@pytest.mark.parametrize("tags", [None, ["SAME_TABLE_JOIN"]])
+def test_a_k_below_one_is_refused_before_any_work(embedder, counting_embedder,
+                                                  k, tags):
+    for snapshot in (seed_snapshot(embedder), KnowledgeSnapshot()):
+        store = KnowledgeStore(snapshot, counting_embedder)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            store.retrieve_cases("SELECT a FROM t", tags, k)
+        assert "_case_index" not in vars(store)
+        assert store._tag_positions == {}
+    assert counting_embedder.calls == 0
+
+
 def test_tag_filter_soundness(embedder):
     cases = _random_cases(embedder, n=10)
     for i, case in enumerate(cases):
@@ -244,29 +257,39 @@ def planted_stores(draw):
     return cases, rng.normal(size=12)
 
 
+_FILTERS = st.sampled_from([None, [], ["A"], ["UNKNOWN"], ["A", "B"],
+                            ["A", "A"], ["B", "UNKNOWN"]])
+
+
 @settings(max_examples=200, deadline=None)
-@given(planted_stores(), st.sampled_from([None, [], ["A"], ["UNKNOWN"]]),
-       st.data())
-def test_retrieval_equals_reference_loop(store_and_query, tag_filter, data):
+@given(planted_stores(), _FILTERS, _FILTERS, st.data())
+def test_retrieval_equals_reference_loop(store_and_query, tag_filter,
+                                         second_filter, data):
     cases, query_vec = store_and_query
-    k = data.draw(st.integers(1, len(cases) + 2))
     store = KnowledgeStore(KnowledgeSnapshot(cases=cases),
                            _FixedEmbedder(query_vec))
-    got = store.retrieve_cases("SELECT 1", tag_filter, k)
-    reference = sorted(
-        ((c, cosine_similarity(query_vec, c.embedding)) for c in cases
-         if tag_filter is None or set(c.tag) & set(tag_filter)),
-        key=lambda cs: (-cs[1], cs[0].index))[:k]
-    assert [c.index for c, _ in got] == [c.index for c, _ in reference]
-    for (_, score), (_, expected) in zip(got, reference):
-        assert abs(score - expected) <= 1e-12
-    by_embedding: dict[tuple, list] = {}
-    for case, score in got:
-        by_embedding.setdefault(tuple(case.embedding), []).append(
-            (case.index, score))
-    for hits in by_embedding.values():
-        assert len({score for _, score in hits}) == 1
-        assert [index for index, _ in hits] == sorted(index for index, _ in hits)
+    # one view, two filters in turn: the second reuses the positions of
+    # any tag the first one read
+    for tags in (tag_filter, second_filter):
+        k = data.draw(st.integers(1, len(cases) + 2))
+        got = store.retrieve_cases("SELECT 1", tags, k)
+        reference = sorted(
+            ((c, cosine_similarity(query_vec, c.embedding)) for c in cases
+             if tags is None or set(c.tag) & set(tags)),
+            key=lambda cs: (-cs[1], cs[0].index))[:k]
+        assert [c.index for c, _ in got] == [c.index for c, _ in reference]
+        for (_, score), (_, expected) in zip(got, reference):
+            assert abs(score - expected) <= 1e-12
+        by_embedding: dict[tuple, list] = {}
+        for case, score in got:
+            by_embedding.setdefault(tuple(case.embedding), []).append(
+                (case.index, score))
+        for hits in by_embedding.values():
+            assert len({score for _, score in hits}) == 1
+            assert [index for index, _ in hits] == sorted(
+                index for index, _ in hits)
+    for positions in store._tag_positions.values():
+        assert positions.dtype == np.intp and not positions.flags.writeable
 
 
 def test_retrieval_zero_query_raises():
@@ -590,8 +613,17 @@ def _different_row(cases):
     cases[3].embedding = cases[5].embedding[::-1].copy()
 
 
+def _retag(cases):
+    for case in cases[::2]:  # in place, as dedupe_snapshot retags its copy
+        tags = [tag for tag in case.tag if tag != "SAME_TABLE_JOIN"]
+        if len(tags) == len(case.tag):
+            tags.append("SAME_TABLE_JOIN")
+        case.tag.clear()
+        case.tag.extend(tags)
+
+
 @pytest.mark.parametrize("change", [_append, _pop, _swap, _rename_twin,
-                                    _equal_new_row, _different_row])
+                                    _equal_new_row, _different_row, _retag])
 def test_a_view_after_an_in_place_change_ranks_as_a_fresh_index(embedder, change):
     snapshot = KnowledgeSnapshot(cases=_twinned_cases(embedder))
     query = _FixedEmbedder(np.random.default_rng(5).normal(size=768))

@@ -310,28 +310,17 @@ def test_merge_cluster_tie_breaks_to_older():
     assert merge_cluster(members, embeddings).index == "old"
 
 
-class _CountingEmbedder:
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-
-    def embed(self, text):
-        self.calls += 1
-        return self.inner.embed(text)
-
-
-def test_dedupe_retires_duplicates_and_retags_cases(embedder):
+def test_dedupe_retires_duplicates_and_retags_cases(embedder, counting_embedder):
     snapshot = seed_snapshot(embedder)
     snapshot.rules.append(RuleEntry(
         index="SAME_TABLE_JOIN_COPY",
         description=snapshot.rules[0].description,  # identical text
         matcher=None, tool=REWRITER, status=VERIFIED, created_at=999.0))
     snapshot.cases[1].tag.append("SAME_TABLE_JOIN_COPY")
-    counting = _CountingEmbedder(embedder)
-    deduped, merges = dedupe_snapshot(snapshot, counting, REWRITER)
+    deduped, merges = dedupe_snapshot(snapshot, counting_embedder, REWRITER)
     active = [r for r in snapshot.rules
               if r.tool == REWRITER and r.status != RETIRED]
-    assert counting.calls == len(active)  # one embedding per rule
+    assert counting_embedder.calls == len(active)  # one embedding per rule
     assert merges == [{"survivor": "SAME_TABLE_JOIN",
                        "absorbed": ["SAME_TABLE_JOIN_COPY"]}]
     retired = [r for r in deduped.rules if r.index == "SAME_TABLE_JOIN_COPY"]

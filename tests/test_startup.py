@@ -77,3 +77,19 @@ assert vec.shape == (8,)
 assert abs(cosine_similarity(vec, vec) - 1.0) < 1e-12
 """)
     assert result == {"code": None, "numpy": True}
+
+
+def test_a_filter_of_several_tags_leaves_numpy_ma_unloaded():
+    # numpy.ma adds about 1.5 MB to a process, and np.union1d loads it
+    result = _run_child("""
+from sqlgov import HashingEmbedding, KnowledgeStore
+from sqlgov.seeds import seed_snapshot
+embedder = HashingEmbedding(768)
+store = KnowledgeStore(seed_snapshot(embedder), embedder)
+hits = store.retrieve_cases("SELECT a FROM t", [
+    "SAME_TABLE_JOIN", "UNKNOWN", "SAME_TABLE_JOIN", "OUTER_JOIN_NULL_FILTER"])
+assert sorted(case.index for case, _ in hits) == [
+    "case-inner-join-filter", "case-single-scan-merge"], hits
+assert "numpy.ma" not in sys.modules
+""")
+    assert result == {"code": None, "numpy": True}
