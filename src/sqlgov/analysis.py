@@ -227,6 +227,30 @@ def _analyze(tree: FragmentTree) -> dict[int, FragmentFacts]:
     }
 
 
+def select_list(tree: FragmentTree, fragment: Fragment) -> str:
+    """The normalized tokens of the fragment's projection, nested subqueries
+    included: from its first top-level SELECT to the next top-level word of
+    ``_CLAUSE_BREAK``. Equal select lists name their output columns alike."""
+    tokens = tree.tokens
+    lo, hi = fragment.token_range
+    depth, start = 0, None
+    for idx in range(lo, hi):
+        upper = tokens[idx].upper
+        if upper == "(":
+            depth += 1
+        elif upper == ")":
+            depth -= 1
+        elif depth:
+            continue
+        elif start is None:
+            if upper == "SELECT":
+                start = idx + 1
+        elif upper in _CLAUSE_BREAK:
+            hi = idx
+            break
+    return "" if start is None else normalize_tokens(tokens[start:hi])
+
+
 def duplicated_scan_tables(fragment_id: int,
                            facts_map: Mapping[int, FragmentFacts],
                            tree: FragmentTree, min_count: int = 2) -> list[str]:

@@ -11,6 +11,17 @@ pairs with mismatched output arity or base-table sets before any provider
 call; surviving pairs go through an LLM field-alignment prompt with
 per-field confidences. UNDECIDED is a first-class outcome: low-confidence
 answers are never upgraded.
+
+When a rewrite leaves the outermost query's own text alone, only what it
+changed is checked first: each topmost pair of fragments whose own text
+differs is summarized and aligned as a pair of queries of its own. A
+subquery swapped for an equivalent one with the same output columns leaves
+the query equivalent (the congruence step of UDP and SPES), so the pair is
+EQUIVALENT when every changed pair is, position for position, under the
+same select list. Any other local outcome goes on to the whole-query check,
+which reuses every summary already made: the outer query may hide a local
+difference, so a local NOT_EQUIVALENT is never the answer. Every verdict
+past the short-circuits is still the provider's.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .analysis import FragmentFacts, analyze_tree
+from .analysis import FragmentFacts, analyze_tree, select_list
 from .errors import (
     EmptyQueryError,
     RejectedResponseError,
@@ -127,18 +138,20 @@ def skeleton(query: str) -> QuerySkeleton:
 
 def extract_intent(side: QuerySkeleton, provider,
                    answers: dict[PromptEnvelope, dict] | None = None,
-                   ) -> IntentSummary:
+                   root: int | None = None) -> IntentSummary:
     """Summarize field provenance, walking fragments innermost-first.
 
     Analysis order already numbers children before parents, so feeding
     summaries forward needs no extra bookkeeping. ``answers`` maps each
     envelope already answered to its checked answer; only new envelopes
-    reach the provider.
+    reach the provider. ``root`` names a fragment whose subtree alone is
+    summarized, as the query's own fragments; by default the whole query.
     """
     tree = side.tree
+    root = tree.root_id if root is None else root
     answers = {} if answers is None else answers
     summaries: dict[int, dict] = {}
-    for fragment in tree.fragments:
+    for fragment in tree.subtree(root):
         child_rendered = [
             f"fragment {c.id}: {json.dumps(summaries[c.id], sort_keys=True)}"
             for c in tree.children(fragment.id)
@@ -147,7 +160,7 @@ def extract_intent(side: QuerySkeleton, provider,
         if env not in answers:
             answers[env] = ask(provider, env)
         summaries[fragment.id] = answers[env]
-    main = summaries[tree.root_id]
+    main = summaries[root]
     fields = tuple(
         FieldProvenance(
             output_name=f.get("output_name", ""),
@@ -157,7 +170,7 @@ def extract_intent(side: QuerySkeleton, provider,
         )
         for f in main.get("fields", [])
     )
-    root_facts = side.facts[tree.root_id]
+    root_facts = side.facts[root]
     if not root_facts.select_has_star and root_facts.select_items \
             and len(fields) != root_facts.select_items:
         raise RejectedResponseError(
@@ -193,26 +206,97 @@ def _skeleton_mismatch(a: QuerySkeleton, b: QuerySkeleton) -> str | None:
 def check_equivalence(a: str, b: str, provider,
                       confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR) -> EquivalenceVerdict:
     """Full pipeline: identity short-circuit, structural pre-filter (zero
-    provider calls on rejection), then intent extraction and field alignment."""
+    provider calls on rejection), the scoped check of each changed fragment
+    pair when the outermost query's own text is unchanged, then intent
+    extraction and field alignment of the whole pair. Only a scoped
+    EQUIVALENT is final; any other scoped outcome goes on to the whole-pair
+    stages, which share its intent answers."""
     ska = skeleton(a)
     skb = skeleton(b)
     if normalize_tokens(ska.tree.tokens) == normalize_tokens(skb.tree.tokens):
-        return EquivalenceVerdict(  # no mapping when a star hides the arity
+        return EquivalenceVerdict(
             verdict=EQUIVALENT, confidence=1.0,
-            field_mapping=tuple((i, i) for i in range(ska.arity))
-            if ska.arity else None,
+            field_mapping=_identity(ska.arity),
             reason="identical normalized text")
     mismatch = _skeleton_mismatch(ska, skb)
     if mismatch is not None:
         return EquivalenceVerdict(verdict=NOT_EQUIVALENT, confidence=1.0,
                                   reason=mismatch)
     answers: dict[PromptEnvelope, dict] = {}
+    pairs = _changed_pairs(ska.tree, skb.tree)
+    if pairs and pairs != [(ska.tree.root_id, skb.tree.root_id)]:
+        verdict = _scoped(ska, skb, pairs, provider, answers, confidence_floor)
+        if verdict is not None:
+            return verdict
     intent_a = extract_intent(ska, provider, answers)
     intent_b = extract_intent(skb, provider, answers)
     rejected = prefilter(intent_a, intent_b)
     if rejected is not None:
         return rejected
     return _align(intent_a, intent_b, provider, confidence_floor)
+
+
+def _identity(arity: int | None) -> tuple[tuple[int, int], ...] | None:
+    """The identity mapping over ``arity`` outputs; None when a star hides
+    the arity."""
+    return tuple((i, i) for i in range(arity)) if arity else None
+
+
+def _changed_pairs(ta: FragmentTree, tb: FragmentTree) -> list[tuple[int, int]]:
+    """The topmost pairs of fragments, (left id, right id), whose own text
+    differs. Both trees are walked from the root, children paired in order,
+    and the walk stops at a pair whose own text segments (and so child
+    counts) differ; above such a pair both sides read alike, so the pair
+    differs only inside it."""
+    pairs, pending = [], [(ta.root_id, tb.root_id)]
+    while pending:
+        fa, fb = pending.pop()
+        if ta.local_segments(fa) != tb.local_segments(fb):
+            pairs.append((fa, fb))
+        else:
+            pending += zip((c.id for c in ta.children(fa)),
+                           (c.id for c in tb.children(fb)))
+    return sorted(pairs)
+
+
+def _output_names(side: QuerySkeleton, fragment_id: int) -> str | None:
+    """The fragment's select list, which names its outputs; None when a
+    star, or no projection, leaves the names to its sources."""
+    facts = side.facts[fragment_id]
+    if facts.select_has_star or not facts.select_items:
+        return None
+    return select_list(side.tree, side.tree.by_id(fragment_id))
+
+
+def _scoped(ska: QuerySkeleton, skb: QuerySkeleton,
+            pairs: list[tuple[int, int]], provider,
+            answers: dict[PromptEnvelope, dict],
+            confidence_floor: float) -> EquivalenceVerdict | None:
+    """EQUIVALENT when each changed pair, checked as a pair of queries, is
+    EQUIVALENT position for position, and both sides name their outputs
+    alike: equal select lists with no star, since a parent reads a derived
+    table's or a CTE's columns by name. None for any other outcome."""
+    for fa, fb in pairs:
+        names = _output_names(ska, fa)
+        if names is None or names != _output_names(skb, fb):
+            return None
+    confidence = 1.0
+    for fa, fb in pairs:
+        intent_a = extract_intent(ska, provider, answers, fa)
+        intent_b = extract_intent(skb, provider, answers, fb)
+        if prefilter(intent_a, intent_b) is not None:
+            return None
+        verdict = _align(intent_a, intent_b, provider, confidence_floor)
+        if verdict.verdict != EQUIVALENT \
+                or verdict.field_mapping != _identity(len(intent_a.fields)):
+            return None
+        confidence = min(confidence, verdict.confidence)
+    return EquivalenceVerdict(
+        verdict=EQUIVALENT, confidence=confidence,
+        field_mapping=_identity(ska.arity),
+        reason="only fragment pairs " + ", ".join(
+            f"{fa}/{fb}" for fa, fb in pairs)
+        + " differ, and each is equivalent with the same outputs")
 
 
 def _align(intent_a: IntentSummary, intent_b: IntentSummary, provider,

@@ -123,23 +123,52 @@ class FragmentTree:
             index.setdefault(frag.parent_id, []).append(frag)
         return index
 
+    def subtree(self, fragment_id: int) -> tuple[Fragment, ...]:
+        """The fragment and its descendants, in id order. Post-order
+        numbering gives a subtree the ids just below its root's, down to
+        its first-numbered leaf."""
+        first = fragment_id
+        while self._children.get(first):
+            first = self._children[first][0].id
+        return self.fragments[first - 1:fragment_id]
+
+    def local_segments(self, fragment_id: int) -> tuple[str, ...]:
+        """The fragment's own text, cut out of its text at each direct
+        child's span, in text order: one more segment than children. Two
+        fragments with equal segments differ only inside their children,
+        whatever either text spells, ``[fragment k]`` included."""
+        return self._local_segments[fragment_id]
+
     def local_text(self, fragment_id: int) -> str:
         """The fragment's text with each direct child's span replaced by
         ``[fragment k]``, k the child's id: what a prompt about the fragment
         shows. Computed once per tree, for every fragment."""
         return self._local_texts[fragment_id]
 
+    def _in_text_order(self, fragment_id: int) -> list[Fragment]:
+        return sorted(self._children.get(fragment_id, ()),
+                      key=lambda c: c.span[0])
+
+    @cached_property
+    def _local_segments(self) -> dict[int, tuple[str, ...]]:
+        segments: dict[int, tuple[str, ...]] = {}
+        for frag in self.fragments:
+            parts, at = [], frag.span[0]
+            for child in self._in_text_order(frag.id):
+                parts.append(self.source[at:child.span[0]])
+                at = child.span[1]
+            parts.append(self.source[at:frag.span[1]])
+            segments[frag.id] = tuple(parts)
+        return segments
+
     @cached_property
     def _local_texts(self) -> dict[int, str]:
         texts: dict[int, str] = {}
         for frag in self.fragments:
-            parts, at = [], frag.span[0]
-            for child in sorted(self._children.get(frag.id, ()),
-                                key=lambda c: c.span[0]):
-                parts += (self.source[at:child.span[0]],
-                          f"[fragment {child.id}]")
-                at = child.span[1]
-            parts.append(self.source[at:frag.span[1]])
+            first, *rest = self._local_segments[frag.id]
+            parts = [first]
+            for child, segment in zip(self._in_text_order(frag.id), rest):
+                parts += (f"[fragment {child.id}]", segment)
             texts[frag.id] = "".join(parts)
         return texts
 

@@ -14,9 +14,9 @@ import json
 import operator
 import os
 import shutil
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 
 from .analysis import FragmentFacts, duplicated_scan_tables
@@ -88,9 +88,11 @@ class _Embedded:
             return NotImplemented
         import numpy as np
 
-        mine, theirs = dict(vars(self)), dict(vars(other))
-        return np.array_equal(mine.pop("embedding"), theirs.pop("embedding")) \
-            and mine == theirs
+        names, values = _plan(type(self))
+        return all(np.array_equal(mine, theirs) if name == "embedding"
+                   else mine == theirs
+                   for name, mine, theirs in zip(names, values(self),
+                                                 values(other)))
 
 
 @dataclass(eq=False)
@@ -132,18 +134,28 @@ class KnowledgeSnapshot:
         return len(self.rules_for(tool, VERIFIED))
 
 
+@cache
+def _plan(cls) -> tuple[tuple[str, ...], Callable[[object], tuple]]:
+    """The names of the dataclass ``cls``'s fields, and a function that
+    reads an instance's values of them as a tuple. Fields are read this way,
+    never through ``vars()``: on CPython 3.11 ``vars()`` gives the instance
+    a dict of its own, which slows each later attribute read on it."""
+    names = tuple(f.name for f in fields(cls))
+    read = operator.attrgetter(*names)
+    return names, read if len(names) > 1 else lambda entry: (read(entry),)
+
+
 def copy_entry(entry):
     """A new ``entry`` whose lists, and the dicts in them, are fresh: a
     rule's matcher and its clauses, a case's tags, a tool's update times.
-    Strings and the read-only embedding row are shared. The fields are
-    copied from ``vars()``, so ``__post_init__`` does not check or convert
-    them again."""
+    Strings and the read-only embedding row are shared. The fields are set
+    as they are, so ``__post_init__`` does not check or convert them again."""
     clone = object.__new__(type(entry))
-    fields = clone.__dict__
-    fields.update(vars(entry))
-    for name, value in fields.items():
+    names, values = _plan(type(entry))
+    for name, value in zip(names, values(entry)):
         if isinstance(value, list):
-            fields[name] = [dict(x) if isinstance(x, dict) else x for x in value]
+            value = [dict(x) if isinstance(x, dict) else x for x in value]
+        setattr(clone, name, value)
     return clone
 
 
@@ -425,7 +437,9 @@ _EMBEDDED = ("cases", "strategies")  # embeddings kept in <kind>.npy, row i for 
 
 
 def _record(entry) -> dict:
-    return {k: v for k, v in vars(entry).items() if k != "embedding"}
+    names, values = _plan(type(entry))
+    return {name: value for name, value in zip(names, values(entry))
+            if name != "embedding"}
 
 
 def _names(kind: str) -> tuple[str, ...]:
@@ -438,19 +452,13 @@ def _identity(status: os.stat_result) -> tuple[int, int, int]:
     return status.st_ino, status.st_size, status.st_mtime_ns
 
 
-# Each kind's field values, read without vars(): vars() would give every
-# entry a dict of its own, which slows each later attribute read.
-_FIELD_VALUES = {kind: operator.attrgetter(*(f.name for f in fields(cls)))
-                 for kind, cls in _ENTRIES.items()}
-
-
 def _held(kind: str, entries) -> list:
     """The objects the ``kind`` entries hold in their fields, in order, down
     to the items of their lists and of the dicts in those lists: the depth
     ``copy_entry`` copies to. The items of each list and dict end with the
     type ``list`` or ``dict``, which no JSON value is and ``copy.deepcopy``
     keeps."""
-    field_values = _FIELD_VALUES[kind]
+    field_values = _plan(_ENTRIES[kind])[1]
     held = []
     for entry in entries:
         for value in field_values(entry):
@@ -539,7 +547,7 @@ def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
                     np.save(fh, matrices[kind], allow_pickle=False)
         meta = {
             "schema_version": SCHEMA_VERSION,
-            "stats": {tool: vars(ts) for tool, ts in snapshot.stats.items()},
+            "stats": {tool: _record(ts) for tool, ts in snapshot.stats.items()},
         }
         with open(stage("meta.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, sort_keys=True, indent=2)

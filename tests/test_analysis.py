@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqlgov.fragmenter as fragmenter
-from sqlgov.analysis import _table_refs, analyze_tree, referenced_tables
+from sqlgov.analysis import (
+    _table_refs, analyze_tree, referenced_tables, select_list)
 from sqlgov.equivalence import _skeleton_mismatch, skeleton
 from sqlgov.errors import EmptyQueryError
 from sqlgov.fragmenter import SITE_SELECT_LIST, SUBQUERY, decompose, \
@@ -371,3 +372,15 @@ def test_every_fact_matches_the_reference_on_lenient_trees(text):
 def test_facts_of_worked_examples(sql, facts):
     root = analyze_tree(decompose(sql))[decompose(sql).root_id]
     assert {name: getattr(root, name) for name in facts} == facts
+
+
+@pytest.mark.parametrize("sql,expected", [
+    ("SELECT a, (SELECT MAX(b) FROM u) AS m FROM t WHERE x > 1",
+     "a , ( SELECT MAX ( b ) FROM u ) AS m"),
+    ("WITH c AS (SELECT 1 AS z) select distinct c.z from c", "DISTINCT c . z"),
+    ("SELECT a FROM t UNION SELECT b FROM u", "a"),
+    ("SELECT 1", "1"),
+], ids=["scalar-subquery", "with-prelude", "set-operation", "no-from"])
+def test_select_list_is_the_normalized_projection(sql, expected):
+    tree = decompose(sql)
+    assert select_list(tree, tree.root) == expected

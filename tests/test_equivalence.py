@@ -385,17 +385,147 @@ def _chain(depth: int, literal: int) -> str:
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 5])
 def test_a_pair_that_differs_in_one_leaf_asks_one_more_intent(depth):
-    """Each side has N = depth fragments. Only the leaf's text differs, and
-    the leaf's summary comes back the same, so every ancestor shows the same
-    local text and child summaries on both sides and shares one answer:
-    N + 1 intent calls. Prompts showing whole fragment texts would make the
-    leaf's every ancestor differ too: N + depth calls."""
+    """Each side has N = depth fragments and only the leaf's text differs.
+    From depth 2 on, the outer fragments read alike on both sides, so only
+    the leaf pair is summarized and aligned: one intent call per side, 2 in
+    all, whatever N. At depth 1 the leaf is the outermost query, and the
+    whole-pair check asks the same 2. Without the scoped check every
+    unchanged ancestor is still summarized once: N + 1 calls."""
     left, right = _chain(depth, 1), _chain(depth, 2)
     provider = _CountingProvider(named=False)
-    assert check_equivalence(left, right, provider).verdict == EQUIVALENT
+    verdict = check_equivalence(left, right, provider)
+    assert verdict.verdict == EQUIVALENT
+    assert verdict.field_mapping == ((0, 0),)
+    intents = provider.intents()
+    assert len(intents) == len(set(intents)) == 2
+    assert _fragment_total(left) == depth
+    if depth > 1:
+        assert verdict.reason.startswith("only fragment pairs 1/1 differ")
+
+
+class _AlignmentsProvider(_CountingProvider):
+    """A ``_CountingProvider`` whose alignment answers come from a list, in
+    order."""
+
+    def __init__(self, alignments, **kwargs):
+        super().__init__(**kwargs)
+        self.alignments = list(alignments)
+
+    def complete(self, env):
+        if env.template_id != "ALIGNMENT":
+            return super().complete(env)
+        self.envelopes.append(env)
+        return json.dumps(self.alignments.pop(0))
+
+    def aligned(self):
+        return [e for e in self.envelopes if e.template_id == "ALIGNMENT"]
+
+
+@pytest.mark.parametrize("local", [
+    _alignment(equivalent=False, counterexample="y = 2 passes one side"),
+    _alignment(confidence=0.5),
+], ids=["not-equivalent", "undecided"])
+def test_a_scoped_check_that_falls_back_asks_no_intent_twice(local):
+    """The leaf pair, checked alone, is not shown equivalent, so the whole
+    pair is checked next. Its walks find the leaf summaries already made:
+    each of the N + 1 distinct envelopes is asked once over both stages."""
+    depth = 3
+    provider = _AlignmentsProvider([local, _alignment()], named=False)
+    verdict = check_equivalence(_chain(depth, 1), _chain(depth, 2), provider)
+    assert verdict.verdict == EQUIVALENT and verdict.reason is None
     intents = provider.intents()
     assert len(intents) == len(set(intents)) == depth + 1
-    assert _fragment_total(left) == depth
+    assert len(provider.aligned()) == 2 and not provider.alignments
+
+
+class _EchoProvider:
+    """Intent answers from a table of fragment local texts to output names,
+    each narrative the text itself; alignments map each left field to the
+    right one at its position, equivalent unless the left narrative is in
+    ``differs``. Records envelopes."""
+
+    def __init__(self, outputs: dict[str, list[str]], differs=()):
+        self.outputs = outputs
+        self.differs = set(differs)
+        self.envelopes = []
+
+    def complete(self, env):
+        self.envelopes.append(env)
+        if env.template_id == "INTENT_EXTRACT":
+            body = env.section("Fragment").split("\n", 1)[1]
+            return json.dumps({"fields": [
+                {"output_name": name, "source_tables": ["t"],
+                 "transformation": "", "conditions": []}
+                for name in self.outputs[body]], "narrative": body})
+        left = json.loads(env.section("Left Intent"))
+        differs = left["narrative"] in self.differs
+        return json.dumps({"mappings": [
+            {"left": i, "right": i, "equivalent": not differs,
+             "confidence": 0.9,
+             "counterexample": "x = 6" if differs else None}
+            for i in range(len(left["fields"]))]})
+
+    def aligned(self):
+        return [json.loads(e.section("Left Intent"))["narrative"]
+                for e in self.envelopes if e.template_id == "ALIGNMENT"]
+
+
+def test_an_outer_query_that_hides_a_local_difference_reaches_the_whole_pair():
+    """The inner filters differ on x = 6 and x = 7, rows the outer filter
+    removes on both sides. The provider calls the inner pair not equivalent;
+    that is no verdict on the pair, which the whole-pair alignment decides."""
+    left = "SELECT x FROM (SELECT x FROM t WHERE x > 5) s WHERE x > 10"
+    right = "SELECT x FROM (SELECT x FROM t WHERE x > 7) s WHERE x > 10"
+    outer = "SELECT x FROM ([fragment 1]) s WHERE x > 10"
+    provider = _EchoProvider(
+        {"SELECT x FROM t WHERE x > 5": ["x"],
+         "SELECT x FROM t WHERE x > 7": ["x"], outer: ["x"]},
+        differs={"SELECT x FROM t WHERE x > 5"})
+    verdict = check_equivalence(left, right, provider)
+    assert provider.aligned() == ["SELECT x FROM t WHERE x > 5", outer]
+    assert verdict.verdict == EQUIVALENT and verdict.reason is None
+    intents = [e for e in provider.envelopes
+               if e.template_id == "INTENT_EXTRACT"]
+    assert len(intents) == len(set(intents)) == 4
+
+
+def test_a_changed_pair_that_renames_its_outputs_is_not_checked_alone():
+    """The outer query reads the derived table's column by name, so a
+    rewrite that renames it is checked as a whole pair, with no scoped
+    alignment first."""
+    left = "SELECT s.v FROM (SELECT x AS v FROM t WHERE x > 1) s"
+    right = "SELECT s.v FROM (SELECT x AS w FROM t WHERE x > 1) s"
+    outer = "SELECT s.v FROM ([fragment 1]) s"
+    provider = _EchoProvider({"SELECT x AS v FROM t WHERE x > 1": ["v"],
+                              "SELECT x AS w FROM t WHERE x > 1": ["w"],
+                              outer: ["v"]})
+    verdict = check_equivalence(left, right, provider)
+    assert provider.aligned() == [outer]
+    assert verdict.reason is None
+
+
+@pytest.mark.parametrize("left,right,outputs", [
+    ("SELECT [fragment 1], (SELECT 2 AS v) FROM t",
+     "SELECT (SELECT 2 AS v), [fragment 1] FROM t",
+     {"SELECT 2 AS v": ["v"],
+      "SELECT [fragment 1], ([fragment 1]) FROM t": ["f", "v"],
+      "SELECT ([fragment 1]), [fragment 1] FROM t": ["v", "f"]}),
+    # joined with placeholders, both outer texts read alike
+    ("SELECT ([fragment 1]), (SELECT a AS v FROM t WHERE 1 = 1) FROM t",
+     "SELECT (SELECT a AS v FROM t), ([fragment 1]) FROM t",
+     {"SELECT a AS v FROM t WHERE 1 = 1": ["v"], "SELECT a AS v FROM t": ["v"],
+      "SELECT ([fragment 1]), ([fragment 1]) FROM t": ["f", "v"]}),
+], ids=["swapped-items", "same-placeholder-text"])
+def test_a_literal_fragment_placeholder_does_not_hide_a_changed_outer_query(
+        left, right, outputs):
+    """``[fragment 1]`` spelled in the SQL is no child: the outer texts
+    differ, so the pair is aligned as a whole, never through a scoped
+    check of the inner pair."""
+    provider = _EchoProvider(outputs)
+    verdict = check_equivalence(left, right, provider)
+    tree = skeleton(left).tree
+    assert provider.aligned() == [tree.local_text(tree.root_id)]
+    assert verdict.reason is None
 
 
 def test_a_rejected_intent_is_not_kept_between_checks():
@@ -440,3 +570,17 @@ def test_prefilter_rejections_agree_with_executor_oracle():
         result_b = executor.execute(qb).rows
         assert result_a != result_b, (na, nb)
     assert rejected_pairs >= 6  # the corpus really exercises the filter
+
+
+def test_a_changed_pair_projecting_a_star_is_not_checked_alone():
+    """A star leaves the derived table's column names to its sources, so
+    equal select lists do not show that they agree."""
+    left = "SELECT s.x FROM (SELECT * FROM t WHERE x > 1) s"
+    right = "SELECT s.x FROM (SELECT * FROM t WHERE x > 2) s"
+    outer = "SELECT s.x FROM ([fragment 1]) s"
+    provider = _EchoProvider({"SELECT * FROM t WHERE x > 1": ["x"],
+                              "SELECT * FROM t WHERE x > 2": ["x"],
+                              outer: ["x"]})
+    verdict = check_equivalence(left, right, provider)
+    assert provider.aligned() == [outer]
+    assert verdict.verdict == EQUIVALENT and verdict.reason is None

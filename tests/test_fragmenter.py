@@ -437,3 +437,48 @@ def test_local_texts_rebuild_lenient_trees(text):
     except EmptyQueryError:
         return
     _assert_local_texts_rebuild(tree)
+
+
+def _assert_segments_and_subtrees(tree):
+    """Each fragment's text is its local segments with its children's texts
+    between them, in text order, and its subtree is itself and its
+    descendants in id order."""
+    for frag in tree.fragments:
+        children = sorted(tree.children(frag.id), key=lambda c: c.span[0])
+        segments = tree.local_segments(frag.id)
+        assert len(segments) == len(children) + 1
+        rebuilt = segments[0] + "".join(
+            c.text + s for c, s in zip(children, segments[1:]))
+        assert rebuilt == frag.text
+        below, pending = [], [frag.id]
+        while pending:
+            below.append(pending.pop())
+            pending += [c.id for c in tree.children(below[-1])]
+        assert [f.id for f in tree.subtree(frag.id)] == sorted(below)
+
+
+@given(st.one_of(damaged_sql(), st.text(min_size=1, max_size=120)))
+@settings(max_examples=200, deadline=None)
+def test_local_segments_and_subtrees_of_lenient_trees(text):
+    """Unlike the labelled local text, segments need no label, so a literal
+    ``[fragment k]`` in the text is kept apart from a child."""
+    try:
+        tree, _ = decompose_lenient(text)
+    except EmptyQueryError:
+        return
+    _assert_segments_and_subtrees(tree)
+
+
+@given(gen_trees())
+@settings(max_examples=100, deadline=None)
+def test_local_segments_and_subtrees_of_generated_trees(root):
+    _assign_markers(root, [0])
+    _assert_segments_and_subtrees(decompose(_render(root)))
+
+
+def test_local_segments_keep_a_literal_label_apart_from_a_child():
+    left = decompose("SELECT ([fragment 1]), (SELECT 2) FROM t")
+    right = decompose("SELECT (SELECT 2), ([fragment 1]) FROM t")
+    assert left.local_text(2) == right.local_text(2)
+    assert left.local_segments(2) == ("SELECT ([fragment 1]), (", ") FROM t")
+    assert right.local_segments(2) == ("SELECT (", "), ([fragment 1]) FROM t")

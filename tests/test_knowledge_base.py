@@ -490,6 +490,29 @@ def test_copy_snapshot_copies_state_and_shares_embeddings(embedder):
         assert copied.embedding is original.embedding
 
 
+def test_store_paths_read_no_entry_through_vars(embedder, tmp_path,
+                                               monkeypatch):
+    """Copying, comparing and saving entries read their fields through
+    per-class plans: ``vars()`` would give each entry a dict of its own."""
+    def no_vars(*args):
+        raise AssertionError("vars() read an entry")
+
+    monkeypatch.setattr(kb, "vars", no_vars, raising=False)
+    snapshot = _populated_snapshot(embedder)
+    clone = copy_snapshot(snapshot)
+    assert clone == snapshot
+    save_snapshot(clone, tmp_path)
+    assert load_snapshot(tmp_path) == snapshot
+
+
+def test_embedded_entries_compare_every_field_and_the_row(embedder):
+    case = HistoricalCase("c", "d", ["T"], "SELECT 1", [1.0, 2.0])
+    assert case == HistoricalCase("c", "d", ["T"], "SELECT 1", [1.0, 2.0])
+    assert case != HistoricalCase("c", "d", ["U"], "SELECT 1", [1.0, 2.0])
+    assert case != HistoricalCase("c", "d", ["T"], "SELECT 1", [1.0, 2.5])
+    assert case != ErrorStrategy("c", "d", True, True, "g", [1.0, 2.0])
+
+
 _CLAUSES = st.sampled_from([
     {"pred": "in_subquery"},
     {"pred": "contains_operator", "op": "JOIN"},
