@@ -4,8 +4,9 @@ Rules match fragments through structural predicates; historical cases and
 error strategies are retrieved by cosine similarity over template embeddings.
 Each entry kind persists as JSON Lines of its fields; case and strategy
 embeddings go beside them as one float64 ``.npy`` matrix per kind, one row
-per record. A meta file holds the schema version and update times. Nothing
-loads through pickle or external services.
+per record. A meta file holds the schema version, the generation of each
+kind's files and update times; replacing it commits a save. Nothing loads
+through pickle or external services.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 import json
 import operator
 import os
-import shutil
+import re
 from collections.abc import Callable, Mapping
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property, partial
 from pathlib import Path
@@ -34,7 +36,7 @@ from .sqltext import templatize
 # numpy is imported in the functions that make or read arrays, to keep it off
 # the cold start of commands that embed nothing (fragment, verify).
 
-SCHEMA_VERSION = 2  # 1: embeddings inline in the JSONL, read still
+SCHEMA_VERSION = 3  # 1: embeddings inline in the JSONL; 1, 2: fixed names; read still
 DEFAULT_K = 5  # cases retrieved per rewrite
 
 REWRITER = "REWRITER"
@@ -306,9 +308,9 @@ class _EmbeddingIndex:
 
 
 _INDEXES = "_indexes"  # the attribute a snapshot holds its indexes in, by kind
-# The attribute a snapshot holds, by kind, what the kind's files held when
-# it last read or wrote them: (directory, each file's _identity in _names
-# order, the objects its entries held by _held).
+# The attribute a snapshot holds, by kind, the files it last read or wrote
+# and what its entries held then: (directory, generation, the objects by
+# _held).
 _FILES = "_files"
 
 
@@ -432,8 +434,11 @@ class KnowledgeStore:
 # --- persistence ---------------------------------------------------------
 
 _ENTRIES = {"rules": RuleEntry, "cases": HistoricalCase,
-            "strategies": ErrorStrategy}  # each kept in <kind>.jsonl
-_EMBEDDED = ("cases", "strategies")  # embeddings kept in <kind>.npy, row i for record i
+            "strategies": ErrorStrategy}  # each kept in <kind>.<g>.jsonl
+_EMBEDDED = ("cases", "strategies")  # embeddings in <kind>.<g>.npy, row i for record i
+# Every name a kind's file has: with a generation (schema 3), or without
+# (schemas 1 and 2). A save removes each one its meta.json does not name.
+_KIND_FILE = re.compile(r"(rules|cases|strategies)(\.\d+)?\.(jsonl|npy)")
 
 
 def _record(entry) -> dict:
@@ -442,14 +447,12 @@ def _record(entry) -> dict:
             if name != "embedding"}
 
 
-def _names(kind: str) -> tuple[str, ...]:
-    """The store files of ``kind``."""
-    return (f"{kind}.jsonl", f"{kind}.npy") if kind in _EMBEDDED \
-        else (f"{kind}.jsonl",)
-
-
-def _identity(status: os.stat_result) -> tuple[int, int, int]:
-    return status.st_ino, status.st_size, status.st_mtime_ns
+def _names(kind: str, generation: int) -> tuple[str, ...]:
+    """The store files of ``kind`` at ``generation``; generation 0 is the
+    fixed names of schemas 1 and 2."""
+    stem = f"{kind}.{generation}" if generation else kind
+    return (f"{stem}.jsonl", f"{stem}.npy") if kind in _EMBEDDED \
+        else (f"{stem}.jsonl",)
 
 
 def _held(kind: str, entries) -> list:
@@ -476,138 +479,126 @@ def _held(kind: str, entries) -> list:
     return held
 
 
-def _unchanged(snapshot: KnowledgeSnapshot, kind: str, where: str,
-               held: list) -> bool:
-    """Whether the ``kind`` files at ``where`` hold the snapshot's entries
-    of that kind: it last read or wrote them there, the entries hold the
-    very objects (``held``) they held then, every embedding row is
-    read-only, and each file keeps the identity it had then."""
+def _kept(snapshot: KnowledgeSnapshot, kind: str, where: str,
+          held: list) -> int:
+    """The generation of the ``kind`` files at ``where`` that hold the
+    snapshot's entries of that kind, or 0: the snapshot, or the one it was
+    copied from (``copy_snapshot``), last read or wrote them there, the
+    entries hold the very objects (``held``) they held then, every embedding
+    row is read-only, and the files are still there. No save writes a name
+    twice, so a file still there holds what it held; a file edited by hand
+    is not seen. Any other kind is written: one changed in place, even to an
+    equal value, and every kind of a store saved elsewhere or of schema 1
+    or 2."""
     last = snapshot.__dict__.get(_FILES, {}).get(kind)
     if last is None:
-        return False
-    last_where, identities, last_held = last
+        return 0
+    last_where, generation, last_held = last
     if last_where != where or len(last_held) != len(held) \
             or not all(map(operator.is_, held, last_held)):
-        return False
+        return 0
     if kind in _EMBEDDED and any(
             e.embedding.flags.writeable for e in getattr(snapshot, kind)):
-        return False
+        return 0
+    return generation if all(os.path.exists(os.path.join(where, name))
+                             for name in _names(kind, generation)) else 0
+
+
+def _fsync_directory(directory: Path) -> None:
+    fd = os.open(directory, os.O_RDONLY)
     try:
-        return identities == tuple(
-            _identity(os.stat(os.path.join(where, name))) for name in _names(kind))
-    except OSError:
-        return False
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
-    """Write the store's files, each atomically, with ``meta.json`` last.
+    """Write the store at ``path``; one replace of ``meta.json`` commits it.
 
-    A kind's files are skipped when they already hold its entries: the
-    snapshot, or the one it was copied from (``copy_snapshot``), last read
-    or wrote them at this directory, its entries hold the very objects
-    they held then, to the depth ``copy_entry`` copies, every embedding row
-    is read-only, and each file keeps the inode, size and modification time
-    it had then. Any other kind is written whole: one changed in place, even
-    to an equal value, one whose file another process replaced or rewrote,
-    and every kind of a store saved elsewhere or read as schema 1.
-    ``meta.json`` is always written.
-
-    Every file written goes to a temp file in the store directory first;
-    only when all are written does ``os.replace`` put each in place. A
-    failure before that removes the temp files and leaves the previous
-    store untouched. A failure between two moves puts back each file
-    already moved, from a second name (a hard link, or a copy) kept for it
-    until the save ends, so the store still loads as the previous one.
-    Nothing is fsynced, so a power loss may still lose the latest write or
-    leave a mix of old and new files.
+    Each kind not kept (``_kept``) is written under a new generation g, one
+    more than the highest among the kind files there: ``<kind>.<g>.jsonl``,
+    and ``<kind>.<g>.npy`` for cases and strategies. Each file is created
+    exclusively, so no name is written twice, and fsynced; so are a temp
+    ``meta.json`` naming each kind's generation, and the directory. Then
+    ``os.replace`` of ``meta.json``, the commit. A failure before it removes
+    the files this save wrote; a killed save leaves files that no load
+    reads. Either way, and after a power loss, the store loads as the
+    previous one, or once committed as the new one, never a mix. After the
+    commit, and a second fsync of the directory, each kind file that
+    ``meta.json`` does not name is removed, schema 1's and 2's fixed names
+    too; a failure there is ignored, and the next save removes what is left.
+    The store has one writer at a time.
     """
     import numpy as np
 
     directory = Path(path)
     where = os.path.abspath(directory)
     held = {kind: _held(kind, getattr(snapshot, kind)) for kind in _ENTRIES}
-    kinds = [kind for kind in _ENTRIES
-             if not _unchanged(snapshot, kind, where, held[kind])]
+    generations = {kind: _kept(snapshot, kind, where, held[kind])
+                   for kind in _ENTRIES}
+    kinds = [kind for kind, kept in generations.items() if not kept]
     matrices = {kind: _matrix(getattr(snapshot, kind))
                 for kind in _EMBEDDED if kind in kinds}
-    staged: list[tuple[Path, Path]] = []
+    created: list[Path] = []
 
-    def stage(name: str) -> Path:
-        tmp = directory / f".{name}.{os.getpid()}.tmp"
-        staged.append((tmp, directory / name))
-        return tmp
+    def create(name: str, mode: str, write) -> None:
+        """Write the file ``name`` with ``write`` and fsync it."""
+        file = directory / name
+        with open(file, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            created.append(file)
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
 
     try:
         directory.mkdir(parents=True, exist_ok=True)
+        listing = os.listdir(directory)
+        generation = 1 + max((int(match[2][1:]) for match in map(
+            _KIND_FILE.fullmatch, listing) if match and match[2]), default=0)
         for kind in kinds:
-            write_jsonl(map(_record, getattr(snapshot, kind)),
-                        stage(f"{kind}.jsonl"))
-            if kind in matrices:
-                with open(stage(f"{kind}.npy"), "wb") as fh:
-                    np.save(fh, matrices[kind], allow_pickle=False)
+            generations[kind] = generation
+            jsonl, *npy = _names(kind, generation)
+            create(jsonl, "x", partial(write_jsonl,
+                                       map(_record, getattr(snapshot, kind))))
+            if npy:
+                create(npy[0], "xb", partial(np.save, arr=matrices[kind],
+                                             allow_pickle=False))
         meta = {
             "schema_version": SCHEMA_VERSION,
+            "generations": generations,
             "stats": {tool: _record(ts) for tool, ts in snapshot.stats.items()},
         }
-        with open(stage("meta.json"), "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        _replace_all(staged)
-        written = {kind: (where, tuple(_identity(os.stat(directory / name))
-                                       for name in _names(kind)), held[kind])
-                   for kind in kinds}
+        tmp = f".meta.json.{os.getpid()}.tmp"
+        create(tmp, "w", lambda fh: fh.write(
+            json.dumps(meta, sort_keys=True, indent=2) + "\n"))
+        _fsync_directory(directory)
+        os.replace(directory / tmp, directory / "meta.json")  # the commit
+        created.clear()
     except (OSError, TypeError, ValueError) as exc:
         raise IoFailure(f"cannot write snapshot to {directory}: {exc}") from exc
     finally:
-        for tmp, _ in staged:
-            tmp.unlink(missing_ok=True)
-            _previous(tmp).unlink(missing_ok=True)
-    snapshot.__dict__.setdefault(_FILES, {}).update(written)
+        for file in created:
+            file.unlink(missing_ok=True)
+    snapshot.__dict__.setdefault(_FILES, {}).update(
+        {kind: (where, generation, held[kind]) for kind in kinds})
+    named = {name for kind, kept in generations.items()
+             for name in _names(kind, kept)}
+    with suppress(OSError):  # the next save removes what is left
+        _fsync_directory(directory)  # the commit is on disk before what it replaced goes
+        for name in listing:
+            if _KIND_FILE.fullmatch(name) and name not in named:
+                os.unlink(directory / name)
 
 
-def _previous(tmp: Path) -> Path:
-    """The name that keeps a file's previous content while ``tmp`` replaces it."""
-    return tmp.with_suffix(".old")
-
-
-def _replace_all(staged: list[tuple[Path, Path]]) -> None:
-    """Move each temp file onto its final name, all or none: if one move
-    fails, each final file already moved gets its previous content back (or
-    is removed if it had none) before the error propagates."""
-    moves = []
-    for tmp, final in staged:
-        backup = None
-        if final.exists():
-            backup = _previous(tmp)
-            try:
-                os.link(final, backup)
-            except OSError:  # no hard links here, or a stale backup name
-                shutil.copyfile(final, backup)
-        moves.append((tmp, final, backup))
-    done = []
-    try:
-        for tmp, final, backup in moves:
-            os.replace(tmp, final)
-            done.append((final, backup))
-    except OSError:
-        for final, backup in reversed(done):
-            if backup is None:
-                final.unlink()
-            else:
-                os.replace(backup, final)
-        raise
-
-
-def _read_matrix(file: Path) -> tuple[np.ndarray, tuple | None]:
-    """The read-only 2-D matrix of finite float64s saved at ``file``, and
-    the identity of the file read (``_identity``); empty and None if there
-    is no file. The .npy header is checked against the file's size before
-    any data is read, and a dtype that would need unpickling is refused
-    before that. A ValueError names the file."""
+def _read_matrix(file: Path) -> np.ndarray:
+    """The read-only 2-D matrix of finite float64s saved at ``file``; empty
+    if there is no file. The .npy header is checked against the file's size
+    before any data is read, and a dtype that would need unpickling is
+    refused before that. A ValueError names the file."""
     import numpy as np
 
     if not file.exists():
-        return np.empty((0, 0)), None
+        return np.empty((0, 0))
     fmt = np.lib.format
     try:
         with open(file, "rb") as fh:
@@ -620,8 +611,7 @@ def _read_matrix(file: Path) -> tuple[np.ndarray, tuple | None]:
                 raise ValueError(f"holds a {dtype} array of shape {shape}, "
                                  f"not a float64 matrix")
             size = shape[0] * shape[1]
-            status = os.fstat(fh.fileno())
-            if 8 * size != status.st_size - fh.tell():
+            if 8 * size != os.fstat(fh.fileno()).st_size - fh.tell():
                 raise ValueError(f"data does not fill shape {shape}")
             matrix = np.fromfile(fh, dtype=np.float64, count=size).reshape(
                 shape, order="F" if fortran_order else "C")
@@ -630,30 +620,28 @@ def _read_matrix(file: Path) -> tuple[np.ndarray, tuple | None]:
     except ValueError as exc:
         raise ValueError(f"{file}: {exc}") from None
     matrix.flags.writeable = False
-    return matrix, _identity(status)
+    return matrix
 
 
-def _read_records(file: Path, make) -> tuple[list, tuple | None]:
-    """``read_jsonl`` of ``file``, and the identity of the file read; no
-    records and None if there is no file."""
-    try:
-        fh = open(file, encoding="utf-8")
-    except FileNotFoundError:
-        return [], None
-    with fh:
-        return read_jsonl(fh, make), _identity(os.fstat(fh.fileno()))
-
-
-def _meta_from_json(meta) -> tuple[int, dict[str, ToolStats]]:
-    """The schema version and tool stats of a ``meta.json`` value."""
+def _meta_from_json(meta) -> tuple[int, dict[str, int], dict[str, ToolStats]]:
+    """The schema version, each kind's generation (0 before schema 3) and
+    the tool stats of a ``meta.json`` value."""
     check(meta, {"stats": "dict"})
     version = meta.get("schema_version")
-    if version not in (1, SCHEMA_VERSION):
+    if version not in (1, 2, SCHEMA_VERSION):
         raise SchemaVersionMismatchError(
             f"snapshot schema_version {version!r}; "
-            f"this build reads versions 1 and {SCHEMA_VERSION}")
-    return version, {tool: entry_from_json(ToolStats, record)
-                     for tool, record in meta.get("stats", {}).items()}
+            f"this build reads versions 1 to {SCHEMA_VERSION}")
+    stats = {tool: entry_from_json(ToolStats, record)
+             for tool, record in meta.get("stats", {}).items()}
+    if version < SCHEMA_VERSION:
+        return version, dict.fromkeys(_ENTRIES, 0), stats
+    generations = check(meta, {"generations": "required dict"})["generations"]
+    for kind in _ENTRIES:
+        if type(generations.get(kind)) is not int or generations[kind] < 1:
+            raise ValueError(f"generations.{kind}: {generations.get(kind)!r} "
+                             f"is not an int of 1 or more")
+    return version, generations, stats
 
 
 def _entry_with_row(cls, rows, record):
@@ -664,44 +652,51 @@ def _entry_with_row(cls, rows, record):
 
 
 def load_snapshot(path: str | Path) -> KnowledgeSnapshot:
-    """The store saved at ``path``. A store file that does not fit its
-    entries' fields is a ValueError naming the file. A schema-1 store, with
-    embeddings inline in its JSONL, loads too; the next save writes schema 2.
+    """The store saved at ``path``: the files of the generation of each kind
+    that ``meta.json`` names. Kind files of any other generation, as a
+    killed save leaves them, are never read. A named file that is missing,
+    or a store file that does not fit its entries' fields, is a ValueError
+    naming the file. Schema-1 and schema-2 stores, whose files have fixed
+    names (``rules.jsonl``, ``cases.jsonl``, ...) and, in schema 1, the
+    embeddings inline in the JSONL, load too, as generation 0; the next
+    save writes schema 3.
 
-    The snapshot records, for each kind whose files are all there in a
-    schema-2 store, the identity of each file it read (inode, size and
-    modification time, taken from the open file) and the objects its
-    entries hold, so that ``save_snapshot`` back to this directory skips
-    the kinds that still hold them."""
+    The snapshot records, for each kind of a schema-3 store, the directory,
+    the generation and the objects its entries hold, so that
+    ``save_snapshot`` back to this directory skips the kinds that still
+    hold them."""
     directory = Path(path)
     where = os.path.abspath(directory)
     meta_path = directory / "meta.json"
     try:
-        version, stats = read_json(meta_path, _meta_from_json) \
-            if meta_path.exists() else (SCHEMA_VERSION, {})
+        version, generations, stats = read_json(meta_path, _meta_from_json) \
+            if meta_path.exists() else (2, dict.fromkeys(_ENTRIES, 0), {})
         entries, files = {}, {}
         width = None  # (columns, file) of the first matrix with rows
         for kind, cls in _ENTRIES.items():
-            file = directory / f"{kind}.jsonl"
-            make, matrix, identities = partial(entry_from_json, cls), None, ()
-            if kind in _EMBEDDED and version == SCHEMA_VERSION:
+            generation = generations[kind]
+            for name in _names(kind, generation) if generation else ():
+                if not (directory / name).exists():
+                    raise ValueError(f"{directory / name}: missing, though "
+                                     f"{meta_path.name} names it")
+            file = directory / _names(kind, generation)[0]
+            make, matrix = partial(entry_from_json, cls), None
+            if kind in _EMBEDDED and version > 1:
                 matrix_file = file.with_suffix(".npy")
-                matrix, identity = _read_matrix(matrix_file)
-                identities = (identity,)
+                matrix = _read_matrix(matrix_file)
                 if len(matrix):
                     width = width or (matrix.shape[1], matrix_file.name)
                     if matrix.shape[1] != width[0]:
                         raise ValueError(f"{matrix_file}: {matrix.shape[1]} "
                                          f"columns where {width[1]} has {width[0]}")
                 make = partial(_entry_with_row, cls, iter(matrix))
-            records, identity = _read_records(file, make)
+            records = read_jsonl(file, make) if file.exists() else []
             entries[kind] = records
             if matrix is not None and len(records) != len(matrix):
                 raise ValueError(f"{file}: {len(records)} records for "
                                  f"{len(matrix)} rows in {matrix_file.name}")
-            identities = (identity, *identities)  # in the order of _names
-            if version == SCHEMA_VERSION and None not in identities:
-                files[kind] = (where, identities, _held(kind, records))
+            if generation:
+                files[kind] = (where, generation, _held(kind, records))
         snapshot = KnowledgeSnapshot(stats=stats, **entries)
         snapshot.__dict__[_FILES] = files
         return snapshot

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Protocol, TextIO
 
 from .errors import EmptyTextError, MockMiss, ProviderFailure
 from .shapes import check, read_jsonl
@@ -98,10 +100,12 @@ def load_playbook(path: str | Path) -> list[dict]:
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
 
-def write_jsonl(records, path: str | Path) -> None:
-    """Write records as JSON Lines with sorted keys and non-ASCII kept."""
+def write_jsonl(records, path: str | Path | TextIO) -> None:
+    """Write records as JSON Lines with sorted keys and non-ASCII kept, to
+    the file at ``path`` or to a text file already open (left open)."""
     encode = _JSONL_ENCODER.encode
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") if isinstance(path, (str, os.PathLike)) \
+            else nullcontext(path) as fh:
         for record in records:
             fh.write(encode(record) + "\n")
 

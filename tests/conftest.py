@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sqlgov.fragmenter import decompose_lenient
@@ -91,22 +92,42 @@ def playbook_llm() -> ScriptedLLM:
     return ScriptedLLM.from_path(FIXTURES / "playbook.jsonl", strict=True)
 
 
-def _write_schema1_store(snapshot, directory: Path) -> None:
-    """Write ``snapshot`` in the schema-1 layout: JSON Lines only, with each
-    case's and strategy's embedding inline as a list of numbers."""
+def store_file(directory: Path, name: str) -> Path:
+    """The file of the store at ``directory`` that ``name`` (``rules.jsonl``,
+    ``cases.npy``, ...) stands for: the file of its kind's generation that
+    ``meta.json`` names, or ``name`` itself in a store without generations
+    (schemas 1 and 2)."""
+    kind, suffix = name.split(".")
+    meta = json.loads((directory / "meta.json").read_text())
+    generation = meta.get("generations", {}).get(kind)
+    return directory / (f"{kind}.{generation}.{suffix}" if generation else name)
+
+
+def _write_old_store(snapshot, directory: Path, version: int = 1) -> None:
+    """Write ``snapshot`` in the layout of schema ``version``, 1 or 2, whose
+    files have fixed names: in schema 1 JSON Lines only, with each case's
+    and strategy's embedding inline as a list of numbers; in schema 2 the
+    embeddings of each such kind as one float64 matrix in ``<kind>.npy``."""
     directory.mkdir(parents=True, exist_ok=True)
     for kind in ("rules", "cases", "strategies"):
+        entries = getattr(snapshot, kind)
         with open(directory / f"{kind}.jsonl", "w", encoding="utf-8") as fh:
-            for entry in getattr(snapshot, kind):
+            for entry in entries:
                 record = dict(vars(entry))
                 if "embedding" in record:
-                    record["embedding"] = [float(x) for x in record["embedding"]]
+                    embedding = record.pop("embedding")
+                    if version == 1:
+                        record["embedding"] = [float(x) for x in embedding]
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
-    meta = {"schema_version": 1,
+        if version == 2 and kind != "rules":
+            np.save(directory / f"{kind}.npy",
+                    np.array([e.embedding for e in entries]) if entries
+                    else np.empty((0, 0)), allow_pickle=False)
+    meta = {"schema_version": version,
             "stats": {tool: vars(ts) for tool, ts in snapshot.stats.items()}}
     (directory / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
 @pytest.fixture(scope="session")
-def write_schema1_store():
-    return _write_schema1_store
+def write_old_store():
+    return _write_old_store

@@ -21,6 +21,7 @@ from sqlgov.prompts import correction_prompt, rule_generation_prompt
 from sqlgov.providers import ScriptedLLM, save_playbook
 from sqlgov.seeds import seed_snapshot
 from sqlgov.self_learning import ExecutionRecord
+from conftest import store_file
 
 PLAYBOOK = str(Path(__file__).parent / "fixtures" / "playbook.jsonl")
 
@@ -729,14 +730,15 @@ def test_a_stored_matcher_that_does_not_fit_is_named(capsys, tmp_path,
     rewrite with the file and the rule, not with an internal error."""
     store = tmp_path / "kb"
     run(capsys, "kb", "init", "--store", str(store))
-    with open(store / "rules.jsonl", "a", encoding="utf-8") as fh:
+    rules = store_file(store, "rules.jsonl")
+    with open(rules, "a", encoding="utf-8") as fh:
         fh.write(json.dumps({"index": "R9", "description": "d", "tool": "REWRITER",
                              "status": "VERIFIED",
                              "matcher": [{"pred": "contains_operator"}]}) + "\n")
     code, out, err = run(capsys, "rewrite", str(fixtures_dir / "nested_query.sql"),
                          "--kb", str(store), "--playbook", PLAYBOOK)
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {store / 'rules.jsonl'}: line 5: rule 'R9': "
+    assert err.startswith(f"error: {rules}: line 5: rule 'R9': "
                           f"matcher[0]: does not fit")
 
 
@@ -762,9 +764,9 @@ def test_operator_files_are_named(capsys, tmp_path, fixtures_dir, option, line):
 
 
 def test_kb_stats_names_a_schema1_embedding_that_is_no_number(
-        capsys, tmp_path, embedder, write_schema1_store):
+        capsys, tmp_path, embedder, write_old_store):
     store = tmp_path / "kb"
-    write_schema1_store(seed_snapshot(embedder), store)
+    write_old_store(seed_snapshot(embedder), store)
     lines = (store / "cases.jsonl").read_text().splitlines()
     record = json.loads(lines[1])
     record["embedding"][3] = "x"
@@ -791,14 +793,15 @@ def test_kb_stats_names_a_schema1_embedding_that_is_no_number(
 def test_kb_names_a_malformed_store_file(capsys, tmp_path, name, line):
     store = tmp_path / "kb"
     run(capsys, "kb", "init", "--store", str(store))
+    file = store / name if name == "meta.json" else store_file(store, name)
     if name == "meta.json":
-        (store / name).write_text(json.dumps(line))
+        file.write_text(json.dumps(line))
     else:
-        with open(store / name, "a", encoding="utf-8") as fh:
+        with open(file, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(line) + "\n")
     code, out, err = run(capsys, "kb", "stats", "--store", str(store))
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {store / name}: ")
+    assert err.startswith(f"error: {file}: ")
 
 
 def test_kb_verify_names_a_malformed_batch(capsys, tmp_path):
@@ -959,13 +962,13 @@ def test_a_bad_store_record_after_a_blank_line_is_named_by_its_line(
         capsys, tmp_path):
     store = tmp_path / "kb"
     run(capsys, "kb", "init", "--store", str(store))
-    first, second, *rest = (store / "cases.jsonl").read_text().splitlines()
+    cases = store_file(store, "cases.jsonl")
+    first, second, *rest = cases.read_text().splitlines()
     bad = {**json.loads(second), "tag": "SAME_TABLE_JOIN"}
-    (store / "cases.jsonl").write_text(
-        "\n".join([first, "", json.dumps(bad), *rest]) + "\n")
+    cases.write_text("\n".join([first, "", json.dumps(bad), *rest]) + "\n")
     code, out, err = run(capsys, "kb", "stats", "--store", str(store))
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {store / 'cases.jsonl'}: line 3: "
+    assert err.startswith(f"error: {cases}: line 3: "
                           f"field 'tag' is not of type")
 
 
@@ -1019,9 +1022,10 @@ def test_every_catalog_form_is_read(capsys, tmp_path, fixtures_dir):
 def test_a_store_line_that_is_not_json_is_named_once(capsys, tmp_path):
     store = tmp_path / "kb"
     run(capsys, "kb", "init", "--store", str(store))
-    with open(store / "rules.jsonl", "a", encoding="utf-8") as fh:
+    rules = store_file(store, "rules.jsonl")
+    with open(rules, "a", encoding="utf-8") as fh:
         fh.write('{"index": \n')
-    lines = (store / "rules.jsonl").read_text().count("\n")
+    lines = rules.read_text().count("\n")
     code, out, err = run(capsys, "kb", "stats", "--store", str(store))
     assert code == 2 and out == ""
-    assert err == f"error: {store / 'rules.jsonl'}: line {lines}: Expecting value\n"
+    assert err == f"error: {rules}: line {lines}: Expecting value\n"

@@ -5,7 +5,9 @@ import json
 import math
 import os
 import random
-import time
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,7 @@ from sqlgov.self_learning import (
     dedupe_snapshot,
 )
 from sqlgov.sqltext import templatize
+from conftest import store_file
 
 
 # --- cosine similarity ------------------------------------------------------
@@ -714,45 +717,255 @@ def test_unserializable_save_leaves_previous_store(tmp_path, embedder):
     assert load_snapshot(directory) == previous
 
 
-# The moves of the save below: three JSONL files, two matrices and
-# meta.json, since every kind of the deep copy is written (its embedding
-# rows are writable, so no kind can be taken to be on disk already).
-_MOVES_PER_SAVE = 6
+# --- failures during a save -----------------------------------------------------
+
+class _FailingWrites:
+    """An open file whose every write, and its flush, fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return self._fh.__exit__(*exc_info)
+
+    def write(self, *args):
+        raise OSError("disk full")
+
+    flush = write
+
+
+def _fail_at(monkeypatch, step, k):
+    """Make the ``k``-th call of ``step`` in the store module fail:
+    "write" fails the writes to the k-th file it opens, and "fsync",
+    "replace" and "unlink" fail that ``os`` function's k-th call. The
+    calls, as they are made."""
+    calls = []
+    if step == "write":
+        def failing_open(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            calls.append(Path(file).name)
+            return _FailingWrites(fh) if len(calls) == k else fh
+
+        monkeypatch.setattr(kb, "open", failing_open, raising=False)
+        return calls
+    real = getattr(os, step)
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == k:
+            raise OSError(f"{step} failed")
+        return real(*args)
+
+    monkeypatch.setattr(kb.os, step, failing)
+    return calls
+
+
+def _assert_a_failed_save_leaves_the_previous_store(
+        monkeypatch, directory, previous, changed, step, k):
+    """A save of ``changed`` failing at the ``k``-th ``step`` raises, leaves
+    the store loading as ``previous`` with no new file, and the same save
+    then succeeds. The calls made up to the failure."""
+    files = _store_files(directory)
+    calls = _fail_at(monkeypatch, step, k)
+    with pytest.raises(IoFailure):
+        save_snapshot(changed, directory)
+    monkeypatch.undo()
+    assert len(calls) == k
+    assert _store_files(directory) == files
+    assert load_snapshot(directory) == previous
+    return calls
+
+
+# The files a save of a deep copy writes, in order: every kind, since the
+# copy's embedding rows are writable, so no kind can be taken to be on disk
+# already, and then meta.json's temp file. Each is written, then fsynced.
+_FILES_PER_SAVE = 6
+
+
+def _grown(snapshot, embedder):
+    snapshot.cases.append(_random_cases(embedder, n=1)[0])
+    snapshot.rules.append(RuleEntry("R-new", "new rule", None, REWRITER))
+    return snapshot
 
 
 @pytest.mark.parametrize("previous_store", [True, False])
-@pytest.mark.parametrize("k", range(1, _MOVES_PER_SAVE + 1))
+@pytest.mark.parametrize("k", range(1, _FILES_PER_SAVE + 1))
 def test_a_save_failing_at_any_move_leaves_the_previous_store(
         tmp_path, embedder, monkeypatch, k, previous_store):
+    """A save puts each of its files in place by writing it under a name of
+    its own; a write or the fsync of its ``k``-th file fails."""
     directory = tmp_path / "kb"
     directory.mkdir()
     previous = KnowledgeSnapshot()
     if previous_store:
         previous = _populated_snapshot(embedder)
         save_snapshot(previous, directory)
-    files = _store_files(directory)
-    changed = copy.deepcopy(previous)
-    changed.cases.append(_random_cases(embedder, n=1)[0])
-    changed.rules.append(RuleEntry("R-new", "new rule", None, REWRITER))
+    changed = _grown(copy.deepcopy(previous), embedder)
+    for step in ("write", "fsync"):
+        _assert_a_failed_save_leaves_the_previous_store(
+            monkeypatch, directory, previous, changed, step, k)
+    assert len(_written_by_save(changed, directory)) == _FILES_PER_SAVE
+    assert load_snapshot(directory) == changed
 
-    calls = []
-    replace = kb.os.replace
 
-    def failing_replace(src, dst):
-        calls.append(dst)
-        if len(calls) == k:
-            raise OSError("device busy")
-        replace(src, dst)
+# The files of a save of a loaded store whose rules and cases changed: its
+# strategies are skipped, and meta.json's temp file comes last.
+_PARTIAL_FILES = ["rules.jsonl", "cases.jsonl", "cases.npy", "meta.json"]
 
-    monkeypatch.setattr(kb.os, "replace", failing_replace)
+
+@pytest.mark.parametrize("k", range(1, len(_PARTIAL_FILES) + 1))
+def test_a_partial_save_failing_at_any_move_leaves_the_previous_store(
+        tmp_path, embedder, monkeypatch, k):
+    """As for a full save: a write or the fsync of the ``k``-th file fails;
+    the files are the rules' and the cases', at generation 2."""
+    directory = tmp_path / "kb"
+    previous = _populated_snapshot(embedder)
+    save_snapshot(previous, directory)
+    changed = _grown(copy_snapshot(load_snapshot(directory)), embedder)
+    opened = _assert_a_failed_save_leaves_the_previous_store(
+        monkeypatch, directory, previous, changed, "write", k)
+    assert opened == ["rules.2.jsonl", "cases.2.jsonl", "cases.2.npy",
+                      f".meta.json.{os.getpid()}.tmp"][:k]
+    _assert_a_failed_save_leaves_the_previous_store(
+        monkeypatch, directory, previous, changed, "fsync", k)
+    assert _written_by_save(changed, directory) == sorted(_PARTIAL_FILES)
+    assert load_snapshot(directory) == changed
+
+
+@pytest.mark.parametrize("step", ["directory fsync", "commit"])
+@pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+def test_a_save_failing_at_its_commit_leaves_the_previous_store(
+        tmp_path, embedder, monkeypatch, partial, step):
+    """The directory is fsynced after the last file, and then the replace of
+    meta.json commits; a failure at either leaves the previous store."""
+    directory = tmp_path / "kb"
+    previous = _populated_snapshot(embedder)
+    save_snapshot(previous, directory)
+    changed = _grown(copy_snapshot(load_snapshot(directory)) if partial
+                     else copy.deepcopy(previous), embedder)
+    files = len(_PARTIAL_FILES) if partial else _FILES_PER_SAVE
+    _assert_a_failed_save_leaves_the_previous_store(
+        monkeypatch, directory, previous, changed,
+        *(("fsync", files + 1) if step == "directory fsync" else ("replace", 1)))
+    _written_by_save(changed, directory)
+    assert load_snapshot(directory) == changed
+
+
+@pytest.mark.parametrize("step, k", [("fsync", len(_PARTIAL_FILES) + 2),
+                                     ("unlink", 1)],
+                         ids=["directory fsync", "cleanup"])
+def test_a_save_failing_after_its_commit_leaves_the_new_store(
+        tmp_path, embedder, monkeypatch, step, k):
+    """After the commit the directory is fsynced again, and then the files
+    meta.json no longer names are removed. A failure there is not the
+    save's: the store loads as the new one, and the next save removes what
+    is left."""
+    directory = tmp_path / "kb"
+    save_snapshot(_populated_snapshot(embedder), directory)
+    old = _store_files(directory)
+    changed = _grown(copy_snapshot(load_snapshot(directory)), embedder)
+    calls = _fail_at(monkeypatch, step, k)
+    save_snapshot(changed, directory)
+    monkeypatch.undo()
+    assert len(calls) == k
+    assert load_snapshot(directory) == changed
+    new = _named(directory)
+    assert set(_store_files(directory)) > set(new)
+    assert set(_store_files(directory)) <= set(old) | set(new)
+    assert _written_by_save(load_snapshot(directory), directory) == ["meta.json"]
+    assert load_snapshot(directory) == changed
+
+
+def test_a_save_does_not_overwrite_a_name_another_save_created(
+        tmp_path, embedder, monkeypatch):
+    """Two saves into one directory at once can pick the same generation:
+    the second to create a name fails rather than overwrite it, and removes
+    only the files it wrote."""
+    directory = tmp_path / "kb"
+    previous = _populated_snapshot(embedder)
+    save_snapshot(previous, directory)
+    changed = _grown(copy_snapshot(load_snapshot(directory)), embedder)
+    listdir = os.listdir
+
+    def listdir_then_another_save(path):
+        names = listdir(path)
+        (directory / "cases.2.jsonl").write_text("another save's\n")
+        return names
+
+    monkeypatch.setattr(kb.os, "listdir", listdir_then_another_save)
     with pytest.raises(IoFailure):
         save_snapshot(changed, directory)
     monkeypatch.undo()
-    assert len(calls) >= k
-    assert _store_files(directory) == files
+    assert (directory / "cases.2.jsonl").read_text() == "another save's\n"
+    assert not (directory / "rules.2.jsonl").exists()
     assert load_snapshot(directory) == previous
-    assert len(_written_by_save(changed, directory)) == _MOVES_PER_SAVE
-    assert load_snapshot(directory) == changed
+
+
+_KILLED_SAVE = """
+import os, sys
+import sqlgov.knowledge_base as kb
+from sqlgov.knowledge_base import load_snapshot, save_snapshot
+
+directory, when = sys.argv[1:]
+snapshot = load_snapshot(directory)
+snapshot.rules[0].status = "RETIRED"
+snapshot.cases.pop()
+replace = os.replace
+
+def killed(*args):
+    if when == "after the commit":
+        replace(*args)
+    os._exit(9)
+
+kb.os.replace = killed
+save_snapshot(snapshot, directory)
+"""
+
+
+@pytest.mark.parametrize("when", ["at the commit", "after the commit"])
+def test_a_killed_save_leaves_the_old_store_or_the_new_one(tmp_path,
+                                                           embedder, when):
+    """A process killed at the commit leaves files of a generation that no
+    meta.json names: they are never read, and the next save removes them.
+    One killed just after it leaves the new store."""
+    directory = tmp_path / "kb"
+    previous = _populated_snapshot(embedder)
+    save_snapshot(previous, directory)
+    (directory / "pending").mkdir()
+    others = ["categories.json", ".meta.json.1.tmp", "rules.jsonl.bak"]
+    for name in others:
+        (directory / name).write_text("[]")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run([sys.executable, "-c", _KILLED_SAVE, str(directory),
+                           when], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 9, done.stderr
+    loaded = load_snapshot(directory)
+    expected = copy.deepcopy(previous)
+    if when == "after the commit":
+        expected.rules[0].status = "RETIRED"
+        expected.cases.pop()
+    assert loaded == expected
+    assert set(_store_files(directory)) > {*_named(directory), *others, "pending"}
+    loaded.rules[1].status = "RETIRED"
+    assert _written_by_save(loaded, directory) == ["meta.json", "rules.jsonl"]
+    assert json.loads((directory / "meta.json").read_text())["generations"] \
+        == {"rules": 3, "cases": 2 if when == "after the commit" else 1,
+            "strategies": 1}
+    killed_tmp = [name for name in os.listdir(directory)
+                  if name.startswith(".meta.json.") and name not in others]
+    assert len(killed_tmp) == (when == "at the commit")  # never touched
+    assert _store_files(directory) == sorted(
+        [*_named(directory), *others, *killed_tmp, "pending"])
+    assert load_snapshot(directory) == loaded
 
 
 # --- saves that skip what the store already holds -----------------------------
@@ -760,6 +973,20 @@ def test_a_save_failing_at_any_move_leaves_the_previous_store(
 _KIND_FILES = ["rules.jsonl", "cases.jsonl", "cases.npy", "strategies.jsonl",
                "strategies.npy"]
 _ALL_FILES = sorted(_KIND_FILES + ["meta.json"])
+_STORE_FILE = re.compile(r"(rules|cases|strategies)(\.\d+)?\.(jsonl|npy)|meta\.json")
+
+
+def _kind_name(name):
+    """A store file's name without its generation: ``cases.npy`` for
+    ``cases.3.npy``."""
+    kind, *_, suffix = name.split(".")
+    return f"{kind}.{suffix}"
+
+
+def _named(directory):
+    """``meta.json`` and the names of the files it names."""
+    return sorted(["meta.json",
+                   *(store_file(directory, name).name for name in _KIND_FILES)])
 
 
 def _inodes(directory):
@@ -767,22 +994,36 @@ def _inodes(directory):
 
 
 def _written_by_save(snapshot, directory):
-    """Save ``snapshot`` at ``directory``; the names of the files the save
-    wrote, each of which, moved into place, has a new inode."""
+    """Save ``snapshot`` at ``directory``; the files the save wrote, each
+    named without its generation: every kind file whose name is new, and
+    ``meta.json``, replaced under a new inode. No other store file is left
+    than those the new ``meta.json`` names."""
     before = _inodes(directory) if directory.exists() else {}
     save_snapshot(snapshot, directory)
     after = _inodes(directory)
-    return sorted(name for name in after if before.get(name) != after[name])
+    assert sorted(name for name in after if _STORE_FILE.fullmatch(name)) \
+        == _named(directory)
+    return sorted(_kind_name(name) for name in after
+                  if before.get(name) != after[name])
+
+
+def _meta_without_generations(directory):
+    meta = json.loads((directory / "meta.json").read_text())
+    del meta["generations"]
+    return meta
 
 
 def _assert_as_saved_afresh(snapshot, directory, tmp_path):
-    """Every store file at ``directory`` holds the bytes that a save of
-    ``snapshot`` into a new directory, which writes every file, writes."""
+    """Each store file at ``directory`` holds the bytes that a save of
+    ``snapshot`` into a new directory, which writes every file, writes, and
+    ``meta.json`` the same but for the generations."""
     fresh = tmp_path / f"fresh-{len(list(tmp_path.iterdir()))}"
     assert _written_by_save(snapshot, fresh) == _ALL_FILES
-    assert sorted(_inodes(directory)) == _ALL_FILES
-    for name in _ALL_FILES:
-        assert (directory / name).read_bytes() == (fresh / name).read_bytes(), name
+    for name in _KIND_FILES:
+        assert store_file(directory, name).read_bytes() \
+            == store_file(fresh, name).read_bytes(), name
+    assert _meta_without_generations(directory) \
+        == _meta_without_generations(fresh)
 
 
 def _learned_batch(snapshot, now):
@@ -832,50 +1073,31 @@ def test_a_lifecycle_writes_only_what_changed_and_what_a_fresh_save_writes(
     assert load_snapshot(store_dir) == verified
 
 
-def _replace(file: Path, data: bytes) -> None:
-    tmp = file.with_name(file.name + ".other")
-    tmp.write_bytes(data)
-    os.replace(tmp, file)
-
-
-def _rewrite_in_place(file: Path, data: bytes) -> None:
-    """Write ``data`` over ``file``, keeping its inode, and again until its
-    modification time moves on from the one it had, as another process's
-    later write would (a file system's clock may tick only every few ms)."""
-    seen = file.stat().st_mtime_ns
-    deadline = time.monotonic() + 5.0
-    while True:
-        with open(file, "r+b") as fh:
-            fh.write(data)
-        if file.stat().st_mtime_ns != seen or time.monotonic() > deadline:
-            return
-        time.sleep(0.001)
-
-
-def _changed(data: bytes) -> bytes:
-    """``data`` of the same size with its last byte changed."""
-    return data[:-1] + bytes([data[-1] ^ 1])
-
-
-@pytest.mark.parametrize("change", ["replaced", "rewritten in place", "removed"])
+@pytest.mark.parametrize("change", ["replaced", "removed"])
 @pytest.mark.parametrize("name", _KIND_FILES)
 def test_a_kind_file_changed_by_another_process_is_written(
         tmp_path, embedder, name, change):
+    """``removed``: the file is gone. ``replaced``: another snapshot, with
+    the file's kind changed, saves to the same directory between this
+    snapshot's load and its save, so the kind's files are of another
+    generation. This save writes that kind and no other, since the files
+    it named of every other kind are still there, and the directory loads
+    as the snapshot that saved last."""
     store_dir = tmp_path / "kb"
     save_snapshot(_populated_snapshot(embedder), store_dir)
     snapshot = load_snapshot(store_dir)
-    file = store_dir / name
-    data = file.read_bytes()
+    kind = name.split(".")[0]
+    kind_files = sorted([n for n in _KIND_FILES if n.startswith(f"{kind}.")]
+                        + ["meta.json"])
     if change == "replaced":
-        _replace(file, data)  # the same bytes under a new inode
-    elif change == "rewritten in place":
-        _rewrite_in_place(file, _changed(data))
-        assert file.stat().st_size == len(data)
+        other = load_snapshot(store_dir)
+        getattr(other, kind).pop()
+        assert _written_by_save(other, store_dir) == kind_files
     else:
-        file.unlink()
-    kind_files = [n for n in _KIND_FILES if n.split(".")[0] == name.split(".")[0]]
-    assert _written_by_save(snapshot, store_dir) == sorted(kind_files + ["meta.json"])
+        store_file(store_dir, name).unlink()
+    assert _written_by_save(snapshot, store_dir) == kind_files
     _assert_as_saved_afresh(snapshot, store_dir, tmp_path)
+    assert load_snapshot(store_dir) == snapshot
 
 
 def _append_tag(snapshot):
@@ -922,56 +1144,20 @@ def test_a_store_saved_elsewhere_is_written_whole(tmp_path, embedder):
     snapshot = load_snapshot(tmp_path / "kb")
     links = tmp_path / "links"
     links.mkdir()
-    for name in _ALL_FILES:
+    for name in os.listdir(tmp_path / "kb"):
         os.link(tmp_path / "kb" / name, links / name)
     assert _written_by_save(snapshot, links) == _ALL_FILES
     assert _written_by_save(snapshot, tmp_path / "kb") == _ALL_FILES
     assert _written_by_save(snapshot, tmp_path / "kb") == ["meta.json"]
 
 
-def test_a_schema1_store_is_written_whole_as_schema_2(tmp_path, embedder,
-                                                      write_schema1_store):
+def test_a_schema1_store_is_written_whole_as_schema_3(tmp_path, embedder,
+                                                      write_old_store):
     store_dir = tmp_path / "kb"
-    write_schema1_store(_populated_snapshot(embedder), store_dir)
+    write_old_store(_populated_snapshot(embedder), store_dir)
     snapshot = load_snapshot(store_dir)
     assert _written_by_save(snapshot, store_dir) == _ALL_FILES
     assert json.loads((store_dir / "meta.json").read_text())[
-        "schema_version"] == 2
+        "schema_version"] == 3
     _assert_as_saved_afresh(snapshot, store_dir, tmp_path)
     assert _written_by_save(load_snapshot(store_dir), store_dir) == ["meta.json"]
-
-
-# The moves of a save of a loaded store whose rules and cases changed:
-# its strategies are skipped, and meta.json comes last.
-_PARTIAL_MOVES = ["rules.jsonl", "cases.jsonl", "cases.npy", "meta.json"]
-
-
-@pytest.mark.parametrize("k", range(1, len(_PARTIAL_MOVES) + 1))
-def test_a_partial_save_failing_at_any_move_leaves_the_previous_store(
-        tmp_path, embedder, monkeypatch, k):
-    directory = tmp_path / "kb"
-    previous = _populated_snapshot(embedder)
-    save_snapshot(previous, directory)
-    files = _store_files(directory)
-    changed = copy_snapshot(load_snapshot(directory))
-    changed.cases.append(_random_cases(embedder, n=1)[0])
-    changed.rules.append(RuleEntry("R-new", "new rule", None, REWRITER))
-
-    calls = []
-    replace = kb.os.replace
-
-    def failing_replace(src, dst):
-        calls.append(Path(dst).name)
-        if len(calls) == k:
-            raise OSError("device busy")
-        replace(src, dst)
-
-    monkeypatch.setattr(kb.os, "replace", failing_replace)
-    with pytest.raises(IoFailure):
-        save_snapshot(changed, directory)
-    monkeypatch.undo()
-    assert calls[:k] == _PARTIAL_MOVES[:k]
-    assert _store_files(directory) == files
-    assert load_snapshot(directory) == previous
-    assert _written_by_save(changed, directory) == sorted(_PARTIAL_MOVES)
-    assert load_snapshot(directory) == changed

@@ -27,6 +27,7 @@ from sqlgov.providers import HashingEmbedding, ScriptedLLM, SimulatedExecutor
 from sqlgov.seeds import add_entry, seed_snapshot
 from sqlgov.self_learning import PENDING_DIR, record_from_json, verify_pending
 from sqlgov.sqltext import templatize
+from conftest import store_file
 
 _EMBEDDER = HashingEmbedding(8)
 _SEED = seed_snapshot(_EMBEDDER)
@@ -53,8 +54,10 @@ STORE_FILES = {  # "schema-1 <file>" is that file of a schema-1 store
     "schema-1 strategies.jsonl": {
         **_fields(_SEED.strategies[0]),
         "embedding": list(_SEED.strategies[0].embedding)},
-    "meta.json": {"schema_version": SCHEMA_VERSION, "stats": {"REWRITER": {
-        "rule_count": 4, "case_count": 3, "update_times": [1.0, 2.0]}}},
+    "meta.json": {"schema_version": SCHEMA_VERSION,
+                  "generations": {"rules": 1, "cases": 1, "strategies": 1},
+                  "stats": {"REWRITER": {"rule_count": 4, "case_count": 3,
+                                         "update_times": [1.0, 2.0]}}},
 }
 BATCH = {"rules": [RULE], "source_records": ["rec-1"], "generated_at": 1.0,
          "records": [RECORD]}
@@ -133,21 +136,22 @@ def _outcome(consume):
 @settings(max_examples=250, deadline=None)
 @given(st.sampled_from(sorted(STORE_FILES)).flatmap(
     lambda name: st.tuples(st.just(name), inputs(STORE_FILES[name]))))
-def test_store_files(write_schema1_store, name_and_content):
+def test_store_files(write_old_store, name_and_content):
     name, content = name_and_content
     with tempfile.TemporaryDirectory() as tmp:
         if name.startswith("schema-1 "):
             name = name.removeprefix("schema-1 ")
-            write_schema1_store(_SEED, Path(tmp))
+            write_old_store(_SEED, Path(tmp))
         else:
             save_snapshot(_SEED, tmp)
         text = json.dumps(content)
         if name == "meta.json":
             Path(tmp, name).write_text(text)
         else:
-            with open(Path(tmp, name), "a", encoding="utf-8") as fh:
+            file = store_file(Path(tmp), name)
+            with open(file, "a", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-            matrix = Path(tmp, name).with_suffix(".npy")
+            matrix = file.with_suffix(".npy")
             if matrix.exists():  # a row for the new record
                 rows = np.load(matrix)
                 np.save(matrix, np.vstack([rows, rows[:1]]))
@@ -227,18 +231,44 @@ def test_store_matrices(kind_and_bytes):
     kind, raw = kind_and_bytes
     with tempfile.TemporaryDirectory() as tmp:
         save_snapshot(_SEED, tmp)
-        Path(tmp, f"{kind}.npy").write_bytes(raw)
+        store_file(Path(tmp), f"{kind}.npy").write_bytes(raw)
         assert _outcome(lambda: load_snapshot(tmp)) is None
     assert not _UNPICKLED
 
 
 def test_a_missing_matrix_is_named(tmp_path):
     save_snapshot(_SEED, tmp_path)
-    (tmp_path / "cases.npy").unlink()
+    matrix = store_file(tmp_path, "cases.npy")
+    matrix.unlink()
     with pytest.raises(ValueError) as excinfo:
         load_snapshot(tmp_path)
-    assert str(excinfo.value) == \
-        f"{tmp_path / 'cases.jsonl'}: 3 records for 0 rows in cases.npy"
+    assert str(excinfo.value) == f"{matrix}: missing, though meta.json names it"
+
+
+@pytest.mark.parametrize("generation", [None, "1", 1.0, True, 0, -2])
+def test_a_generation_that_is_no_positive_int_names_meta_json(tmp_path,
+                                                               generation):
+    save_snapshot(_SEED, tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    if generation is None:
+        del meta["generations"]["cases"]
+    else:
+        meta["generations"]["cases"] = generation
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError) as excinfo:
+        load_snapshot(tmp_path)
+    assert str(excinfo.value) == (f"{tmp_path / 'meta.json'}: generations.cases: "
+                                  f"{generation!r} is not an int of 1 or more")
+
+
+def test_a_schema3_meta_file_without_generations_is_named(tmp_path):
+    save_snapshot(_SEED, tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    del meta["generations"]
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError) as excinfo:
+        load_snapshot(tmp_path)
+    assert str(excinfo.value).startswith(f"{tmp_path / 'meta.json'}: does not fit")
 
 
 @settings(max_examples=150, deadline=None)

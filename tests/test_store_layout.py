@@ -1,10 +1,13 @@
 """The store's on-disk layouts: a schema-1 store (embeddings inline in the
-JSONL) reads as it did, and a save rewrites it in the schema-2 layout (one
-float64 ``.npy`` matrix per embedded kind) without changing what it holds."""
+JSONL) and a schema-2 store (one float64 ``.npy`` matrix per embedded kind,
+fixed file names) read as they did, and a save rewrites either in the
+schema-3 layout (the files of each kind's generation, named by
+``meta.json``) without changing what it holds."""
 
 from __future__ import annotations
 
 import json
+import os
 import random
 
 import numpy as np
@@ -22,6 +25,7 @@ from sqlgov.knowledge_base import (
 from sqlgov.seeds import SAME_TABLE_JOIN, UNION_ALL_UNPROJECTED, seed_snapshot
 from sqlgov.sqltext import templatize
 from test_providers import _embed_token_by_token
+from conftest import store_file
 
 QUERIES = ["SELECT a FROM t WHERE b = 1",
            "SELECT AVG(d) FROM (SELECT * FROM u1 UNION ALL SELECT * FROM u2) z",
@@ -67,10 +71,24 @@ def _retrievals(store: KnowledgeStore) -> list:
 
 
 def test_a_schema1_store_reads_the_same_before_and_after_a_save(
-        capsys, tmp_path, embedder, write_schema1_store):
+        capsys, tmp_path, embedder, write_old_store):
+    _reads_the_same_before_and_after_a_save(capsys, tmp_path, embedder,
+                                            write_old_store, 1)
+
+
+def test_a_schema2_store_reads_the_same_before_and_after_a_save(
+        capsys, tmp_path, embedder, write_old_store):
+    _reads_the_same_before_and_after_a_save(capsys, tmp_path, embedder,
+                                            write_old_store, 2)
+
+
+def _reads_the_same_before_and_after_a_save(capsys, tmp_path, embedder,
+                                            write_old_store, version):
+    """A store of schema ``version`` loads as it was written, and a save
+    leaves only the files of schema 3, which load the same."""
     snapshot = _snapshot(embedder)
     store = tmp_path / "kb"
-    write_schema1_store(snapshot, store)
+    write_old_store(snapshot, store, version)
     before = _kb_output(capsys, store)
     loaded = load_snapshot(store)
     assert loaded == snapshot
@@ -79,11 +97,16 @@ def test_a_schema1_store_reads_the_same_before_and_after_a_save(
 
     save_snapshot(loaded, store)
     meta = json.loads((store / "meta.json").read_text())
-    assert meta["schema_version"] == SCHEMA_VERSION == 2
+    assert meta["schema_version"] == SCHEMA_VERSION == 3
+    assert meta["generations"] == {"rules": 1, "cases": 1, "strategies": 1}
+    assert sorted(os.listdir(store)) == [
+        "cases.1.jsonl", "cases.1.npy", "meta.json", "rules.1.jsonl",
+        "strategies.1.jsonl", "strategies.1.npy"]
     assert all("embedding" not in json.loads(line)
                for kind in ("cases", "strategies")
-               for line in (store / f"{kind}.jsonl").read_text().splitlines())
-    assert np.load(store / "cases.npy", allow_pickle=False).shape == \
+               for line in store_file(store, f"{kind}.jsonl").read_text()
+               .splitlines())
+    assert np.load(store_file(store, "cases.npy"), allow_pickle=False).shape == \
         (len(snapshot.cases), 768)
     assert _kb_output(capsys, store) == before
     reloaded = load_snapshot(store)
@@ -105,12 +128,11 @@ def test_loaded_rows_are_read_only_views_of_one_matrix(tmp_path, embedder):
 
 def test_columns_must_agree_across_kinds(tmp_path, embedder):
     save_snapshot(_snapshot(embedder), tmp_path)
-    strategies = np.load(tmp_path / "strategies.npy")
-    np.save(tmp_path / "strategies.npy", strategies[:, :100])
+    file = store_file(tmp_path, "strategies.npy")
+    np.save(file, np.load(file)[:, :100])
     with pytest.raises(ValueError) as excinfo:
         load_snapshot(tmp_path)
-    assert str(excinfo.value) == (f"{tmp_path / 'strategies.npy'}: 100 columns "
-                                  f"where cases.npy has 768")
+    assert str(excinfo.value) == f"{file}: 100 columns where cases.1.npy has 768"
 
 
 def test_entries_take_any_float_sequence_and_compare_by_value():
@@ -142,5 +164,5 @@ def test_saved_matrices_match_token_by_token_embeddings_byte_for_byte(
     save_snapshot(_snapshot(embedder), tmp_path / "counted")
     save_snapshot(_snapshot(_TokenByTokenEmbedding()), tmp_path / "reference")
     for name in ("cases.npy", "strategies.npy"):
-        assert (tmp_path / "counted" / name).read_bytes() \
-            == (tmp_path / "reference" / name).read_bytes()
+        assert store_file(tmp_path / "counted", name).read_bytes() \
+            == store_file(tmp_path / "reference", name).read_bytes()
