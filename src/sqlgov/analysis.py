@@ -11,7 +11,9 @@ and subtree counts are own counts summed bottom-up. On well-formed SQL the
 walk reads a fragment's tokens as a walk of that fragment alone would,
 because a subquery opens with SELECT or WITH and a CTE body follows its
 consumed name. Every other fact comes from one walk over the fragment's own
-tokens, which reads each token's upper-case form from the token itself.
+tokens, which reads each token's upper-case form from the token itself;
+that walk also marks out the projection, whose own tokens the equivalence
+check compares to tell whether two fragments name their outputs alike.
 Rule matchers, the rewriter's efficiency screen, and the equivalence
 pre-filter all read from here, keeping every tool's view of a query
 consistent. A tree's analysis is computed once and held on the tree,
@@ -46,6 +48,7 @@ class FragmentFacts:
     where_has_is_not_null: bool
     select_items: int | None
     select_has_star: bool
+    projection: tuple[Token, ...]  # own tokens of the first SELECT region
     has_set_op: bool
     set_op_arm_star: bool
     in_subquery: bool
@@ -77,15 +80,16 @@ def referenced_tables(tree: FragmentTree) -> list[str]:
         tree.tokens, tree.table_positions, tree.cte_names())})
 
 
-def _ended_regions(own, selects, content: int, commas: int,
-                   stars: int) -> list[tuple[int, bool]]:
-    """(items, projects a star) of each open SELECT region in ``selects``,
-    ended where the running counts stand at ``content`` top-level tokens,
-    ``commas`` commas and ``stars`` stars after one of ``_STAR_AFTER``: a
-    region holds each count's growth since it opened. A '*' that opens a
-    region starts an item too."""
+def _ended_regions(own, selects, end: int, content: int, commas: int,
+                   stars: int) -> list[tuple[int, bool, tuple[Token, ...]]]:
+    """(items, projects a star, own tokens) of each open SELECT region in
+    ``selects``, ended at ``own[end]`` where the running counts stand at
+    ``content`` top-level tokens, ``commas`` commas and ``stars`` stars
+    after one of ``_STAR_AFTER``: a region holds each count's growth since
+    it opened. A '*' that opens a region starts an item too."""
     return [((commas - c + 1) if content > n else 0,
-             stars > st or (start < len(own) and own[start].upper == "*"))
+             stars > st or (start < len(own) and own[start].upper == "*"),
+             own[start:end])
             for start, n, c, st in selects]
 
 
@@ -112,11 +116,12 @@ def analyze_fragment(fragment: Fragment, tree: FragmentTree,
     top-level set operation each is an arm's. The WHERE region runs from the
     first top-level WHERE to the next top-level word of ``_WHERE_BREAK``.
     SELECT regions are read off running counts of top-level tokens, commas
-    and stars, taken where each starts and ends.
+    and stars, taken where each starts and ends; the projection's own
+    tokens are kept, each child in it shown as its parentheses.
     """
     depth = content = commas = stars = 0
     selects = []  # (start, content, commas, stars) of each open SELECT region
-    regions = []  # (items, star) of each ended SELECT region, in order
+    regions = []  # (items, star, tokens) of each ended SELECT region, in order
     where_lo = where_hi = None
     is_not_null = []  # index of the IS of each IS NOT NULL
     has_op = has_outer_join = False
@@ -136,7 +141,8 @@ def analyze_fragment(fragment: Fragment, tree: FragmentTree,
         if depth:
             continue
         if upper in _CLAUSE_BREAK:
-            regions += _ended_regions(own, selects, content, commas, stars)
+            regions += _ended_regions(own, selects, idx, content, commas,
+                                      stars)
             selects.clear()
             has_op = has_op or upper in _SET_OPS
             if upper == "WHERE" and where_lo is None:
@@ -152,8 +158,8 @@ def analyze_fragment(fragment: Fragment, tree: FragmentTree,
                 selects.append((idx + 1, content, commas, stars))
         if where_hi is None and where_lo is not None and upper in _WHERE_BREAK:
             where_hi = idx
-    regions += _ended_regions(own, selects, content, commas, stars)
-    items, star = regions[0] if regions else (None, False)
+    regions += _ended_regions(own, selects, len(own), content, commas, stars)
+    items, star, projection = regions[0] if regions else (None, False, ())
     if where_hi is None:
         where_hi = len(own)
     children = tree._children.get(fragment.id, ())
@@ -169,8 +175,9 @@ def analyze_fragment(fragment: Fragment, tree: FragmentTree,
             where_lo <= i and i + 3 <= where_hi for i in is_not_null),
         select_items=items,
         select_has_star=star,
+        projection=projection,
         has_set_op=has_op,
-        set_op_arm_star=has_op and any(s for _, s in regions),
+        set_op_arm_star=has_op and any(s for _, s, _ in regions),
         # a direct child opens right after IN: IN ( SELECT ... )
         in_subquery=any(c.token_range[0] - 2 >= lo
                         and tokens[c.token_range[0] - 2].upper == "IN"
@@ -225,30 +232,6 @@ def _analyze(tree: FragmentTree) -> dict[int, FragmentFacts]:
                                subtree_counts[f.id])
         for f in tree.fragments
     }
-
-
-def select_list(tree: FragmentTree, fragment: Fragment) -> str:
-    """The normalized tokens of the fragment's projection, nested subqueries
-    included: from its first top-level SELECT to the next top-level word of
-    ``_CLAUSE_BREAK``. Equal select lists name their output columns alike."""
-    tokens = tree.tokens
-    lo, hi = fragment.token_range
-    depth, start = 0, None
-    for idx in range(lo, hi):
-        upper = tokens[idx].upper
-        if upper == "(":
-            depth += 1
-        elif upper == ")":
-            depth -= 1
-        elif depth:
-            continue
-        elif start is None:
-            if upper == "SELECT":
-                start = idx + 1
-        elif upper in _CLAUSE_BREAK:
-            hi = idx
-            break
-    return "" if start is None else normalize_tokens(tokens[start:hi])
 
 
 def duplicated_scan_tables(fragment_id: int,

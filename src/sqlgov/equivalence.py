@@ -17,20 +17,25 @@ changed is checked first: each topmost pair of fragments whose own text
 differs is summarized and aligned as a pair of queries of its own. A
 subquery swapped for an equivalent one with the same output columns leaves
 the query equivalent (the congruence step of UDP and SPES), so the pair is
-EQUIVALENT when every changed pair is, position for position, under the
-same select list. Any other local outcome goes on to the whole-query check,
-which reuses every summary already made: the outer query may hide a local
-difference, so a local NOT_EQUIVALENT is never the answer. Every verdict
-past the short-circuits is still the provider's.
+EQUIVALENT when every changed pair is, position for position, and both
+sides of each name their outputs alike: the same own select list, read off
+the analysis, with each child in it shown as its parentheses. A changed
+subquery inside a select list is checked with its pair, and a column from
+an unaliased one has no name a parent reads. Any other local outcome goes
+on to the whole-query check, which reuses every summary already made: the
+outer query may hide a local difference, so a local NOT_EQUIVALENT is
+never the answer. One step gives every verdict past the short-circuits,
+local or whole: both intents, the pre-filter, then the provider's
+alignment. The verifier parses each side once and reads the facts that
+the analysis holds on its tree.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .analysis import FragmentFacts, analyze_tree, select_list
+from .analysis import FragmentFacts, analyze_tree
 from .errors import (
     EmptyQueryError,
     RejectedResponseError,
@@ -93,16 +98,6 @@ class EquivalenceVerdict:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class QuerySkeleton:
-    """One side of a pair, parsed and analyzed once for every later stage."""
-
-    arity: int | None  # None when the projection contains a star
-    base_tables: frozenset[str]
-    tree: FragmentTree
-    facts: Mapping[int, FragmentFacts]
-
-
 def parse_select(query: str) -> FragmentTree:
     """The fragment tree of a SELECT-based statement; UnsupportedStatementError
     for no statement or another kind, UnparseableQueryError if it does not parse."""
@@ -121,22 +116,7 @@ def parse_select(query: str) -> FragmentTree:
     return tree
 
 
-def skeleton(query: str) -> QuerySkeleton:
-    """Parse and analyze ``query`` once: the structural facts the pre-filter
-    needs, and the tree and facts intent extraction reads. No provider."""
-    tree = parse_select(query)
-    facts = analyze_tree(tree)
-    root_facts = facts[tree.root_id]
-    arity = None if root_facts.select_has_star else root_facts.select_items
-    return QuerySkeleton(
-        arity=arity,
-        base_tables=frozenset(root_facts.table_counts_subtree),
-        tree=tree,
-        facts=facts,
-    )
-
-
-def extract_intent(side: QuerySkeleton, provider,
+def extract_intent(tree: FragmentTree, provider,
                    answers: dict[PromptEnvelope, dict] | None = None,
                    root: int | None = None) -> IntentSummary:
     """Summarize field provenance, walking fragments innermost-first.
@@ -147,7 +127,6 @@ def extract_intent(side: QuerySkeleton, provider,
     reach the provider. ``root`` names a fragment whose subtree alone is
     summarized, as the query's own fragments; by default the whole query.
     """
-    tree = side.tree
     root = tree.root_id if root is None else root
     answers = {} if answers is None else answers
     summaries: dict[int, dict] = {}
@@ -170,7 +149,7 @@ def extract_intent(side: QuerySkeleton, provider,
         )
         for f in main.get("fields", [])
     )
-    root_facts = side.facts[root]
+    root_facts = analyze_tree(tree)[root]
     if not root_facts.select_has_star and root_facts.select_items \
             and len(fields) != root_facts.select_items:
         raise RejectedResponseError(
@@ -194,12 +173,21 @@ def prefilter(a: IntentSummary, b: IntentSummary) -> EquivalenceVerdict | None:
     return None
 
 
-def _skeleton_mismatch(a: QuerySkeleton, b: QuerySkeleton) -> str | None:
-    if a.arity is not None and b.arity is not None and a.arity != b.arity:
-        return f"output arity differs: {a.arity} vs {b.arity}"
-    if a.base_tables != b.base_tables:
-        return (f"base tables differ: {sorted(a.base_tables)} vs "
-                f"{sorted(b.base_tables)}")
+def _arity(facts: FragmentFacts) -> int | None:
+    """The fragment's output count; None when a star hides it."""
+    return None if facts.select_has_star else facts.select_items
+
+
+def _skeleton_mismatch(a: FragmentTree, b: FragmentTree) -> str | None:
+    """Why the outermost queries of ``a`` and ``b`` cannot agree, read off
+    their facts: a different output arity, or different base tables."""
+    fa, fb = analyze_tree(a)[a.root_id], analyze_tree(b)[b.root_id]
+    arity_a, arity_b = _arity(fa), _arity(fb)
+    if None not in (arity_a, arity_b) and arity_a != arity_b:
+        return f"output arity differs: {arity_a} vs {arity_b}"
+    if fa.table_counts_subtree.keys() != fb.table_counts_subtree.keys():
+        return (f"base tables differ: {sorted(fa.table_counts_subtree)} vs "
+                f"{sorted(fb.table_counts_subtree)}")
     return None
 
 
@@ -207,33 +195,57 @@ def check_equivalence(a: str, b: str, provider,
                       confidence_floor: float = DEFAULT_CONFIDENCE_FLOOR) -> EquivalenceVerdict:
     """Full pipeline: identity short-circuit, structural pre-filter (zero
     provider calls on rejection), the scoped check of each changed fragment
-    pair when the outermost query's own text is unchanged, then intent
-    extraction and field alignment of the whole pair. Only a scoped
-    EQUIVALENT is final; any other scoped outcome goes on to the whole-pair
-    stages, which share its intent answers."""
-    ska = skeleton(a)
-    skb = skeleton(b)
-    if normalize_tokens(ska.tree.tokens) == normalize_tokens(skb.tree.tokens):
-        return EquivalenceVerdict(
-            verdict=EQUIVALENT, confidence=1.0,
-            field_mapping=_identity(ska.arity),
-            reason="identical normalized text")
-    mismatch = _skeleton_mismatch(ska, skb)
+    pair when the outermost query's own text is unchanged, then the check
+    of the whole pair. Only a scoped EQUIVALENT is final; any other scoped
+    outcome goes on to the whole pair, which shares its intent answers."""
+    ta, tb = parse_select(a), parse_select(b)
+    facts_a, facts_b = analyze_tree(ta), analyze_tree(tb)
+    identity = _identity(_arity(facts_a[ta.root_id]))
+    if normalize_tokens(ta.tokens) == normalize_tokens(tb.tokens):
+        return EquivalenceVerdict(verdict=EQUIVALENT, confidence=1.0,
+                                  field_mapping=identity,
+                                  reason="identical normalized text")
+    mismatch = _skeleton_mismatch(ta, tb)
     if mismatch is not None:
         return EquivalenceVerdict(verdict=NOT_EQUIVALENT, confidence=1.0,
                                   reason=mismatch)
     answers: dict[PromptEnvelope, dict] = {}
-    pairs = _changed_pairs(ska.tree, skb.tree)
-    if pairs and pairs != [(ska.tree.root_id, skb.tree.root_id)]:
-        verdict = _scoped(ska, skb, pairs, provider, answers, confidence_floor)
-        if verdict is not None:
-            return verdict
-    intent_a = extract_intent(ska, provider, answers)
-    intent_b = extract_intent(skb, provider, answers)
-    rejected = prefilter(intent_a, intent_b)
-    if rejected is not None:
-        return rejected
-    return _align(intent_a, intent_b, provider, confidence_floor)
+    pairs = _changed_pairs(ta, tb)
+    # Only what changed, when each changed pair names its outputs alike: a
+    # parent reads a derived table's or a CTE's columns by name.
+    if pairs and pairs != [(ta.root_id, tb.root_id)] and all(
+            _output_names(facts_a[fa]) is not None
+            and _output_names(facts_a[fa]) == _output_names(facts_b[fb])
+            for fa, fb in pairs):
+        confidence = 1.0
+        for fa, fb in pairs:
+            verdict = _verdict(ta, tb, fa, fb, provider, answers,
+                               confidence_floor)
+            if verdict.verdict != EQUIVALENT \
+                    or verdict.field_mapping != _identity(_arity(facts_a[fa])):
+                break
+            confidence = min(confidence, verdict.confidence)
+        else:
+            return EquivalenceVerdict(
+                verdict=EQUIVALENT, confidence=confidence,
+                field_mapping=identity,
+                reason="only fragment pairs " + ", ".join(
+                    f"{fa}/{fb}" for fa, fb in pairs)
+                + " differ, and each is equivalent with the same outputs")
+    return _verdict(ta, tb, ta.root_id, tb.root_id, provider, answers,
+                    confidence_floor)
+
+
+def _verdict(ta: FragmentTree, tb: FragmentTree, fa: int, fb: int, provider,
+             answers: dict[PromptEnvelope, dict],
+             confidence_floor: float) -> EquivalenceVerdict:
+    """The verdict on fragment ``fa`` of ``ta`` against ``fb`` of ``tb``,
+    each subtree as a query of its own: both intents, the pre-filter, and
+    then the field alignment."""
+    intent_a = extract_intent(ta, provider, answers, fa)
+    intent_b = extract_intent(tb, provider, answers, fb)
+    return prefilter(intent_a, intent_b) \
+        or _align(intent_a, intent_b, provider, confidence_floor)
 
 
 def _identity(arity: int | None) -> tuple[tuple[int, int], ...] | None:
@@ -259,44 +271,13 @@ def _changed_pairs(ta: FragmentTree, tb: FragmentTree) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def _output_names(side: QuerySkeleton, fragment_id: int) -> str | None:
-    """The fragment's select list, which names its outputs; None when a
-    star, or no projection, leaves the names to its sources."""
-    facts = side.facts[fragment_id]
+def _output_names(facts: FragmentFacts) -> str | None:
+    """The fragment's own select list, each child in it shown as its
+    parentheses, which names its outputs; None when a star, or no
+    projection, leaves the names to its sources."""
     if facts.select_has_star or not facts.select_items:
         return None
-    return select_list(side.tree, side.tree.by_id(fragment_id))
-
-
-def _scoped(ska: QuerySkeleton, skb: QuerySkeleton,
-            pairs: list[tuple[int, int]], provider,
-            answers: dict[PromptEnvelope, dict],
-            confidence_floor: float) -> EquivalenceVerdict | None:
-    """EQUIVALENT when each changed pair, checked as a pair of queries, is
-    EQUIVALENT position for position, and both sides name their outputs
-    alike: equal select lists with no star, since a parent reads a derived
-    table's or a CTE's columns by name. None for any other outcome."""
-    for fa, fb in pairs:
-        names = _output_names(ska, fa)
-        if names is None or names != _output_names(skb, fb):
-            return None
-    confidence = 1.0
-    for fa, fb in pairs:
-        intent_a = extract_intent(ska, provider, answers, fa)
-        intent_b = extract_intent(skb, provider, answers, fb)
-        if prefilter(intent_a, intent_b) is not None:
-            return None
-        verdict = _align(intent_a, intent_b, provider, confidence_floor)
-        if verdict.verdict != EQUIVALENT \
-                or verdict.field_mapping != _identity(len(intent_a.fields)):
-            return None
-        confidence = min(confidence, verdict.confidence)
-    return EquivalenceVerdict(
-        verdict=EQUIVALENT, confidence=confidence,
-        field_mapping=_identity(ska.arity),
-        reason="only fragment pairs " + ", ".join(
-            f"{fa}/{fb}" for fa, fb in pairs)
-        + " differ, and each is equivalent with the same outputs")
+    return normalize_tokens(facts.projection)
 
 
 def _align(intent_a: IntentSummary, intent_b: IntentSummary, provider,

@@ -479,22 +479,37 @@ def _held(kind: str, entries) -> list:
     return held
 
 
+def _committed(directory: Path) -> Mapping:
+    """The ``generations`` that the committed ``meta.json`` at ``directory``
+    names; empty where none can be read."""
+    with suppress(OSError, ValueError, AttributeError):
+        generations = json.loads((directory / "meta.json").read_text(
+            encoding="utf-8")).get("generations")
+        if isinstance(generations, dict):
+            return generations
+    return {}
+
+
 def _kept(snapshot: KnowledgeSnapshot, kind: str, where: str,
-          held: list) -> int:
+          held: list, committed: Mapping) -> int:
     """The generation of the ``kind`` files at ``where`` that hold the
     snapshot's entries of that kind, or 0: the snapshot, or the one it was
     copied from (``copy_snapshot``), last read or wrote them there, the
-    entries hold the very objects (``held``) they held then, every embedding
-    row is read-only, and the files are still there. No save writes a name
-    twice, so a file still there holds what it held; a file edited by hand
-    is not seen. Any other kind is written: one changed in place, even to an
-    equal value, and every kind of a store saved elsewhere or of schema 1
-    or 2."""
+    committed ``meta.json`` still names that generation (``committed``),
+    the entries hold the very objects (``held``) they held then, every
+    embedding row is read-only, and the files are still there. A save keeps
+    only what ``meta.json`` names, and every other save writes above the
+    highest generation there, so the generation it names never goes back
+    and no name it names is written twice: a file it names holds what it
+    held. A file edited by hand is not seen. Any other kind is written: one
+    changed in place, even to an equal value, one another save moved on
+    from, and every kind of a store saved elsewhere or of schema 1 or 2."""
     last = snapshot.__dict__.get(_FILES, {}).get(kind)
     if last is None:
         return 0
     last_where, generation, last_held = last
-    if last_where != where or len(last_held) != len(held) \
+    if last_where != where or committed.get(kind) != generation \
+            or len(last_held) != len(held) \
             or not all(map(operator.is_, held, last_held)):
         return 0
     if kind in _EMBEDDED and any(
@@ -504,7 +519,8 @@ def _kept(snapshot: KnowledgeSnapshot, kind: str, where: str,
                              for name in _names(kind, generation)) else 0
 
 
-def _fsync_directory(directory: Path) -> None:
+def fsync_directory(directory: Path) -> None:
+    """Put the names in ``directory`` on disk."""
     fd = os.open(directory, os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -518,15 +534,16 @@ def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
     Each kind not kept (``_kept``) is written under a new generation g, one
     more than the highest among the kind files there: ``<kind>.<g>.jsonl``,
     and ``<kind>.<g>.npy`` for cases and strategies. Each file is created
-    exclusively, so no name is written twice, and fsynced; so are a temp
-    ``meta.json`` naming each kind's generation, and the directory. Then
-    ``os.replace`` of ``meta.json``, the commit. A failure before it removes
-    the files this save wrote; a killed save leaves files that no load
-    reads. Either way, and after a power loss, the store loads as the
-    previous one, or once committed as the new one, never a mix. After the
-    commit, and a second fsync of the directory, each kind file that
-    ``meta.json`` does not name is removed, schema 1's and 2's fixed names
-    too; a failure there is ignored, and the next save removes what is left.
+    exclusively, so no name is written twice, and fsynced; so are the temp
+    file ``.meta.json.tmp``, naming each kind's generation, and the
+    directory. Then ``os.replace`` of ``meta.json``, the commit. A failure
+    before it removes the files this save wrote; a killed save leaves files
+    that no load reads, and the next save overwrites its temp file. Either
+    way, and after a power loss, the store loads as the previous one, or
+    once committed as the new one, never a mix. After the commit, and a
+    second fsync of the directory, each kind file that ``meta.json`` does
+    not name is removed, schema 1's and 2's fixed names too; a failure
+    there is ignored, and the next save removes what is left.
     The store has one writer at a time.
     """
     import numpy as np
@@ -534,7 +551,8 @@ def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
     directory = Path(path)
     where = os.path.abspath(directory)
     held = {kind: _held(kind, getattr(snapshot, kind)) for kind in _ENTRIES}
-    generations = {kind: _kept(snapshot, kind, where, held[kind])
+    committed = _committed(directory)
+    generations = {kind: _kept(snapshot, kind, where, held[kind], committed)
                    for kind in _ENTRIES}
     kinds = [kind for kind, kept in generations.items() if not kept]
     matrices = {kind: _matrix(getattr(snapshot, kind))
@@ -568,10 +586,10 @@ def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
             "generations": generations,
             "stats": {tool: _record(ts) for tool, ts in snapshot.stats.items()},
         }
-        tmp = f".meta.json.{os.getpid()}.tmp"
+        tmp = ".meta.json.tmp"  # a killed save's is overwritten, then replaced
         create(tmp, "w", lambda fh: fh.write(
             json.dumps(meta, sort_keys=True, indent=2) + "\n"))
-        _fsync_directory(directory)
+        fsync_directory(directory)
         os.replace(directory / tmp, directory / "meta.json")  # the commit
         created.clear()
     except (OSError, TypeError, ValueError) as exc:
@@ -584,7 +602,7 @@ def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
     named = {name for kind, kept in generations.items()
              for name in _names(kind, kept)}
     with suppress(OSError):  # the next save removes what is left
-        _fsync_directory(directory)  # the commit is on disk before what it replaced goes
+        fsync_directory(directory)  # the commit is on disk before what it replaced goes
         for name in listing:
             if _KIND_FILE.fullmatch(name) and name not in named:
                 os.unlink(directory / name)

@@ -11,6 +11,7 @@ import json
 import math
 import os
 from collections import deque
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .knowledge_base import (
     ToolStats,
     copy_entry,
     copy_snapshot,
+    fsync_directory,
     save_snapshot,
 )
 from .prompts import ask, rule_generation_prompt
@@ -396,21 +398,29 @@ def _batch_from_json(payload) -> CandidateRuleBatch:
 
 def _write_pending(store_dir: Path, batch: CandidateRuleBatch) -> Path:
     """Save a batch whole or not at all, under a name no earlier batch holds
-    (by generation second, then a counter within it): a temp file, once
-    written, is hard-linked to that name."""
+    (by generation second, then a counter within it), and on disk before
+    the store names its candidates: a temp file, once written and fsynced,
+    is hard-linked to that name, and then ``pending/`` is fsynced. A failed
+    fsync of ``pending/`` removes the name again."""
     pending = store_dir / PENDING_DIR
     tmp = pending / f".batch.{os.getpid()}.tmp"
     try:
         pending.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(asdict(batch), indent=2))
+            fh.flush()
+            os.fsync(fh.fileno())
         for n in itertools.count():
             path = pending / f"batch-{int(batch.generated_at)}-{n:03d}.json"
-            try:
+            with suppress(FileExistsError):
                 os.link(tmp, path)
-                return path
-            except FileExistsError:
-                continue
+                break
+        try:
+            fsync_directory(pending)
+        except OSError:
+            path.unlink(missing_ok=True)
+            raise
+        return path
     except OSError as exc:
         raise IoFailure(f"cannot write a batch to {pending}: {exc}") from exc
     finally:

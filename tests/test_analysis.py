@@ -15,14 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqlgov.fragmenter as fragmenter
-from sqlgov.analysis import (
-    _table_refs, analyze_tree, referenced_tables, select_list)
-from sqlgov.equivalence import _skeleton_mismatch, skeleton
+from sqlgov.analysis import _table_refs, analyze_tree, referenced_tables
+from sqlgov.equivalence import _skeleton_mismatch, parse_select
 from sqlgov.errors import EmptyQueryError
 from sqlgov.fragmenter import SITE_SELECT_LIST, SUBQUERY, decompose, \
     decompose_lenient
 from sqlgov.rewriter import passes_efficiency_screen
-from sqlgov.sqltext import iter_table_context, templatize
+from sqlgov.sqltext import iter_table_context, normalize_tokens, templatize
 from test_fragmenter import _assign_markers, _render, damaged_sql, gen_trees
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -144,7 +143,7 @@ def test_a_derived_table_alias_is_owned_by_nobody():
      "SELECT x FROM t JOIN (SELECT DISTINCT y FROM u) d ON t.y = d.y"),
 ])
 def test_renamed_aliases_pass_the_skeleton_prefilter(a, b):
-    assert _skeleton_mismatch(skeleton(a), skeleton(b)) is None
+    assert _skeleton_mismatch(parse_select(a), parse_select(b)) is None
 
 
 def test_an_aliased_single_scan_passes_the_efficiency_screen():
@@ -157,7 +156,7 @@ def test_an_aliased_single_scan_passes_the_efficiency_screen():
 def test_one_memoized_tree_is_analyzed_once(nested_query):
     facts = analyze_tree(decompose(nested_query))
     assert analyze_tree(decompose(nested_query)) is facts
-    assert skeleton(nested_query).facts is facts
+    assert analyze_tree(parse_select(nested_query)) is facts
 
 
 def test_a_shared_analysis_is_read_only(nested_query):
@@ -376,11 +375,16 @@ def test_facts_of_worked_examples(sql, facts):
 
 @pytest.mark.parametrize("sql,expected", [
     ("SELECT a, (SELECT MAX(b) FROM u) AS m FROM t WHERE x > 1",
-     "a , ( SELECT MAX ( b ) FROM u ) AS m"),
+     "a , ( ) AS m"),
     ("WITH c AS (SELECT 1 AS z) select distinct c.z from c", "DISTINCT c . z"),
     ("SELECT a FROM t UNION SELECT b FROM u", "a"),
     ("SELECT 1", "1"),
-], ids=["scalar-subquery", "with-prelude", "set-operation", "no-from"])
+    ("SELECT COALESCE(a, (SELECT 1)) AS v FROM t", "COALESCE ( a , ( ) ) AS v"),
+], ids=["scalar-subquery", "with-prelude", "set-operation", "no-from",
+        "nested-subquery"])
 def test_select_list_is_the_normalized_projection(sql, expected):
+    """The facts keep the first SELECT region's own tokens: each child in
+    it shows as its parentheses."""
     tree = decompose(sql)
-    assert select_list(tree, tree.root) == expected
+    assert normalize_tokens(analyze_tree(tree)[tree.root_id].projection) \
+        == expected

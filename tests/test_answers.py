@@ -13,8 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqlgov.corrector import repair
-from sqlgov.equivalence import (check_equivalence, extract_intent,
-                                parse_select, skeleton)
+from sqlgov.equivalence import check_equivalence, extract_intent, parse_select
 from sqlgov.errors import RejectedResponseError, SqlGovError
 from sqlgov.knowledge_base import REWRITER, KnowledgeSnapshot, KnowledgeStore
 from sqlgov.modifier import REALIZE_SEMANTICS, modify, prepare_metadata
@@ -243,7 +242,7 @@ def test_scenario2_answers(answer):
 @given(answer=answers(INTENT_EXTRACT))
 def test_intent_answers_at_child_and_root(fragment, answer):
     provider = _Provider(INTENT_EXTRACT, answer, fragment)
-    _outcome(lambda: extract_intent(skeleton(NESTED), provider),
+    _outcome(lambda: extract_intent(parse_select(NESTED), provider),
              _check_intent)
 
 
@@ -426,7 +425,7 @@ def test_a_malformed_child_intent_is_rejected():
     provider = _Provider(INTENT_EXTRACT, json.dumps(answer), "[fragment 1]")
     with pytest.raises(RejectedResponseError,
                        match=r"at \.fields\[0\]\.conditions$"):
-        extract_intent(skeleton(NESTED), provider)
+        extract_intent(parse_select(NESTED), provider)
 
 
 def test_an_answer_nested_past_the_recursion_limit_is_not_json():

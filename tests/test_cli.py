@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -628,6 +629,19 @@ def test_kb_learn_without_rules_leaves_no_batch(capsys, tmp_path):
     assert not (tmp_path / "kb" / "pending").exists()
 
 
+def _learn_setup(capsys, tmp_path):
+    """An initialized store and the ``kb learn`` arguments that add one
+    candidate batch to it."""
+    store = str(tmp_path / "kb")
+    run(capsys, "kb", "init", "--store", store)
+    records = [ExecutionRecord(sql="SELECT q FROM v1, v2", status="ERROR",
+                               elapsed=3.0, error_log="boom")]
+    records_file = tmp_path / "records.jsonl"
+    records_file.write_text(json.dumps(asdict(records[0])) + "\n")
+    return ("kb", "learn", "--store", store, "--records", str(records_file),
+            "--playbook", _learn_playbook(tmp_path, records))
+
+
 class _HalfWritten:
     """A file that takes half of a write, then reports a full disk."""
 
@@ -649,15 +663,8 @@ def test_kb_learn_whose_batch_fails_to_write_leaves_no_trace(capsys, tmp_path,
                                                              monkeypatch):
     """A failed batch write leaves no batch file, not even a truncated one,
     and no candidate in the store; a later learn and verify still run."""
+    learn = _learn_setup(capsys, tmp_path)
     store = str(tmp_path / "kb")
-    run(capsys, "kb", "init", "--store", store)
-    records = [ExecutionRecord(sql="SELECT q FROM v1, v2", status="ERROR",
-                               elapsed=3.0, error_log="boom")]
-    records_file = tmp_path / "records.jsonl"
-    records_file.write_text(json.dumps(asdict(records[0])) + "\n")
-    playbook = _learn_playbook(tmp_path, records)
-    learn = ("kb", "learn", "--store", store, "--records", str(records_file),
-             "--playbook", playbook)
     monkeypatch.setattr("sqlgov.self_learning.open",
                         lambda *a, **k: _HalfWritten(open(*a, **k)),
                         raising=False)
@@ -678,6 +685,62 @@ def test_kb_learn_whose_batch_fails_to_write_leaves_no_trace(capsys, tmp_path,
     assert list(pending.iterdir()) == []
     mined = [r for r in load_snapshot(store).rules if r.index == "MINED_RULE"]
     assert [r.status for r in mined] == [VERIFIED]
+
+
+def test_kb_learn_makes_its_batch_durable_before_the_store(capsys, tmp_path,
+                                                           monkeypatch):
+    """The batch file is fsynced, and then ``pending/``, before the store
+    opens its first file to write the candidates that the batch holds."""
+    import sqlgov.knowledge_base as kb
+
+    learn = _learn_setup(capsys, tmp_path)
+    events = []  # the inode of each fsync, the name of each store write
+    fsync, real_open = os.fsync, open
+
+    def recorded_fsync(fd):
+        events.append(os.fstat(fd).st_ino)
+        return fsync(fd)
+
+    def recorded_open(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wx"):
+            events.append(Path(file).name)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", recorded_fsync)
+    monkeypatch.setattr(kb, "open", recorded_open, raising=False)
+    assert run(capsys, *learn)[0] == 0
+    monkeypatch.undo()
+    pending = tmp_path / "kb" / "pending"
+    (batch,) = pending.iterdir()
+    first_write = next(i for i, e in enumerate(events) if isinstance(e, str))
+    assert events.index(batch.stat().st_ino) \
+        < events.index(pending.stat().st_ino) < first_write
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["batch file", "pending directory"])
+def test_kb_learn_whose_batch_fsync_fails_leaves_the_store_unchanged(
+        capsys, tmp_path, monkeypatch, k):
+    """A failed fsync of the batch file or of ``pending/`` is an IO_FAILURE
+    that leaves no batch and every store file as it was."""
+    learn = _learn_setup(capsys, tmp_path)
+    directory = tmp_path / "kb"
+    before = {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
+    calls, fsync = [], os.fsync
+
+    def failing_fsync(fd):
+        calls.append(fd)
+        if len(calls) == k:
+            raise OSError(errno.EIO, "Input/output error")
+        return fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    code, out, err = run(capsys, *learn)
+    monkeypatch.undo()
+    assert code == 2 and out == "" and len(calls) == k
+    assert err.startswith("error[IO_FAILURE]: cannot write a batch to")
+    assert list((directory / "pending").iterdir()) == []
+    assert {p.name: p.read_bytes() for p in directory.iterdir()
+            if p.is_file()} == before
 
 
 def test_kb_stats_counts_follow_kb_add(capsys, tmp_path):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from sqlgov.analysis import analyze_tree
 from sqlgov.equivalence import (
     EQUIVALENT,
     NOT_EQUIVALENT,
@@ -15,7 +16,6 @@ from sqlgov.equivalence import (
     extract_intent,
     parse_select,
     prefilter,
-    skeleton,
     _skeleton_mismatch,
 )
 from sqlgov.errors import RejectedResponseError, UnsupportedStatementError
@@ -90,32 +90,41 @@ def test_unsupported_statement():
     with pytest.raises(UnsupportedStatementError):
         check_equivalence("INSERT INTO t VALUES (1)", "SELECT 1", llm)
     with pytest.raises(UnsupportedStatementError):
-        extract_intent(skeleton("UPDATE t SET a = 1"), llm)
+        extract_intent(parse_select("UPDATE t SET a = 1"), llm)
     # a leading token that is no word is named as written
     with pytest.raises(UnsupportedStatementError, match="\"'abc'\"$"):
         parse_select("'abc' FROM t")
 
 
-# --- skeletons ------------------------------------------------------------------
+# --- the structural pre-filter on the root's facts -------------------------------
 
 def test_skeleton_resolves_cte_names_to_base_tables(nested_rewrite):
-    sk = skeleton(nested_rewrite)
-    assert sk.base_tables == {"tb0", "tb1", "tb2", "tb3", "tb4"}
-    assert sk.arity == 3
+    tree = parse_select(nested_rewrite)
+    root = analyze_tree(tree)[tree.root_id]
+    assert set(root.table_counts_subtree) == {"tb0", "tb1", "tb2", "tb3", "tb4"}
+    assert root.select_items == 3 and not root.select_has_star
+    assert _skeleton_mismatch(tree, parse_select(
+        "SELECT a, b, c FROM tb0, tb1, tb2, tb3, tb4")) is None
 
 
 def test_skeleton_arity_none_for_star():
-    assert skeleton("SELECT * FROM t").arity is None
+    star = parse_select("SELECT * FROM t")
+    assert analyze_tree(star)[star.root_id].select_has_star
+    assert _skeleton_mismatch(star, parse_select("SELECT a, b FROM t")) is None
+    assert _skeleton_mismatch(parse_select("SELECT a FROM t"),
+                              parse_select("SELECT a, b FROM t")) \
+        == "output arity differs: 1 vs 2"
 
 
 def test_rewrite_pair_passes_skeleton_prefilter(nested_query, nested_rewrite):
-    assert _skeleton_mismatch(skeleton(nested_query), skeleton(nested_rewrite)) is None
+    assert _skeleton_mismatch(parse_select(nested_query),
+                              parse_select(nested_rewrite)) is None
 
 
 # --- full pipeline on the golden rewrite pair -------------------------------------
 
 def test_nested_query_intent_summary_structure(nested_query, playbook_llm):
-    summary = extract_intent(skeleton(nested_query), playbook_llm)
+    summary = extract_intent(parse_select(nested_query), playbook_llm)
     assert len(summary.fields) == 3
     assert "tb0" in summary.fields[0].source_tables
     assert "scalar subquery" in summary.fields[1].transformation
@@ -138,7 +147,7 @@ def test_intent_summary_arity_guard():
                                         "source_tables": ["t"]}],
                             "narrative": "only one field"})}])
     with pytest.raises(RejectedResponseError):
-        extract_intent(skeleton(sql), llm)
+        extract_intent(parse_select(sql), llm)
 
 
 def test_check_equivalence_scans_each_side_once(
@@ -261,7 +270,7 @@ def _malformed_alignment_playbook(tmp_path, alignment) -> str:
         entries.append({"template_id": env.template_id, "digest": env.digest,
                         "response": json.dumps(intent)})
     llm = ScriptedLLM(entries)
-    left, right = (extract_intent(skeleton(sql), llm).render()
+    left, right = (extract_intent(parse_select(sql), llm).render()
                    for sql in _simple_intents())
     env = alignment_prompt(left, right)
     entries.append({"template_id": env.template_id, "digest": env.digest,
@@ -353,7 +362,7 @@ class _CountingProvider:
 
 
 def _fragment_total(*queries):
-    return sum(len(skeleton(q).tree.fragments) for q in queries)
+    return sum(len(parse_select(q).fragments) for q in queries)
 
 
 def test_each_distinct_intent_envelope_is_asked_once():
@@ -504,6 +513,30 @@ def test_a_changed_pair_that_renames_its_outputs_is_not_checked_alone():
     assert verdict.reason is None
 
 
+def test_a_changed_scalar_subquery_in_a_changed_projection_stays_scoped():
+    """The derived table changes its filter and the scalar subquery in its
+    select list. That child shows in the projection as its parentheses, so
+    both sides name their outputs alike: the pair is aligned on its own,
+    with no whole-pair alignment and fewer intent calls than the fragments
+    of the whole pair."""
+    left, right = (
+        f"SELECT s.v FROM (SELECT x AS v, (SELECT MAX(y) FROM u WHERE y > {k})"
+        f" AS m FROM t WHERE x > {k}) s" for k in (1, 2))
+    middle = "SELECT x AS v, ([fragment 1]) AS m FROM t WHERE x > {}"
+    provider = _EchoProvider({
+        "SELECT MAX(y) FROM u WHERE y > 1": ["max_y"],
+        "SELECT MAX(y) FROM u WHERE y > 2": ["max_y"],
+        middle.format(1): ["v", "m"], middle.format(2): ["v", "m"],
+        "SELECT s.v FROM ([fragment 2]) s": ["v"]})
+    verdict = check_equivalence(left, right, provider)
+    assert provider.aligned() == [middle.format(1)]
+    assert verdict.verdict == EQUIVALENT and verdict.field_mapping == ((0, 0),)
+    assert verdict.reason.startswith("only fragment pairs 2/2 differ")
+    intents = [e for e in provider.envelopes
+               if e.template_id == "INTENT_EXTRACT"]
+    assert len(intents) == 4 < _fragment_total(left, right) == 6
+
+
 @pytest.mark.parametrize("left,right,outputs", [
     ("SELECT [fragment 1], (SELECT 2 AS v) FROM t",
      "SELECT (SELECT 2 AS v), [fragment 1] FROM t",
@@ -523,7 +556,7 @@ def test_a_literal_fragment_placeholder_does_not_hide_a_changed_outer_query(
     check of the inner pair."""
     provider = _EchoProvider(outputs)
     verdict = check_equivalence(left, right, provider)
-    tree = skeleton(left).tree
+    tree = parse_select(left)
     assert provider.aligned() == [tree.local_text(tree.root_id)]
     assert verdict.reason is None
 
@@ -562,7 +595,7 @@ def test_prefilter_rejections_agree_with_executor_oracle():
     rejected_pairs = 0
     for (na, (qa, _)), (nb, (qb, _)) in itertools.combinations(
             _CORPUS.items(), 2):
-        mismatch = _skeleton_mismatch(skeleton(qa), skeleton(qb))
+        mismatch = _skeleton_mismatch(parse_select(qa), parse_select(qb))
         if mismatch is None:
             continue
         rejected_pairs += 1

@@ -831,7 +831,7 @@ def test_a_partial_save_failing_at_any_move_leaves_the_previous_store(
     opened = _assert_a_failed_save_leaves_the_previous_store(
         monkeypatch, directory, previous, changed, "write", k)
     assert opened == ["rules.2.jsonl", "cases.2.jsonl", "cases.2.npy",
-                      f".meta.json.{os.getpid()}.tmp"][:k]
+                      ".meta.json.tmp"][:k]
     _assert_a_failed_save_leaves_the_previous_store(
         monkeypatch, directory, previous, changed, "fsync", k)
     assert _written_by_save(changed, directory) == sorted(_PARTIAL_FILES)
@@ -907,6 +907,34 @@ def test_a_save_does_not_overwrite_a_name_another_save_created(
     assert load_snapshot(directory) == previous
 
 
+def test_a_stale_snapshot_does_not_keep_a_generation_another_save_left(
+        tmp_path, embedder, monkeypatch):
+    """X and Y load one store. X changes its rules and saves, but its
+    cleanup fails, so rules.1.jsonl stays. Y saves unchanged, Z loads,
+    changes its rules and saves, and X saves again unchanged. A save keeps
+    a kind only while the committed meta.json names the generation it
+    recorded, so Y and X write their rules anew, and no generation name is
+    written twice: the store loads as X."""
+    directory = tmp_path / "kb"
+    save_snapshot(_populated_snapshot(embedder), directory)
+    x, y = load_snapshot(directory), load_snapshot(directory)
+    x.rules[0].status = "RETIRED"
+    calls = _fail_at(monkeypatch, "unlink", 1)
+    save_snapshot(x, directory)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert (directory / "rules.1.jsonl").exists()
+    assert load_snapshot(directory) == x
+    save_snapshot(y, directory)
+    assert load_snapshot(directory) == y
+    z = load_snapshot(directory)
+    z.rules.pop()
+    save_snapshot(z, directory)
+    assert load_snapshot(directory) == z
+    save_snapshot(x, directory)
+    assert load_snapshot(directory) == x
+
+
 _KILLED_SAVE = """
 import os, sys
 import sqlgov.knowledge_base as kb
@@ -932,8 +960,10 @@ save_snapshot(snapshot, directory)
 def test_a_killed_save_leaves_the_old_store_or_the_new_one(tmp_path,
                                                            embedder, when):
     """A process killed at the commit leaves files of a generation that no
-    meta.json names: they are never read, and the next save removes them.
-    One killed just after it leaves the new store."""
+    meta.json names, and its temp meta.json: they are never read, and the
+    next save removes the files and overwrites the temp file, which it then
+    replaces meta.json with. One killed just after it leaves the new
+    store."""
     directory = tmp_path / "kb"
     previous = _populated_snapshot(embedder)
     save_snapshot(previous, directory)
@@ -954,17 +984,17 @@ def test_a_killed_save_leaves_the_old_store_or_the_new_one(tmp_path,
         expected.rules[0].status = "RETIRED"
         expected.cases.pop()
     assert loaded == expected
+    killed_tmp = directory / ".meta.json.tmp"
+    assert killed_tmp.exists() == (when == "at the commit")
     assert set(_store_files(directory)) > {*_named(directory), *others, "pending"}
     loaded.rules[1].status = "RETIRED"
     assert _written_by_save(loaded, directory) == ["meta.json", "rules.jsonl"]
     assert json.loads((directory / "meta.json").read_text())["generations"] \
         == {"rules": 3, "cases": 2 if when == "after the commit" else 1,
             "strategies": 1}
-    killed_tmp = [name for name in os.listdir(directory)
-                  if name.startswith(".meta.json.") and name not in others]
-    assert len(killed_tmp) == (when == "at the commit")  # never touched
+    assert not killed_tmp.exists()
     assert _store_files(directory) == sorted(
-        [*_named(directory), *others, *killed_tmp, "pending"])
+        [*_named(directory), *others, "pending"])
     assert load_snapshot(directory) == loaded
 
 

@@ -278,13 +278,13 @@ def test_statement_check_reads_tokens(text, is_select, embedder):
     """The rewrite answer's statement check and the verifier's agree: after
     comments and opening parentheses the first token is SELECT or WITH, and
     an answer without tokens is a rejected answer."""
-    from sqlgov.equivalence import skeleton
+    from sqlgov.equivalence import parse_select
     from sqlgov.errors import UnsupportedStatementError
     if is_select:
         _rewrite_answering(text, embedder)
-        skeleton(text)
+        parse_select(text)
     else:
         with pytest.raises(RejectedResponseError):
             _rewrite_answering(text, embedder)
         with pytest.raises(UnsupportedStatementError):
-            skeleton(text)
+            parse_select(text)
