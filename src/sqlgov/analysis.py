@@ -16,16 +16,21 @@ that walk also marks out the projection, whose own tokens the equivalence
 check compares to tell whether two fragments name their outputs alike.
 Rule matchers, the rewriter's efficiency screen, and the equivalence
 pre-filter all read from here, keeping every tool's view of a query
-consistent. A tree's analysis is computed once and held on the tree,
-read-only, so every consumer of one (memoized) tree shares it.
+consistent. A fragment's facts are built on their first read and held on
+the tree, read-only, so every consumer of one (memoized) tree shares them:
+``fragment_facts`` builds one fragment's, ``analyze_tree`` every
+fragment's, and both fill one table per tree, so no fragment is analyzed
+twice. The own tokens and table counts of every fragment come from one
+bottom-up pass, run once per tree on the first read. ``FragmentFacts`` is
+a NamedTuple, like ``Token`` and ``Fragment``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .fragmenter import Fragment, FragmentTree, SITE_SELECT_LIST, SUBQUERY
 from .sqltext import Token, WORD, is_keyword, normalize_tokens, normalized_text
@@ -38,8 +43,7 @@ _WHERE_BREAK = {"GROUP", "ORDER", "HAVING", "LIMIT", "WINDOW"} | _SET_OPS
 _STAR_AFTER = {",", ".", "DISTINCT"}  # a '*' after these starts an item
 
 
-@dataclass(frozen=True)
-class FragmentFacts:
+class FragmentFacts(NamedTuple):
     fragment_id: int
     own_tokens: tuple[Token, ...]
     table_counts_own: Mapping[str, int]
@@ -58,6 +62,9 @@ class FragmentFacts:
         """``op`` occurs in the own tokens, token for token."""
         return (f" {normalized_text(op)} "
                 in f" {normalize_tokens(self.own_tokens)} ")
+
+
+_new_facts = tuple.__new__  # FragmentFacts(...) without the Python-level __new__
 
 
 def _table_refs(tokens: tuple[Token, ...], positions, cte_names: set[str]):
@@ -165,43 +172,69 @@ def analyze_fragment(fragment: Fragment, tree: FragmentTree,
     children = tree._children.get(fragment.id, ())
     tokens = tree.tokens
     lo = fragment.token_range[0]
-    return FragmentFacts(
-        fragment_id=fragment.id,
-        own_tokens=own,
-        table_counts_own=MappingProxyType(own_counts),
-        table_counts_subtree=MappingProxyType(subtree_counts),
-        has_outer_join=has_outer_join,
-        where_has_is_not_null=where_lo is not None and any(
-            where_lo <= i and i + 3 <= where_hi for i in is_not_null),
-        select_items=items,
-        select_has_star=star,
-        projection=projection,
-        has_set_op=has_op,
-        set_op_arm_star=has_op and any(s for _, s, _ in regions),
-        # a direct child opens right after IN: IN ( SELECT ... )
-        in_subquery=any(c.token_range[0] - 2 >= lo
-                        and tokens[c.token_range[0] - 2].upper == "IN"
-                        for c in children),
-        scalar_subquery_in_select=any(
-            c.kind == SUBQUERY and c.clause_site == SITE_SELECT_LIST
-            for c in children),
-    )
+    where_has_is_not_null = where_lo is not None and any(
+        where_lo <= i and i + 3 <= where_hi for i in is_not_null)
+    # a direct child opens right after IN: IN ( SELECT ... )
+    in_subquery = any(c.token_range[0] - 2 >= lo
+                      and tokens[c.token_range[0] - 2].upper == "IN"
+                      for c in children)
+    scalar_subquery_in_select = any(
+        c.kind == SUBQUERY and c.clause_site == SITE_SELECT_LIST
+        for c in children)
+    return _new_facts(FragmentFacts, (
+        fragment.id, own, MappingProxyType(own_counts),
+        MappingProxyType(subtree_counts), has_outer_join,
+        where_has_is_not_null, items, star, projection, has_op,
+        has_op and any(s for _, s, _ in regions), in_subquery,
+        scalar_subquery_in_select))
 
 
-_FACTS = "_facts"  # the attribute a tree holds its analysis in
+# The attributes a tree holds, as ``functools.cached_property`` holds a
+# value: the facts built so far by fragment id, the read-only view of them
+# once every fragment's are built, and the bottom-up pass's products.
+_BUILT = "_facts_built"
+_FACTS = "_facts"
+_PASS = "_facts_pass"
 
 
-def analyze_tree(tree: FragmentTree) -> Mapping[int, FragmentFacts]:
-    """Each fragment's facts by fragment id, read-only. Computed on a tree's
-    first call and held on the tree, as ``functools.cached_property`` holds
-    a value, so later calls on the same tree return the same mapping."""
-    facts = tree.__dict__.get(_FACTS)
+def fragment_facts(tree: FragmentTree, fragment_id: int) -> FragmentFacts:
+    """One fragment's facts, built on its first read and held on the tree;
+    KeyError for an id the tree does not have."""
+    built = tree.__dict__.setdefault(_BUILT, {})
+    facts = built.get(fragment_id)
     if facts is None:
-        facts = tree.__dict__[_FACTS] = MappingProxyType(_analyze(tree))
+        facts = built[fragment_id] = _build(tree, tree.by_id(fragment_id))
     return facts
 
 
-def _analyze(tree: FragmentTree) -> dict[int, FragmentFacts]:
+def analyze_tree(tree: FragmentTree) -> Mapping[int, FragmentFacts]:
+    """Each fragment's facts by fragment id, in id order, read-only. Built
+    on a tree's first call, keeping the facts ``fragment_facts`` built
+    before it, and held on the tree, so later calls on the same tree return
+    the same mapping."""
+    facts = tree.__dict__.get(_FACTS)
+    if facts is None:
+        built = tree.__dict__.get(_BUILT, {})
+        built = tree.__dict__[_BUILT] = {
+            f.id: built.get(f.id) or _build(tree, f) for f in tree.fragments}
+        facts = tree.__dict__[_FACTS] = MappingProxyType(built)
+        tree.__dict__.pop(_PASS, None)  # every fragment's facts are built
+    return facts
+
+
+def _build(tree: FragmentTree, fragment: Fragment) -> FragmentFacts:
+    products = tree.__dict__.get(_PASS)
+    if products is None:
+        products = tree.__dict__[_PASS] = _own_tokens_and_counts(tree)
+    own, own_counts, subtree_counts = products
+    return analyze_fragment(fragment, tree, own[fragment.id],
+                            own_counts[fragment.id],
+                            subtree_counts[fragment.id])
+
+
+def _own_tokens_and_counts(tree: FragmentTree):
+    """The one bottom-up pass: each fragment's own tokens, own table counts
+    and subtree table counts, by fragment id."""
     tokens = tree.tokens
     children = tree._children
     owner = [0] * len(tokens)
@@ -227,11 +260,7 @@ def _analyze(tree: FragmentTree) -> dict[int, FragmentFacts]:
         for child in children.get(f.id, ()):
             for name, count in subtree_counts[child.id].items():
                 total[name] = total.get(name, 0) + count
-    return {
-        f.id: analyze_fragment(f, tree, own[f.id], own_counts[f.id],
-                               subtree_counts[f.id])
-        for f in tree.fragments
-    }
+    return own, own_counts, subtree_counts
 
 
 def duplicated_scan_tables(fragment_id: int,

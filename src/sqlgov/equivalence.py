@@ -26,8 +26,9 @@ on to the whole-query check, which reuses every summary already made: the
 outer query may hide a local difference, so a local NOT_EQUIVALENT is
 never the answer. One step gives every verdict past the short-circuits,
 local or whole: both intents, the pre-filter, then the provider's
-alignment. The verifier parses each side once and reads the facts that
-the analysis holds on its tree.
+alignment. The verifier parses each side once and reads only the facts
+and local texts of the fragments it compares, each built on its first
+read and held on the tree.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .analysis import FragmentFacts, analyze_tree
+from .analysis import FragmentFacts, fragment_facts
 from .errors import (
     EmptyQueryError,
     RejectedResponseError,
@@ -45,7 +46,8 @@ from .errors import (
 from .fragmenter import FragmentTree, decompose_lenient
 from .prompts import alignment_prompt, ask, intent_extract_prompt
 from .providers import PromptEnvelope
-from .sqltext import SELECT_HEADS, normalize_tokens, statement_head
+from .sqltext import SELECT_HEADS, normalize_tokens, same_normalized_tokens, \
+    statement_head
 
 EQUIVALENT = "EQUIVALENT"
 NOT_EQUIVALENT = "NOT_EQUIVALENT"
@@ -149,7 +151,7 @@ def extract_intent(tree: FragmentTree, provider,
         )
         for f in main.get("fields", [])
     )
-    root_facts = analyze_tree(tree)[root]
+    root_facts = fragment_facts(tree, root)
     if not root_facts.select_has_star and root_facts.select_items \
             and len(fields) != root_facts.select_items:
         raise RejectedResponseError(
@@ -181,7 +183,7 @@ def _arity(facts: FragmentFacts) -> int | None:
 def _skeleton_mismatch(a: FragmentTree, b: FragmentTree) -> str | None:
     """Why the outermost queries of ``a`` and ``b`` cannot agree, read off
     their facts: a different output arity, or different base tables."""
-    fa, fb = analyze_tree(a)[a.root_id], analyze_tree(b)[b.root_id]
+    fa, fb = fragment_facts(a, a.root_id), fragment_facts(b, b.root_id)
     arity_a, arity_b = _arity(fa), _arity(fb)
     if None not in (arity_a, arity_b) and arity_a != arity_b:
         return f"output arity differs: {arity_a} vs {arity_b}"
@@ -199,9 +201,8 @@ def check_equivalence(a: str, b: str, provider,
     of the whole pair. Only a scoped EQUIVALENT is final; any other scoped
     outcome goes on to the whole pair, which shares its intent answers."""
     ta, tb = parse_select(a), parse_select(b)
-    facts_a, facts_b = analyze_tree(ta), analyze_tree(tb)
-    identity = _identity(_arity(facts_a[ta.root_id]))
-    if normalize_tokens(ta.tokens) == normalize_tokens(tb.tokens):
+    identity = _identity(_arity(fragment_facts(ta, ta.root_id)))
+    if same_normalized_tokens(ta.tokens, tb.tokens):
         return EquivalenceVerdict(verdict=EQUIVALENT, confidence=1.0,
                                   field_mapping=identity,
                                   reason="identical normalized text")
@@ -214,15 +215,16 @@ def check_equivalence(a: str, b: str, provider,
     # Only what changed, when each changed pair names its outputs alike: a
     # parent reads a derived table's or a CTE's columns by name.
     if pairs and pairs != [(ta.root_id, tb.root_id)] and all(
-            _output_names(facts_a[fa]) is not None
-            and _output_names(facts_a[fa]) == _output_names(facts_b[fb])
+            _output_names(ta, fa) is not None
+            and _output_names(ta, fa) == _output_names(tb, fb)
             for fa, fb in pairs):
         confidence = 1.0
         for fa, fb in pairs:
             verdict = _verdict(ta, tb, fa, fb, provider, answers,
                                confidence_floor)
             if verdict.verdict != EQUIVALENT \
-                    or verdict.field_mapping != _identity(_arity(facts_a[fa])):
+                    or verdict.field_mapping \
+                    != _identity(_arity(fragment_facts(ta, fa))):
                 break
             confidence = min(confidence, verdict.confidence)
         else:
@@ -271,10 +273,11 @@ def _changed_pairs(ta: FragmentTree, tb: FragmentTree) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def _output_names(facts: FragmentFacts) -> str | None:
+def _output_names(tree: FragmentTree, fragment_id: int) -> str | None:
     """The fragment's own select list, each child in it shown as its
     parentheses, which names its outputs; None when a star, or no
     projection, leaves the names to its sources."""
+    facts = fragment_facts(tree, fragment_id)
     if facts.select_has_star or not facts.select_items:
         return None
     return normalize_tokens(facts.projection)

@@ -16,10 +16,14 @@ source's tokens, and a fragment's ``token_range = (lo, hi)`` indexes its
 text's tokens there: ``tree.tokens[lo:hi]`` equals ``scan(fragment.text)``
 shifted by ``span[0]``. A child's range nests in its parent's, after the '('
 that opens it, and siblings' ranges are disjoint. Consumers slice these
-tokens instead of tokenizing fragment text again. Tokens are tuples that
-carry their upper-case form. The tree also keeps, computed on first use, the
-positions of its table-context walk (``table_positions``), so the table
-analysis and ``templatize`` walk a tree once between them.
+tokens instead of tokenizing fragment text again. ``Token`` and
+``Fragment`` are NamedTuples; a token carries its upper-case form. The tree
+also keeps, computed on first use, the positions of its table-context walk
+(``table_positions``), so the table analysis and ``templatize`` walk a tree
+once between them. A fragment's local segments and local text are built per
+fragment on their first read and kept on the tree, so a caller pays only
+for the fragments it reads. Nothing the tree keeps refers back to it, so a
+tree the memo drops is freed by reference counting.
 
 Building and numbering walk the nesting with explicit stacks, not
 recursion, so a query nested past the interpreter's recursion limit still
@@ -32,8 +36,9 @@ scans and decomposes it once. Trees are immutable and shared by every caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import EmptyQueryError, OutOfRangeError, UnparseableQueryError
 from .sqltext import SELECT_HEADS, Token, WORD, iter_table_context, scan
@@ -77,8 +82,7 @@ _SET_OPS = {"UNION", "INTERSECT", "EXCEPT"}
 PARSE_MEMO_SIZE = 4
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(NamedTuple):
     id: int
     kind: str
     span: tuple[int, int]
@@ -86,8 +90,14 @@ class Fragment:
     depth: int
     clause_site: str
     token_range: tuple[int, int]  # [lo, hi) into FragmentTree.tokens
-    source: str = field(repr=False)  # the whole query, shared by the tree
+    source: str  # the whole query, shared by the tree
     name: str | None = None  # CTE name when kind == CTE
+
+    def __repr__(self) -> str:  # the shared query left out
+        return (f"Fragment(id={self.id!r}, kind={self.kind!r}, "
+                f"span={self.span!r}, parent_id={self.parent_id!r}, "
+                f"depth={self.depth!r}, clause_site={self.clause_site!r}, "
+                f"token_range={self.token_range!r}, name={self.name!r})")
 
     @property
     def text(self) -> str:  # sliced on read: a tree holds its query once
@@ -95,6 +105,9 @@ class Fragment:
 
     def contains(self, offset: int) -> bool:
         return self.span[0] <= offset < self.span[1]
+
+
+_new_fragment = tuple.__new__  # Fragment(...) without the Python-level __new__
 
 
 @dataclass(frozen=True)
@@ -136,14 +149,32 @@ class FragmentTree:
         """The fragment's own text, cut out of its text at each direct
         child's span, in text order: one more segment than children. Two
         fragments with equal segments differ only inside their children,
-        whatever either text spells, ``[fragment k]`` included."""
-        return self._local_segments[fragment_id]
+        whatever either text spells, ``[fragment k]`` included. Built on
+        the fragment's first read and kept on the tree."""
+        segments = self._local_segments.get(fragment_id)
+        if segments is None:
+            frag = self.by_id(fragment_id)
+            parts, at = [], frag.span[0]
+            for child in self._in_text_order(fragment_id):
+                parts.append(self.source[at:child.span[0]])
+                at = child.span[1]
+            parts.append(self.source[at:frag.span[1]])
+            segments = self._local_segments[fragment_id] = tuple(parts)
+        return segments
 
     def local_text(self, fragment_id: int) -> str:
         """The fragment's text with each direct child's span replaced by
         ``[fragment k]``, k the child's id: what a prompt about the fragment
-        shows. Computed once per tree, for every fragment."""
-        return self._local_texts[fragment_id]
+        shows. Built on the fragment's first read and kept on the tree, so
+        later reads return the same string."""
+        text = self._local_texts.get(fragment_id)
+        if text is None:
+            first, *rest = self.local_segments(fragment_id)
+            parts = [first]
+            for child, segment in zip(self._in_text_order(fragment_id), rest):
+                parts += (f"[fragment {child.id}]", segment)
+            text = self._local_texts[fragment_id] = "".join(parts)
+        return text
 
     def _in_text_order(self, fragment_id: int) -> list[Fragment]:
         return sorted(self._children.get(fragment_id, ()),
@@ -151,26 +182,11 @@ class FragmentTree:
 
     @cached_property
     def _local_segments(self) -> dict[int, tuple[str, ...]]:
-        segments: dict[int, tuple[str, ...]] = {}
-        for frag in self.fragments:
-            parts, at = [], frag.span[0]
-            for child in self._in_text_order(frag.id):
-                parts.append(self.source[at:child.span[0]])
-                at = child.span[1]
-            parts.append(self.source[at:frag.span[1]])
-            segments[frag.id] = tuple(parts)
-        return segments
+        return {}  # filled by local_segments, one fragment at a time
 
     @cached_property
     def _local_texts(self) -> dict[int, str]:
-        texts: dict[int, str] = {}
-        for frag in self.fragments:
-            first, *rest = self._local_segments[frag.id]
-            parts = [first]
-            for child, segment in zip(self._in_text_order(frag.id), rest):
-                parts += (f"[fragment {child.id}]", segment)
-            texts[frag.id] = "".join(parts)
-        return texts
+        return {}  # filled by local_text, one fragment at a time
 
     @cached_property
     def table_positions(self) -> tuple[int, ...]:
@@ -316,11 +332,9 @@ def _build_fragments(tokens: list[Token], pmatch: dict[int, int],
             for name, open_idx, close_idx in ctes]
     last = len(visited)  # the node visited at index i gets id last - i
     return [
-        Fragment(
-            id=last - i, kind=kind, span=span, source=source,
-            parent_id=None if parent is None else last - parent, depth=depth,
-            clause_site=site, token_range=token_range, name=name,
-        )
+        _new_fragment(Fragment, (
+            last - i, kind, span, None if parent is None else last - parent,
+            depth, site, token_range, source, name))
         for i, (kind, site, span, token_range, name, depth, parent)
         in reversed(list(enumerate(visited)))
     ]

@@ -256,6 +256,20 @@ def normalize_tokens(tokens) -> str:
                     for tok in tokens)
 
 
+def same_normalized_tokens(a, b) -> bool:
+    """``normalize_tokens(a) == normalize_tokens(b)``, read token by token
+    and stopped at the first pair that differs. The joined forms agree
+    exactly when each pair does, since no token's text splits at a space
+    into the texts of two tokens. Two tokens of one upper form whose texts
+    differ are words that differ in case alone."""
+    if len(a) != len(b):
+        return False
+    for x, y in zip(a, b):
+        if x.text != y.text and (x.upper != y.upper or not is_keyword(x)):
+            return False
+    return True
+
+
 def normalized_text(sql: str) -> str:
     """Whitespace/comment-insensitive form of ``sql``: its normalized tokens."""
     return normalize_tokens(tokenize(sql))

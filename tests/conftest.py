@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sqlgov.analysis as analysis
 from sqlgov.fragmenter import decompose_lenient
 import sqlgov.knowledge_base as kb
 from sqlgov.knowledge_base import KnowledgeStore
@@ -85,6 +86,20 @@ def index_builds(monkeypatch):
 
     monkeypatch.setattr(kb, "_EmbeddingIndex", Counted)
     return built
+
+
+@pytest.fixture()
+def analyzed(monkeypatch):
+    """(query text, fragment id) of each fragment analyzed, in order."""
+    seen = []
+    real = analysis.analyze_fragment
+
+    def counted(fragment, *args):
+        seen.append((fragment.source, fragment.id))
+        return real(fragment, *args)
+
+    monkeypatch.setattr(analysis, "analyze_fragment", counted)
+    return seen
 
 
 @pytest.fixture()

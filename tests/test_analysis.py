@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqlgov.fragmenter as fragmenter
-from sqlgov.analysis import _table_refs, analyze_tree, referenced_tables
+from sqlgov.analysis import _table_refs, analyze_tree, fragment_facts, \
+    referenced_tables
 from sqlgov.equivalence import _skeleton_mismatch, parse_select
 from sqlgov.errors import EmptyQueryError
 from sqlgov.fragmenter import SITE_SELECT_LIST, SUBQUERY, decompose, \
@@ -171,6 +172,17 @@ def test_a_shared_analysis_is_read_only(nested_query):
         with pytest.raises(TypeError):
             counts["tb9"] = 1
     assert "tb9" not in analyze_tree(tree)[tree.root_id].table_counts_subtree
+
+
+def test_records_are_immutable_tuples(nested_query):
+    tree = decompose(nested_query)
+    root, facts = tree.root, analyze_tree(tree)[tree.root_id]
+    assert isinstance(root, tuple) and isinstance(facts, tuple)
+    with pytest.raises(AttributeError):
+        root.id = 2
+    with pytest.raises(AttributeError):
+        facts.select_items = 2
+    assert "source" not in repr(root) and nested_query not in repr(root)
 
 
 def test_analysis_templatize_and_tables_walk_a_tree_once(monkeypatch,
@@ -388,3 +400,81 @@ def test_select_list_is_the_normalized_projection(sql, expected):
     tree = decompose(sql)
     assert normalize_tokens(analyze_tree(tree)[tree.root_id].projection) \
         == expected
+
+
+# --- facts, local segments and local texts built one fragment at a time ---------
+
+_PRODUCTS = ("facts", "segments", "text")
+
+
+def _read(tree, product, fragment_id):
+    if product == "facts":
+        return fragment_facts(tree, fragment_id)
+    if product == "segments":
+        return tree.local_segments(fragment_id)
+    return tree.local_text(fragment_id)
+
+
+def _assert_built_on_read(text, data):
+    """Reads in any order and subset, on a tree parsed past the memo, give
+    what the whole-tree builds give on another fresh parse: ``analyze_tree``
+    and every fragment's segments and text in id order. Each read is kept:
+    a later read, and ``analyze_tree`` for facts, return the same object.
+    An id the tree does not have raises KeyError."""
+    try:
+        tree, _ = decompose_lenient.__wrapped__(text)
+    except EmptyQueryError:
+        return
+    fresh, _ = decompose_lenient.__wrapped__(text)
+    whole = {
+        "segments": {f.id: fresh.local_segments(f.id) for f in fresh.fragments},
+        "text": {f.id: fresh.local_text(f.id) for f in fresh.fragments},
+        "facts": analyze_tree(fresh),
+    }
+    ids = [f.id for f in tree.fragments]
+    bad = [0, -1, len(ids) + 1]
+    reads = data.draw(st.lists(st.tuples(st.sampled_from(_PRODUCTS),
+                                         st.sampled_from(ids + bad)),
+                               max_size=2 * len(ids) + 3))
+    got = {}
+    for product, fragment_id in reads:
+        if fragment_id in bad:
+            with pytest.raises(KeyError):
+                _read(tree, product, fragment_id)
+            continue
+        value = _read(tree, product, fragment_id)
+        assert value == whole[product][fragment_id]
+        assert got.setdefault((product, fragment_id), value) is value
+    facts = analyze_tree(tree)
+    assert facts is analyze_tree(tree) and facts == whole["facts"]
+    assert list(facts) == ids
+    for (product, fragment_id), value in got.items():
+        assert _read(tree, product, fragment_id) is value
+        if product == "facts":
+            assert facts[fragment_id] is value
+    for fragment_id in bad:
+        with pytest.raises(KeyError):
+            fragment_facts(tree, fragment_id)
+        with pytest.raises(KeyError):
+            facts[fragment_id]
+
+
+def _rendered(root):
+    _assign_markers(root, [0])
+    return _render(root)
+
+
+@given(gen_trees().map(_rendered), st.data())
+@settings(max_examples=150, deadline=None)
+def test_products_built_on_read_match_the_whole_tree_on_generated_trees(
+        sql, data):
+    _assert_built_on_read(sql, data)
+
+
+@given(st.one_of(damaged_sql(), fact_soup(), st.text(min_size=1,
+                                                     max_size=120)),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_products_built_on_read_match_the_whole_tree_on_lenient_trees(
+        text, data):
+    _assert_built_on_read(text, data)

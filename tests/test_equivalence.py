@@ -513,12 +513,15 @@ def test_a_changed_pair_that_renames_its_outputs_is_not_checked_alone():
     assert verdict.reason is None
 
 
-def test_a_changed_scalar_subquery_in_a_changed_projection_stays_scoped():
+def test_a_changed_scalar_subquery_in_a_changed_projection_stays_scoped(
+        analyzed):
     """The derived table changes its filter and the scalar subquery in its
     select list. That child shows in the projection as its parentheses, so
     both sides name their outputs alike: the pair is aligned on its own,
     with no whole-pair alignment and fewer intent calls than the fragments
-    of the whole pair."""
+    of the whole pair. Only the fragments compared are analyzed: both
+    roots, for the short-circuits, and the changed pair; the scalar
+    subquery is summarized but not analyzed, on either side."""
     left, right = (
         f"SELECT s.v FROM (SELECT x AS v, (SELECT MAX(y) FROM u WHERE y > {k})"
         f" AS m FROM t WHERE x > {k}) s" for k in (1, 2))
@@ -535,6 +538,7 @@ def test_a_changed_scalar_subquery_in_a_changed_projection_stays_scoped():
     intents = [e for e in provider.envelopes
                if e.template_id == "INTENT_EXTRACT"]
     assert len(intents) == 4 < _fragment_total(left, right) == 6
+    assert sorted(analyzed) == [(left, 2), (left, 3), (right, 2), (right, 3)]
 
 
 @pytest.mark.parametrize("left,right,outputs", [

@@ -1,18 +1,20 @@
 from __future__ import annotations
 
+import gc
 import json
 import re
+import weakref
 
 import pytest
 
-from sqlgov import analysis, fragmenter, sqltext
-from sqlgov.analysis import analyze_tree
-from sqlgov.equivalence import EQUIVALENT, check_equivalence
+from sqlgov import fragmenter, sqltext
+from sqlgov.analysis import analyze_tree, fragment_facts
+from sqlgov.equivalence import EQUIVALENT, _changed_pairs, check_equivalence
 from sqlgov.errors import RejectedResponseError
 from sqlgov.knowledge_base import REWRITER, KnowledgeSnapshot, KnowledgeStore
 from sqlgov.prompts import rewrite_prompt
 from sqlgov.providers import ScriptedLLM
-from sqlgov.fragmenter import decompose
+from sqlgov.fragmenter import decompose, decompose_lenient
 from sqlgov.rewriter import (
     ALREADY_EFFICIENT,
     EXPLORATORY,
@@ -156,28 +158,61 @@ def test_nested_query_rewrite_matches_golden(nested_query, nested_rewrite, seede
 
 
 def test_rewrite_and_verify_parse_and_analyze_each_text_once(
-        nested_query, seeded_store, playbook_llm, monkeypatch):
-    scanned, analyzed = [], []
-    real_scan, real_analyze = sqltext.scan, analysis._analyze
+        nested_query, seeded_store, playbook_llm, monkeypatch, analyzed):
+    """Each text is scanned once and each fragment of each tree analyzed at
+    most once. Evaluation analyzes every fragment of the original; the
+    verifier analyzes only the rewrite's fragments it compares: the root,
+    and the right side of each changed pair it summarizes."""
+    scanned = []
+    real_scan = sqltext.scan
 
     def counting_scan(sql):
         scanned.append(sql)
         return real_scan(sql)
 
-    def counting_analyze(tree):
-        analyzed.append(tree.source)
-        return real_analyze(tree)
-
     monkeypatch.setattr(sqltext, "scan", counting_scan)
     monkeypatch.setattr(fragmenter, "scan", counting_scan)
-    monkeypatch.setattr(analysis, "_analyze", counting_analyze)
     suggestions = evaluate(nested_query, seeded_store, playbook_llm)
     result = rewrite(nested_query, suggestions, seeded_store, playbook_llm, k=5)
     verdict = check_equivalence(result.original, result.rewritten, playbook_llm)
     assert result.cases_consulted  # retrieval templatized the query
     assert verdict.verdict == EQUIVALENT
     assert scanned == [nested_query, result.rewritten]
-    assert analyzed == [nested_query, result.rewritten]
+    assert len(set(analyzed)) == len(analyzed)
+    original, rewritten = decompose(nested_query), decompose(result.rewritten)
+    assert {fid for text, fid in analyzed if text == nested_query} \
+        == {f.id for f in original.fragments}
+    read = {rewritten.root_id} | {
+        fb for _, fb in _changed_pairs(original, rewritten)}
+    assert {fid for text, fid in analyzed if text == result.rewritten} \
+        == read == {rewritten.root_id}
+    assert len(rewritten.fragments) == 6
+
+
+def test_trees_are_freed_by_reference_counting(nested_query, seeded_store,
+                                              playbook_llm):
+    """Nothing a tree holds refers back to it: with the cycle collector
+    off, clearing the parse memo frees both trees of a rewrite and its
+    check, facts and local texts read."""
+    gc.collect()
+    gc.disable()
+    try:
+        suggestions = evaluate(nested_query, seeded_store, playbook_llm)
+        result = rewrite(nested_query, suggestions, seeded_store,
+                         playbook_llm, k=5)
+        check_equivalence(result.original, result.rewritten, playbook_llm)
+        original, rewritten = decompose(nested_query), \
+            decompose(result.rewritten)
+        analyze_tree(original)
+        fragment_facts(rewritten, 1)
+        for tree in (original, rewritten):
+            tree.local_text(tree.root_id)
+        refs = [weakref.ref(original), weakref.ref(rewritten)]
+        del original, rewritten, tree
+        decompose_lenient.cache_clear()
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_nested_query_rewrite_consults_tagged_cases(nested_query, seeded_store,

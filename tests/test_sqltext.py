@@ -3,10 +3,11 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqlgov.sqltext import normalized_text, scan, templatize, tokenize
+from sqlgov.sqltext import normalize_tokens, normalized_text, \
+    same_normalized_tokens, scan, templatize, tokenize
 
 
 def test_templatize_masks_identifiers_and_literals():
@@ -176,3 +177,46 @@ def test_tokens_tile_the_source(sql):
         end = int(diagnostic.rsplit(" ", 1)[1])
         assert sql.startswith("/*", end)
     assert _GAP.fullmatch(sql, pos, end)
+
+
+# --- the identity test, token by token ----------------------------------------
+
+_query_pieces = st.sampled_from([
+    "SELECT", "select", "From", "WHERE", "and", "Join", "AS", "a", "A", "t",
+    "tb1.ds", "'x y'", "'X Y'", '"a b"', "`c d`", "'it''s'", "42", "4.2",
+    "(", ")", ",", "*", "=", "<=", "[VAL]",
+])
+_gaps = st.sampled_from([" ", "  ", "\n", "\t ", " /* c */ ", " -- c\n"])
+
+
+@st.composite
+def edited_pairs(draw):
+    """A query of pieces, and the same pieces with some case swapped,
+    whitespace and comments between them, and at most one piece replaced,
+    inserted or deleted."""
+    pieces = draw(st.lists(st.one_of(_query_pieces, _lexemes), min_size=1,
+                           max_size=30))
+    other = list(pieces)
+    for i in draw(st.lists(st.integers(0, len(other) - 1), max_size=4)):
+        other[i] = other[i].swapcase()
+    at = draw(st.integers(0, len(other)))
+    edit = draw(st.sampled_from(["none", "replace", "insert", "delete"]))
+    if edit == "insert" or edit == "replace" and at == len(other):
+        other.insert(at, draw(_query_pieces))
+    elif edit == "replace":
+        other[at] = draw(_query_pieces)
+    elif edit == "delete" and at < len(other):
+        del other[at]
+    rest = "".join(draw(_gaps) + piece for piece in other)
+    return " ".join(pieces), rest
+
+
+@given(edited_pairs())
+@example(("SELECT a FROM t", "select  a /* c */ from\nt"))
+@example(("SELECT a FROM t", "SELECT A FROM t"))
+@example(("SELECT 'x y'", "SELECT 'x  y'"))
+@settings(max_examples=500, deadline=None)
+def test_the_token_by_token_identity_test_agrees_with_the_joined_forms(pair):
+    a, b = (scan(text)[0] for text in pair)
+    assert same_normalized_tokens(a, b) \
+        == (normalize_tokens(a) == normalize_tokens(b))
