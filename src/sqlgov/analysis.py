@@ -14,15 +14,18 @@ consumed name. Every other fact comes from one walk over the fragment's own
 tokens, which reads each token's upper-case form from the token itself;
 that walk also marks out the projection, whose own tokens the equivalence
 check compares to tell whether two fragments name their outputs alike.
-Rule matchers, the rewriter's efficiency screen, and the equivalence
-pre-filter all read from here, keeping every tool's view of a query
-consistent. A fragment's facts are built on their first read and held on
-the tree, read-only, so every consumer of one (memoized) tree shares them:
-``fragment_facts`` builds one fragment's, ``analyze_tree`` every
-fragment's, and both fill one table per tree, so no fragment is analyzed
-twice. The own tokens and table counts of every fragment come from one
-bottom-up pass, run once per tree on the first read. ``FragmentFacts`` is
-a NamedTuple, like ``Token`` and ``Fragment``.
+The structural predicates that rule matchers name live here too
+(``MATCHER_PREDICATES``): each takes the tree, a fragment id and its
+clause's parameters and reads the facts off the tree. The rewriter's
+efficiency screen calls three of them and the equivalence pre-filter reads
+the facts, keeping every tool's view of a query consistent. A fragment's
+facts are built on their first read and held on the tree, read-only, so
+every consumer of one (memoized) tree shares them: ``fragment_facts``
+builds one fragment's and ``analyze_tree`` every fragment's through it,
+filling one table per tree, so no fragment is analyzed twice. The own
+tokens and table counts of every fragment come from one bottom-up pass,
+run once per tree on the first read. ``FragmentFacts`` is a NamedTuple,
+like ``Token`` and ``Fragment``.
 """
 
 from __future__ import annotations
@@ -57,11 +60,6 @@ class FragmentFacts(NamedTuple):
     set_op_arm_star: bool
     in_subquery: bool
     scalar_subquery_in_select: bool
-
-    def contains_operator(self, op: str) -> bool:
-        """``op`` occurs in the own tokens, token for token."""
-        return (f" {normalized_text(op)} "
-                in f" {normalize_tokens(self.own_tokens)} ")
 
 
 _new_facts = tuple.__new__  # FragmentFacts(...) without the Python-level __new__
@@ -200,23 +198,23 @@ _PASS = "_facts_pass"
 def fragment_facts(tree: FragmentTree, fragment_id: int) -> FragmentFacts:
     """One fragment's facts, built on its first read and held on the tree;
     KeyError for an id the tree does not have."""
+    try:
+        return tree.__dict__[_BUILT][fragment_id]
+    except KeyError:
+        pass
     built = tree.__dict__.setdefault(_BUILT, {})
-    facts = built.get(fragment_id)
-    if facts is None:
-        facts = built[fragment_id] = _build(tree, tree.by_id(fragment_id))
+    facts = built[fragment_id] = _build(tree, tree.by_id(fragment_id))
     return facts
 
 
 def analyze_tree(tree: FragmentTree) -> Mapping[int, FragmentFacts]:
-    """Each fragment's facts by fragment id, in id order, read-only. Built
-    on a tree's first call, keeping the facts ``fragment_facts`` built
-    before it, and held on the tree, so later calls on the same tree return
-    the same mapping."""
+    """Each fragment's facts by fragment id, in id order, read-only, read
+    through ``fragment_facts``. Built on a tree's first call and held on the
+    tree, so later calls on the same tree return the same mapping."""
     facts = tree.__dict__.get(_FACTS)
     if facts is None:
-        built = tree.__dict__.get(_BUILT, {})
-        built = tree.__dict__[_BUILT] = {
-            f.id: built.get(f.id) or _build(tree, f) for f in tree.fragments}
+        built = {f.id: fragment_facts(tree, f.id) for f in tree.fragments}
+        tree.__dict__[_BUILT] = built  # the same facts, in id order
         facts = tree.__dict__[_FACTS] = MappingProxyType(built)
         tree.__dict__.pop(_PASS, None)  # every fragment's facts are built
     return facts
@@ -263,18 +261,63 @@ def _own_tokens_and_counts(tree: FragmentTree):
     return own, own_counts, subtree_counts
 
 
-def duplicated_scan_tables(fragment_id: int,
-                           facts_map: Mapping[int, FragmentFacts],
-                           tree: FragmentTree, min_count: int = 2) -> list[str]:
-    """Tables scanned >= min_count times in this fragment's subtree where no
-    single child subtree already accounts for the duplication: this
-    fragment is the lowest fragment owning the duplicate scans."""
-    child_counts = [facts_map[c.id].table_counts_subtree
-                    for c in tree._children.get(fragment_id, ())]
-    owned = []
-    subtree = facts_map[fragment_id].table_counts_subtree
-    for table, count in sorted(subtree.items()):
-        if count >= min_count and all(cc.get(table, 0) < min_count
-                                      for cc in child_counts):
-            owned.append(table)
-    return owned
+# --- the structural predicates ---------------------------------------------
+
+_NO_PARAMS: Mapping = MappingProxyType({})  # a clause with no parameters
+
+
+def contains_operator(tree, fragment_id, params) -> bool:
+    """``params["op"]`` occurs in the own tokens, token for token."""
+    own = fragment_facts(tree, fragment_id).own_tokens
+    return f" {normalized_text(params['op'])} " in f" {normalize_tokens(own)} "
+
+
+def same_table_scanned(tree, fragment_id, params=_NO_PARAMS) -> bool:
+    """A table is scanned ``min_count`` (default 2) or more times in the
+    fragment's subtree, and in no single child subtree that often: this
+    fragment is the lowest one owning the duplicate scans."""
+    min_count = params.get("min_count", 2)
+    children = tree._children.get(fragment_id, ())
+    counts = fragment_facts(tree, fragment_id).table_counts_subtree
+    return any(n >= min_count and all(
+        fragment_facts(tree, c.id).table_counts_subtree.get(table, 0)
+        < min_count for c in children) for table, n in counts.items())
+
+
+def outer_join_with_null_filter(tree, fragment_id, params=_NO_PARAMS) -> bool:
+    f = fragment_facts(tree, fragment_id)
+    return f.has_outer_join and f.where_has_is_not_null
+
+
+def in_subquery(tree, fragment_id, params=_NO_PARAMS) -> bool:
+    return fragment_facts(tree, fragment_id).in_subquery
+
+
+def union_all_unprojected(tree, fragment_id, params=_NO_PARAMS) -> bool:
+    f = fragment_facts(tree, fragment_id)
+    return f.has_set_op and f.set_op_arm_star
+
+
+def scalar_subquery_in_select(tree, fragment_id, params=_NO_PARAMS) -> bool:
+    return fragment_facts(tree, fragment_id).scalar_subquery_in_select
+
+
+MATCHER_PREDICATES = {  # name: (predicate, shape of its clause's parameters)
+    "contains_operator": (contains_operator, {"op": "required str"}),
+    "same_table_scanned": (same_table_scanned, {"min_count": "int"}),
+    "outer_join_with_null_filter": (outer_join_with_null_filter, {}),
+    "in_subquery": (in_subquery, {}),
+    "union_all_unprojected": (union_all_unprojected, {}),
+    "scalar_subquery_in_select": (scalar_subquery_in_select, {}),
+}
+
+
+def matcher_holds(matcher: list[dict], tree: FragmentTree,
+                  fragment_id: int) -> bool:
+    """A matcher is a conjunction of predicates from the fixed vocabulary; a
+    predicate outside it never holds."""
+    for clause in matcher:
+        pred, _ = MATCHER_PREDICATES.get(clause.get("pred"), (None, None))
+        if pred is None or not pred(tree, fragment_id, clause):
+            return False
+    return bool(matcher)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -61,10 +62,14 @@ def _coerce(name: str, raw: str, source: str):
     return value
 
 
+# A line up to its comment, which starts at the first '#' outside quotes.
+_BEFORE_COMMENT = re.compile(r"""(?:[^#"']+|"[^"]*"?|'[^']*'?)*""")
+
+
 def _parse_kv_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
     for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.split("#", 1)[0].strip()
+        line = _BEFORE_COMMENT.match(line).group().strip()
         if not line or line.startswith("["):
             continue
         if "=" not in line:

@@ -120,13 +120,12 @@ def build_error_key(error: ParsedError) -> str:
 
 
 def _line_col_to_offset(source: str, line: int, col: int) -> int | None:
+    """The offset of 1-based ``line``, ``col``; None unless the column falls
+    on that line, its line break included."""
     lines = source.splitlines(keepends=True)
-    if line < 1 or line > len(lines):
+    if not 1 <= line <= len(lines) or not 1 <= col <= len(lines[line - 1]):
         return None
-    offset = sum(len(text) for text in lines[:line - 1]) + (col - 1)
-    if 0 <= offset < len(source):
-        return offset
-    return None
+    return sum(len(text) for text in lines[:line - 1]) + col - 1
 
 
 def _resolve_offset(error: ParsedError, source: str) -> int | None:

@@ -1,12 +1,13 @@
 """Per-tool knowledge stores: actionable rules and tagged historical cases.
 
-Rules match fragments through structural predicates; historical cases and
-error strategies are retrieved by cosine similarity over template embeddings.
-Each entry kind persists as JSON Lines of its fields; case and strategy
-embeddings go beside them as one float64 ``.npy`` matrix per kind, one row
-per record. A meta file holds the schema version, the generation of each
-kind's files and update times; replacing it commits a save. Nothing loads
-through pickle or external services.
+Rules match fragments through ``analysis.MATCHER_PREDICATES``, the
+structural predicates that read a fragment's facts off its tree; historical
+cases and error strategies are retrieved by cosine similarity over template
+embeddings. Each entry kind persists as JSON Lines of its fields; case and
+strategy embeddings go beside them as one float64 ``.npy`` matrix per kind,
+one row per record. A meta file holds the schema version, the generation of
+each kind's files and update times; replacing it commits a save. Nothing
+loads through pickle or external services.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, fields
 from functools import cache, cached_property, partial
 from pathlib import Path
 
-from .analysis import FragmentFacts, duplicated_scan_tables
+from .analysis import MATCHER_PREDICATES, matcher_holds
 from .errors import (
     DimensionMismatchError,
     IoFailure,
@@ -192,56 +193,6 @@ def cosine_similarity(a, b) -> float:
     return float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0))
 
 
-# --- matcher predicates -------------------------------------------------
-
-def _pred_contains_operator(facts, tree, fragment, params) -> bool:
-    return facts[fragment.id].contains_operator(params["op"])
-
-
-def _pred_same_table_scanned(facts, tree, fragment, params) -> bool:
-    min_count = params.get("min_count", 2)
-    return bool(duplicated_scan_tables(fragment.id, facts, tree, min_count))
-
-
-def _pred_outer_join_with_null_filter(facts, tree, fragment, params) -> bool:
-    f = facts[fragment.id]
-    return f.has_outer_join and f.where_has_is_not_null
-
-
-def _pred_in_subquery(facts, tree, fragment, params) -> bool:
-    return facts[fragment.id].in_subquery
-
-
-def _pred_union_all_unprojected(facts, tree, fragment, params) -> bool:
-    f = facts[fragment.id]
-    return f.has_set_op and f.set_op_arm_star
-
-
-def _pred_scalar_subquery_in_select(facts, tree, fragment, params) -> bool:
-    return facts[fragment.id].scalar_subquery_in_select
-
-
-MATCHER_PREDICATES = {  # name: (predicate, shape of its clause's parameters)
-    "contains_operator": (_pred_contains_operator, {"op": "required str"}),
-    "same_table_scanned": (_pred_same_table_scanned, {"min_count": "int"}),
-    "outer_join_with_null_filter": (_pred_outer_join_with_null_filter, {}),
-    "in_subquery": (_pred_in_subquery, {}),
-    "union_all_unprojected": (_pred_union_all_unprojected, {}),
-    "scalar_subquery_in_select": (_pred_scalar_subquery_in_select, {}),
-}
-
-
-def matcher_holds(matcher: list[dict], fragment: Fragment, tree: FragmentTree,
-                  facts: Mapping[int, FragmentFacts]) -> bool:
-    """A matcher is a conjunction of predicates from the fixed vocabulary; a
-    predicate outside it never holds."""
-    for clause in matcher:
-        pred, _ = MATCHER_PREDICATES.get(clause.get("pred"), (None, None))
-        if pred is None or not pred(facts, tree, fragment, clause):
-            return False
-    return bool(matcher)
-
-
 def _matrix(entries) -> np.ndarray:
     """The entries' embeddings stacked as rows; a DimensionMismatchError if
     they differ in length."""
@@ -358,19 +309,17 @@ class KnowledgeStore:
     def _strategy_index(self) -> _EmbeddingIndex:
         return _embedding_index(self.snapshot, "strategies")
 
-    def match_rules(self, fragment: Fragment, tool: str, tree: FragmentTree,
-                    facts: Mapping[int, FragmentFacts]) -> list[RuleEntry]:
+    def match_rules(self, fragment: Fragment, tool: str,
+                    tree: FragmentTree) -> list[RuleEntry]:
         """All VERIFIED rules whose matcher holds on the fragment, by index.
 
         Rules without a matcher are retrieval-only (prompt guidance) and
         never match here.
         """
-        hits = []
-        for rule in self.snapshot.rules_for(tool, VERIFIED):
-            if rule.matcher and matcher_holds(rule.matcher, fragment, tree, facts):
-                hits.append(rule)
-        hits.sort(key=lambda r: r.index)
-        return hits
+        return sorted((rule for rule in self.snapshot.rules_for(tool, VERIFIED)
+                       if rule.matcher
+                       and matcher_holds(rule.matcher, tree, fragment.id)),
+                      key=lambda r: r.index)
 
     def _positions(self, tag: str) -> np.ndarray:
         """The sorted, read-only positions of the cases carrying ``tag``."""

@@ -3,17 +3,19 @@
 Every fragment gets exactly one suggestion record. A rule hit routes the
 fragment through the rule-guided prompt; otherwise a static efficiency screen
 either clears the fragment outright (no LLM call) or sends it through the
-exploratory prompt. The rewrite stage feeds the actionable suggestions plus
-retrieved historical cases to the provider and validates the result parses.
+exploratory prompt. The screen calls three of the rule matchers'
+predicates in ``analysis``, so a rule and the screen judge those shapes
+alike. The rewrite stage feeds the actionable suggestions plus retrieved
+historical cases to the provider and validates the result parses.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 
-from .analysis import FragmentFacts, analyze_tree, duplicated_scan_tables
+from .analysis import (analyze_tree, fragment_facts, outer_join_with_null_filter,
+                       same_table_scanned, union_all_unprojected)
 from .bench import ToolReport, input_digest
 from .equivalence import DEFAULT_CONFIDENCE_FLOOR, check_equivalence, parse_select
 from .errors import RejectedResponseError, UnparseableQueryError, UnsupportedStatementError
@@ -48,27 +50,21 @@ def _efficient(suggestion_id: int) -> RewriteSuggestion:
                              action="", rationale="", scenario=ALREADY_EFFICIENT)
 
 
-def passes_efficiency_screen(fragment_id: int, facts: Mapping[int, FragmentFacts],
-                             tree: FragmentTree) -> bool:
+def passes_efficiency_screen(fragment_id: int, tree: FragmentTree) -> bool:
     """Negative screen: single base-table scan at most, no scalar or predicate
     subqueries at this level, no outer-join null filtering, no duplicate
-    scans, explicit projection list."""
-    f = facts[fragment_id]
+    scans, explicit projection list. The null filtering, duplicate scans and
+    starred set-operation arms are the rule matchers' predicates."""
+    f = fragment_facts(tree, fragment_id)
     if sum(f.table_counts_own.values()) > 1:
         return False
-    non_from_children = [
-        c for c in tree.children(fragment_id)
-        if c.kind == SUBQUERY and c.clause_site != SITE_FROM
-    ]
-    if non_from_children:
+    if any(c.kind == SUBQUERY and c.clause_site != SITE_FROM
+           for c in tree.children(fragment_id)):
         return False
-    if f.has_outer_join and f.where_has_is_not_null:
-        return False
-    if duplicated_scan_tables(fragment_id, facts, tree):
-        return False
-    if f.select_has_star or (f.has_set_op and f.set_op_arm_star):
-        return False
-    return True
+    return not (outer_join_with_null_filter(tree, fragment_id)
+                or same_table_scanned(tree, fragment_id)
+                or f.select_has_star
+                or union_all_unprojected(tree, fragment_id))
 
 
 def _merge_actions(entries: list[dict]) -> tuple[str, str]:
@@ -82,10 +78,10 @@ def _merge_actions(entries: list[dict]) -> tuple[str, str]:
 def evaluate(query: str, store: KnowledgeStore, provider) -> list[RewriteSuggestion]:
     """One suggestion per fragment, in analysis order."""
     tree = decompose(query)
-    facts = analyze_tree(tree)
+    analyze_tree(tree)  # every fragment is read: build their facts at once
     suggestions: list[RewriteSuggestion] = []
     for fragment in tree.fragments:
-        rules = store.match_rules(fragment, REWRITER, tree, facts)
+        rules = store.match_rules(fragment, REWRITER, tree)
         if rules:
             data = ask(provider, scenario1_prompt(tree, fragment, rules))
             allowed = {r.index for r in rules}
@@ -100,7 +96,7 @@ def evaluate(query: str, store: KnowledgeStore, provider) -> list[RewriteSuggest
                 rule_index=applicable[0]["rule"],
                 action=action, rationale=rationale, scenario=RULE_GUIDED))
             continue
-        if passes_efficiency_screen(fragment.id, facts, tree):
+        if passes_efficiency_screen(fragment.id, tree):
             suggestions.append(_efficient(fragment.id))
             continue
         data = ask(provider, scenario2_prompt(tree, fragment))

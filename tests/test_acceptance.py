@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqlgov.analysis import analyze_tree
 from sqlgov.bench import bench
 from sqlgov.cli import main
 from sqlgov.equivalence import EQUIVALENT, NOT_EQUIVALENT, check_equivalence
@@ -69,10 +68,8 @@ def test_criterion_1_fragment_decomposition_fidelity(nested_query):
 
 def test_criterion_2_rule_match_fidelity(nested_query, seeded_store):
     tree = decompose(nested_query)
-    facts = analyze_tree(tree)
     matches = {
-        f.id: [r.index for r in seeded_store.match_rules(f, REWRITER, tree,
-                                                         facts)]
+        f.id: [r.index for r in seeded_store.match_rules(f, REWRITER, tree)]
         for f in tree.fragments
     }
     assert matches[4] == ["SAME_TABLE_JOIN"]

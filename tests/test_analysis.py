@@ -7,6 +7,7 @@ definitions."""
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -15,14 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqlgov.fragmenter as fragmenter
-from sqlgov.analysis import _table_refs, analyze_tree, fragment_facts, \
-    referenced_tables
+from sqlgov.analysis import MATCHER_PREDICATES, _table_refs, analyze_tree, \
+    fragment_facts, matcher_holds, referenced_tables
 from sqlgov.equivalence import _skeleton_mismatch, parse_select
 from sqlgov.errors import EmptyQueryError
-from sqlgov.fragmenter import SITE_SELECT_LIST, SUBQUERY, decompose, \
-    decompose_lenient
+from sqlgov.fragmenter import SITE_FROM, SITE_SELECT_LIST, SUBQUERY, \
+    decompose, decompose_lenient
 from sqlgov.rewriter import passes_efficiency_screen
-from sqlgov.sqltext import iter_table_context, normalize_tokens, templatize
+from sqlgov.sqltext import iter_table_context, normalize_tokens, \
+    normalized_text, templatize
 from test_fragmenter import _assign_markers, _render, damaged_sql, gen_trees
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -149,7 +151,7 @@ def test_renamed_aliases_pass_the_skeleton_prefilter(a, b):
 
 def test_an_aliased_single_scan_passes_the_efficiency_screen():
     tree = decompose("SELECT a.x FROM t a WHERE a.y = 1")
-    assert passes_efficiency_screen(tree.root_id, analyze_tree(tree), tree)
+    assert passes_efficiency_screen(tree.root_id, tree)
 
 
 # --- one shared, read-only analysis per tree ------------------------------------
@@ -400,6 +402,94 @@ def test_select_list_is_the_normalized_projection(sql, expected):
     tree = decompose(sql)
     assert normalize_tokens(analyze_tree(tree)[tree.root_id].projection) \
         == expected
+
+
+# --- the structural predicates and the screen against per-fragment references ---
+#
+# Each reference below is the formula the rule matchers and the efficiency
+# screen used before they shared one vocabulary, over ``_reference_facts``
+# and ``_reference_counts``.
+
+_OPS = ["JOIN", "left join", "IN", "UNION ALL", "IS NOT NULL", "SELECT *",
+        "CROSS JOIN", "( )"]
+
+
+def _reference_duplicated(tree, fragment_id, subtree, min_count):
+    child_counts = [subtree[c.id] for c in tree.children(fragment_id)]
+    return any(count >= min_count
+               and all(cc.get(table, 0) < min_count for cc in child_counts)
+               for table, count in subtree[fragment_id].items())
+
+
+def _reference_answers(tree, f, own_counts, subtree):
+    """(clauses and what each should answer, what the screen should answer)
+    for fragment ``f``."""
+    ref = _reference_facts(tree, f)
+    own_text = f" {normalize_tokens(ref['own_tokens'])} "
+    null_filter = ref["has_outer_join"] and ref["where_has_is_not_null"]
+    arm_star = ref["has_set_op"] and ref["set_op_arm_star"]
+    answers = [({"pred": "contains_operator", "op": op},
+                f" {normalized_text(op)} " in own_text) for op in _OPS]
+    answers += [({"pred": "same_table_scanned", "min_count": n},
+                 _reference_duplicated(tree, f.id, subtree, n))
+                for n in (1, 2, 3)]
+    answers += [
+        ({"pred": "same_table_scanned"},
+         _reference_duplicated(tree, f.id, subtree, 2)),
+        ({"pred": "outer_join_with_null_filter"}, null_filter),
+        ({"pred": "in_subquery"}, ref["in_subquery"]),
+        ({"pred": "union_all_unprojected"}, arm_star),
+        ({"pred": "scalar_subquery_in_select"},
+         ref["scalar_subquery_in_select"]),
+    ]
+    screen = not (
+        sum(own_counts[f.id].values()) > 1
+        or any(c.kind == SUBQUERY and c.clause_site != SITE_FROM
+               for c in tree.children(f.id))
+        or null_filter or _reference_duplicated(tree, f.id, subtree, 2)
+        or ref["select_has_star"] or arm_star)
+    return answers, screen
+
+
+def _assert_predicates_match_the_reference(tree):
+    own_counts, subtree = _reference_counts(tree)
+    for f in reversed(tree.fragments):  # the root first: facts built on read
+        answers, screen = _reference_answers(tree, f, own_counts, subtree)
+        assert {clause["pred"] for clause, _ in answers} \
+            == set(MATCHER_PREDICATES)
+        for clause, expected in answers:
+            params = {k: v for k, v in clause.items() if k != "pred"}
+            predicate, _ = MATCHER_PREDICATES[clause["pred"]]
+            assert predicate(tree, f.id, params) is expected, (clause, f.text)
+            assert matcher_holds([clause], tree, f.id) is expected
+        assert passes_efficiency_screen(f.id, tree) is screen, f.text
+
+
+@pytest.mark.parametrize("sql", _fixture_queries())
+def test_predicates_and_screen_match_the_reference_on_fixtures(sql):
+    _assert_predicates_match_the_reference(decompose_lenient.__wrapped__(sql)[0])
+
+
+@given(gen_trees(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_predicates_and_screen_match_the_reference_on_nested_queries(
+        root, tables):
+    """Each fragment scans its own table, one of ``tables`` names, so
+    scans repeat across fragments."""
+    _assign_markers(root, [0])
+    sql = re.sub(r"tbl_mk(\d+)",
+                 lambda m: f"tbl_{int(m.group(1)) % tables}", _render(root))
+    _assert_predicates_match_the_reference(decompose_lenient.__wrapped__(sql)[0])
+
+
+@given(fact_soup())
+@settings(max_examples=300, deadline=None)
+def test_predicates_and_screen_match_the_reference_on_fact_soup(text):
+    try:
+        tree, _ = decompose_lenient.__wrapped__(text)
+    except EmptyQueryError:
+        return
+    _assert_predicates_match_the_reference(tree)
 
 
 # --- facts, local segments and local texts built one fragment at a time ---------

@@ -15,11 +15,15 @@ def test_file_values_and_comments(tmp_path):
         "[section headers are ignored]\n"
         'provider = "scripted-permissive"\n'
         "embedding_dim = 128   # trailing comment\n"
+        'playbook = "/tmp/run#2/playbook.jsonl"  # a comment after quotes\n'
+        "kb_dir = '/kb#1'\n"
         "strategy_threshold = 0.4\n"
         "unknown_key = whatever\n")
     config = load_config(path=path, env={})
     assert config.provider == PROVIDER_PERMISSIVE
     assert config.embedding_dim == 128
+    assert config.playbook == "/tmp/run#2/playbook.jsonl"
+    assert config.kb_dir == "/kb#1"
     assert config.strategy_threshold == 0.4
 
 

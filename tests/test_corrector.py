@@ -7,6 +7,7 @@ from sqlgov.corrector import (
     SCOPE_GLOBAL,
     SCOPE_LOCAL,
     CorrectionPlan,
+    _line_col_to_offset,
     build_error_key,
     clarify,
     correct,
@@ -107,6 +108,32 @@ def test_localized_strategy_without_location_degrades(seeded_store):
     assert plan.scope == SCOPE_GLOBAL
     assert plan.schema_slice == SCHEMA_FULL
     assert plan.strategy is not None  # the hit is kept for its guidance
+
+
+@pytest.mark.parametrize("line, col, offset", [
+    (1, 1, 0), (1, 8, 7), (1, 9, 8), (2, 1, 9), (2, 19, 27),
+    (1, 0, None), (2, 0, None), (1, 10, None), (1, 12, None), (2, 20, None),
+    (0, 1, None), (3, 1, None),
+])
+def test_a_location_maps_to_an_offset_only_on_its_own_line(line, col, offset):
+    """A column counts within its line, the line break included; one before
+    the line's start or past its end is no location."""
+    assert _line_col_to_offset("SELECT a\nFROM t WHERE x = 1\n",
+                               line, col) == offset
+
+
+def test_a_column_past_its_line_end_degrades(seeded_store):
+    """Line 1 has 10 characters, so column 30 would run on into the
+    subquery on line 2; it names no place, and the plan falls back."""
+    sql = "SELECT x,\n(SELECT a b FROM t2 WHERE k = 1) FROM t1\n"
+    tree, _ = decompose_lenient(sql)
+    log = ("ParseException: syntax error, missing comma between select "
+           "list items near 'b' at line 1, column 30")
+    plan = clarify(parse_error_log(log), seeded_store, tree)
+    assert plan.strategy is not None
+    assert plan.strategy.index == "strat-missing-comma"
+    assert (plan.scope, plan.schema_slice, plan.target_fragment) \
+        == (SCOPE_GLOBAL, SCHEMA_FULL, None)
 
 
 def test_schema_needing_strategy_slices_referenced_tables(seeded_store):

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqlgov.knowledge_base as kb
-from sqlgov.analysis import analyze_tree
 from sqlgov.errors import (
     DimensionMismatchError,
     IoFailure,
@@ -81,9 +80,8 @@ def test_cosine_zero_vector():
 
 def test_nested_query_rule_matches(nested_query, seeded_store):
     tree = decompose(nested_query)
-    facts = analyze_tree(tree)
     hits = {
-        f.id: [r.index for r in seeded_store.match_rules(f, REWRITER, tree, facts)]
+        f.id: [r.index for r in seeded_store.match_rules(f, REWRITER, tree)]
         for f in tree.fragments
     }
     assert hits[4] == ["SAME_TABLE_JOIN"]
@@ -94,10 +92,9 @@ def test_nested_query_rule_matches(nested_query, seeded_store):
 
 def test_match_rules_is_pure(nested_query, seeded_store):
     tree = decompose(nested_query)
-    facts = analyze_tree(tree)
     frag = tree.by_id(4)
-    first = seeded_store.match_rules(frag, REWRITER, tree, facts)
-    second = seeded_store.match_rules(frag, REWRITER, tree, facts)
+    first = seeded_store.match_rules(frag, REWRITER, tree)
+    second = seeded_store.match_rules(frag, REWRITER, tree)
     assert [r.index for r in first] == [r.index for r in second]
 
 
@@ -108,10 +105,9 @@ def test_matcherless_rules_never_match(embedder, nested_query):
         matcher=None, tool=REWRITER, status=VERIFIED))
     store = KnowledgeStore(snapshot, embedder)
     tree = decompose(nested_query)
-    facts = analyze_tree(tree)
     for frag in tree.fragments:
         assert all(r.index != "PROMPT_ONLY"
-                   for r in store.match_rules(frag, REWRITER, tree, facts))
+                   for r in store.match_rules(frag, REWRITER, tree))
 
 
 # --- case retrieval ------------------------------------------------------------

@@ -33,10 +33,8 @@ def _empty_store(embedder):
 
 def test_analysis_set_reports_rule_findings(nested_query, seeded_store):
     tree = decompose(nested_query)
-    facts = analyze_tree(tree)
     findings = {
-        f.id: [r.index for r in seeded_store.match_rules(f, REWRITER, tree,
-                                                         facts)]
+        f.id: [r.index for r in seeded_store.match_rules(f, REWRITER, tree)]
         for f in tree.fragments
     }
     assert sorted(findings) == list(range(1, 8))
