@@ -1,35 +1,35 @@
 """Structural facts about fragments: table scans, joins, projection shape.
 
 Facts are computed from the tree's one token list; nothing here tokenizes
-text. Every token has one owner, the innermost fragment whose
-``token_range`` holds it, so the parentheses around a child stay with the
-parent; a fragment's own tokens are the tokens it owns, with offsets into
-the whole query. The tree's one table-context walk over the whole query
-(``FragmentTree.table_positions``) gives each table reference to the owner
-of its token, so each base-table scan is attributed to exactly one fragment,
-and subtree counts are own counts summed bottom-up. On well-formed SQL the
-walk reads a fragment's tokens as a walk of that fragment alone would,
-because a subquery opens with SELECT or WITH and a CTE body follows its
-consumed name. Every other fact comes from one walk over the fragment's own
-tokens, which reads each token's upper-case form from the token itself;
-that walk also marks out the projection, whose own tokens the equivalence
-check compares to tell whether two fragments name their outputs alike.
-The structural predicates that rule matchers name live here too
-(``MATCHER_PREDICATES``): each takes the tree, a fragment id and its
-clause's parameters and reads the facts off the tree. The rewriter's
+text. A fragment's ``token_range`` holds exactly the tokens it and its
+descendants own, so its own tokens are the gaps between its children's
+ranges, with offsets into the whole query, and the parentheses around a
+child stay with the parent. The tree's one table-context walk over the whole
+query (``FragmentTree.table_positions``) is read once per tree into the
+query's base-table references, in text order; a fragment's subtree table
+counts are the references inside its range and its own counts those in its
+gaps, so each base-table scan is attributed to exactly one fragment. On
+well-formed SQL the walk reads a fragment's tokens as a walk of that
+fragment alone would, because a subquery opens with SELECT or WITH and a
+CTE body follows its consumed name. Every other fact comes from one walk
+over the fragment's own tokens, which reads each token's upper-case form
+from the token itself; that walk also marks out the projection, whose own
+tokens the equivalence check compares to tell whether two fragments name
+their outputs alike. The structural predicates that rule matchers name live
+here too (``MATCHER_PREDICATES``): each takes the tree, a fragment id and
+its clause's parameters and reads the facts off the tree. The rewriter's
 efficiency screen calls three of them and the equivalence pre-filter reads
 the facts, keeping every tool's view of a query consistent. A fragment's
-facts are built on their first read and held on the tree, read-only, so
-every consumer of one (memoized) tree shares them: ``fragment_facts``
-builds one fragment's and ``analyze_tree`` every fragment's through it,
-filling one table per tree, so no fragment is analyzed twice. The own
-tokens and table counts of every fragment come from one bottom-up pass,
-run once per tree on the first read. ``FragmentFacts`` is a NamedTuple,
-like ``Token`` and ``Fragment``.
+facts are built from that fragment alone, by ``analyze_fragment``, on their
+first read and held on the tree, read-only, so every consumer of one
+(memoized) tree shares them: ``fragment_facts`` gives one fragment's and
+``analyze_tree`` every fragment's, and no fragment is analyzed twice.
+``FragmentFacts`` is a NamedTuple, like ``Token`` and ``Fragment``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from itertools import chain
 from types import MappingProxyType
@@ -64,6 +64,13 @@ class FragmentFacts(NamedTuple):
 
 _new_facts = tuple.__new__  # FragmentFacts(...) without the Python-level __new__
 
+# The attributes a tree holds, as ``functools.cached_property`` holds a
+# value: its base-table references, the facts built so far by fragment id,
+# and the read-only view of them once every fragment's are built.
+_REFS = "_table_references"
+_FACTS = "_facts"
+_VIEW = "_facts_view"
+
 
 def _table_refs(tokens: tuple[Token, ...], positions, cte_names: set[str]):
     """Yield (index, lower-cased name) for each base-table reference: a word
@@ -79,10 +86,29 @@ def _table_refs(tokens: tuple[Token, ...], positions, cte_names: set[str]):
             yield idx, name
 
 
+def _references(tree: FragmentTree) -> list[tuple[int, str]]:
+    """The query's base-table references as (token index, name), in text
+    order: ``_table_refs`` over the tree's table positions, run on the
+    first read and held on the tree."""
+    refs = tree.__dict__.get(_REFS)
+    if refs is None:
+        refs = tree.__dict__[_REFS] = list(_table_refs(
+            tree.tokens, tree.table_positions, tree.cte_names()))
+    return refs
+
+
+def _table_counts(refs: list[tuple[int, str]], ranges) -> dict[str, int]:
+    """How often each name is referenced in the token ``ranges`` [lo, hi)."""
+    counts: dict[str, int] = {}
+    for lo, hi in ranges:
+        for _, name in refs[bisect_left(refs, (lo,)):bisect_left(refs, (hi,))]:
+            counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
 def referenced_tables(tree: FragmentTree) -> list[str]:
     """The base tables the whole query scans, sorted."""
-    return sorted({name for _, name in _table_refs(
-        tree.tokens, tree.table_positions, tree.cte_names())})
+    return sorted({name for _, name in _references(tree)})
 
 
 def _ended_regions(own, selects, end: int, content: int, commas: int,
@@ -110,10 +136,13 @@ def _join_is_outer(own, idx: int) -> bool:
     return kind in _OUTER_JOINS
 
 
-def analyze_fragment(fragment: Fragment, tree: FragmentTree,
-                     own: tuple[Token, ...], own_counts: dict[str, int],
-                     subtree_counts: dict[str, int]) -> FragmentFacts:
-    """The fragment's facts from one walk over its own tokens.
+def analyze_fragment(fragment: Fragment, tree: FragmentTree) -> FragmentFacts:
+    """The fragment's facts, from its own token range alone.
+
+    Its own tokens are its range less its children's ranges, its own table
+    counts the references in them and its subtree counts the references in
+    its whole range; every other fact comes from one walk over its own
+    tokens.
 
     Top level is outside every parenthesized group, the parentheses left
     out. A SELECT region runs from a top-level SELECT to the next top-level
@@ -124,6 +153,20 @@ def analyze_fragment(fragment: Fragment, tree: FragmentTree,
     and stars, taken where each starts and ends; the projection's own
     tokens are kept, each child in it shown as its parentheses.
     """
+    tokens = tree.tokens
+    children = tree._children.get(fragment.id, ())
+    lo, hi = fragment.token_range
+    gaps = []  # the fragment's range less its children's
+    at = lo
+    for c_lo, c_hi in sorted(c.token_range for c in children):
+        gaps.append((at, c_lo))
+        at = c_hi
+    gaps.append((at, hi))
+    own = tokens[lo:hi] if not children \
+        else tuple(chain.from_iterable(tokens[a:b] for a, b in gaps))
+    refs = _references(tree)
+    own_counts = _table_counts(refs, gaps)
+    subtree_counts = _table_counts(refs, ((lo, hi),))
     depth = content = commas = stars = 0
     selects = []  # (start, content, commas, stars) of each open SELECT region
     regions = []  # (items, star, tokens) of each ended SELECT region, in order
@@ -167,9 +210,6 @@ def analyze_fragment(fragment: Fragment, tree: FragmentTree,
     items, star, projection = regions[0] if regions else (None, False, ())
     if where_hi is None:
         where_hi = len(own)
-    children = tree._children.get(fragment.id, ())
-    tokens = tree.tokens
-    lo = fragment.token_range[0]
     where_has_is_not_null = where_lo is not None and any(
         where_lo <= i and i + 3 <= where_hi for i in is_not_null)
     # a direct child opens right after IN: IN ( SELECT ... )
@@ -187,78 +227,32 @@ def analyze_fragment(fragment: Fragment, tree: FragmentTree,
         scalar_subquery_in_select))
 
 
-# The attributes a tree holds, as ``functools.cached_property`` holds a
-# value: the facts built so far by fragment id, the read-only view of them
-# once every fragment's are built, and the bottom-up pass's products.
-_BUILT = "_facts_built"
-_FACTS = "_facts"
-_PASS = "_facts_pass"
-
-
 def fragment_facts(tree: FragmentTree, fragment_id: int) -> FragmentFacts:
     """One fragment's facts, built on its first read and held on the tree;
     KeyError for an id the tree does not have."""
-    try:
-        return tree.__dict__[_BUILT][fragment_id]
-    except KeyError:
-        pass
-    built = tree.__dict__.setdefault(_BUILT, {})
-    facts = built[fragment_id] = _build(tree, tree.by_id(fragment_id))
+    built = tree.__dict__.get(_FACTS)
+    if built is None:
+        built = tree.__dict__[_FACTS] = {}
+    facts = built.get(fragment_id)
+    if facts is None:
+        facts = built[fragment_id] = analyze_fragment(tree.by_id(fragment_id),
+                                                      tree)
     return facts
 
 
 def analyze_tree(tree: FragmentTree) -> Mapping[int, FragmentFacts]:
-    """Each fragment's facts by fragment id, in id order, read-only, read
-    through ``fragment_facts``. Built on a tree's first call and held on the
-    tree, so later calls on the same tree return the same mapping."""
-    facts = tree.__dict__.get(_FACTS)
-    if facts is None:
-        built = {f.id: fragment_facts(tree, f.id) for f in tree.fragments}
-        tree.__dict__[_BUILT] = built  # the same facts, in id order
-        facts = tree.__dict__[_FACTS] = MappingProxyType(built)
-        tree.__dict__.pop(_PASS, None)  # every fragment's facts are built
-    return facts
-
-
-def _build(tree: FragmentTree, fragment: Fragment) -> FragmentFacts:
-    products = tree.__dict__.get(_PASS)
-    if products is None:
-        products = tree.__dict__[_PASS] = _own_tokens_and_counts(tree)
-    own, own_counts, subtree_counts = products
-    return analyze_fragment(fragment, tree, own[fragment.id],
-                            own_counts[fragment.id],
-                            subtree_counts[fragment.id])
-
-
-def _own_tokens_and_counts(tree: FragmentTree):
-    """The one bottom-up pass: each fragment's own tokens, own table counts
-    and subtree table counts, by fragment id."""
-    tokens = tree.tokens
-    children = tree._children
-    owner = [0] * len(tokens)
-    own: dict[int, tuple[Token, ...]] = {}
-    for f in tree.fragments:
-        lo, hi = f.token_range
-        parts = []  # the fragment's range less its children's
-        for c_lo, c_hi in sorted(c.token_range
-                                 for c in children.get(f.id, ())) + [(hi, hi)]:
-            owner[lo:c_lo] = [f.id] * (c_lo - lo)
-            parts.append(tokens[lo:c_lo])
-            lo = c_hi
-        own[f.id] = parts[0] if len(parts) == 1 \
-            else tuple(chain.from_iterable(parts))
-    own_counts: dict[int, dict[str, int]] = {f.id: {} for f in tree.fragments}
-    for idx, name in _table_refs(tokens, tree.table_positions,
-                                 tree.cte_names()):
-        counts = own_counts[owner[idx]]
-        counts[name] = counts.get(name, 0) + 1
-    subtree_counts: dict[int, dict[str, int]] = {}
-    for f in tree.fragments:  # every child before its parent
-        subtree_counts[f.id] = total = dict(own_counts[f.id])
-        for child in children.get(f.id, ()):
-            for name, count in subtree_counts[child.id].items():
-                total[name] = total.get(name, 0) + count
-    return own, own_counts, subtree_counts
+    """Each fragment's facts by fragment id, in id order, read-only: the
+    facts ``fragment_facts`` holds, with every fragment's built. Built on a
+    tree's first call and held on the tree, so later calls on the same tree
+    return the same mapping."""
+    view = tree.__dict__.get(_VIEW)
+    if view is None:
+        built = tree.__dict__.get(_FACTS) or {}
+        built = tree.__dict__[_FACTS] = {  # the same facts, in id order
+            f.id: built.get(f.id) or analyze_fragment(f, tree)
+            for f in tree.fragments}
+        view = tree.__dict__[_VIEW] = MappingProxyType(built)
+    return view
 
 
 # --- the structural predicates ---------------------------------------------

@@ -120,24 +120,26 @@ def build_error_key(error: ParsedError) -> str:
 
 
 def _line_col_to_offset(source: str, line: int, col: int) -> int | None:
-    """The offset of 1-based ``line``, ``col``; None unless the column falls
-    on that line, its line break included."""
-    lines = source.splitlines(keepends=True)
-    if not 1 <= line <= len(lines) or not 1 <= col <= len(lines[line - 1]):
+    """The offset of 1-based ``line``, ``col``, lines counted at line feeds
+    alone as a DBMS counts them; None unless the column falls on that line,
+    its line break included."""
+    lines = source.split("\n")
+    if not 1 <= line <= len(lines) \
+            or not 1 <= col <= len(lines[line - 1]) + (line < len(lines)):
         return None
-    return sum(len(text) for text in lines[:line - 1]) + col - 1
+    return sum(len(text) + 1 for text in lines[:line - 1]) + col - 1
 
 
-def _resolve_offset(error: ParsedError, source: str) -> int | None:
+def _resolve_offset(error: ParsedError, tree: FragmentTree) -> int | None:
     if isinstance(error.location, tuple):
-        return _line_col_to_offset(source, *error.location)
+        return _line_col_to_offset(tree.source, *error.location)
     if isinstance(error.location, int):
-        if 0 <= error.location < len(source):
+        if 0 <= error.location < len(tree.source):
             return error.location
         return None
-    if error.near_token:
-        found = source.find(error.near_token)
-        return found if found >= 0 else None
+    if error.near_token:  # a whole token, never part of a longer word
+        return next((tok.start for tok in tree.tokens
+                     if tok.text == error.near_token), None)
     return None
 
 
@@ -162,7 +164,7 @@ def clarify(error: ParsedError, store: KnowledgeStore,
     slice_ = referenced_tables(tree) if strategy.needs_schema else None
     scope, target = SCOPE_GLOBAL, None
     if strategy.localized:
-        offset = _resolve_offset(error, tree.source)
+        offset = _resolve_offset(error, tree)
         if offset is None:
             slice_ = SCHEMA_FULL
         else:

@@ -1,5 +1,6 @@
-"""Facts in ``analysis``: table attribution by the one-pass owner map
-against a per-fragment reference count, the invariants that tie own and
+"""Facts in ``analysis``: table attribution by each fragment's token range
+and the query's one reading of table references, against a per-fragment
+reference count, the invariants that tie own and
 subtree counts together, aliases, which are not tables, and every other
 fact of the one walk per fragment against per-fragment reference
 definitions."""
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqlgov.analysis as analysis
 import sqlgov.fragmenter as fragmenter
 from sqlgov.analysis import MATCHER_PREDICATES, _table_refs, analyze_tree, \
     fragment_facts, matcher_holds, referenced_tables
@@ -202,6 +205,38 @@ def test_analysis_templatize_and_tables_walk_a_tree_once(monkeypatch,
     assert referenced_tables(tree) == ["tb0", "tb1", "tb2", "tb3", "tb4"]
     assert walks == [len(tree.tokens)]
 
+
+
+def test_table_references_are_read_once_per_tree(monkeypatch, nested_query):
+    runs = []
+    real = analysis._table_refs
+
+    def counting(*args):
+        runs.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "_table_refs", counting)
+    tree = decompose(nested_query)
+    fragment_facts(tree, tree.root_id)
+    analyze_tree(tree)
+    fragment_facts(tree, 1)
+    assert referenced_tables(tree) == ["tb0", "tb1", "tb2", "tb3", "tb4"]
+    assert runs == [len(tree.tokens)]
+
+
+def test_a_chain_past_the_recursion_limit_analyzes():
+    depth = sys.getrecursionlimit() + 100
+    sql = ("SELECT a FROM (" * depth + f"SELECT a FROM t{depth}"
+           + "".join(f") s JOIN t{i} ON s.a = t{i}.a"
+                     for i in reversed(range(depth))))
+    tree = decompose(sql)
+    facts = analyze_tree(tree)
+    names = [f"t{i}" for i in range(depth + 1)]
+    root = facts[tree.root_id]
+    assert len(facts) == depth + 1
+    assert root.table_counts_subtree == dict.fromkeys(names, 1)
+    assert root.table_counts_own == {"t0": 1}
+    assert referenced_tables(tree) == sorted(names)
 
 # --- every fact against a per-fragment reference ------------------------------
 #

@@ -122,6 +122,34 @@ def test_a_location_maps_to_an_offset_only_on_its_own_line(line, col, offset):
                                line, col) == offset
 
 
+
+@pytest.mark.parametrize("separator", ["\u2028", "\x0c", "\x85"])
+def test_lines_are_counted_at_line_feeds_only(separator):
+    """A DBMS breaks lines at '\n' alone, so other line separators in a
+    literal leave the location on its line."""
+    source = f"SELECT 'a{separator}b' AS v,\nx y FROM t\n"
+    assert _line_col_to_offset(source, 2, 3) == source.index("y")
+
+
+_MISSING_COMMA = "ParseException: missing comma between select list items"
+
+
+@pytest.mark.parametrize("sql, log, target", [
+    ("SELECT tb1.x, (SELECT a b FROM t2) FROM tb1",
+     f"{_MISSING_COMMA} near 'b'", 1),
+    ("SELECT PLATFORM FROM (SELECT a FORM t) s",
+     'syntax error at or near "FORM"', 1),
+    ("SELECT tb1.x FROM tb1", f"{_MISSING_COMMA} near 'b'", None),
+])
+def test_a_near_token_matches_a_whole_token(seeded_store, sql, log, target):
+    """A near token names the first token that is that text, never a part
+    of a longer word; with no such token the plan falls back."""
+    tree, _ = decompose_lenient(sql)
+    plan = clarify(parse_error_log(log), seeded_store, tree)
+    assert plan.strategy.index == "strat-missing-comma"
+    assert plan.target_fragment == target
+    assert plan.scope == (SCOPE_GLOBAL if target is None else SCOPE_LOCAL)
+
 def test_a_column_past_its_line_end_degrades(seeded_store):
     """Line 1 has 10 characters, so column 30 would run on into the
     subquery on line 2; it names no place, and the plan falls back."""
