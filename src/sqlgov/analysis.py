@@ -8,7 +8,8 @@ child stay with the parent. The tree's one table-context walk over the whole
 query (``FragmentTree.table_positions``) is read once per tree into the
 query's base-table references, in text order; a fragment's subtree table
 counts are the references inside its range and its own counts those in its
-gaps, so each base-table scan is attributed to exactly one fragment. On
+gaps, so each base-table scan is attributed to exactly one fragment, and a
+qualified name is one reference, by its whole dotted name in lower case. On
 well-formed SQL the walk reads a fragment's tokens as a walk of that
 fragment alone would, because a subquery opens with SELECT or WITH and a
 CTE body follows its consumed name. Every other fact comes from one walk
@@ -17,8 +18,12 @@ from the token itself; that walk also marks out the projection, whose own
 tokens the equivalence check compares to tell whether two fragments name
 their outputs alike. The structural predicates that rule matchers name live
 here too (``MATCHER_PREDICATES``): each takes the tree, a fragment id and
-its clause's parameters and reads the facts off the tree. The rewriter's
-efficiency screen calls three of them and the equivalence pre-filter reads
+its clause's parameters and reads the facts off the tree, except
+``correlated_subquery``, which slices the query's qualified column
+references that point out of their own fragment, found once per tree from
+its '.' tokens and resolved against the FROM items in scope without
+recursion; an unqualified column is taken as inner. The rewriter's
+efficiency screen calls four of them and the equivalence pre-filter reads
 the facts, keeping every tool's view of a query consistent. A fragment's
 facts are built from that fragment alone, by ``analyze_fragment``, on their
 first read and held on the tree, read-only, so every consumer of one
@@ -29,13 +34,15 @@ first read and held on the tree, read-only, so every consumer of one
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .fragmenter import Fragment, FragmentTree, SITE_SELECT_LIST, SUBQUERY
+from .fragmenter import Fragment, FragmentTree, SITE_FROM, SITE_SELECT_LIST, \
+    SUBQUERY
 from .sqltext import Token, WORD, is_keyword, normalize_tokens, normalized_text
 
 _OUTER_JOINS = {"LEFT", "RIGHT", "FULL"}
@@ -66,22 +73,41 @@ _new_facts = tuple.__new__  # FragmentFacts(...) without the Python-level __new_
 
 # The attributes a tree holds, as ``functools.cached_property`` holds a
 # value: its base-table references, the facts built so far by fragment id,
-# and the read-only view of them once every fragment's are built.
+# the read-only view of them once every fragment's are built, and its
+# qualified column references that point out of their fragment.
 _REFS = "_table_references"
 _FACTS = "_facts"
 _VIEW = "_facts_view"
+_OUTER = "_outer_references"
+
+_START = itemgetter(2)  # a token's start offset
+
+
+def _dotted_name(tokens: tuple[Token, ...], idx: int) -> str:
+    """The lower-cased name that starts with the word at ``idx``: its parts,
+    each a word after a '.', joined by '.' (``db.s.t``)."""
+    name = tokens[idx].text.strip('`"').lower()
+    last = len(tokens) - 2
+    while idx < last and tokens[idx + 1].text == "." \
+            and tokens[idx + 2].kind == WORD:
+        idx += 2
+        name += "." + tokens[idx].text.strip('`"').lower()
+    return name
 
 
 def _table_refs(tokens: tuple[Token, ...], positions, cte_names: set[str]):
     """Yield (index, lower-cased name) for each base-table reference: a word
-    at one of the table-context ``positions`` that is neither a CTE name nor
-    an alias, which comes right after ')', AS or the name it renames."""
+    at one of the table-context ``positions`` that is neither a CTE name, an
+    alias, which comes right after ')', AS or the name it renames, nor a
+    later part of a qualified name, which comes right after '.'. A
+    qualified name is one reference, by its whole dotted name."""
     for idx in positions:
         prev = tokens[idx - 1] if idx else None
-        if prev and (prev.text == ")" or prev.upper == "AS"
+        if prev and (prev.text == ")" or prev.text == "."
+                     or prev.upper == "AS"
                      or prev.kind == WORD and not is_keyword(prev)):
             continue
-        name = tokens[idx].text.strip('`"').lower()
+        name = _dotted_name(tokens, idx)
         if name and name not in cte_names:
             yield idx, name
 
@@ -109,6 +135,97 @@ def _table_counts(refs: list[tuple[int, str]], ranges) -> dict[str, int]:
 def referenced_tables(tree: FragmentTree) -> list[str]:
     """The base tables the whole query scans, sorted."""
     return sorted({name for _, name in _references(tree)})
+
+
+def _holder(tree: FragmentTree, order, starts: list[int], idx: int) -> Fragment:
+    """The innermost fragment whose token range holds token ``idx``, given
+    ``order``, every fragment's (range start, id) sorted, and ``starts``,
+    their range starts: the last fragment to start at or before ``idx``, or
+    the first of its ancestors whose range reaches past it."""
+    frag = tree.by_id(order[bisect_right(starts, idx) - 1][1])
+    while frag.token_range[1] <= idx:
+        frag = tree.by_id(frag.parent_id)
+    return frag
+
+
+def _outer_references(tree: FragmentTree) -> list[tuple[int, int]]:
+    """The qualified column references that the fragment holding each does
+    not bind, as (token index, range start of the nearest fragment above
+    that binds the qualifier, or -1 when none does), in text order: read on
+    the first call and held on the tree.
+
+    A qualified reference is ``q.col``: ``q`` is the name before the last
+    '.' of a dotted name (``s.t.col`` is qualified by ``s.t``) and not in
+    table-name position. Every '.' token separates names, since a number
+    holds its decimal point, so the dots are found in the source text. A
+    fragment binds the names of its FROM items: a base table's whole dotted
+    name and its last part, an alias, a CTE name, and a derived table's
+    alias after its ')'. A reference sees the names its own fragment binds,
+    then those of each fragment above, except that a derived table does not
+    see its parent's unless it is LATERAL. Binders are read only for
+    qualifiers the query uses, and only when it uses one."""
+    refs = tree.__dict__.get(_OUTER)
+    if refs is not None:
+        return refs
+    tokens, positions = tree.tokens, tree.table_positions
+    last = len(tokens) - 1
+    quals = []  # (index of the qualifier's first word, qualifier)
+    at = tree.source.find(".")
+    while at >= 0:
+        i = bisect_left(tokens, at, key=_START)
+        if 0 < i <= last and tokens[i].start == at and tokens[i].text == "." \
+                and tokens[i - 1].kind == WORD \
+                and not (i + 1 < last and tokens[i + 2].text == "."
+                         and tokens[i + 1].kind == WORD):
+            p = bisect_left(positions, i - 1)
+            if p == len(positions) or positions[p] != i - 1:
+                j = i - 1
+                while j >= 2 and tokens[j - 1].text == "." \
+                        and tokens[j - 2].kind == WORD:
+                    j -= 2
+                quals.append((j, ".".join(tokens[k].text.strip('`"').lower()
+                                          for k in range(j, i, 2))))
+        at = tree.source.find(".", at + 1)
+    refs = tree.__dict__[_OUTER] = []
+    if not quals:
+        return refs
+    wanted = {q for _, q in quals}
+    order = sorted((f.token_range[0], f.id) for f in tree.fragments)
+    starts = [lo for lo, _ in order]
+    bound: dict[int, set[str]] = {}  # fragment id: names it binds
+    for idx in positions:
+        if idx and tokens[idx - 1].text == ".":
+            continue  # a later part of a dotted name
+        name = _dotted_name(tokens, idx)
+        names = {name, name.rpartition(".")[2]} & wanted
+        if names:
+            bound.setdefault(_holder(tree, order, starts, idx).id,
+                             set()).update(names)
+    for frag in tree.fragments:  # a derived table's alias, after its ')'
+        if frag.clause_site == SITE_FROM:
+            k = frag.token_range[1] + 1
+            if k <= last and tokens[k].upper == "AS":
+                k += 1
+            if k <= last and tokens[k].kind == WORD \
+                    and not is_keyword(tokens[k]):
+                name = tokens[k].text.strip('`"').lower()
+                if name in wanted:
+                    bound.setdefault(frag.parent_id, set()).add(name)
+    for j, q in quals:
+        frag = _holder(tree, order, starts, j)
+        if q in bound.get(frag.id, ()):
+            continue
+        lo = -1
+        while frag.parent_id is not None:
+            # a derived table does not see its parent's FROM items
+            sees_parent = frag.clause_site != SITE_FROM \
+                or tokens[frag.token_range[0] - 2].upper == "LATERAL"
+            frag = tree.by_id(frag.parent_id)
+            if sees_parent and q in bound.get(frag.id, ()):
+                lo = frag.token_range[0]
+                break
+        refs.append((j, lo))
+    return refs
 
 
 def _ended_regions(own, selects, end: int, content: int, commas: int,
@@ -296,6 +413,23 @@ def scalar_subquery_in_select(tree, fragment_id, params=_NO_PARAMS) -> bool:
     return fragment_facts(tree, fragment_id).scalar_subquery_in_select
 
 
+def correlated_subquery(tree, fragment_id, params=_NO_PARAMS) -> bool:
+    """A subquery child outside FROM is correlated: some qualified column
+    reference in its range is an outer reference of it, one whose qualifier
+    no FROM item in its sight binds, from the fragment holding it up to and
+    including the child (see ``_outer_references``). An unqualified column
+    is taken as inner."""
+    for c in tree._children.get(fragment_id, ()):
+        if c.kind == SUBQUERY and c.clause_site != SITE_FROM:
+            refs = _outer_references(tree)
+            lo, hi = c.token_range
+            for _, bound_at in refs[bisect_left(refs, (lo,)):
+                                    bisect_left(refs, (hi,))]:
+                if bound_at < lo:
+                    return True
+    return False
+
+
 MATCHER_PREDICATES = {  # name: (predicate, shape of its clause's parameters)
     "contains_operator": (contains_operator, {"op": "required str"}),
     "same_table_scanned": (same_table_scanned, {"min_count": "int"}),
@@ -303,6 +437,7 @@ MATCHER_PREDICATES = {  # name: (predicate, shape of its clause's parameters)
     "in_subquery": (in_subquery, {}),
     "union_all_unprojected": (union_all_unprojected, {}),
     "scalar_subquery_in_select": (scalar_subquery_in_select, {}),
+    "correlated_subquery": (correlated_subquery, {}),
 }
 
 

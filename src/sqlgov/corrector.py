@@ -16,7 +16,8 @@ from .bench import ToolReport, input_digest
 from .errors import EmptyQueryError, StillInvalidError
 from .fragmenter import FragmentTree, decompose_lenient, fragment_at
 from .knowledge_base import CORRECTOR, ErrorStrategy, KnowledgeStore
-from .prompts import ask, catalog_entry, correction_prompt, render_columns
+from .prompts import ask, catalog_entry, catalog_key, correction_prompt, \
+    render_columns
 
 SCOPE_LOCAL = "LOCAL"
 SCOPE_GLOBAL = "GLOBAL"
@@ -177,14 +178,11 @@ def _schema_lines(schema_slice, catalog: dict) -> tuple[str, ...]:
     if schema_slice is None or not catalog:
         return ()
     if schema_slice == SCHEMA_FULL:
-        tables = sorted(catalog)
+        tables = [(t, t) for t in sorted(catalog)]
     else:
-        tables = [t for t in schema_slice if t in catalog]
-    lines = []
-    for table in tables:
-        columns, _ = catalog_entry(catalog[table])
-        lines.append(f"{table}: {render_columns(columns)}")
-    return tuple(lines)
+        tables = [(t, catalog_key(catalog, t)) for t in schema_slice]
+    return tuple(f"{table}: {render_columns(catalog_entry(catalog[key])[0])}"
+                 for table, key in tables if key is not None)
 
 
 def prepare_data(plan: CorrectionPlan, error: ParsedError, query: str,

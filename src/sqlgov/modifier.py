@@ -18,7 +18,8 @@ from .bench import ToolReport, input_digest
 from .errors import ContractViolationError, EmptyQueryError
 from .fragmenter import decompose_lenient
 from .knowledge_base import MODIFIER, cosine_similarity
-from .prompts import ask, catalog_entry, modify_prompt, render_columns
+from .prompts import ask, catalog_entry, catalog_key, modify_prompt, \
+    render_columns
 from .shapes import check, entry_from_json, read_json, read_jsonl
 from .sqltext import templatize
 
@@ -219,10 +220,10 @@ def prepare_metadata(target_sql: str, surrounding_context: str,
 
 
 def _describe_table(table: str, catalog: dict) -> str:
-    entry = catalog.get(table)
-    if entry is None:
+    key = catalog_key(catalog, table)
+    if key is None:
         return "(not in catalog)"
-    columns, description = catalog_entry(entry)
+    columns, description = catalog_entry(catalog[key])
     text = render_columns(columns)
     return f"{description}; columns: {text}" if description else f"columns: {text}"
 

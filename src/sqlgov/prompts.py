@@ -215,6 +215,16 @@ def catalog_entry(entry) -> tuple[list | dict, str]:
     return entry, ""
 
 
+def catalog_key(catalog: dict, table: str) -> str | None:
+    """The key under which ``catalog`` describes ``table``: the table's
+    whole name, else the last part of a dotted one (``sales.orders`` finds
+    ``orders``); None when neither is a key."""
+    if table in catalog:
+        return table
+    last = table.rpartition(".")[2]
+    return last if last != table and last in catalog else None
+
+
 _COLUMN = {"name": "required str", "description": "str"}
 
 

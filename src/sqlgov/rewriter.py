@@ -3,10 +3,12 @@
 Every fragment gets exactly one suggestion record. A rule hit routes the
 fragment through the rule-guided prompt; otherwise a static efficiency screen
 either clears the fragment outright (no LLM call) or sends it through the
-exploratory prompt. The screen calls three of the rule matchers'
+exploratory prompt. The screen calls four of the rule matchers'
 predicates in ``analysis``, so a rule and the screen judge those shapes
-alike. The rewrite stage feeds the actionable suggestions plus retrieved
-historical cases to the provider and validates the result parses.
+alike; a subquery outside FROM fails it only when it is correlated, since
+an uncorrelated one runs once, whatever its parent does. The rewrite stage
+feeds the actionable suggestions plus retrieved historical cases to the
+provider and validates the result parses.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 
-from .analysis import (analyze_tree, fragment_facts, outer_join_with_null_filter,
-                       same_table_scanned, union_all_unprojected)
+from .analysis import (analyze_tree, correlated_subquery, fragment_facts,
+                       outer_join_with_null_filter, same_table_scanned,
+                       union_all_unprojected)
 from .bench import ToolReport, input_digest
 from .equivalence import DEFAULT_CONFIDENCE_FLOOR, check_equivalence, parse_select
 from .errors import RejectedResponseError, UnparseableQueryError, UnsupportedStatementError
-from .fragmenter import FragmentTree, SITE_FROM, SUBQUERY, decompose
+from .fragmenter import FragmentTree, decompose
 from .knowledge_base import DEFAULT_K, REWRITER, KnowledgeStore
 from .prompts import ask, rewrite_prompt, scenario1_prompt, scenario2_prompt
 
@@ -51,20 +54,19 @@ def _efficient(suggestion_id: int) -> RewriteSuggestion:
 
 
 def passes_efficiency_screen(fragment_id: int, tree: FragmentTree) -> bool:
-    """Negative screen: single base-table scan at most, no scalar or predicate
-    subqueries at this level, no outer-join null filtering, no duplicate
-    scans, explicit projection list. The null filtering, duplicate scans and
-    starred set-operation arms are the rule matchers' predicates."""
+    """Negative screen: single base-table scan at most, explicit projection
+    list, no outer-join null filtering, no starred set-operation arm, no
+    duplicate scans and no correlated subquery outside FROM at this level.
+    All but the first two are the rule matchers' predicates. The clauses
+    read the fragment's facts first and the correlation last, so most
+    fragments are settled before it."""
     f = fragment_facts(tree, fragment_id)
-    if sum(f.table_counts_own.values()) > 1:
-        return False
-    if any(c.kind == SUBQUERY and c.clause_site != SITE_FROM
-           for c in tree.children(fragment_id)):
-        return False
-    return not (outer_join_with_null_filter(tree, fragment_id)
-                or same_table_scanned(tree, fragment_id)
+    return not (sum(f.table_counts_own.values()) > 1
                 or f.select_has_star
-                or union_all_unprojected(tree, fragment_id))
+                or outer_join_with_null_filter(tree, fragment_id)
+                or union_all_unprojected(tree, fragment_id)
+                or same_table_scanned(tree, fragment_id)
+                or correlated_subquery(tree, fragment_id))
 
 
 def _merge_actions(entries: list[dict]) -> tuple[str, str]:

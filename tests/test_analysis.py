@@ -26,7 +26,7 @@ from sqlgov.errors import EmptyQueryError
 from sqlgov.fragmenter import SITE_FROM, SITE_SELECT_LIST, SUBQUERY, \
     decompose, decompose_lenient
 from sqlgov.rewriter import passes_efficiency_screen
-from sqlgov.sqltext import iter_table_context, normalize_tokens, \
+from sqlgov.sqltext import KEYWORDS, iter_table_context, normalize_tokens, \
     normalized_text, templatize
 from test_fragmenter import _assign_markers, _render, damaged_sql, gen_trees
 
@@ -100,7 +100,7 @@ def test_attribution_matches_the_reference_on_nested_queries(root):
     ('SELECT a.x FROM "T" a, u AS b', ["t", "u"]),
     ("SELECT * FROM t1 a JOIN t2 b ON a.k = b.k", ["t1", "t2"]),
     ("SELECT * FROM (SELECT y FROM u) d", ["u"]),
-    ("SELECT * FROM db.s.t x", ["db", "s", "t"]),
+    ("SELECT * FROM db.s.t x", ["db.s.t"]),
 ])
 def test_aliases_are_not_tables(sql, tables):
     tree = decompose(sql)
@@ -150,6 +150,18 @@ def test_a_derived_table_alias_is_owned_by_nobody():
 ])
 def test_renamed_aliases_pass_the_skeleton_prefilter(a, b):
     assert _skeleton_mismatch(parse_select(a), parse_select(b)) is None
+
+
+def test_a_qualified_table_counts_once_by_its_whole_name():
+    sql = "SELECT a.x, b.y FROM sales.orders a JOIN sales.items b ON a.k = b.k"
+    tree = decompose(sql)
+    assert referenced_tables(tree) == ["sales.items", "sales.orders"]
+    assert not matcher_holds([{"pred": "same_table_scanned"}], tree,
+                             tree.root_id)
+    one = decompose("SELECT x FROM sales.orders")
+    assert fragment_facts(one, one.root_id).table_counts_own \
+        == {"sales.orders": 1}
+    assert passes_efficiency_screen(one.root_id, one)
 
 
 def test_an_aliased_single_scan_passes_the_efficiency_screen():
@@ -443,7 +455,9 @@ def test_select_list_is_the_normalized_projection(sql, expected):
 #
 # Each reference below is the formula the rule matchers and the efficiency
 # screen used before they shared one vocabulary, over ``_reference_facts``
-# and ``_reference_counts``.
+# and ``_reference_counts``; the screen's subquery clause has since become
+# "a subquery child outside FROM with an outer reference", read by walking
+# scopes over the fragment tree.
 
 _OPS = ["JOIN", "left join", "IN", "UNION ALL", "IS NOT NULL", "SELECT *",
         "CROSS JOIN", "( )"]
@@ -456,7 +470,73 @@ def _reference_duplicated(tree, fragment_id, subtree, min_count):
                for table, count in subtree[fragment_id].items())
 
 
-def _reference_answers(tree, f, own_counts, subtree):
+def _ref_dotted(tokens, first, stop):
+    """The lower-cased words at ``first``, ``first + 2``, ... before
+    ``stop``, joined by '.'."""
+    return ".".join(tokens[k].text.strip('`"').lower()
+                    for k in range(first, stop, 2))
+
+
+def _reference_scopes(tree):
+    """Per fragment id, the names its FROM items bind and the qualifiers of
+    its column references, each read from its own tokens: the tokens of
+    its range outside every child's range."""
+    tokens = tree.tokens
+    table_words = {idx for idx, _ in iter_table_context(tokens)}
+    binds, quals = {}, {}
+    for f in tree.fragments:
+        children = tree.children(f.id)
+        names, used = set(), []
+        for i in range(*f.token_range):
+            if any(c.token_range[0] <= i < c.token_range[1] for c in children):
+                continue
+            if i in table_words and (i == 0 or tokens[i - 1].text != "."):
+                end = i
+                while end + 2 < len(tokens) and tokens[end + 1].text == "." \
+                        and tokens[end + 2].kind == "WORD":
+                    end += 2
+                whole = _ref_dotted(tokens, i, end + 1)
+                names |= {whole, whole.split(".")[-1]}
+            if tokens[i].text == "." and i and tokens[i - 1].kind == "WORD" \
+                    and i - 1 not in table_words \
+                    and not (i + 2 < len(tokens)
+                             and tokens[i + 1].kind == "WORD"
+                             and tokens[i + 2].text == "."):
+                first = i - 1
+                while first >= 2 and tokens[first - 1].text == "." \
+                        and tokens[first - 2].kind == "WORD":
+                    first -= 2
+                used.append(_ref_dotted(tokens, first, i))
+        for c in children:
+            after = tokens[c.token_range[1] + 1:c.token_range[1] + 3]
+            if c.clause_site == SITE_FROM and after:
+                if after[0].text.upper() == "AS":
+                    after = after[1:]
+                if after and after[0].kind == "WORD" \
+                        and after[0].text.upper() not in KEYWORDS:
+                    names.add(after[0].text.strip('`"').lower())
+        binds[f.id], quals[f.id] = names, used
+    return binds, quals
+
+
+def _reference_correlated(tree, child, binds, quals):
+    """Some qualifier used in ``child``'s subtree is bound neither where it
+    is used nor in any scope above that one that it sees, up to and
+    including ``child``. A derived table does not see its parent's FROM
+    items, unless it is LATERAL."""
+    for g in tree.subtree(child.id):
+        for q in quals[g.id]:
+            scope, sees = g, True
+            while not (sees and q in binds[scope.id]):
+                if scope.id == child.id:
+                    return True
+                sees = scope.clause_site != SITE_FROM or tree.tokens[
+                    scope.token_range[0] - 2].text.upper() == "LATERAL"
+                scope = tree.by_id(scope.parent_id)
+    return False
+
+
+def _reference_answers(tree, f, own_counts, subtree, scopes):
     """(clauses and what each should answer, what the screen should answer)
     for fragment ``f``."""
     ref = _reference_facts(tree, f)
@@ -477,10 +557,13 @@ def _reference_answers(tree, f, own_counts, subtree):
         ({"pred": "scalar_subquery_in_select"},
          ref["scalar_subquery_in_select"]),
     ]
+    correlated = any(c.kind == SUBQUERY and c.clause_site != SITE_FROM
+                     and _reference_correlated(tree, c, *scopes)
+                     for c in tree.children(f.id))
+    answers.append(({"pred": "correlated_subquery"}, correlated))
     screen = not (
         sum(own_counts[f.id].values()) > 1
-        or any(c.kind == SUBQUERY and c.clause_site != SITE_FROM
-               for c in tree.children(f.id))
+        or correlated
         or null_filter or _reference_duplicated(tree, f.id, subtree, 2)
         or ref["select_has_star"] or arm_star)
     return answers, screen
@@ -488,8 +571,10 @@ def _reference_answers(tree, f, own_counts, subtree):
 
 def _assert_predicates_match_the_reference(tree):
     own_counts, subtree = _reference_counts(tree)
+    scopes = _reference_scopes(tree)
     for f in reversed(tree.fragments):  # the root first: facts built on read
-        answers, screen = _reference_answers(tree, f, own_counts, subtree)
+        answers, screen = _reference_answers(tree, f, own_counts, subtree,
+                                             scopes)
         assert {clause["pred"] for clause, _ in answers} \
             == set(MATCHER_PREDICATES)
         for clause, expected in answers:

@@ -243,6 +243,18 @@ def test_schema_lines_render_list_dict_and_described_columns():
     assert schema(None) == ()
 
 
+def test_a_dotted_table_slices_the_schema_whole_then_by_its_last_part():
+    catalog = {"sales.orders": ["k", "x"], "items": ["k", "y"], "other": ["z"]}
+    sql = "SELECT a.x, b.y FROM sales.orders a JOIN sales.items b ON a.k = b.k"
+    tree = decompose(sql)
+    error = parse_error_log("ParseException: boom")
+    plan = CorrectionPlan(strategy=None, scope=SCOPE_GLOBAL,
+                          schema_slice=["sales.items", "sales.orders"],
+                          target_fragment=None, guidance="fix it")
+    assert prepare_data(plan, error, sql, tree, catalog).schema_lines \
+        == ("sales.items: k, y", "sales.orders: k, x")
+
+
 def test_schema_lines_and_modify_metadata_read_an_entry_alike():
     """A described entry without columns has no columns, in the fix-syntax
     schema and in the modify metadata alike; a column map is columns in

@@ -230,6 +230,15 @@ def test_prepare_metadata_missing_catalog_entry_is_name_only():
     assert context.referenced_metadata["unknown_table"] == "(not in catalog)"
 
 
+def test_a_dotted_table_meets_the_catalog_whole_then_by_its_last_part():
+    catalog = {"sales.orders": ["k", "x"], "items": ["k", "y"]}
+    context = prepare_metadata(
+        "SELECT a.x, b.y FROM sales.orders a JOIN sales.items b ON a.k = b.k",
+        "", catalog, [], now=0.0)
+    assert context.referenced_metadata == {"sales.items": "columns: k, y",
+                                           "sales.orders": "columns: k, x"}
+
+
 def test_prepare_metadata_empty_history():
     context = prepare_metadata("SELECT 1", "", {}, [], now=0.0)
     assert context.frequent_tables == []
