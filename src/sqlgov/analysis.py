@@ -4,21 +4,21 @@ Facts are computed from the tree's one token list; nothing here tokenizes
 text. A fragment's ``token_range`` holds exactly the tokens it and its
 descendants own, so its own tokens are the gaps between its children's
 ranges, with offsets into the whole query, and the parentheses around a
-child stay with the parent. The tree's one table-context walk over the whole
-query (``FragmentTree.table_positions``) is read once per tree into the
-query's base-table references, in text order; a fragment's subtree table
-counts are the references inside its range and its own counts those in its
-gaps, so each base-table scan is attributed to exactly one fragment, and a
-qualified name is one reference, by its whole dotted name in lower case. On
-well-formed SQL the walk reads a fragment's tokens as a walk of that
-fragment alone would, because a subquery opens with SELECT or WITH and a
-CTE body follows its consumed name. Every other fact comes from one walk
-over the fragment's own tokens, which reads each token's upper-case form
-from the token itself; that walk also marks out the projection, whose own
-tokens the equivalence check compares to tell whether two fragments name
-their outputs alike. The structural predicates that rule matchers name live
-here too (``MATCHER_PREDICATES``): each takes the tree, a fragment id and
-its clause's parameters and reads the facts off the tree, except
+child stay with the parent. The tree's FROM items, one walk over the whole
+query (``FragmentTree.from_items``), are read once per tree into the
+query's base-table references, in text order: the named items whose names
+no WITH list defines. A fragment's subtree table counts are the references
+inside its range and its own counts those in its gaps, so each base-table
+scan is attributed to exactly one fragment, and a qualified name is one
+reference, by its whole dotted name in lower case. The walk keeps a state
+per parenthesis level, so a subquery's clauses never end its parent's FROM
+list. Every other fact comes from one walk over the fragment's own tokens,
+which reads each token's upper-case form from the token itself; that walk
+also marks out the projection, whose own tokens the equivalence check
+compares to tell whether two fragments name their outputs alike. The
+structural predicates that rule matchers name live here too
+(``MATCHER_PREDICATES``): each takes the tree, a fragment id and its
+clause's parameters and reads the facts off the tree, except
 ``correlated_subquery``, which slices the query's qualified column
 references that point out of their own fragment, found once per tree from
 its '.' tokens and resolved against the FROM items in scope without
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from .fragmenter import Fragment, FragmentTree, SITE_FROM, SITE_SELECT_LIST, \
     SUBQUERY
-from .sqltext import Token, WORD, is_keyword, normalize_tokens, normalized_text
+from .sqltext import Token, WORD, normalize_tokens, normalized_text
 
 _OUTER_JOINS = {"LEFT", "RIGHT", "FULL"}
 _JOIN_MODIFIERS = _OUTER_JOINS | {"INNER", "OUTER", "CROSS", "NATURAL"}
@@ -83,43 +83,17 @@ _OUTER = "_outer_references"
 _START = itemgetter(2)  # a token's start offset
 
 
-def _dotted_name(tokens: tuple[Token, ...], idx: int) -> str:
-    """The lower-cased name that starts with the word at ``idx``: its parts,
-    each a word after a '.', joined by '.' (``db.s.t``)."""
-    name = tokens[idx].text.strip('`"').lower()
-    last = len(tokens) - 2
-    while idx < last and tokens[idx + 1].text == "." \
-            and tokens[idx + 2].kind == WORD:
-        idx += 2
-        name += "." + tokens[idx].text.strip('`"').lower()
-    return name
-
-
-def _table_refs(tokens: tuple[Token, ...], positions, cte_names: set[str]):
-    """Yield (index, lower-cased name) for each base-table reference: a word
-    at one of the table-context ``positions`` that is neither a CTE name, an
-    alias, which comes right after ')', AS or the name it renames, nor a
-    later part of a qualified name, which comes right after '.'. A
-    qualified name is one reference, by its whole dotted name."""
-    for idx in positions:
-        prev = tokens[idx - 1] if idx else None
-        if prev and (prev.text == ")" or prev.text == "."
-                     or prev.upper == "AS"
-                     or prev.kind == WORD and not is_keyword(prev)):
-            continue
-        name = _dotted_name(tokens, idx)
-        if name and name not in cte_names:
-            yield idx, name
-
-
 def _references(tree: FragmentTree) -> list[tuple[int, str]]:
     """The query's base-table references as (token index, name), in text
-    order: ``_table_refs`` over the tree's table positions, run on the
-    first read and held on the tree."""
+    order: the tree's named FROM items whose names no WITH list defines,
+    read on the first call and held on the tree."""
     refs = tree.__dict__.get(_REFS)
     if refs is None:
-        refs = tree.__dict__[_REFS] = list(_table_refs(
-            tree.tokens, tree.table_positions, tree.cte_names()))
+        items = tree.from_items
+        ctes = {item.name for item in items if item.cte}
+        refs = tree.__dict__[_REFS] = [
+            (item.first, item.name) for item in items
+            if item.name is not None and item.name not in ctes]
     return refs
 
 
@@ -158,12 +132,14 @@ def _outer_references(tree: FragmentTree) -> list[tuple[int, int]]:
     '.' of a dotted name (``s.t.col`` is qualified by ``s.t``) and not in
     table-name position. Every '.' token separates names, since a number
     holds its decimal point, so the dots are found in the source text. A
-    fragment binds the names of its FROM items: a base table's whole dotted
-    name and its last part, an alias, a CTE name, and a derived table's
-    alias after its ')'. A reference sees the names its own fragment binds,
-    then those of each fragment above, except that a derived table does not
-    see its parent's unless it is LATERAL. Binders are read only for
-    qualifiers the query uses, and only when it uses one."""
+    fragment binds the names of the FROM items it holds
+    (``FragmentTree.from_items``): an item's alias, which hides the name it
+    renames, or else a named item's whole dotted name and its last part; a
+    derived table is held where its ')' is. A name a WITH list defines binds
+    only where a FROM item names it. A reference sees the names its own
+    fragment binds, then those of each fragment above, except that a derived
+    table does not see its parent's unless it is LATERAL. Binders are read
+    only for qualifiers the query uses, and only when it uses one."""
     refs = tree.__dict__.get(_OUTER)
     if refs is not None:
         return refs
@@ -193,24 +169,17 @@ def _outer_references(tree: FragmentTree) -> list[tuple[int, int]]:
     order = sorted((f.token_range[0], f.id) for f in tree.fragments)
     starts = [lo for lo, _ in order]
     bound: dict[int, set[str]] = {}  # fragment id: names it binds
-    for idx in positions:
-        if idx and tokens[idx - 1].text == ".":
-            continue  # a later part of a dotted name
-        name = _dotted_name(tokens, idx)
-        names = {name, name.rpartition(".")[2]} & wanted
+    for first, _, name, alias, cte in tree.from_items:
+        if alias is not None:
+            names = {tokens[alias].text.strip('`"').lower()}
+        elif name is None or cte:
+            continue
+        else:
+            names = {name, name.rpartition(".")[2]}
+        names &= wanted
         if names:
-            bound.setdefault(_holder(tree, order, starts, idx).id,
+            bound.setdefault(_holder(tree, order, starts, first).id,
                              set()).update(names)
-    for frag in tree.fragments:  # a derived table's alias, after its ')'
-        if frag.clause_site == SITE_FROM:
-            k = frag.token_range[1] + 1
-            if k <= last and tokens[k].upper == "AS":
-                k += 1
-            if k <= last and tokens[k].kind == WORD \
-                    and not is_keyword(tokens[k]):
-                name = tokens[k].text.strip('`"').lower()
-                if name in wanted:
-                    bound.setdefault(frag.parent_id, set()).add(name)
     for j, q in quals:
         frag = _holder(tree, order, starts, j)
         if q in bound.get(frag.id, ()):

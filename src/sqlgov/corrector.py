@@ -30,7 +30,7 @@ _FALLBACK_GUIDANCE = (
 _EXCEPTION_RE = re.compile(r"\b([A-Za-z_]\w*(?:Exception|Error))\b")
 _LINE_COL_RE = re.compile(r"line\s+(\d+)\s*,?\s*column\s+(\d+)", re.IGNORECASE)
 _POSITION_RE = re.compile(r"at (?:position|character)\s+(\d+)", re.IGNORECASE)
-_NEAR_RE = re.compile(r"""at or near ["'`]([^"'`]+)["'`]""", re.IGNORECASE)
+_NEAR_RE = re.compile(r"""\bnear ["'`]([^"'`]+)["'`]""", re.IGNORECASE)
 _QUOTED_NAME_RE = re.compile(r"'([A-Za-z_]\w*)'")
 
 

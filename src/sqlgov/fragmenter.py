@@ -14,16 +14,18 @@ diagnostic alongside the partial tree.
 The tree is the one parse of a query. ``FragmentTree.tokens`` are the
 source's tokens, and a fragment's ``token_range = (lo, hi)`` indexes its
 text's tokens there: ``tree.tokens[lo:hi]`` equals ``scan(fragment.text)``
-shifted by ``span[0]``. A child's range nests in its parent's, after the '('
-that opens it, and siblings' ranges are disjoint. Consumers slice these
+shifted by ``span[0]``. A child's range nests in its parent's, after the
+'(' that opens it, and siblings' ranges are disjoint. Consumers slice these
 tokens instead of tokenizing fragment text again. ``Token`` and
 ``Fragment`` are NamedTuples; a token carries its upper-case form. The tree
-also keeps, computed on first use, the positions of its table-context walk
-(``table_positions``), so the table analysis and ``templatize`` walk a tree
-once between them. A fragment's local segments and local text are built per
-fragment on their first read and kept on the tree, so a caller pays only
-for the fragments it reads. Nothing the tree keeps refers back to it, so a
-tree the memo drops is freed by reference counting.
+also keeps, computed on first use, its FROM items (``from_items``, one walk
+of ``sqltext.iter_from_items`` over the whole query) and the table-name
+positions read off them (``table_positions``), so the table analysis, the
+correlation binders and ``templatize`` walk a tree once between them. A
+fragment's local segments and local text are built per fragment on their
+first read and kept on the tree, so a caller pays only for the fragments it
+reads. Nothing the tree keeps refers back to it, so a tree the memo drops
+is freed by reference counting.
 
 Building and numbering walk the nesting with explicit stacks, not
 recursion, so a query nested past the interpreter's recursion limit still
@@ -41,7 +43,8 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import EmptyQueryError, OutOfRangeError, UnparseableQueryError
-from .sqltext import SELECT_HEADS, Token, WORD, iter_table_context, scan
+from .sqltext import SELECT_HEADS, FromItem, Token, WORD, iter_from_items, \
+    scan
 
 MAIN = "MAIN"
 CTE = "CTE"
@@ -189,14 +192,23 @@ class FragmentTree:
         return {}  # filled by local_text, one fragment at a time
 
     @cached_property
+    def from_items(self) -> tuple[FromItem, ...]:
+        """The query's FROM items and the names its WITH lists define, in
+        text order: ``iter_from_items``, walked once per tree."""
+        return tuple(iter_from_items(self.tokens))
+
+    @cached_property
     def table_positions(self) -> tuple[int, ...]:
         """Indices into ``tokens`` of the words in table-name position, in
-        order: ``iter_table_context`` over the whole query, walked once per
-        tree."""
-        return tuple(idx for idx, _ in iter_table_context(self.tokens))
-
-    def cte_names(self) -> set[str]:
-        return {f.name.lower() for f in self.fragments if f.kind == CTE and f.name}
+        order: each part of a named item's name, its alias, and each name a
+        WITH list defines. A derived table's alias is none of them."""
+        positions = []
+        for first, last, name, alias, _ in self.from_items:
+            if name is not None:
+                positions += range(first, last + 1, 2)
+                if alias is not None:
+                    positions.append(alias)
+        return tuple(positions)
 
 
 def _match_parens(tokens: list[Token]) -> tuple[dict[int, int], str | None]:

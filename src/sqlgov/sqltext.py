@@ -1,4 +1,4 @@
-"""Lenient SQL tokenizer and template masking.
+"""Lenient SQL tokenizer, the one reader of FROM items, and template masking.
 
 The lexical grammar is the one pattern ``_LEXICON``, a named group per
 token kind; the order of its alternatives is their precedence. Each match
@@ -14,7 +14,8 @@ scan once per spelling: a word's text upper-cased, and any other token's
 text itself. Words of one spelling share their two strings.
 Keyword tests read that field. No other kind's text upper-cases to a word:
 a string opens with a quote, a number with a digit or '.', and no single
-character upper-cases to a keyword.
+character upper-cases to a keyword. ``iter_from_items`` walks a query's
+tokens once for its FROM items; the fragmenter holds the result per tree.
 """
 
 from __future__ import annotations
@@ -129,83 +130,98 @@ def is_keyword(token: Token) -> bool:
     return token.kind == WORD and token.upper in KEYWORDS
 
 
-_TABLE_INTRO = {"FROM", "JOIN", "INTO", "UPDATE", "TABLE"}
-_CLAUSE_ENDERS = {
-    "SELECT", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "ON", "USING",
-    "SET", "UNION", "INTERSECT", "EXCEPT", "WHEN", "VALUES",
-}
+class FromItem(NamedTuple):
+    first: int  # index of the first name word, or of a derived table's ')'
+    last: int  # index of the last name word, or of that ')'
+    name: str | None  # the whole dotted name, lower case; None when derived
+    alias: int | None  # index of the alias word
+    cte: bool  # a name that a WITH list defines, not a FROM item
 
 
-def iter_table_context(tokens: list[Token]):
-    """Yield (index, token) for identifier tokens sitting in table-name position.
+_new_item = tuple.__new__  # FromItem(...) without the Python-level __new__
+_FROM, _CONDITION, _WITH = "FROM", "ON", "WITH"  # the list a level is in
+_OPENERS = dict.fromkeys(("FROM", "JOIN", "INTO", "UPDATE", "TABLE"), _FROM)
+_OPENERS["WITH"] = _WITH
+_CLAUSE_WORDS = {"SELECT", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT",
+                 "SET", "UNION", "INTERSECT", "EXCEPT", "VALUES", "WINDOW"}
+_QUERY_HEADS = (*SELECT_HEADS, "VALUES")
 
-    Covers FROM/JOIN lists (including comma-separated members and aliases),
-    INTO/UPDATE targets, and CTE names after WITH. Qualifier chains
-    (db.schema.tbl) yield every component. Heuristic by design: nested
-    derived-table aliases may be missed, which is acceptable for masking.
+
+def _name(token: Token) -> str:
+    return token.text.strip('`"').lower()
+
+
+def _alias(tokens, j: int) -> int | None:
+    """The index of the alias word at ``tokens[j]``, after an optional AS:
+    a word that is neither a keyword nor a clause word such as WINDOW."""
+    if j < len(tokens) and tokens[j].upper == "AS":
+        j += 1
+    if j < len(tokens) and tokens[j].kind == WORD and not is_keyword(tokens[j]) \
+            and tokens[j].upper not in _CLAUSE_WORDS:
+        return j
+    return None
+
+
+def iter_from_items(tokens):
+    """Yield each FROM item, and each name a WITH list defines, in text order.
+
+    One walk, with a (list kind, item due) state for each open parenthesis
+    level. A FROM list opens at FROM, JOIN, INTO, UPDATE or TABLE, and a
+    WITH list at WITH; either closes at the next clause word of its own
+    level. In a FROM list a comma starts an item, and ON or USING starts a
+    condition that runs to the next JOIN or comma. Where an item is due, a
+    word that is no keyword starts a named item, its parts joined by '.'; a
+    group that holds a query (SELECT, WITH or VALUES) is a derived table,
+    yielded at its ')'; any other group is a parenthesized join, whose items
+    continue the list. An alias, with or without AS, may follow an item.
+    Keywords where an item is due (LATERAL, ONLY) are passed over.
     """
-    expect_table = False
-    preludes: list[int] = []  # depth of each open WITH list, innermost last
-    depth = 0
+    levels = []  # the (list kind, item due) of each enclosing level
+    kind, due = None, False
+    n = len(tokens)
     i = 0
-    while i < len(tokens):
+    while i < n:
         tok = tokens[i]
         upper = tok.upper
         if upper == "(":
-            depth += 1
-            i += 1
-            continue
-        if upper == ")":
-            depth -= 1
-            while preludes and preludes[-1] > depth:
-                preludes.pop()  # a WITH list ends with its parenthesis
-                expect_table = False
-            i += 1
-            continue
-        if upper in _TABLE_INTRO:
-            expect_table = True
-            i += 1
-            continue
-        if upper == "WITH":
-            expect_table = True
-            preludes.append(depth)
-            i += 1
-            continue
-        if upper == "RECURSIVE" and preludes:
-            i += 1
-            continue
-        if upper in _CLAUSE_ENDERS:
-            expect_table = False
-            if preludes and preludes[-1] == depth:
-                preludes.pop()
-            i += 1
-            continue
-        if expect_table and tok.kind == WORD and upper not in KEYWORDS:
-            yield i, tok
-            i += 1
-            # qualifier chain and trailing alias
-            while i + 1 < len(tokens) and tokens[i].text == "." \
-                    and tokens[i + 1].kind == WORD:
-                yield i + 1, tokens[i + 1]
-                i += 2
-            if not (preludes and preludes[-1] == depth):
-                if i < len(tokens) and tokens[i].kind == WORD \
-                        and not is_keyword(tokens[i]):
-                    yield i, tokens[i]  # bare alias
-                    i += 1
+            if due and kind == _FROM and (
+                    i + 1 == n or tokens[i + 1].upper not in _QUERY_HEADS):
+                levels.append((_FROM, False))  # a parenthesized join
             else:
-                expect_table = False  # CTE name consumed; AS ( body ) follows
-            continue
-        if tok.text == ",":
-            if preludes and preludes[-1] == depth:
-                expect_table = True  # next CTE in the WITH list
-            i += 1
-            continue
-        if upper == "AS" and expect_table:
-            i += 1
-            continue
-        if expect_table and tok.kind != WORD and tok.text != ",":
-            expect_table = False
+                levels.append((kind, due))
+                kind, due = None, False
+        elif upper == ")":
+            kind, due = levels.pop() if levels else (None, False)
+            if due and kind == _FROM:  # a derived table ends
+                alias = _alias(tokens, i + 1)
+                yield _new_item(FromItem, (i, i, None, alias, False))
+                due = False
+                i = alias or i  # an alias is never token 0
+        elif upper in _OPENERS:
+            kind, due = _OPENERS[upper], True
+        elif kind is None:
+            pass
+        elif upper in _CLAUSE_WORDS:
+            kind, due = None, False
+        elif upper == ",":
+            kind, due = (_WITH if kind == _WITH else _FROM), True
+        elif upper == "ON" or upper == "USING":
+            kind, due = _CONDITION, False
+        elif due and tok.kind == WORD and upper not in KEYWORDS:
+            first, name = i, _name(tok)
+            if kind == _WITH:
+                yield _new_item(FromItem, (i, i, name, None, True))
+            else:
+                while i + 2 < n and tokens[i + 1].upper == "." \
+                        and tokens[i + 2].kind == WORD:
+                    i += 2
+                    name += "." + _name(tokens[i])
+                alias = _alias(tokens, i + 1)
+                yield _new_item(FromItem, (first, i, name, alias, False))
+                i = alias or i
+            due = False
+        elif due and tok.kind != WORD:
+            due = False
         i += 1
 
 
@@ -216,7 +232,8 @@ def templatize(sql: str) -> str:
     structure preserved. Idempotent because placeholders are atomic tokens.
     The tokens and their table positions come from the fragmenter's memoized
     parse, so a query already decomposed is neither scanned nor walked for
-    table context again; blank or comment-only text gives "".
+    FROM items again; blank or comment-only text gives "". A derived
+    table's alias is no table position, so it masks as [COL].
     """
     from .fragmenter import decompose_lenient  # fragmenter imports this module
 

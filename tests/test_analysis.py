@@ -17,17 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sqlgov.analysis as analysis
 import sqlgov.fragmenter as fragmenter
-from sqlgov.analysis import MATCHER_PREDICATES, _table_refs, analyze_tree, \
-    fragment_facts, matcher_holds, referenced_tables
+from sqlgov.analysis import MATCHER_PREDICATES, analyze_tree, \
+    correlated_subquery, fragment_facts, matcher_holds, referenced_tables
 from sqlgov.equivalence import _skeleton_mismatch, parse_select
 from sqlgov.errors import EmptyQueryError
 from sqlgov.fragmenter import SITE_FROM, SITE_SELECT_LIST, SUBQUERY, \
     decompose, decompose_lenient
 from sqlgov.rewriter import passes_efficiency_screen
-from sqlgov.sqltext import KEYWORDS, iter_table_context, normalize_tokens, \
-    normalized_text, templatize
+from sqlgov.sqltext import KEYWORDS, normalize_tokens, normalized_text, \
+    templatize
 from test_fragmenter import _assign_markers, _render, damaged_sql, gen_trees
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -41,17 +40,110 @@ def _fixture_queries() -> list[str]:
     return queries
 
 
+# --- a reference reading of FROM items ----------------------------------------
+#
+# The FROM-item rules once more, read group by group with recursion in place
+# of the walk's stack of levels, from each token's text.
+
+_REF_OPENERS = {"FROM", "JOIN", "INTO", "UPDATE", "TABLE"}
+_REF_CLAUSE_WORDS = {"SELECT", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT",
+                     "SET", "UNION", "INTERSECT", "EXCEPT", "VALUES", "WINDOW"}
+
+
+def _ref_name_word(tok):
+    return tok.kind == "WORD" and tok.text.upper() not in KEYWORDS
+
+
+def _ref_alias_word(tok):
+    return _ref_name_word(tok) and tok.text.upper() not in _REF_CLAUSE_WORDS
+
+
+def _ref_alias(tokens, j):
+    if j < len(tokens) and tokens[j].text.upper() == "AS":
+        j += 1
+    return j if j < len(tokens) and _ref_alias_word(tokens[j]) else None
+
+
+def _ref_group(tokens, i, lst, out):
+    """Read one parenthesis level from ``tokens[i]`` up to its ')', which
+    it returns the index of (``len(tokens)`` when none comes), appending
+    each item to ``out`` as (kind, indices of its name words, alias index).
+    ``lst`` is the list the level opens in: "FROM", with an item due, for a
+    parenthesized join, and None otherwise."""
+    due = lst == "FROM"
+    while i < len(tokens) and tokens[i].text != ")":
+        tok = tokens[i]
+        word = tok.text.upper()
+        if tok.text == "(":
+            query = i + 1 < len(tokens) \
+                and tokens[i + 1].text.upper() in ("SELECT", "WITH", "VALUES")
+            join = lst == "FROM" and due and not query
+            close = _ref_group(tokens, i + 1, "FROM" if join else None, out)
+            if lst == "FROM" and due:
+                due = False
+                if query and close < len(tokens):
+                    alias = _ref_alias(tokens, close + 1)
+                    out.append(("derived", [close], alias))
+                    close = alias or close
+            i = close
+        elif word in _REF_OPENERS:
+            lst, due = "FROM", True
+        elif word == "WITH":
+            lst, due = "WITH", True
+        elif word in _REF_CLAUSE_WORDS:
+            lst, due = None, False
+        elif lst is None:
+            pass
+        elif word == ",":
+            lst, due = ("WITH" if lst == "WITH" else "FROM"), True
+        elif word in ("ON", "USING"):
+            lst, due = "ON", False
+        elif due and _ref_name_word(tok):
+            words = [i]
+            if lst == "FROM":
+                while i + 2 < len(tokens) and tokens[i + 1].text == "." \
+                        and tokens[i + 2].kind == "WORD":
+                    i += 2
+                    words.append(i)
+                alias = _ref_alias(tokens, i + 1)
+                out.append(("table", words, alias))
+                i = alias or i
+            else:
+                out.append(("cte", words, None))
+            due = False
+        elif due and tok.kind != "WORD":
+            due = False
+        i += 1
+    return min(i, len(tokens))
+
+
+def _ref_from_items(tokens):
+    """Every item of the query, in the order read; a ')' that closes no
+    group leaves no list open."""
+    out, i = [], 0
+    while i < len(tokens):
+        i = _ref_group(tokens, i, None, out) + 1
+    return out
+
+
+def _ref_name(tokens, words):
+    return ".".join(tokens[k].text.strip('`"').lower() for k in words)
+
+
 def _reference_counts(tree):
-    """(own, subtree) counts per fragment the long way: the table-reference
-    helper over each fragment's whole token range, and own counts the
-    subtree counts minus the direct children's."""
-    cte_names = tree.cte_names()
-    subtree = {}
-    for f in tree.fragments:
-        tokens = tree.tokens[slice(*f.token_range)]
-        positions = [idx for idx, _ in iter_table_context(tokens)]
-        subtree[f.id] = Counter(
-            name for _, name in _table_refs(tokens, positions, cte_names))
+    """(own, subtree) counts per fragment the long way: the reference
+    reading's named items whose names no WITH list defines, counted in each
+    fragment's token range, and own counts the subtree counts minus the
+    direct children's."""
+    tokens = tree.tokens
+    items = _ref_from_items(tokens)
+    ctes = {_ref_name(tokens, words) for kind, words, _ in items
+            if kind == "cte"}
+    refs = [(words[0], _ref_name(tokens, words)) for kind, words, _ in items
+            if kind == "table" and _ref_name(tokens, words) not in ctes]
+    subtree = {f.id: Counter(name for idx, name in refs
+                             if f.token_range[0] <= idx < f.token_range[1])
+               for f in tree.fragments}
     own = {}
     for f in tree.fragments:
         counts = Counter(subtree[f.id])
@@ -115,6 +207,26 @@ def test_aliases_are_not_tables(sql, tables):
      ["t1", "t2"]),
 ])
 def test_lateral_and_only_are_not_tables(sql, tables):
+    tree = decompose(sql)
+    assert referenced_tables(tree) == tables
+    _assert_attribution(tree)
+
+
+@pytest.mark.parametrize("sql, tables", [
+    ("SELECT w.k FROM (SELECT u.k FROM u WHERE u.k > 1) d, w", ["u", "w"]),
+    ("SELECT c.x FROM a JOIN b ON a.k = b.k, c", ["a", "b", "c"]),
+    ("SELECT * FROM a JOIN b USING (k), c x", ["a", "b", "c"]),
+    ("SELECT * FROM (a JOIN b ON a.k = b.k) JOIN c ON TRUE, d", ["a", "b", "c",
+                                                                 "d"]),
+    ("SELECT * FROM a WHERE a.k IN (SELECT k FROM b WHERE b.x = 1), c",
+     ["a", "b"]),
+    ("SELECT * FROM a JOIN b ON a.k IN (SELECT k FROM c), d", ["a", "b", "c",
+                                                               "d"]),
+])
+def test_an_item_after_a_condition_or_a_derived_table_is_read(sql, tables):
+    """A comma in a FROM list starts an item, after a JOIN's condition or a
+    derived table that ends in a clause as anywhere else; a comma after a
+    WHERE is no item's."""
     tree = decompose(sql)
     assert referenced_tables(tree) == tables
     _assert_attribution(tree)
@@ -202,38 +314,40 @@ def test_records_are_immutable_tuples(nested_query):
     assert "source" not in repr(root) and nested_query not in repr(root)
 
 
-def test_analysis_templatize_and_tables_walk_a_tree_once(monkeypatch,
-                                                        nested_query):
+@pytest.fixture
+def from_item_walks(monkeypatch):
+    """The token count of each walk for FROM items, in call order."""
     walks = []
+    real = fragmenter.iter_from_items
 
     def counting(tokens):
         walks.append(len(tokens))
-        return iter_table_context(tokens)
+        return real(tokens)
 
-    monkeypatch.setattr(fragmenter, "iter_table_context", counting)
+    monkeypatch.setattr(fragmenter, "iter_from_items", counting)
+    return walks
+
+
+def test_analysis_templatize_and_tables_walk_a_tree_once(from_item_walks,
+                                                        nested_query):
     tree = decompose(nested_query)
     analyze_tree(tree)
     templatize(nested_query)
     assert referenced_tables(tree) == ["tb0", "tb1", "tb2", "tb3", "tb4"]
-    assert walks == [len(tree.tokens)]
+    assert from_item_walks == [len(tree.tokens)]
 
 
-
-def test_table_references_are_read_once_per_tree(monkeypatch, nested_query):
-    runs = []
-    real = analysis._table_refs
-
-    def counting(*args):
-        runs.append(len(args[0]))
-        return real(*args)
-
-    monkeypatch.setattr(analysis, "_table_refs", counting)
+def test_table_references_are_read_once_per_tree(from_item_walks,
+                                                 nested_query):
+    """Table counts, the tables of the whole query and the binders of the
+    correlation check all read the one walk."""
     tree = decompose(nested_query)
     fragment_facts(tree, tree.root_id)
     analyze_tree(tree)
     fragment_facts(tree, 1)
     assert referenced_tables(tree) == ["tb0", "tb1", "tb2", "tb3", "tb4"]
-    assert runs == [len(tree.tokens)]
+    assert correlated_subquery(tree, tree.root_id, {})
+    assert from_item_walks == [len(tree.tokens)]
 
 
 def test_a_chain_past_the_recursion_limit_analyzes():
@@ -480,9 +594,20 @@ def _ref_dotted(tokens, first, stop):
 def _reference_scopes(tree):
     """Per fragment id, the names its FROM items bind and the qualifiers of
     its column references, each read from its own tokens: the tokens of
-    its range outside every child's range."""
+    its range outside every child's range. An item is where its first name
+    word is, or a derived table's ')'; it binds its alias, or else a named
+    item's whole name and that name's last part."""
     tokens = tree.tokens
-    table_words = {idx for idx, _ in iter_table_context(tokens)}
+    items = _ref_from_items(tokens)
+    table_words = {k for kind, words, alias in items if kind != "derived"
+                   for k in words + ([alias] if alias else [])}
+    binders = {}  # token index: the names the item there binds
+    for kind, words, alias in items:
+        if alias:
+            binders[words[0]] = {tokens[alias].text.strip('`"').lower()}
+        elif kind == "table":
+            whole = _ref_name(tokens, words)
+            binders[words[0]] = {whole, whole.split(".")[-1]}
     binds, quals = {}, {}
     for f in tree.fragments:
         children = tree.children(f.id)
@@ -490,13 +615,7 @@ def _reference_scopes(tree):
         for i in range(*f.token_range):
             if any(c.token_range[0] <= i < c.token_range[1] for c in children):
                 continue
-            if i in table_words and (i == 0 or tokens[i - 1].text != "."):
-                end = i
-                while end + 2 < len(tokens) and tokens[end + 1].text == "." \
-                        and tokens[end + 2].kind == "WORD":
-                    end += 2
-                whole = _ref_dotted(tokens, i, end + 1)
-                names |= {whole, whole.split(".")[-1]}
+            names |= binders.get(i, set())
             if tokens[i].text == "." and i and tokens[i - 1].kind == "WORD" \
                     and i - 1 not in table_words \
                     and not (i + 2 < len(tokens)
@@ -507,14 +626,6 @@ def _reference_scopes(tree):
                         and tokens[first - 2].kind == "WORD":
                     first -= 2
                 used.append(_ref_dotted(tokens, first, i))
-        for c in children:
-            after = tokens[c.token_range[1] + 1:c.token_range[1] + 3]
-            if c.clause_site == SITE_FROM and after:
-                if after[0].text.upper() == "AS":
-                    after = after[1:]
-                if after and after[0].kind == "WORD" \
-                        and after[0].text.upper() not in KEYWORDS:
-                    names.add(after[0].text.strip('`"').lower())
         binds[f.id], quals[f.id] = names, used
     return binds, quals
 

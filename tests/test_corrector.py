@@ -55,6 +55,20 @@ def test_parse_near_token():
     assert parsed.near_token == "GROPU"
 
 
+@pytest.mark.parametrize("log, near, location", [
+    ('sqlite3.OperationalError: near "c": syntax error', "c", None),
+    ("OperationalError: near 'GROPU': syntax error", "GROPU", None),
+    ('ERROR: syntax error at or near "FORM" at character 10', "FORM", 10),
+    ("ParseException: syntax error, missing comma between select list "
+     "items near 'k_q01n002' at line 1, column 20", "k_q01n002", (1, 20)),
+], ids=["sqlite", "sqlite-single-quotes", "at-or-near", "located"])
+def test_a_near_token_is_read_with_or_without_at_or(log, near, location):
+    """SQLite writes ``near "X": syntax error``; PostgreSQL writes ``at or
+    near "X"``."""
+    parsed = parse_error_log(log)
+    assert (parsed.near_token, parsed.location) == (near, location)
+
+
 def test_parse_rejects_empty_log():
     with pytest.raises(ValueError):
         parse_error_log("   ")

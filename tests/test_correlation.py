@@ -2,10 +2,12 @@
 clause: against SQLite's ``EXPLAIN QUERY PLAN`` on generated queries whose
 columns are all qualified, on the nested fixture's correlated scalar
 subqueries, on worked examples of what binds a qualifier, and on a chain
-nested past the recursion limit."""
+nested past the recursion limit. ``analysis.referenced_tables``: against
+the tables SQLite's authorizer sees read, on generated queries with CTEs."""
 
 from __future__ import annotations
 
+import re
 import sqlite3
 import sys
 
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlgov.analysis import correlated_subquery, matcher_holds
+from sqlgov.analysis import correlated_subquery, matcher_holds, \
+    referenced_tables
 from sqlgov.fragmenter import SITE_FROM, SUBQUERY, decompose
 from sqlgov.knowledge_base import REWRITER, VERIFIED, KnowledgeStore, \
     RuleEntry
@@ -24,12 +27,12 @@ from sqlgov.seeds import seed_snapshot
 # --- generated queries against SQLite ---------------------------------------
 #
 # Every table has columns k and x. ``t`` and ``u`` always carry an alias
-# (a0, a1, ...) and are read only through it, since SQLite hides an aliased
-# table's own name while the analysis binds both; ``v`` and ``w`` never do,
-# and may be spelled ``main.v`` in FROM. FROM items after the first are
-# joined with JOIN ... ON: the table-position walk misses a name that
-# follows a derived table's comma (pinned in
-# ``test_a_name_after_a_derived_table_comma_binds_nothing``).
+# (a0, a1, ...) and are read only through it, since an alias hides the name
+# it renames; ``v`` and ``w`` never do, and may be spelled ``main.v`` in
+# FROM. A FROM list holds one to three items, each after the first joined
+# by a comma or by JOIN ... ON, so an item may follow a derived table's
+# comma or a JOIN's condition. Where the caller names CTEs, an item may be
+# one of them.
 
 _TABLES = ("t", "u", "v", "w")
 _MAX_DEPTH = 3
@@ -40,21 +43,28 @@ def _column(draw, names, column):
 
 
 @st.composite
-def _select(draw, outer, depth, shape, aliases, subqueries=True):
+def _select(draw, outer, depth, shape, aliases, subqueries=True, ctes=()):
     """A SELECT whose columns name its own FROM items or those of the
     enclosing scopes ``outer``. ``shape`` is what it projects: "list" one
     column, "scalar" a MAX, "derived" the columns k and x, "root" a column
     and at most one subquery. The root's WHERE and SELECT list hold exactly
     one subquery between them, and a root derived table holds none, since
-    SQLite may flatten it into the root."""
+    SQLite may flatten it into the root. A FROM item may name one of
+    ``ctes``."""
     items, names = [], []
-    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
         kinds = ["aliased", "bare"]
         if depth < _MAX_DEPTH:
             kinds.append("derived")
+        unused = [c for c in ctes if c not in names]
+        if unused:
+            kinds.append("cte")
         kind = draw(st.sampled_from(kinds))
         bare = [t for t in ("v", "w") if t not in names]
-        if kind == "bare" and bare:
+        if kind == "cte":
+            items.append(draw(st.sampled_from(unused)))
+            names.append(items[-1])
+        elif kind == "bare" and bare:
             table = draw(st.sampled_from(bare))
             items.append(draw(st.sampled_from([table, f"main.{table}"])))
             names.append(table)
@@ -63,26 +73,33 @@ def _select(draw, outer, depth, shape, aliases, subqueries=True):
             aliases.append(alias)
             if kind == "derived":
                 body = draw(_select(outer, depth + 1, "derived", aliases,
-                                    subqueries and depth > 0))
+                                    subqueries and depth > 0, ctes))
                 items.append(f"({body}) AS {alias}")
             else:
                 table = draw(st.sampled_from(("t", "u")))
                 items.append(draw(st.sampled_from([f"{table} {alias}",
                                                    f"{table} AS {alias}"])))
             names.append(alias)
-        if len(items) > 1:
+        if len(items) > 1 and draw(st.booleans()):
+            items[-2:] = [f"{items[-2]}, {items[-1]}"]
+        elif len(items) > 1:
             on = f"{_column(draw, names, 'k')} = {_column(draw, names, 'k')}"
             items[-2:] = [f"{items[-2]} JOIN {items[-1]} ON {on}"]
     visible = names * 4 + outer  # own names weighted, for both verdicts
     scope = outer + names
 
     def nested(sub_shape):
-        return draw(_select(scope, depth + 1, sub_shape, aliases))
+        return draw(_select(scope, depth + 1, sub_shape, aliases,
+                            ctes=ctes))
 
     terms = [draw(st.sampled_from([
         f"{_column(draw, visible, 'k')} > 1",
         f"{_column(draw, visible, 'k')} = {_column(draw, visible, 'k')}",
     ]))]
+    # a column of each item: SQLite's authorizer reports a table that no
+    # column names only where it compiles the expression, and it compiles
+    # no CTE column that nothing reads
+    terms += [f"{name}.x IS NOT NULL" for name in names]
     if shape == "root":
         site = draw(st.sampled_from(["IN", "<", "EXISTS", "SELECT"]))
         wanted = 1
@@ -120,6 +137,21 @@ def qualified_queries():
     """Generated queries in which every column is qualified."""
     return st.builds(list).flatmap(
         lambda aliases: _select([], 0, "root", aliases))
+
+
+@st.composite
+def queries_with_ctes(draw):
+    """A generated query that may name the CTEs c0 and c1, with a WITH
+    list that defines each one it names: SQLite reads no table of a CTE
+    that no FROM item names."""
+    aliases = []
+    body = draw(_select([], 0, "root", aliases, ctes=("c0", "c1")))
+    named = [c for c in ("c0", "c1") if re.search(rf"\b{c}\b", body)]
+    if not named:
+        return body
+    ctes = [f"{c} AS ({draw(_select([], 1, 'derived', aliases))})"
+            for c in named]
+    return f"WITH {', '.join(ctes)} {body}"
 
 
 @pytest.fixture(scope="module")
@@ -165,16 +197,55 @@ def test_an_unqualified_outer_column_is_taken_as_inner():
     assert passes_efficiency_screen(tree.root_id, tree)
 
 
-def test_a_name_after_a_derived_table_comma_binds_nothing(engine):
-    """The table-position walk stops at the WHERE of a derived table, so
-    ``w`` after its comma is no FROM item to the analysis: its qualifier
-    binds nothing and the subquery is taken as correlated, a spare
-    exploratory call where SQLite sees none."""
+def test_a_name_after_a_derived_table_comma_binds(engine):
+    """``w`` after the comma that follows a derived table ending in a WHERE
+    is a FROM item of the subquery, so ``w.x`` is inner and the subquery is
+    uncorrelated, as SQLite plans it."""
     sql = ("SELECT t.k FROM t WHERE t.k IN (SELECT w.k FROM "
            "(SELECT u.k FROM u WHERE u.k > 1) d, w WHERE w.x = d.k)")
     assert _root_subquery_plan(engine, sql) == "LIST SUBQUERY 2"
     tree = decompose(sql)
-    assert correlated_subquery(tree, tree.root_id, {})
+    assert not correlated_subquery(tree, tree.root_id, {})
+
+
+def _tables_read(engine, sql) -> set[str]:
+    """The schema's tables that SQLite's authorizer sees read while it
+    prepares ``EXPLAIN sql``. It also reports reads of a CTE that SQLite
+    materializes, by the CTE's name, which is no table of the schema."""
+    read = set()
+
+    def authorize(action, table, *_):
+        if action == sqlite3.SQLITE_READ and table in _TABLES:
+            read.add(table)
+        return sqlite3.SQLITE_OK
+
+    engine.set_authorizer(authorize)
+    try:
+        engine.execute("EXPLAIN " + sql)
+    finally:
+        engine.set_authorizer(None)
+    return read
+
+
+@pytest.mark.parametrize("sql, tables", [
+    ("SELECT w.k FROM (SELECT u.k FROM u WHERE u.k > 1) d, w", ["u", "w"]),
+    ("SELECT c.x FROM t a JOIN u b ON a.k = b.k, v c", ["t", "u", "v"]),
+    ("WITH c AS (SELECT u.k FROM u) SELECT c.k FROM c, v", ["u", "v"]),
+    ("SELECT COUNT(*) FROM t", ["t"]),
+])
+def test_referenced_tables_of_worked_examples(engine, sql, tables):
+    assert sorted(_tables_read(engine, sql)) == tables
+    assert referenced_tables(decompose(sql)) == tables
+
+
+@given(sql=queries_with_ctes())
+@settings(max_examples=200, deadline=None)
+def test_referenced_tables_agree_with_the_sqlite_authorizer(engine, sql):
+    """Each referenced table, by its name's last part, is a table SQLite
+    reads, and SQLite reads no other."""
+    names = referenced_tables(decompose(sql))
+    assert {name.rpartition(".")[2] for name in names} \
+        == _tables_read(engine, sql)
 
 
 # --- what binds a qualifier ---------------------------------------------------
@@ -213,6 +284,15 @@ def test_a_name_after_a_derived_table_comma_binds_nothing(engine):
      "JOIN (SELECT u.k, v.x FROM u) d ON d.k = v.k)", {3}),
     ("SELECT v.k FROM v WHERE v.k IN (SELECT v.k FROM v "
      "JOIN LATERAL (SELECT u.k, v.x FROM u) d ON d.k = v.k)", set()),
+    ("SELECT t.k FROM t WHERE t.k IN (SELECT c.k FROM u a "
+     "JOIN v b ON a.k = b.k, w c WHERE c.x = a.x)", set()),
+    ("SELECT a.k FROM t a WHERE a.k IN (SELECT u.k FROM u WHERE u.x = t.x)",
+     {2}),
+    ("SELECT v.k FROM v WHERE v.k IN (SELECT t.k FROM t a)", {2}),
+    ("SELECT t.k FROM t WHERE t.k IN (SELECT d.column1 FROM (VALUES (1)) d)",
+     set()),
+    ("SELECT t.k FROM t WHERE t.k IN (SELECT u.k FROM u "
+     "WINDOW w AS (ORDER BY u.x))", set()),
 ])
 def test_what_binds_a_qualifier(sql, holders):
     """A FROM item binds a base table's whole dotted name and its last

@@ -37,6 +37,16 @@ def test_templatize_qualified_names():
         "SELECT [TBL] . [COL] FROM [TBL] [TBL]"
 
 
+def test_templatize_masks_a_derived_alias_as_a_column():
+    assert templatize("SELECT AVG(d) FROM (SELECT * FROM u1 UNION ALL "
+                      "SELECT * FROM u2) z") == (
+        "SELECT AVG ( [COL] ) FROM ( SELECT * FROM [TBL] UNION ALL "
+        "SELECT * FROM [TBL] ) [COL]")
+    assert templatize("WITH c AS (SELECT 1) SELECT x FROM c AS a, d b") \
+        == ("WITH [TBL] AS ( SELECT [VAL] ) SELECT [COL] FROM [TBL] AS [TBL] "
+            ", [TBL] [TBL]")
+
+
 _sql_atoms = st.sampled_from([
     "SELECT", "FROM", "WHERE", "AND", "OR", "=", ">", "<", ",", "(", ")",
     "*", "users", "orders", "name", "id", "ds", "'x'", "'1016'", "42",
