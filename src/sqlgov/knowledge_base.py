@@ -30,12 +30,10 @@ from .errors import (
     ZeroVectorError,
 )
 from .fragmenter import Fragment, FragmentTree
+from .lazy import np
 from .providers import write_jsonl
 from .shapes import check, entry_from_json, naming, read_json, read_jsonl
 from .sqltext import templatize
-
-# numpy is imported in the functions that make or read arrays, to keep it off
-# the cold start of commands that embed nothing (fragment, verify).
 
 SCHEMA_VERSION = 3  # 1: embeddings inline in the JSONL; 1, 2: fixed names; read still
 DEFAULT_K = 5  # cases retrieved per rewrite
@@ -76,8 +74,6 @@ class _Embedded:
     """
 
     def __post_init__(self):
-        import numpy as np
-
         row = np.asarray(self.embedding, dtype=np.float64)
         if row.ndim != 1:
             raise ValueError(f"embedding of shape {row.shape} is not a vector")
@@ -89,8 +85,6 @@ class _Embedded:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        import numpy as np
-
         names, values = _plan(type(self))
         return all(np.array_equal(mine, theirs) if name == "embedding"
                    else mine == theirs
@@ -179,8 +173,6 @@ def copy_snapshot(snapshot: KnowledgeSnapshot) -> KnowledgeSnapshot:
 
 
 def cosine_similarity(a, b) -> float:
-    import numpy as np
-
     va = np.asarray(a, dtype=float)
     vb = np.asarray(b, dtype=float)
     if va.shape != vb.shape:
@@ -196,8 +188,6 @@ def cosine_similarity(a, b) -> float:
 def _matrix(entries) -> np.ndarray:
     """The entries' embeddings stacked as rows; a DimensionMismatchError if
     they differ in length."""
-    import numpy as np
-
     lengths = {len(e.embedding) for e in entries}
     if len(lengths) > 1:
         raise DimensionMismatchError(
@@ -215,8 +205,6 @@ class _EmbeddingIndex:
     """
 
     def __init__(self, entries):
-        import numpy as np
-
         self.labels = [e.index for e in entries]
         self.rows = [e.embedding for e in entries]  # held, so ids are not reused
         stacked = _matrix(entries)
@@ -240,8 +228,6 @@ class _EmbeddingIndex:
 
     def rank(self, query_vec, selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Selected entry positions by (-score, index), and their scores."""
-        import numpy as np
-
         query = np.asarray(query_vec, dtype=float)
         if query.shape != self.matrix.shape[1:]:
             raise DimensionMismatchError(
@@ -325,8 +311,6 @@ class KnowledgeStore:
         """The sorted, read-only positions of the cases carrying ``tag``."""
         positions = self._tag_positions.get(tag)
         if positions is None:
-            import numpy as np
-
             positions = np.array([i for i, case in enumerate(self.snapshot.cases)
                                   if tag in case.tag], dtype=np.intp)
             positions.flags.writeable = False
@@ -341,8 +325,6 @@ class KnowledgeStore:
         cases = self.snapshot.cases
         if not cases:
             return []
-        import numpy as np
-
         query_vec = self.embedder.embed(templatize(query))
         index = self._case_index  # a ragged store fails here, whatever the filter
         if tag_filter is None:
@@ -369,8 +351,6 @@ class KnowledgeStore:
         strategies = self.snapshot.strategies
         if not strategies:
             return None
-        import numpy as np
-
         key_vec = self.embedder.embed(error_key)
         positions, scores = self._strategy_index.rank(
             key_vec, np.arange(len(strategies)))
@@ -495,8 +475,6 @@ def save_snapshot(snapshot: KnowledgeSnapshot, path: str | Path) -> None:
     there is ignored, and the next save removes what is left.
     The store has one writer at a time.
     """
-    import numpy as np
-
     directory = Path(path)
     where = os.path.abspath(directory)
     held = {kind: _held(kind, getattr(snapshot, kind)) for kind in _ENTRIES}
@@ -562,8 +540,6 @@ def _read_matrix(file: Path) -> np.ndarray:
     if there is no file. The .npy header is checked against the file's size
     before any data is read, and a dtype that would need unpickling is
     refused before that. A ValueError names the file."""
-    import numpy as np
-
     if not file.exists():
         return np.empty((0, 0))
     fmt = np.lib.format
@@ -673,8 +649,6 @@ def load_snapshot(path: str | Path) -> KnowledgeSnapshot:
 
 def check_integrity(snapshot: KnowledgeSnapshot) -> list[str]:
     """Invariant violations as human-readable strings (empty = healthy)."""
-    import numpy as np
-
     problems = []
     seen = set()
     for rule in snapshot.rules:

@@ -18,13 +18,11 @@ from .bench import ToolReport, input_digest
 from .errors import ContractViolationError, EmptyQueryError
 from .fragmenter import decompose_lenient
 from .knowledge_base import MODIFIER, cosine_similarity
+from .lazy import np
 from .prompts import ask, catalog_entry, catalog_key, modify_prompt, \
     render_columns
 from .shapes import check, entry_from_json, read_json, read_jsonl
 from .sqltext import templatize
-
-# numpy is imported in the functions that make or read arrays, to keep it off
-# the cold start of commands that embed nothing (fragment, verify).
 
 REALIZE_SEMANTICS = "REALIZE_SEMANTICS"
 EXPLAIN_SQL = "EXPLAIN_SQL"
@@ -163,8 +161,6 @@ def build_centroids(labeled_requests: list[tuple[str, str]], provider,
                     categories: list[IntentCategory]) -> list[IntentCategory]:
     """Centroid = normalized mean of member embeddings; categories without
     examples keep their prior centroid."""
-    import numpy as np
-
     grouped: dict[str, list[np.ndarray]] = {}
     for text, category_id in labeled_requests:
         grouped.setdefault(category_id, []).append(provider.embed(text))

@@ -18,11 +18,9 @@ from pathlib import Path
 from typing import Protocol, TextIO
 
 from .errors import EmptyTextError, MockMiss, ProviderFailure
+from .lazy import np
 from .shapes import check, read_jsonl
 from .sqltext import templatize
-
-# numpy is imported in the functions that make or read arrays, to keep it off
-# the cold start of commands that embed nothing (fragment, verify).
 
 RULE_GEN = "RULE_GEN"
 SCENARIO_1 = "SCENARIO_1"
@@ -198,8 +196,6 @@ class HashingEmbedding:
         self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:
-        import numpy as np
-
         if not text or not text.strip():
             raise EmptyTextError("cannot embed empty text")
         vec = np.zeros(self.dim, dtype=float)

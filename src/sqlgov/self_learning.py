@@ -30,13 +30,11 @@ from .knowledge_base import (
     fsync_directory,
     save_snapshot,
 )
+from .lazy import np
 from .prompts import ask, rule_generation_prompt
 from .seeds import load_or_seed
 from .shapes import check, entry_from_json, read_json
 from .sqltext import templatize
-
-# numpy is imported in the functions that make or read arrays, to keep it off
-# the cold start of commands that embed nothing (fragment, verify).
 
 STATUS_OK = "OK"
 STATUS_ERROR = "ERROR"
@@ -103,8 +101,6 @@ class CandidateRuleBatch:
 def filter_records(records: list[ExecutionRecord]) -> list[ExecutionRecord]:
     """Keep failures, flagged-slow records, and elapsed outliers above the
     batch percentile; deduplicate by masked SQL template (first wins)."""
-    import numpy as np
-
     threshold = None
     if len(records) >= SLOW_MIN_BATCH:
         threshold = float(np.percentile([r.elapsed for r in records],
@@ -190,8 +186,6 @@ def dbscan_labels(distance: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     Returns one label per point; -1 marks noise. Seeding follows index order,
     so results are deterministic for a fixed matrix.
     """
-    import numpy as np
-
     n = distance.shape[0]
     UNVISITED, NOISE = -2, -1
     labels = np.full(n, UNVISITED, dtype=int)
@@ -220,8 +214,6 @@ def dbscan_labels(distance: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 
 
 def _distance_matrix(embeddings: list[np.ndarray]) -> np.ndarray:
-    import numpy as np
-
     mat = np.vstack(embeddings)
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     unit = mat / norms
@@ -261,8 +253,6 @@ def merge_cluster(cluster: list[RuleEntry],
                   embeddings: list[np.ndarray]) -> RuleEntry:
     """Medoid of the cluster: the member minimizing the summed L2 distance to
     all members. Ties go to the earliest created_at, then the index label."""
-    import numpy as np
-
     if not cluster:
         raise ValueError("merge_cluster needs a non-empty cluster")
     totals = []

@@ -140,11 +140,13 @@ class FromItem(NamedTuple):
 
 _new_item = tuple.__new__  # FromItem(...) without the Python-level __new__
 _FROM, _CONDITION, _WITH = "FROM", "ON", "WITH"  # the list a level is in
+_ARGS = "ARGS"  # a function's arguments, where no list opens
 _OPENERS = dict.fromkeys(("FROM", "JOIN", "INTO", "UPDATE", "TABLE"), _FROM)
 _OPENERS["WITH"] = _WITH
 _CLAUSE_WORDS = {"SELECT", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT",
                  "SET", "UNION", "INTERSECT", "EXCEPT", "VALUES", "WINDOW"}
 _QUERY_HEADS = (*SELECT_HEADS, "VALUES")
+_NOT_ALIASES = _CLAUSE_WORDS | {"FETCH", "FOR", "TABLESAMPLE", "RETURNING"}
 
 
 def _name(token: Token) -> str:
@@ -153,11 +155,12 @@ def _name(token: Token) -> str:
 
 def _alias(tokens, j: int) -> int | None:
     """The index of the alias word at ``tokens[j]``, after an optional AS:
-    a word that is neither a keyword nor a clause word such as WINDOW."""
+    a word that is neither a keyword nor a clause or dialect word such as
+    WINDOW, FETCH, FOR, TABLESAMPLE or RETURNING."""
     if j < len(tokens) and tokens[j].upper == "AS":
         j += 1
     if j < len(tokens) and tokens[j].kind == WORD and not is_keyword(tokens[j]) \
-            and tokens[j].upper not in _CLAUSE_WORDS:
+            and tokens[j].upper not in _NOT_ALIASES:
         return j
     return None
 
@@ -174,7 +177,10 @@ def iter_from_items(tokens):
     group that holds a query (SELECT, WITH or VALUES) is a derived table,
     yielded at its ')'; any other group is a parenthesized join, whose items
     continue the list. An alias, with or without AS, may follow an item.
-    Keywords where an item is due (LATERAL, ONLY) are passed over.
+    Keywords where an item is due (LATERAL, ONLY) are passed over. A group
+    that holds no query and follows a function name, a word that is no
+    keyword, holds arguments and opens no list, as in EXTRACT(YEAR FROM d);
+    neither does the UPDATE of FOR UPDATE.
     """
     levels = []  # the (list kind, item due) of each enclosing level
     kind, due = None, False
@@ -184,12 +190,15 @@ def iter_from_items(tokens):
         tok = tokens[i]
         upper = tok.upper
         if upper == "(":
-            if due and kind == _FROM and (
-                    i + 1 == n or tokens[i + 1].upper not in _QUERY_HEADS):
+            query = i + 1 < n and tokens[i + 1].upper in _QUERY_HEADS
+            if due and kind == _FROM and not query:
                 levels.append((_FROM, False))  # a parenthesized join
             else:
                 levels.append((kind, due))
                 kind, due = None, False
+                if not query and i and tokens[i - 1].kind == WORD \
+                        and tokens[i - 1].upper not in KEYWORDS:
+                    kind = _ARGS
         elif upper == ")":
             kind, due = levels.pop() if levels else (None, False)
             if due and kind == _FROM:  # a derived table ends
@@ -197,7 +206,10 @@ def iter_from_items(tokens):
                 yield _new_item(FromItem, (i, i, None, alias, False))
                 due = False
                 i = alias or i  # an alias is never token 0
-        elif upper in _OPENERS:
+        elif kind == _ARGS:
+            pass
+        elif upper in _OPENERS and not (
+                upper == "UPDATE" and i and tokens[i - 1].upper == "FOR"):
             kind, due = _OPENERS[upper], True
         elif kind is None:
             pass

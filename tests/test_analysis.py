@@ -48,6 +48,8 @@ def _fixture_queries() -> list[str]:
 _REF_OPENERS = {"FROM", "JOIN", "INTO", "UPDATE", "TABLE"}
 _REF_CLAUSE_WORDS = {"SELECT", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT",
                      "SET", "UNION", "INTERSECT", "EXCEPT", "VALUES", "WINDOW"}
+_REF_NOT_ALIASES = _REF_CLAUSE_WORDS | {"FETCH", "FOR", "TABLESAMPLE",
+                                       "RETURNING"}
 
 
 def _ref_name_word(tok):
@@ -55,7 +57,7 @@ def _ref_name_word(tok):
 
 
 def _ref_alias_word(tok):
-    return _ref_name_word(tok) and tok.text.upper() not in _REF_CLAUSE_WORDS
+    return _ref_name_word(tok) and tok.text.upper() not in _REF_NOT_ALIASES
 
 
 def _ref_alias(tokens, j):
@@ -69,7 +71,8 @@ def _ref_group(tokens, i, lst, out):
     it returns the index of (``len(tokens)`` when none comes), appending
     each item to ``out`` as (kind, indices of its name words, alias index).
     ``lst`` is the list the level opens in: "FROM", with an item due, for a
-    parenthesized join, and None otherwise."""
+    parenthesized join, "ARGS", where no list opens, for a function's
+    arguments, and None otherwise."""
     due = lst == "FROM"
     while i < len(tokens) and tokens[i].text != ")":
         tok = tokens[i]
@@ -78,7 +81,9 @@ def _ref_group(tokens, i, lst, out):
             query = i + 1 < len(tokens) \
                 and tokens[i + 1].text.upper() in ("SELECT", "WITH", "VALUES")
             join = lst == "FROM" and due and not query
-            close = _ref_group(tokens, i + 1, "FROM" if join else None, out)
+            args = not query and i > 0 and _ref_name_word(tokens[i - 1])
+            close = _ref_group(tokens, i + 1, "FROM" if join
+                               else "ARGS" if args else None, out)
             if lst == "FROM" and due:
                 due = False
                 if query and close < len(tokens):
@@ -86,7 +91,10 @@ def _ref_group(tokens, i, lst, out):
                     out.append(("derived", [close], alias))
                     close = alias or close
             i = close
-        elif word in _REF_OPENERS:
+        elif lst == "ARGS":
+            pass
+        elif word in _REF_OPENERS and not (
+                word == "UPDATE" and i > 0 and tokens[i - 1].text.upper() == "FOR"):
             lst, due = "FROM", True
         elif word == "WITH":
             lst, due = "WITH", True
@@ -230,6 +238,29 @@ def test_an_item_after_a_condition_or_a_derived_table_is_read(sql, tables):
     tree = decompose(sql)
     assert referenced_tables(tree) == tables
     _assert_attribution(tree)
+
+
+@pytest.mark.parametrize("sql, tables", [
+    ("SELECT EXTRACT(YEAR FROM o.ds) AS y FROM orders o", ["orders"]),
+    ("SELECT TRIM(BOTH ' ' FROM s) FROM t", ["t"]),
+    ("SELECT SUBSTRING(s FROM 1 FOR 2) FROM t", ["t"]),
+    ("SELECT COALESCE((SELECT MAX(k) FROM u), 0) FROM t", ["t", "u"]),
+    ("SELECT a FROM t FOR UPDATE OF t", ["t"]),
+])
+def test_a_from_in_a_function_call_or_for_update_opens_no_list(sql, tables):
+    """A group that holds no query and follows a function name holds
+    arguments, and the UPDATE of FOR UPDATE opens no FROM list; a query
+    in the arguments reads as anywhere else. Each root reads one table of
+    its own, so it passes the efficiency screen."""
+    tree = decompose(sql)
+    assert referenced_tables(tree) == tables
+    assert passes_efficiency_screen(tree.root_id, tree)
+    _assert_attribution(tree)
+
+
+def test_the_reference_reads_no_list_in_a_function_call():
+    tokens = decompose_lenient("x ( FROM t")[0].tokens
+    assert _ref_from_items(tokens) == []
 
 
 @pytest.mark.parametrize("sql", [

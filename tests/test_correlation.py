@@ -293,6 +293,10 @@ def test_referenced_tables_agree_with_the_sqlite_authorizer(engine, sql):
      set()),
     ("SELECT t.k FROM t WHERE t.k IN (SELECT u.k FROM u "
      "WINDOW w AS (ORDER BY u.x))", set()),
+    ("SELECT t.k FROM t WHERE t.k IN (SELECT u.k FROM u "
+     "FETCH FIRST 1 ROWS ONLY)", set()),
+    ("SELECT t.k FROM t WHERE t.k IN (SELECT u.k FROM u "
+     "TABLESAMPLE SYSTEM (10))", set()),
 ])
 def test_what_binds_a_qualifier(sql, holders):
     """A FROM item binds a base table's whole dotted name and its last

@@ -47,6 +47,13 @@ def test_templatize_masks_a_derived_alias_as_a_column():
             ", [TBL] [TBL]")
 
 
+def test_templatize_masks_dialect_words_and_function_arguments_as_columns():
+    assert templatize("DELETE FROM t RETURNING k") == \
+        "DELETE FROM [TBL] [COL] [COL]"
+    assert templatize("SELECT EXTRACT(YEAR FROM o.ds) FROM orders o") == (
+        "SELECT EXTRACT ( [COL] FROM [TBL] . [COL] ) FROM [TBL] [TBL]")
+
+
 _sql_atoms = st.sampled_from([
     "SELECT", "FROM", "WHERE", "AND", "OR", "=", ">", "<", ",", "(", ")",
     "*", "users", "orders", "name", "id", "ds", "'x'", "'1016'", "42",

@@ -1,13 +1,15 @@
 """Start-up cost: commands that embed nothing run without numpy.
 
 Each case runs in a fresh interpreter, since this test process has long
-imported numpy. ``fragment`` and ``verify`` must finish with no numpy module
-loaded; the package's exports still work afterwards, and the first embedding
-starts numpy.
+imported numpy. ``fragment``, ``verify``, ``route`` and ``bench`` must
+finish with no numpy module loaded; the package's exports still work
+afterwards, and the first embedding starts numpy. Only ``sqlgov.lazy``
+loads numpy, through an object that is no entry in ``sys.modules``.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -56,7 +58,22 @@ code = sqlgov.cli.main([
     "--right", {str(FIXTURES / "nested_rewrite_golden.sql")!r},
     "--playbook", {str(FIXTURES / "playbook.jsonl")!r}])
 """,
-], ids=["import-sqlgov", "import-cli", "fragment", "verify"])
+"""
+import os, tempfile
+import sqlgov.cli
+with tempfile.TemporaryDirectory() as tmp:
+    issue = os.path.join(tmp, "issue.json")
+    with open(issue, "w") as fh:
+        json.dump({"sql": "SELECT a FROM t"}, fh)
+    code = sqlgov.cli.main(["route", "--issue", issue])
+""",
+f"""
+import sqlgov.cli
+code = sqlgov.cli.main([
+    "bench", "--pairs", {str(FIXTURES / "bench_pairs.jsonl")!r},
+    "--fixtures", {str(FIXTURES / "executor_fixtures.jsonl")!r}])
+""",
+], ids=["import-sqlgov", "import-cli", "fragment", "verify", "route", "bench"])
 def test_commands_that_embed_nothing_start_without_numpy(body):
     result = _run_child(body)
     assert result == {"code": result["code"], "numpy": False}
@@ -73,6 +90,9 @@ assert KnowledgeStore(KnowledgeSnapshot(), None).retrieve_cases("SELECT a") == [
 assert not numpy_loaded()
 vec = HashingEmbedding(8).embed("select a")
 assert numpy_loaded()
+from sqlgov.lazy import np
+assert "zeros" in vars(np)  # a name read once is kept on the object
+assert all(module is not np for module in sys.modules.values())
 assert vec.shape == (8,)
 assert abs(cosine_similarity(vec, vec) - 1.0) < 1e-12
 """)
@@ -93,3 +113,22 @@ assert sorted(case.index for case, _ in hits) == [
 assert "numpy.ma" not in sys.modules
 """)
     assert result == {"code": None, "numpy": True}
+
+
+def test_numpy_is_imported_only_by_the_lazy_module():
+    """No other module imports numpy, at module or function level: the
+    cold-start rule lives in ``sqlgov.lazy`` alone."""
+    found = []
+    for path in sorted((ROOT / "src" / "sqlgov").glob("*.py")):
+        if path.name == "lazy.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name == "numpy" or name.startswith("numpy.")]
+    assert found == []
