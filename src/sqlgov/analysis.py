@@ -4,16 +4,16 @@ Facts are computed from the tree's one token list; nothing here tokenizes
 text. A fragment's ``token_range`` holds exactly the tokens it and its
 descendants own, so its own tokens are the gaps between its children's
 ranges, with offsets into the whole query, and the parentheses around a
-child stay with the parent. The tree's FROM items, one walk over the whole
-query (``FragmentTree.from_items``), are read once per tree into the
-query's base-table references, in text order: the named items whose names
-no WITH list defines. A fragment's subtree table counts are the references
-inside its range and its own counts those in its gaps, so each base-table
-scan is attributed to exactly one fragment, and a qualified name is one
-reference, by its whole dotted name in lower case. The walk keeps a state
-per parenthesis level, so a subquery's clauses never end its parent's FROM
-list. Every other fact comes from one walk over the fragment's own tokens,
-which reads each token's upper-case form from the token itself; that walk
+child stay with the parent. The tree's FROM items
+(``FragmentTree.from_items``, read by the walk that built the tree) are
+read once per tree into the query's base-table references, in text order:
+the named items whose names no WITH list defines. A fragment's subtree
+table counts are the references inside its range and its own counts those
+in its gaps, so each base-table scan is attributed to exactly one fragment,
+and a qualified name is one reference, by its whole dotted name in lower
+case. Every other fact comes from one walk over the fragment's own tokens,
+which reads each token's upper-case form from the token itself, with its
+clause regions bounded by words of the fragmenter's ``CLAUSES``; that walk
 also marks out the projection, whose own tokens the equivalence check
 compares to tell whether two fragments name their outputs alike. The
 structural predicates that rule matchers name live here too
@@ -41,15 +41,14 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .fragmenter import Fragment, FragmentTree, SITE_FROM, SITE_SELECT_LIST, \
-    SUBQUERY
+from .fragmenter import CLAUSES, SET_OPS, SITE_FROM, SITE_SELECT_LIST, \
+    SUBQUERY, Fragment, FragmentTree
 from .sqltext import Token, WORD, normalize_tokens, normalized_text
 
 _OUTER_JOINS = {"LEFT", "RIGHT", "FULL"}
 _JOIN_MODIFIERS = _OUTER_JOINS | {"INNER", "OUTER", "CROSS", "NATURAL"}
-_SET_OPS = {"UNION", "INTERSECT", "EXCEPT"}
-_CLAUSE_BREAK = {"FROM", "WHERE", "GROUP", "ORDER", "HAVING", "LIMIT"} | _SET_OPS
-_WHERE_BREAK = {"GROUP", "ORDER", "HAVING", "LIMIT", "WINDOW"} | _SET_OPS
+_CLAUSE_BREAK = CLAUSES.keys() - {"SELECT", "SET", "VALUES", "WINDOW"}
+_WHERE_BREAK = _CLAUSE_BREAK - {"FROM", "WHERE"} | {"WINDOW"}
 _STAR_AFTER = {",", ".", "DISTINCT"}  # a '*' after these starts an item
 
 
@@ -278,7 +277,7 @@ def analyze_fragment(fragment: Fragment, tree: FragmentTree) -> FragmentFacts:
             regions += _ended_regions(own, selects, idx, content, commas,
                                       stars)
             selects.clear()
-            has_op = has_op or upper in _SET_OPS
+            has_op = has_op or upper in SET_OPS
             if upper == "WHERE" and where_lo is None:
                 where_lo = idx + 1
         else:

@@ -11,25 +11,27 @@ so syntactically invalid queries still decompose best-effort; structural
 damage (unbalanced brackets, unterminated strings) is reported as a
 diagnostic alongside the partial tree.
 
-The tree is the one parse of a query. ``FragmentTree.tokens`` are the
-source's tokens, and a fragment's ``token_range = (lo, hi)`` indexes its
-text's tokens there: ``tree.tokens[lo:hi]`` equals ``scan(fragment.text)``
-shifted by ``span[0]``. A child's range nests in its parent's, after the
-'(' that opens it, and siblings' ranges are disjoint. Consumers slice these
-tokens instead of tokenizing fragment text again. ``Token`` and
-``Fragment`` are NamedTuples; a token carries its upper-case form. The tree
-also keeps, computed on first use, its FROM items (``from_items``, one walk
-of ``sqltext.iter_from_items`` over the whole query) and the table-name
-positions read off them (``table_positions``), so the table analysis, the
-correlation binders and ``templatize`` walk a tree once between them. A
-fragment's local segments and local text are built per fragment on their
-first read and kept on the tree, so a caller pays only for the fragments it
-reads. Nothing the tree keeps refers back to it, so a tree the memo drops
-is freed by reference counting.
+The tree is the one parse of a query, read by one walk over its tokens
+(``_walk``) that opens the fragments and reads the FROM items together.
+One table, ``CLAUSES``, names the clause words: they site the subqueries
+after them, end the walk's FROM and WITH lists, and bound the analysis'
+clause regions. ``FragmentTree.tokens`` are the source's tokens, and a
+fragment's ``token_range = (lo, hi)`` indexes its text's tokens there:
+``tree.tokens[lo:hi]`` equals ``scan(fragment.text)`` shifted by
+``span[0]``. A child's range nests in its parent's, after the '(' that
+opens it, and siblings' ranges are disjoint. Consumers slice these tokens
+instead of tokenizing fragment text again. ``Token``, ``Fragment`` and
+``FromItem`` are NamedTuples; a token carries its upper-case form. The tree
+holds its FROM items (``from_items``) and keeps, computed on first use, the
+table-name positions read off them (``table_positions``), so the table
+analysis, the correlation binders and ``templatize`` read one walk between
+them. A fragment's local segments and local text are built per fragment on
+their first read and kept on the tree, so a caller pays only for the
+fragments it reads. Nothing the tree keeps refers back to it, so a tree the
+memo drops is freed by reference counting.
 
-Building and numbering walk the nesting with explicit stacks, not
-recursion, so a query nested past the interpreter's recursion limit still
-decomposes.
+The walk and the numbering keep explicit stacks, not recursion, so a query
+nested past the interpreter's recursion limit still decomposes.
 
 A small LRU memo keyed by the query text returns the same tree for the same
 text, so a request that evaluates, rewrites, verifies and retrieves one query
@@ -43,8 +45,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import EmptyQueryError, OutOfRangeError, UnparseableQueryError
-from .sqltext import SELECT_HEADS, FromItem, Token, WORD, iter_from_items, \
-    scan
+from .sqltext import KEYWORDS, SELECT_HEADS, Token, WORD, scan
 
 MAIN = "MAIN"
 CTE = "CTE"
@@ -65,9 +66,15 @@ _SIBLING_PRIORITY = {
     SITE_SELECT_LIST: 3,
     SITE_ORDER_BY: 4,
     SITE_NONE: 5,
+    SITE_CTE_BODY: 6,
 }
 
-_CLAUSE_KEYWORDS = {
+SET_OPS = {"UNION", "INTERSECT", "EXCEPT"}
+
+# The clause words, each with the site of a subquery after it. Each ends
+# the FROM or WITH list of its parenthesis level, and FROM opens one. A
+# word whose site is None leaves the site as it was.
+CLAUSES = {
     "SELECT": SITE_SELECT_LIST,
     "FROM": SITE_FROM,
     "WHERE": SITE_WHERE,
@@ -76,9 +83,8 @@ _CLAUSE_KEYWORDS = {
     "GROUP": SITE_NONE,
     "LIMIT": SITE_NONE,
     "WINDOW": SITE_NONE,
+    **dict.fromkeys(("SET", "VALUES", "UNION", "INTERSECT", "EXCEPT")),
 }
-
-_SET_OPS = {"UNION", "INTERSECT", "EXCEPT"}
 
 # Texts whose parse is kept: a rewrite-and-verify request holds two, the
 # original and the rewrite.
@@ -113,12 +119,26 @@ class Fragment(NamedTuple):
 _new_fragment = tuple.__new__  # Fragment(...) without the Python-level __new__
 
 
+class FromItem(NamedTuple):
+    first: int  # index of the first name word, or of a derived table's ')'
+    last: int  # index of the last name word, or of that ')'
+    name: str | None  # the whole dotted name, lower case; None when derived
+    alias: int | None  # index of the alias word
+    cte: bool  # a name that a WITH list defines, not a FROM item
+
+
+_new_item = tuple.__new__  # FromItem(...) without the Python-level __new__
+
+
 @dataclass(frozen=True)
 class FragmentTree:
     fragments: tuple[Fragment, ...]  # in id order: fragments[i].id == i + 1
     root_id: int
     source: str
     tokens: tuple[Token, ...]
+    # the query's FROM items and the names its WITH lists define, in text
+    # order, read by the walk that built the fragments
+    from_items: tuple[FromItem, ...]
 
     def by_id(self, fragment_id: int) -> Fragment:
         if 1 <= fragment_id <= len(self.fragments):
@@ -192,12 +212,6 @@ class FragmentTree:
         return {}  # filled by local_text, one fragment at a time
 
     @cached_property
-    def from_items(self) -> tuple[FromItem, ...]:
-        """The query's FROM items and the names its WITH lists define, in
-        text order: ``iter_from_items``, walked once per tree."""
-        return tuple(iter_from_items(self.tokens))
-
-    @cached_property
     def table_positions(self) -> tuple[int, ...]:
         """Indices into ``tokens`` of the words in table-name position, in
         order: each part of a named item's name, its alias, and each name a
@@ -233,132 +247,182 @@ def _match_parens(tokens: list[Token]) -> tuple[dict[int, int], str | None]:
     return matches, diagnostic
 
 
-def _is_subquery_group(tokens: list[Token], open_idx: int, close_idx: int) -> bool:
-    first = open_idx + 1
-    return first < min(close_idx, len(tokens)) \
-        and tokens[first].upper in SELECT_HEADS
+_FROM, _CONDITION, _WITH = "FROM", "ON", "WITH"  # the list a level is in
+_ARGS = "ARGS"  # a function's arguments: no list opens, no word sites
+_DEPTH, _CHILDREN, _CLAUSE = 5, 6, 7  # fields of a node (see _open)
+_OPENERS = {"JOIN": _FROM, "INTO": _FROM, "UPDATE": _FROM, "TABLE": _FROM,
+            "WITH": _WITH}
+_QUERY_HEADS = (*SELECT_HEADS, "VALUES")
+_NOT_ALIASES = KEYWORDS | CLAUSES.keys() | {"FETCH", "FOR", "TABLESAMPLE",
+                                            "RETURNING"}
+
+
+def _name(token: Token) -> str:
+    return token.text.strip('`"').lower()
+
+
+def _alias(tokens, j: int) -> int | None:
+    """The index of the alias word at ``tokens[j]``, after an optional AS:
+    a word that is neither a keyword nor a clause or dialect word such as
+    WINDOW, FETCH, FOR, TABLESAMPLE or RETURNING."""
+    if j < len(tokens) and tokens[j].upper == "AS":
+        j += 1
+    if j < len(tokens) and tokens[j].kind == WORD \
+            and tokens[j].upper not in _NOT_ALIASES:
+        return j
+    return None
 
 
 def _is_set_op_arm(tokens: list[Token], open_idx: int, close_idx: int) -> bool:
     prev = tokens[open_idx - 1].upper if open_idx > 0 else None
-    if prev in _SET_OPS or prev == "ALL":
+    if prev in SET_OPS or prev == "ALL":
         return True
-    if close_idx + 1 < len(tokens) and tokens[close_idx + 1].upper in _SET_OPS:
+    if close_idx + 1 < len(tokens) and tokens[close_idx + 1].upper in SET_OPS:
         # Followed by a set op: an arm only when nothing operand-like
         # precedes it (IN (...) UNION ... is an operand, not an arm).
         return prev is None or prev == "("
     return False
 
 
-def _split_with_prelude(tokens: list[Token], lo: int, hi: int,
-                        pmatch: dict[int, int]) -> tuple[list[tuple[str, int, int]], int]:
-    """Return ([(cte_name, open_idx, close_idx)], body_start_index)."""
-    ctes: list[tuple[str, int, int]] = []
-    if lo >= hi or tokens[lo].upper != "WITH":
-        return ctes, lo
-    i = lo + 1
-    if i < hi and tokens[i].upper == "RECURSIVE":
-        i += 1
-    while i < hi:
-        if tokens[i].kind != WORD:
-            break
-        name = tokens[i].text
-        i += 1
-        if i < hi and tokens[i].text == "(":  # optional column alias list
-            i = min(pmatch.get(i, hi), hi - 1) + 1
-        if i >= hi or tokens[i].upper != "AS":
-            break
-        i += 1
-        if i >= hi or tokens[i].text != "(":
-            break
-        close = pmatch.get(i, len(tokens))
-        ctes.append((name, i, close))
-        i = close + 1
-        if i < hi and tokens[i].text == ",":
-            i += 1
-            continue
-        break
-    return ctes, min(i, hi)
+def _open(parent: list, kind: str, site: str, tokens: list[Token],
+          open_idx: int, close_idx: int, name: str | None) -> list:
+    """A fragment opened at the '(' at ``open_idx``, appended to its
+    parent's children: [kind, site, span, token range, CTE name, depth,
+    children, site of the last clause word read in it]."""
+    n = len(tokens)
+    end = tokens[close_idx].start if close_idx < n else tokens[-1].end
+    child = [kind, site, (tokens[open_idx].end, end),
+             (open_idx + 1, min(close_idx, n)), name, parent[_DEPTH] + 1, [],
+             SITE_NONE]
+    parent[_CHILDREN].append(child)
+    return child
 
 
-def _collect_subqueries(tokens: list[Token], lo: int, hi: int,
-                        pmatch: dict[int, int],
-                        skip: set[int]) -> list[tuple[int, int, str]]:
-    """Find direct child subquery groups in [lo, hi): (open_idx, close_idx, site).
+def _walk(tokens: list[Token], pmatch: dict[int, int],
+          source: str) -> tuple[list[Fragment], list[FromItem]]:
+    """Every fragment of the query, in id order, and its FROM items and the
+    names its WITH lists define, in text order: one walk over the tokens,
+    with a (list kind, item due, fragment) state for each open parenthesis
+    level.
 
-    Non-subquery parenthesized groups (function arguments, set-operation arms)
-    are descended into so their nested subqueries still attach here.
+    A group that holds a query (SELECT or WITH) opens a SUBQUERY, unless it
+    is a set operation's arm, sited by the last word of ``CLAUSES`` that
+    its parent read outside its subqueries and a function's arguments. A
+    group after ``name AS`` or ``name (columns) AS``, the name right after
+    WITH, WITH RECURSIVE or a comma after a CTE body, opens the CTE ``name``.
+
+    A FROM list opens at FROM, JOIN, INTO or TABLE, or at an UPDATE that
+    starts a statement (the first token, or one after '(', ')' or ';'), and
+    a WITH list at WITH; either closes at the next clause word of its own
+    level. In a FROM list a comma starts an item, and ON or USING starts a
+    condition that runs to the next JOIN or comma. Where an item is due, a
+    word that is no keyword starts a named item, its parts joined by '.'; a
+    group that holds a query (SELECT, WITH or VALUES) is a derived table,
+    read at its ')'; any other group is a parenthesized join, whose items
+    continue the list. An alias, with or without AS, may follow an item.
+    Keywords where an item is due (LATERAL, ONLY) are passed over. A group
+    that holds no query and follows a function name, a word that is no
+    keyword, holds arguments, as in EXTRACT(YEAR FROM d).
+
+    A node's children are numbered by site (CTEs last), stably in text
+    order, and the node after them: each child is pushed on a stack in
+    that order, so the visit, reversed, is the post-order that numbers.
     """
-    found: list[tuple[int, int, str]] = []
-    clause = SITE_NONE
-    i = lo
-    while i < hi:
-        upper = tokens[i].upper
+    n = len(tokens)
+    root = [MAIN, SITE_NONE, (0, len(source)), (0, n), None, 1, [], SITE_NONE]
+    items = []
+    levels = []  # the (list kind, item due, fragment) of each enclosing level
+    kind, due, node = None, False, root
+    name = None  # where the next CTE's name would be
+    i = 0
+    while i < n:
+        tok = tokens[i]
+        upper = tok.upper
         if upper == "(":
-            close = pmatch.get(i, len(tokens))
-            if i in skip:  # a CTE body group; jump past it
-                i = close + 1
-            elif _is_subquery_group(tokens, i, close) \
-                    and not _is_set_op_arm(tokens, i, close):
-                found.append((i, close, clause))
-                i = close + 1
+            close = pmatch[i]
+            head = tokens[i + 1].upper if i + 1 < n else None
+            query = head in _QUERY_HEADS
+            if due and kind == _FROM and not query:
+                levels.append((_FROM, False, node))  # a parenthesized join
             else:
-                i += 1
-            continue
-        clause = _CLAUSE_KEYWORDS.get(upper, clause)
+                levels.append((kind, due, node))
+                kind, due = None, False
+                if not query and i and tokens[i - 1].kind == WORD \
+                        and tokens[i - 1].upper not in KEYWORDS:
+                    kind = _ARGS
+            if name is not None and tokens[i - 1].upper == "AS" \
+                    and tokens[name].kind == WORD \
+                    and (name == i - 2 or pmatch.get(name + 1) == i - 2):
+                node = _open(node, CTE, SITE_CTE_BODY, tokens, i, close,
+                             tokens[name].text)
+            elif head in SELECT_HEADS and not _is_set_op_arm(tokens, i, close):
+                node = _open(node, SUBQUERY, node[_CLAUSE], tokens, i, close,
+                             None)
+        elif upper == ")":
+            closed = node
+            kind, due, node = levels.pop() if levels else (None, False, root)
+            if closed[0] == CTE and closed is not node and i + 2 < n \
+                    and tokens[i + 1].upper == ",":
+                name = i + 2  # the next CTE's
+            if due and kind == _FROM:  # a derived table ends
+                alias = _alias(tokens, i + 1)
+                items.append(_new_item(FromItem, (i, i, None, alias, False)))
+                due = False
+                i = alias or i  # an alias is never token 0
+        elif kind == _ARGS:
+            pass
+        elif upper in CLAUSES:
+            kind, due = (_FROM, True) if upper == "FROM" else (None, False)
+            node[_CLAUSE] = CLAUSES[upper] or node[_CLAUSE]
+        elif upper in _OPENERS and (
+                upper != "UPDATE" or not i
+                or tokens[i - 1].upper in ("(", ")", ";")):
+            kind, due = _OPENERS[upper], True
+            if kind == _WITH:
+                name = i + 1
+                if name < n and tokens[name].upper == "RECURSIVE":
+                    name += 1
+        elif kind is None:
+            pass
+        elif upper == ",":
+            kind, due = (_WITH if kind == _WITH else _FROM), True
+        elif upper == "ON" or upper == "USING":
+            kind, due = _CONDITION, False
+        elif due and tok.kind == WORD and upper not in KEYWORDS:
+            first, item = i, _name(tok)
+            if kind == _WITH:
+                items.append(_new_item(FromItem, (i, i, item, None, True)))
+            else:
+                while i + 2 < n and tokens[i + 1].upper == "." \
+                        and tokens[i + 2].kind == WORD:
+                    i += 2
+                    item += "." + _name(tokens[i])
+                alias = _alias(tokens, i + 1)
+                items.append(_new_item(FromItem,
+                                       (first, i, item, alias, False)))
+                i = alias or i
+            due = False
+        elif due and tok.kind != WORD:
+            due = False
         i += 1
-    return found
-
-
-def _build_fragments(tokens: list[Token], pmatch: dict[int, int],
-                     source: str) -> list[Fragment]:
-    """Every fragment of the query, in id order.
-
-    Nodes wait on a stack as (kind, site, span, token_range, name, depth,
-    index of the parent in visit order). A node's children are pushed in
-    numbering order (subqueries by clause priority, stably, as they come in
-    text order; then CTEs in text order) and so taken last to first: that
-    pre-order visit, reversed, is the post-order walk that numbers them.
-    """
-    visited = []
-    pending = [(MAIN, SITE_NONE, (0, len(source)), (0, len(tokens)), None, 1,
-                None)]
+    visited = []  # (node, index of its parent in visit order)
+    pending = [(root, None)]
     while pending:
-        node = pending.pop()
-        _, _, _, (lo, hi), _, depth, _ = node
+        node, parent = pending.pop()
         at = len(visited)
-        visited.append(node)
-        ctes, body_lo = _split_with_prelude(tokens, lo, hi, pmatch)
-        cte_opens = {open_idx for _, open_idx, _ in ctes}
-        subqueries = [
-            (SUBQUERY, site, _group_span(tokens, open_idx, close_idx),
-             (open_idx + 1, min(close_idx, len(tokens))), None, depth + 1, at)
-            for open_idx, close_idx, site in _collect_subqueries(
-                tokens, body_lo, hi, pmatch, cte_opens)]
-        subqueries.sort(key=lambda child: _SIBLING_PRIORITY[child[1]])
-        pending += subqueries
-        # the prelude's column-alias groups never contain subqueries; CTE bodies do
-        pending += [
-            (CTE, SITE_CTE_BODY, _group_span(tokens, open_idx, close_idx),
-             (open_idx + 1, min(close_idx, len(tokens))), name, depth + 1, at)
-            for name, open_idx, close_idx in ctes]
+        visited.append((node, parent))
+        pending += [(child, at) for child in
+                    sorted(node[_CHILDREN],
+                           key=lambda c: _SIBLING_PRIORITY[c[1]])]
     last = len(visited)  # the node visited at index i gets id last - i
-    return [
+    fragments = [
         _new_fragment(Fragment, (
             last - i, kind, span, None if parent is None else last - parent,
-            depth, site, token_range, source, name))
-        for i, (kind, site, span, token_range, name, depth, parent)
+            depth, site, token_range, source, cte))
+        for i, ((kind, site, span, token_range, cte, depth, _, _), parent)
         in reversed(list(enumerate(visited)))
     ]
-
-
-def _group_span(tokens: list[Token], open_idx: int, close_idx: int) -> tuple[int, int]:
-    start = tokens[open_idx].end
-    if close_idx >= len(tokens):
-        end = tokens[-1].end
-    else:
-        end = tokens[close_idx].start
-    return (start, end)
+    return fragments, items
 
 
 @lru_cache(maxsize=PARSE_MEMO_SIZE)
@@ -378,10 +442,10 @@ def decompose_lenient(query: str) -> tuple[FragmentTree, str | None]:
         raise EmptyQueryError("query contains only comments/whitespace")
     pmatch, paren_diag = _match_parens(tokens)
     diagnostic = diagnostic or paren_diag
-    fragments = _build_fragments(tokens, pmatch, query)
+    fragments, items = _walk(tokens, pmatch, query)
     tree = FragmentTree(fragments=tuple(fragments),
                         root_id=fragments[-1].id, source=query,
-                        tokens=tuple(tokens))
+                        tokens=tuple(tokens), from_items=tuple(items))
     return tree, diagnostic
 
 

@@ -1,4 +1,4 @@
-"""Lenient SQL tokenizer, the one reader of FROM items, and template masking.
+"""Lenient SQL tokenizer, template masking and normalized token forms.
 
 The lexical grammar is the one pattern ``_LEXICON``, a named group per
 token kind; the order of its alternatives is their precedence. Each match
@@ -14,8 +14,8 @@ scan once per spelling: a word's text upper-cased, and any other token's
 text itself. Words of one spelling share their two strings.
 Keyword tests read that field. No other kind's text upper-cases to a word:
 a string opens with a quote, a number with a digit or '.', and no single
-character upper-cases to a keyword. ``iter_from_items`` walks a query's
-tokens once for its FROM items; the fragmenter holds the result per tree.
+character upper-cases to a keyword. The fragmenter reads a query's
+structure, its FROM items included, in one walk over these tokens.
 """
 
 from __future__ import annotations
@@ -128,113 +128,6 @@ def statement_head(tokens) -> str | None:
 
 def is_keyword(token: Token) -> bool:
     return token.kind == WORD and token.upper in KEYWORDS
-
-
-class FromItem(NamedTuple):
-    first: int  # index of the first name word, or of a derived table's ')'
-    last: int  # index of the last name word, or of that ')'
-    name: str | None  # the whole dotted name, lower case; None when derived
-    alias: int | None  # index of the alias word
-    cte: bool  # a name that a WITH list defines, not a FROM item
-
-
-_new_item = tuple.__new__  # FromItem(...) without the Python-level __new__
-_FROM, _CONDITION, _WITH = "FROM", "ON", "WITH"  # the list a level is in
-_ARGS = "ARGS"  # a function's arguments, where no list opens
-_OPENERS = dict.fromkeys(("FROM", "JOIN", "INTO", "UPDATE", "TABLE"), _FROM)
-_OPENERS["WITH"] = _WITH
-_CLAUSE_WORDS = {"SELECT", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT",
-                 "SET", "UNION", "INTERSECT", "EXCEPT", "VALUES", "WINDOW"}
-_QUERY_HEADS = (*SELECT_HEADS, "VALUES")
-_NOT_ALIASES = _CLAUSE_WORDS | {"FETCH", "FOR", "TABLESAMPLE", "RETURNING"}
-
-
-def _name(token: Token) -> str:
-    return token.text.strip('`"').lower()
-
-
-def _alias(tokens, j: int) -> int | None:
-    """The index of the alias word at ``tokens[j]``, after an optional AS:
-    a word that is neither a keyword nor a clause or dialect word such as
-    WINDOW, FETCH, FOR, TABLESAMPLE or RETURNING."""
-    if j < len(tokens) and tokens[j].upper == "AS":
-        j += 1
-    if j < len(tokens) and tokens[j].kind == WORD and not is_keyword(tokens[j]) \
-            and tokens[j].upper not in _NOT_ALIASES:
-        return j
-    return None
-
-
-def iter_from_items(tokens):
-    """Yield each FROM item, and each name a WITH list defines, in text order.
-
-    One walk, with a (list kind, item due) state for each open parenthesis
-    level. A FROM list opens at FROM, JOIN, INTO, UPDATE or TABLE, and a
-    WITH list at WITH; either closes at the next clause word of its own
-    level. In a FROM list a comma starts an item, and ON or USING starts a
-    condition that runs to the next JOIN or comma. Where an item is due, a
-    word that is no keyword starts a named item, its parts joined by '.'; a
-    group that holds a query (SELECT, WITH or VALUES) is a derived table,
-    yielded at its ')'; any other group is a parenthesized join, whose items
-    continue the list. An alias, with or without AS, may follow an item.
-    Keywords where an item is due (LATERAL, ONLY) are passed over. A group
-    that holds no query and follows a function name, a word that is no
-    keyword, holds arguments and opens no list, as in EXTRACT(YEAR FROM d);
-    neither does the UPDATE of FOR UPDATE.
-    """
-    levels = []  # the (list kind, item due) of each enclosing level
-    kind, due = None, False
-    n = len(tokens)
-    i = 0
-    while i < n:
-        tok = tokens[i]
-        upper = tok.upper
-        if upper == "(":
-            query = i + 1 < n and tokens[i + 1].upper in _QUERY_HEADS
-            if due and kind == _FROM and not query:
-                levels.append((_FROM, False))  # a parenthesized join
-            else:
-                levels.append((kind, due))
-                kind, due = None, False
-                if not query and i and tokens[i - 1].kind == WORD \
-                        and tokens[i - 1].upper not in KEYWORDS:
-                    kind = _ARGS
-        elif upper == ")":
-            kind, due = levels.pop() if levels else (None, False)
-            if due and kind == _FROM:  # a derived table ends
-                alias = _alias(tokens, i + 1)
-                yield _new_item(FromItem, (i, i, None, alias, False))
-                due = False
-                i = alias or i  # an alias is never token 0
-        elif kind == _ARGS:
-            pass
-        elif upper in _OPENERS and not (
-                upper == "UPDATE" and i and tokens[i - 1].upper == "FOR"):
-            kind, due = _OPENERS[upper], True
-        elif kind is None:
-            pass
-        elif upper in _CLAUSE_WORDS:
-            kind, due = None, False
-        elif upper == ",":
-            kind, due = (_WITH if kind == _WITH else _FROM), True
-        elif upper == "ON" or upper == "USING":
-            kind, due = _CONDITION, False
-        elif due and tok.kind == WORD and upper not in KEYWORDS:
-            first, name = i, _name(tok)
-            if kind == _WITH:
-                yield _new_item(FromItem, (i, i, name, None, True))
-            else:
-                while i + 2 < n and tokens[i + 1].upper == "." \
-                        and tokens[i + 2].kind == WORD:
-                    i += 2
-                    name += "." + _name(tokens[i])
-                alias = _alias(tokens, i + 1)
-                yield _new_item(FromItem, (first, i, name, alias, False))
-                i = alias or i
-            due = False
-        elif due and tok.kind != WORD:
-            due = False
-        i += 1
 
 
 def templatize(sql: str) -> str:

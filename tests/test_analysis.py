@@ -93,8 +93,9 @@ def _ref_group(tokens, i, lst, out):
             i = close
         elif lst == "ARGS":
             pass
-        elif word in _REF_OPENERS and not (
-                word == "UPDATE" and i > 0 and tokens[i - 1].text.upper() == "FOR"):
+        elif word in _REF_OPENERS and (
+                word != "UPDATE" or i == 0
+                or tokens[i - 1].text in ("(", ")", ";")):
             lst, due = "FROM", True
         elif word == "WITH":
             lst, due = "WITH", True
@@ -246,12 +247,17 @@ def test_an_item_after_a_condition_or_a_derived_table_is_read(sql, tables):
     ("SELECT SUBSTRING(s FROM 1 FOR 2) FROM t", ["t"]),
     ("SELECT COALESCE((SELECT MAX(k) FROM u), 0) FROM t", ["t", "u"]),
     ("SELECT a FROM t FOR UPDATE OF t", ["t"]),
+    ("SELECT a FROM t FOR NO KEY UPDATE OF t", ["t"]),
+    ("INSERT INTO t (a) VALUES (1) ON DUPLICATE KEY UPDATE a = 2", ["t"]),
+    ("WITH c AS (SELECT 1) UPDATE t SET a = (SELECT * FROM c)", ["t"]),
+    ("SELECT 1; UPDATE t SET a = 1", ["t"]),
 ])
 def test_a_from_in_a_function_call_or_for_update_opens_no_list(sql, tables):
     """A group that holds no query and follows a function name holds
-    arguments, and the UPDATE of FOR UPDATE opens no FROM list; a query
-    in the arguments reads as anywhere else. Each root reads one table of
-    its own, so it passes the efficiency screen."""
+    arguments, and opens no FROM list; a query in the arguments reads as
+    anywhere else. An UPDATE opens a list only where a statement starts:
+    as the first token or after '(', ')' or ';'. Each root reads one table
+    of its own, so it passes the efficiency screen."""
     tree = decompose(sql)
     assert referenced_tables(tree) == tables
     assert passes_efficiency_screen(tree.root_id, tree)
@@ -347,15 +353,18 @@ def test_records_are_immutable_tuples(nested_query):
 
 @pytest.fixture
 def from_item_walks(monkeypatch):
-    """The token count of each walk for FROM items, in call order."""
+    """The token count of each walk that reads FROM items, in call order:
+    the one walk that builds a tree. The parse memo is emptied first, so
+    the first parse of a text walks it."""
     walks = []
-    real = fragmenter.iter_from_items
+    real = fragmenter._walk
 
-    def counting(tokens):
+    def counting(tokens, pmatch, source):
         walks.append(len(tokens))
-        return real(tokens)
+        return real(tokens, pmatch, source)
 
-    monkeypatch.setattr(fragmenter, "iter_from_items", counting)
+    fragmenter.decompose_lenient.cache_clear()
+    monkeypatch.setattr(fragmenter, "_walk", counting)
     return walks
 
 

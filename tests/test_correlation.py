@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from sqlgov.analysis import correlated_subquery, matcher_holds, \
     referenced_tables
-from sqlgov.fragmenter import SITE_FROM, SUBQUERY, decompose
+from sqlgov.fragmenter import SITE_FROM, SITE_SELECT_LIST, SUBQUERY, \
+    decompose
 from sqlgov.knowledge_base import REWRITER, VERIFIED, KnowledgeStore, \
     RuleEntry
 from sqlgov.providers import ScriptedLLM
@@ -206,6 +207,31 @@ def test_a_name_after_a_derived_table_comma_binds(engine):
     assert _root_subquery_plan(engine, sql) == "LIST SUBQUERY 2"
     tree = decompose(sql)
     assert not correlated_subquery(tree, tree.root_id, {})
+
+
+@pytest.mark.parametrize("call", [
+    "EXTRACT(YEAR FROM o.ds)", "SUBSTRING(o.ds FROM 1 FOR 4)",
+    "substr(o.ds, 1, 4)"])
+def test_a_clause_word_in_function_arguments_sites_no_subquery(call):
+    """The FROM inside a function's arguments is no clause of the query, so
+    the scalar subquery after it sits in the select list, and it is
+    correlated, as SQLite plans the form it can read: the root fails the
+    efficiency screen."""
+    sql = (f"SELECT {call} AS y, (SELECT MAX(u.k) FROM u "
+           "WHERE u.oid = o.id) AS m FROM orders o")
+    if call.startswith("substr"):
+        db = sqlite3.connect(":memory:")
+        db.execute("CREATE TABLE orders (id INTEGER, ds TEXT)")
+        db.execute("CREATE TABLE u (k INTEGER, oid INTEGER)")
+        assert _root_subquery_plan(db, sql) == "CORRELATED SCALAR SUBQUERY 1"
+        db.close()
+    tree = decompose(sql)
+    (child,) = tree.children(tree.root_id)
+    assert child.clause_site == SITE_SELECT_LIST
+    assert correlated_subquery(tree, tree.root_id, {})
+    assert matcher_holds([{"pred": "scalar_subquery_in_select"}], tree,
+                         tree.root_id)
+    assert not passes_efficiency_screen(tree.root_id, tree)
 
 
 def _tables_read(engine, sql) -> set[str]:

@@ -156,6 +156,33 @@ def test_subquery_inside_union_arm_attaches_to_enclosing():
     assert kinds == [MAIN, SUBQUERY]
 
 
+def test_a_values_group_in_from_is_a_derived_table_and_no_fragment():
+    """A VALUES group holds nothing to rewrite: it makes no fragment, and
+    the FROM items read it as a derived table, at its ')'."""
+    sql = "SELECT v.a FROM (VALUES (1), (2)) v WHERE v.a IN (SELECT k FROM t)"
+    tree = decompose(sql)
+    assert [(f.kind, f.clause_site) for f in tree.fragments] == \
+        [(SUBQUERY, "WHERE"), (MAIN, "NONE")]
+    assert [(tree.tokens[item.first].text, item.name, item.cte)
+            for item in tree.from_items] == [(")", None, False),
+                                              ("t", "t", False)]
+
+
+@pytest.mark.parametrize("sql, names", [
+    ("WITH order AS (SELECT 1 AS k) SELECT k FROM order", ["order"]),
+    ("WITH a AS (SELECT 1), order AS (SELECT 2), b AS (SELECT 3) "
+     "SELECT * FROM b", ["a", "order", "b"]),
+    ("INSERT INTO t WITH c AS (SELECT 1) SELECT * FROM c", ["c"]),
+])
+def test_a_with_list_defines_ctes_wherever_it_stands(sql, names):
+    """A group after ``name AS`` in a WITH list is a CTE body, whatever the
+    name spells and wherever the WITH stands."""
+    tree = decompose(sql)
+    assert [(f.kind, f.clause_site, f.name)
+            for f in tree.children(tree.root_id)] == \
+        [(CTE, "CTE_BODY", name) for name in names]
+
+
 # --- invariants --------------------------------------------------------------
 
 def _assert_invariants(tree):

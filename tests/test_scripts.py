@@ -1,10 +1,12 @@
 """The bundled scripts run the same library flows as the CLI: regenerating
-the playbook in memory reproduces the committed fixtures byte for byte, and
-the demo walks the whole pipeline."""
+the playbook in memory reproduces the committed fixtures byte for byte, the
+demo walks the whole pipeline, and the readings comparison reads a text
+whole."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 from sqlgov.providers import save_playbook
@@ -40,3 +42,14 @@ def test_demo_pipeline_runs_end_to_end(capsys):
     assert "corrected: SELECT x, (SELECT a, b FROM t2 WHERE k = 1) FROM t1" \
         in out
     assert "ETOG=40.0%" in out
+
+
+def test_parse_readings_reads_a_text_whole(fixtures_dir):
+    readings = _load("parse_readings")
+    nested = (fixtures_dir / "nested_query.sql").read_text()
+    assert nested in readings.fixture_texts()
+    got = json.loads(json.dumps(readings.reading(nested)))
+    assert got["diagnostic"] is None
+    assert len(got["fragments"]) == len(got["facts"]) == 7
+    assert got["tables"] == ["tb0", "tb1", "tb2", "tb3", "tb4"]
+    assert readings.reading("-- no query\n")["error"] == "EmptyQueryError"
